@@ -18,16 +18,8 @@ import sys
 
 from . import generators, polyprops, schemes, spherical
 from .errors import AnalysisError, GramError
-from .graphs import (
-    distance_data,
-    format_edge_list,
-    girth,
-    large_graph_report,
-    moore_bound,
-    parse_edge_list,
-    verify_projector_entries,
-)
-from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL, eigen_clusters
+from .graphs import analyze_graph, format_edge_list, girth, moore_bound, parse_edge_list
+from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL
 from .reports import HYPOTHESIS_NOT_MET, TheoremReport, any_failed, reports_to_json
 
 # Alternate generic-element seeds, selectable when the defaults happen to
@@ -90,13 +82,9 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze_graph(args) -> int:
     g = parse_edge_list(_read(args.path))
-    tol, max_dense = args.tol, args.max_dense
-    reports = [
-        verify_projector_entries(g, tol, max_dense),
-        large_graph_report(g, tol, max_dense),
-    ]
-    spectrum = eigen_clusters(g.adjacency_matrix(), tol, max_dense=max_dense)
-    dd = distance_data(g)
+    tol = args.tol
+    analysis = analyze_graph(g, tol, args.max_dense)
+    spectrum, dd, reports = analysis.spectrum, analysis.distances, analysis.reports
     k = g.regular_degree()
     gi = girth(g)
     facts = {

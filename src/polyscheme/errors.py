@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the line reader of the
+text formats, whose ParseErrors carry line numbers."""
 
 
 class AnalysisError(Exception):
@@ -60,3 +61,12 @@ class ParseError(AnalysisError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
+
+
+def content_lines(text: str):
+    """Yield (line_no, tokens) for each line that keeps a token once its
+    "#" comment is cut off; line numbers count from 1."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens

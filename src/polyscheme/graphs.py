@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GraphStructureError, ParseError
+from .errors import GraphStructureError, ParseError, content_lines
 from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
     EigenClusters,
     SymMatrix,
+    check_dense_limit,
     eigen_clusters,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, TheoremReport
@@ -258,18 +259,6 @@ def k_factor_fraction(spectrum: EigenClusters, i: int) -> Fraction | None:
     return out
 
 
-def _structural_report(g: Graph, theorem: str, tol: float) -> TheoremReport | None:
-    """Report-style hypothesis failures shared by the two theorem checks."""
-    subject = f"graph(n={g.n})"
-    k = g.regular_degree()
-    if g.n < 2 or k is None or k < 1:
-        reason = "not regular" if k is None else "degenerate graph"
-        return TheoremReport(subject, theorem, HYPOTHESIS_NOT_MET, tol, {"summary": reason})
-    if not g.is_connected():
-        return TheoremReport(subject, theorem, HYPOTHESIS_NOT_MET, tol, {"summary": "not connected"})
-    return None
-
-
 def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
     """Compare every distance-d entry of each nontrivial projector with the
     forced value -K_i/n.  Returns per-index expectations, the worst
@@ -300,37 +289,58 @@ def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
     return expected, worst, witness, row_counts
 
 
-def verify_projector_entries(
+@dataclass(frozen=True)
+class GraphAnalysis:
+    """The adjacency spectrum, the all-pairs distances, and the
+    projector-entries and large-graph reports, in that order."""
+
+    spectrum: EigenClusters
+    distances: DistanceData
+    reports: tuple[TheoremReport, TheoremReport]
+
+
+def analyze_graph(
     g: Graph,
     tol: float = DEFAULT_TOL,
     max_dense: int | None = DEFAULT_MAX_DENSE,
-) -> TheoremReport:
-    """Check the forced projector entries at maximal distance.
-
-    For a connected k-regular graph whose distinct-eigenvalue count is one
-    more than its diameter d, every pair at distance d must carry the entry
-    -K_i/n in the i-th eigenprojector.  Hypothesis failures are report
-    outcomes, not exceptions.
-    """
-    theorem = "projector-entries"
-    structural = _structural_report(g, theorem, tol)
-    if structural is not None:
-        return structural
-    k = g.regular_degree()
-    subject = f"graph(n={g.n}, k={k})"
-    family = spectral_projectors(g, tol, max_dense)
+) -> GraphAnalysis:
+    """Both graph theorems from one all-pairs BFS, one eigensolve and, for
+    a connected regular graph, one projector family.  Graphs above
+    max_dense are refused before any of that work; hypothesis failures
+    are report outcomes, not exceptions."""
+    check_dense_limit(g.n, max_dense)
     dd = distance_data(g)
-    s, d = family.spectrum.s, dd.diameter
+    k = g.regular_degree()
+    if not k or not dd.is_connected():
+        reason = ("not regular" if k is None
+                  else "degenerate graph" if k == 0 else "not connected")
+        reports = tuple(
+            TheoremReport(f"graph(n={g.n})", theorem, HYPOTHESIS_NOT_MET, tol, {"summary": reason})
+            for theorem in ("projector-entries", "large-graph"))
+        return GraphAnalysis(eigen_clusters(g.adjacency_matrix(), tol, max_dense=max_dense),
+                             dd, reports)
+    family = spectral_projectors(g, tol, max_dense)
+    scan = _forced_entry_scan(family, dd, tol)
+    subject = f"graph(n={g.n}, k={k})"
+    return GraphAnalysis(family.spectrum, dd, (
+        _projector_entries_report(subject, family.spectrum, dd, scan, tol),
+        _large_graph_report(subject, g, k, family.spectrum, dd, scan, tol),
+    ))
+
+
+def _projector_entries_report(subject, spectrum, dd, scan, tol) -> TheoremReport:
+    theorem = "projector-entries"
+    s, d = spectrum.s, dd.diameter
     if s != d:
         return TheoremReport(subject, theorem, HYPOTHESIS_NOT_MET, tol, {
             "distinct_eigenvalues": s + 1,
             "diameter": d,
             "summary": f"{s + 1} distinct eigenvalues but diameter {d}; need diameter + 1",
         })
-    expected, worst, witness, _ = _forced_entry_scan(family, dd, tol)
+    expected, worst, witness, _ = scan
     evidence = {
-        "spectrum": list(family.spectrum.values),
-        "multiplicities": list(family.spectrum.multiplicities),
+        "spectrum": list(spectrum.values),
+        "multiplicities": list(spectrum.multiplicities),
         "diameter": d,
         "expected_entries": expected,
         "max_deviation": worst,
@@ -348,26 +358,9 @@ def verify_projector_entries(
     return TheoremReport(subject, theorem, FAIL, tol, evidence)
 
 
-def large_graph_report(
-    g: Graph,
-    tol: float = DEFAULT_TOL,
-    max_dense: int | None = DEFAULT_MAX_DENSE,
-) -> TheoremReport:
-    """Size test n > M(k, d-1) and its four consequences.
-
-    With d+1 distinct eigenvalues and n beyond the degree/diameter bound for
-    diameter d-1, the graph must have diameter exactly d, the forced
-    projector entries at distance d, and at least n - M(k, d-1) forced
-    entries in every projector row.
-    """
+def _large_graph_report(subject, g, k, spectrum, dd, scan, tol) -> TheoremReport:
     theorem = "large-graph"
-    structural = _structural_report(g, theorem, tol)
-    if structural is not None:
-        return structural
-    k = g.regular_degree()
-    subject = f"graph(n={g.n}, k={k})"
-    family = spectral_projectors(g, tol, max_dense)
-    s = family.spectrum.s
+    s = spectrum.s
     if s == 0:
         return TheoremReport(subject, theorem, HYPOTHESIS_NOT_MET, tol,
                              {"summary": "single eigenvalue; nothing to force"})
@@ -378,14 +371,13 @@ def large_graph_report(
         "k": k,
         "d": d,
         "moore_bound": bound,
-        "spectrum": list(family.spectrum.values),
-        "multiplicities": list(family.spectrum.multiplicities),
+        "spectrum": list(spectrum.values),
+        "multiplicities": list(spectrum.multiplicities),
     }
     if g.n <= bound:
         evidence["summary"] = f"n = {g.n} <= M({k}, {d - 1}) = {bound}; size hypothesis not met"
         return TheoremReport(subject, theorem, HYPOTHESIS_NOT_MET, tol, evidence)
-    dd = distance_data(g)
-    expected, worst, entry_witness, row_counts = _forced_entry_scan(family, dd, tol)
+    expected, worst, entry_witness, row_counts = scan
     min_rows = min(row_counts)
     evidence.update({
         "diameter": dd.diameter,
@@ -412,25 +404,49 @@ def large_graph_report(
     return TheoremReport(subject, theorem, PASS, tol, evidence)
 
 
+def verify_projector_entries(
+    g: Graph,
+    tol: float = DEFAULT_TOL,
+    max_dense: int | None = DEFAULT_MAX_DENSE,
+) -> TheoremReport:
+    """Check the forced projector entries at maximal distance.
+
+    For a connected k-regular graph whose distinct-eigenvalue count is one
+    more than its diameter d, every pair at distance d must carry the entry
+    -K_i/n in the i-th eigenprojector.  Hypothesis failures are report
+    outcomes, not exceptions.
+    """
+    return analyze_graph(g, tol, max_dense).reports[0]
+
+
+def large_graph_report(
+    g: Graph,
+    tol: float = DEFAULT_TOL,
+    max_dense: int | None = DEFAULT_MAX_DENSE,
+) -> TheoremReport:
+    """Size test n > M(k, d-1) and its four consequences.
+
+    With d+1 distinct eigenvalues and n beyond the degree/diameter bound for
+    diameter d-1, the graph must have diameter exactly d, the forced
+    projector entries at distance d, and at least n - M(k, d-1) forced
+    entries in every projector row.
+    """
+    return analyze_graph(g, tol, max_dense).reports[1]
+
+
 # --- edge-list text format ------------------------------------------------
-# First line "n m", then m lines "u v" (0-based).  Blank lines and lines
-# starting with "#" are ignored.
+# First line "n m", then m lines "u v" (0-based).  Blank lines and "#"
+# comments are ignored.
 
 
 def parse_edge_list(text: str) -> Graph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected two integers, got {line!r}")
+    for line_no, parts in content_lines(text):
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, parts)
         except ValueError:
-            raise ParseError(line_no, f"expected two integers, got {line!r}") from None
+            raise ParseError(line_no, f"expected two integers, got {' '.join(parts)!r}") from None
         if header is None:
             header = (u, v)
         else:

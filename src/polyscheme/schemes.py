@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     SchemeAxiomError,
     ToleranceAmbiguityError,
+    content_lines,
 )
 from .graphs import DistanceData
 from .numerics import (
@@ -405,14 +406,11 @@ def parametric_parameters(
 def parse_relation_matrix(text: str) -> RelationPartition:
     header = None
     rows: list[list[int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, tokens in content_lines(text):
         try:
-            nums = [int(tok) for tok in line.split()]
+            nums = [int(tok) for tok in tokens]
         except ValueError:
-            raise ParseError(line_no, f"expected integers, got {line!r}") from None
+            raise ParseError(line_no, f"expected integers, got {' '.join(tokens)!r}") from None
         if header is None:
             if len(nums) != 2:
                 raise ParseError(line_no, "header must be 'n d'")
@@ -439,20 +437,18 @@ def format_relation_matrix(rel: RelationPartition) -> str:
 
 
 # --- intersection-tensor text format --------------------------------------
-# First line "n d", then one line "i j k value" per nonzero entry.
+# First line "n d", then one line "i j k value" per nonzero entry, each
+# triple at most once.  Blank lines and "#" comments are ignored.
 
 
 def parse_intersection_tensor(text: str):
     header = None
-    entries: list[tuple[int, int, int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    entries: dict[tuple[int, int, int], int] = {}
+    for line_no, tokens in content_lines(text):
         try:
-            nums = [int(tok) for tok in line.split()]
+            nums = [int(tok) for tok in tokens]
         except ValueError:
-            raise ParseError(line_no, f"expected integers, got {line!r}") from None
+            raise ParseError(line_no, f"expected integers, got {' '.join(tokens)!r}") from None
         if header is None:
             if len(nums) != 2:
                 raise ParseError(line_no, "header must be 'n d'")
@@ -463,13 +459,15 @@ def parse_intersection_tensor(text: str):
         i, j, k, val = nums
         if not (0 <= i <= header[1] and 0 <= j <= header[1] and 0 <= k <= header[1]):
             raise ParseError(line_no, f"indices ({i}, {j}, {k}) outside 0..{header[1]}")
-        entries.append((i, j, k, val))
+        if (i, j, k) in entries:
+            raise ParseError(line_no, f"second entry for ({i}, {j}, {k})")
+        entries[i, j, k] = val
     if header is None:
         raise ParseError(0, "empty tensor file")
     n, d = header
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    for i, j, k, val in entries:
-        p[i, j, k] = val
+    for ijk, val in entries.items():
+        p[ijk] = val
     return p, n
 
 

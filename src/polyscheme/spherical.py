@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GramError, ParseError, SchurDisconnectedError
+from .errors import GramError, ParseError, SchurDisconnectedError, content_lines
 from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
@@ -93,7 +93,8 @@ def from_gram(
     a = np.array(m.a)
     np.fill_diagonal(a, 1.0)
     gram = SymMatrix(a)
-    wmin = float(np.linalg.eigvalsh(gram.a).min())
+    w = np.linalg.eigvalsh(gram.a)
+    wmin = float(w.min())
     if wmin < -tol:
         raise GramError(f"not positive semidefinite: least eigenvalue {wmin:.3g}")
     labels = np.zeros((n, n), dtype=int)
@@ -109,7 +110,7 @@ def from_gram(
     labels.setflags(write=False)
     return SphericalSet(
         gram=gram,
-        dimension=rank_tol(gram, tol, max_dense=max_dense),
+        dimension=int(np.count_nonzero(np.abs(w) > tol)),
         values=values,
         labels=labels,
         tolerance=tol,
@@ -284,14 +285,11 @@ def verify_sphere_theorem(
 def parse_gram_matrix(text: str) -> SymMatrix:
     n = None
     rows: list[list[float]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    row_lines: list[int] = []
+    for line_no, parts in content_lines(text):
         if n is None:
             if len(parts) != 1:
-                raise ParseError(line_no, f"expected a single count, got {raw.strip()!r}")
+                raise ParseError(line_no, f"expected a single count, got {' '.join(parts)!r}")
             try:
                 n = int(parts[0])
             except ValueError:
@@ -304,15 +302,20 @@ def parse_gram_matrix(text: str) -> SymMatrix:
         try:
             row = [float(x) for x in parts]
         except ValueError:
-            raise ParseError(line_no, f"bad entry in {raw.strip()!r}") from None
+            raise ParseError(line_no, f"bad entry in {' '.join(parts)!r}") from None
         if len(row) != n:
             raise ParseError(line_no, f"expected {n} entries, got {len(row)}")
         rows.append(row)
+        row_lines.append(line_no)
     if n is None:
         raise ParseError(0, "empty input")
     if len(rows) != n:
         raise ParseError(0, f"expected {n} rows, got {len(rows)}")
-    return SymMatrix(np.array(rows, dtype=float))
+    a = np.array(rows, dtype=float)
+    bad_rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad_rows.size:
+        raise ParseError(row_lines[bad_rows[0]], "entries must be finite")
+    return SymMatrix(a)
 
 
 def format_gram_matrix(m: SymMatrix) -> str:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from polyscheme import graphs
 from polyscheme.cli import main
 from polyscheme.numerics import SymMatrix
 from polyscheme.reports import reports_from_json
@@ -127,6 +128,22 @@ class TestAnalyzeGraph:
         code, out, _ = run(capsys, "analyze-graph", str(path))
         assert code == 0
         assert "[hypothesis-not-met]" in out
+
+    def test_each_quantity_computed_once(self, petersen_edges, capsys, monkeypatch):
+        calls = {"distance_data": 0, "spectral_projectors": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("distance_data", "spectral_projectors"):
+            monkeypatch.setattr(graphs, name, counted(name, getattr(graphs, name)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        code, _, _ = run(capsys, "analyze-graph", str(petersen_edges), "--json")
+        assert code == 0
+        assert calls == {"distance_data": 1, "spectral_projectors": 1, "eigvalsh": 1}
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze-graph", "no-such-file.edges")

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import GRAPH_SPECS, catalog_graph
-from polyscheme.errors import GraphStructureError, ParseError
+from polyscheme import graphs
+from polyscheme.errors import DenseLimitError, GraphStructureError, ParseError
 from polyscheme.graphs import (
     Graph,
     UNREACHABLE,
+    analyze_graph,
     distance_data,
     format_edge_list,
     girth,
@@ -267,6 +269,21 @@ def test_edge_list_round_trip():
     for name in ("petersen", "cycle6"):
         g = catalog_graph(name)
         assert parse_edge_list(format_edge_list(g)).neighbors == g.neighbors
+
+
+def test_edge_list_comments_and_blanks_ignored():
+    text = "# a triangle\n3 3\n\n0 1  # first edge\n1 2\n0 2#last\n"
+    assert parse_edge_list(text).neighbors == ((1, 2), (0, 2), (0, 1))
+
+
+def test_analyze_graph_refuses_before_distances(monkeypatch):
+    def fail(g):
+        raise AssertionError("distance_data ran before the dense limit was checked")
+
+    cycle8 = Graph.from_edges(8, [(v, (v + 1) % 8) for v in range(8)])
+    monkeypatch.setattr(graphs, "distance_data", fail)
+    with pytest.raises(DenseLimitError):
+        analyze_graph(cycle8, max_dense=5)
 
 
 def test_edge_list_parse_errors():

@@ -274,6 +274,11 @@ def test_relation_matrix_round_trip():
     assert again.d == rel.d
 
 
+def test_relation_matrix_comments_and_blanks_ignored():
+    text = "# C_3\n3 1\n\n0 1 1  # row 0\n1 0 1\n1 1 0#last\n"
+    assert parse_relation_matrix(text).labels.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
 def test_relation_matrix_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_relation_matrix("2 1\n0 1 0\n1 0\n")
@@ -296,6 +301,13 @@ def test_intersection_tensor_round_trip():
     assert np.array_equal(p2, scheme.p)
 
 
+def test_intersection_tensor_comments_and_blanks_ignored():
+    text = "# K_3\n3 1\n\n0 0 0 1  # identity\n0 1 1 1\n1 0 1 1\n1 1 0 2#last\n1 1 1 1\n"
+    p, n = parse_intersection_tensor(text)
+    assert n == 3
+    assert p.tolist() == [[[1, 0], [0, 1]], [[0, 1], [2, 1]]]
+
+
 def test_intersection_tensor_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_intersection_tensor("6 2\n1 2 3\n")
@@ -304,3 +316,6 @@ def test_intersection_tensor_parse_errors():
         parse_intersection_tensor("6 2\n0 0 5 1\n")
     with pytest.raises(ParseError):
         parse_intersection_tensor("# nothing\n")
+    with pytest.raises(ParseError) as err:
+        parse_intersection_tensor("10 2\n0 0 0 8\n0 0 0 1\n")
+    assert err.value.line_no == 3

@@ -304,6 +304,8 @@ class TestGramIO:
             ("2\n1.0 0.0\n0.0 1.0 3.0\n", 3),
             ("2\n1.0 zz\nzz 1.0\n", 2),
             ("2\n1.0 0.0\n0.0 1.0\n0.5 0.5\n", 4),
+            ("2\n1.0 0.0\n0.0 nan\n", 3),
+            ("2\n1.0 inf\ninf 1.0\n", 2),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line_no):

@@ -17,15 +17,10 @@ import re
 import sys
 
 from . import generators, polyprops, schemes, spherical
-from .errors import AnalysisError, GramError
+from .errors import AnalysisError
 from .graphs import analyze_graph, format_edge_list, girth, moore_bound, parse_edge_list
 from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL
-from .reports import HYPOTHESIS_NOT_MET, TheoremReport, any_failed, reports_to_json
-
-# Alternate generic-element seeds, selectable when the defaults happen to
-# produce a degenerate combination for some input.
-ALTERNATE_SEEDS = (15137, 48817, 76091)
-SEED_SETS = {"default": schemes.DEFAULT_SEEDS, "alternate": ALTERNATE_SEEDS}
+from .reports import any_failed, reports_to_json
 
 
 def _read(path: str) -> str:
@@ -122,78 +117,30 @@ def cmd_analyze_graph(args) -> int:
     return 1 if any_failed(reports) else 0
 
 
-def _verdict_lines(j: int, side: str, triple) -> list[str]:
-    noun = "class" if side == "P" else "eigenspace"
-    labels = ("detector", "size condition", "product formula")
-    out = []
-    for label, v in zip(labels, triple):
-        if v is None:
-            continue
-        bits = [v.status]
-        if v.ordering is not None:
-            bits.append("ordering " + "-".join(str(t) for t in v.ordering))
-        if "witness_l" in v.evidence:
-            bits.append(f"witness l = {v.evidence['witness_l']}")
-        if "schur_diameter" in v.evidence:
-            bits.append(f"schur-diameter {v.evidence['schur_diameter']}")
-        if v.reason:
-            bits.append(v.reason)
-        out.append(f"{side} {noun} {j} {label}: " + "; ".join(bits))
-    return out
+# Labels of the six verdicts analyze_scheme returns per class.
+_VERDICT_LABELS = ("detector", "size condition", "product formula") * 2
+
+
+def _verdict_line(label: str, v) -> str:
+    noun = "class" if v.kind == "P" else "eigenspace"
+    bits = [v.status]
+    if v.ordering is not None:
+        bits.append("ordering " + "-".join(str(t) for t in v.ordering))
+    if "witness_l" in v.evidence:
+        bits.append(f"witness l = {v.evidence['witness_l']}")
+    if "schur_diameter" in v.evidence:
+        bits.append(f"schur-diameter {v.evidence['schur_diameter']}")
+    if v.reason:
+        bits.append(v.reason)
+    return f"{v.kind} {noun} {v.base_index} {label}: " + "; ".join(bits)
 
 
 def cmd_analyze_scheme(args) -> int:
-    tol, max_dense = args.tol, args.max_dense
-    seeds = SEED_SETS[args.seed_set]
-    text = _read(args.path)
-    reports: list[TheoremReport] = []
-    verdicts = []
-    lines = [f"scheme: {args.path}"]
-    if args.parametric:
-        p, n = schemes.parse_intersection_tensor(text)
-        params = schemes.parametric_parameters(p, n, tol, seeds)
-        rel = None
-        idems = None
-    else:
-        rel = schemes.parse_relation_matrix(text)
-        p = schemes.validate_scheme(rel)
-        idems = schemes.idempotents(rel, tol, seeds, max_dense)
-        params = schemes.eigenmatrices(rel, idems, tol, p=p)
+    parse = schemes.parse_intersection_tensor if args.parametric else schemes.parse_relation_matrix
+    analysis = polyprops.analyze_scheme(
+        parse(_read(args.path)), args.tol, schemes.SEED_SETS[args.seed_set], args.max_dense)
+    params, verdicts, reports = analysis.params, analysis.verdicts, analysis.reports
     d = params.d
-    lines.append(f"points: {params.n}   classes: {d}"
-                 + ("   (parametric)" if args.parametric else ""))
-    lines.append("degrees: " + " ".join(str(v) for v in params.degrees))
-    lines.append("multiplicities: " + " ".join(str(v) for v in params.multiplicities))
-    lines.append("eigenmatrix P (rows = eigenspaces):")
-    lines.extend(_matrix_block(params.P))
-    lines.append("eigenmatrix Q (rows = classes):")
-    lines.extend(_matrix_block(params.Q))
-    for j in range(1, d + 1):
-        p_triple = (
-            polyprops.p_polynomial_ordering(params, j, rel, tol),
-            polyprops.check_p_large(params, j, rel, tol),
-            polyprops.check_product_formula_P(params, j, tol),
-        )
-        q_triple = (
-            polyprops.q_polynomial_ordering(
-                params, j, tol, idempotent=idems[j] if idems else None),
-            polyprops.check_q_large(params, j, tol),
-            polyprops.check_product_formula_Q(params, j, tol),
-        )
-        verdicts.extend(v for v in p_triple + q_triple)
-        lines.extend(_verdict_lines(j, "P", p_triple))
-        lines.extend(_verdict_lines(j, "Q", q_triple))
-        if idems is not None:
-            try:
-                sph = spherical.from_idempotent(params, idems, j, tol)
-                rep = spherical.verify_sphere_theorem(sph, tol, route="size")
-            except GramError as exc:
-                rep = TheoremReport(
-                    f"sphere(eigenspace={j})", "sphere-eigenvalue",
-                    HYPOTHESIS_NOT_MET, tol,
-                    {"summary": f"embedding of eigenspace {j} degenerate: {exc}"})
-            reports.append(rep)
-            lines.append(rep.line())
     if args.json:
         meta = {
             "subject": args.path,
@@ -205,11 +152,24 @@ def cmd_analyze_scheme(args) -> int:
             "P": params.P.tolist(),
             "Q": params.Q.tolist(),
             "verdicts": [v.to_dict() for v in verdicts],
-            "tolerance": tol,
+            "tolerance": args.tol,
         }
         _write(reports_to_json(reports, **meta), args.output)
-    else:
-        _write("\n".join(lines) + "\n", args.output)
+        return 1 if any_failed(reports) else 0
+    lines = [f"scheme: {args.path}",
+             f"points: {params.n}   classes: {d}" + ("   (parametric)" if args.parametric else ""),
+             "degrees: " + " ".join(str(v) for v in params.degrees),
+             "multiplicities: " + " ".join(str(v) for v in params.multiplicities),
+             "eigenmatrix P (rows = eigenspaces):"]
+    lines.extend(_matrix_block(params.P))
+    lines.append("eigenmatrix Q (rows = classes):")
+    lines.extend(_matrix_block(params.Q))
+    for j in range(d):
+        per_class = verdicts[6 * j:6 * (j + 1)]
+        lines.extend(_verdict_line(label, v) for label, v in zip(_VERDICT_LABELS, per_class))
+        if reports:
+            lines.append(reports[j].line())
+    _write("\n".join(lines) + "\n", args.output)
     return 1 if any_failed(reports) else 0
 
 
@@ -348,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("-o", "--output", help="output file (default stdout)")
         if seeds:
-            p.add_argument("--seed-set", choices=sorted(SEED_SETS), default="default",
+            p.add_argument("--seed-set", choices=sorted(schemes.SEED_SETS), default="default",
                            help="seed set for generic-element draws")
 
     g = sub.add_parser("gen", help="emit a catalog object as text")

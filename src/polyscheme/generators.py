@@ -84,20 +84,6 @@ class FamilySpec:
             if d < 1 or q < 2:
                 raise ValueError(f"hamming needs d >= 1 and q >= 2, got d = {d}, q = {q}")
 
-    @staticmethod
-    def parse(text: str) -> "FamilySpec":
-        """Parse "petersen", "cycle:6", "johnson:8,3" and the like."""
-        name, _, rest = text.strip().partition(":")
-        name = name.strip().lower().replace("_", "-")
-        args: list[int] = []
-        if rest.strip():
-            for piece in rest.split(","):
-                try:
-                    args.append(int(piece))
-                except ValueError:
-                    raise ValueError(f"bad family argument {piece.strip()!r} in {text!r}") from None
-        return FamilySpec(name, tuple(args))
-
     def label(self) -> str:
         if not self.args:
             return self.name

@@ -55,18 +55,6 @@ class Graph:
             sets[v].add(u)
         return Graph(tuple(tuple(sorted(s)) for s in sets))
 
-    @staticmethod
-    def from_adjacency(mat) -> "Graph":
-        a = np.asarray(mat)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("adjacency matrix must be square")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency matrix must be symmetric")
-        edges = [(int(u), int(v)) for u, v in np.argwhere(a) if u < v]
-        if np.any(np.diag(a)):
-            raise ValueError("adjacency matrix has a nonzero diagonal")
-        return Graph.from_edges(a.shape[0], edges)
-
     def edges(self):
         for u, nb in enumerate(self.neighbors):
             for v in nb:
@@ -127,10 +115,6 @@ class DistanceData:
     def relation(self, t: int) -> np.ndarray:
         """Boolean mask of the ordered pairs at distance exactly t."""
         return self.dist == t
-
-    def class_sizes(self) -> tuple[int, ...]:
-        """Ordered-pair count of each distance class 0..diameter."""
-        return tuple(int(np.count_nonzero(self.dist == t)) for t in range(self.diameter + 1))
 
 
 def distance_data(g: Graph) -> DistanceData:

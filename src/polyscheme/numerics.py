@@ -1,6 +1,5 @@
 """Dense symmetric-matrix kernel: eigenvalue clustering, numerical rank,
-and the ordinary/entrywise polynomial calculus used by the rest of the
-package.
+and the entrywise polynomial calculus used by the rest of the package.
 
 All tolerances are absolute.  The default of 1e-9 suits matrices whose
 entries are O(1)..O(1e3), which covers every catalog object here.
@@ -59,21 +58,9 @@ class SymMatrix:
     def __repr__(self) -> str:
         return f"SymMatrix(n={self.n})"
 
-    @staticmethod
-    def identity(n: int) -> "SymMatrix":
-        return SymMatrix(np.eye(n))
-
-    @staticmethod
-    def ones(n: int) -> "SymMatrix":
-        return SymMatrix(np.ones((n, n)))
-
 
 def as_sym(m) -> SymMatrix:
     return m if isinstance(m, SymMatrix) else SymMatrix(m)
-
-
-def max_abs_diff(x, y) -> float:
-    return float(np.max(np.abs(as_sym(x).a - as_sym(y).a)))
 
 
 def snap_to_int(x: float, tol: float = DEFAULT_TOL) -> float:
@@ -194,43 +181,18 @@ def rank_tol(m, tol: float = DEFAULT_TOL, max_dense: int | None = DEFAULT_MAX_DE
     return int(np.count_nonzero(np.abs(w) > tol))
 
 
-def hadamard_power(m, t: int) -> SymMatrix:
-    """Entrywise power M^(t); t = 0 gives the all-ones matrix.
-
-    Computed by repeated entrywise multiplication so that splitting the
-    exponent never changes the result on exactly-representable entries.
-    """
-    m = as_sym(m)
-    if t < 0:
-        raise ValueError("exponent must be nonnegative")
-    out = np.ones_like(m.a)
-    for _ in range(t):
-        out = out * m.a
-    return SymMatrix(out)
-
-
-def eval_matrix_poly(coeffs, m, mode: str = "ordinary") -> SymMatrix:
-    """Evaluate sum_t coeffs[t] * M^t by Horner's rule.
-
-    mode "ordinary" uses matrix powers (degree-0 term is the identity);
-    mode "hadamard" uses entrywise powers (degree-0 term is all-ones).
-    """
+def eval_matrix_poly(coeffs, m) -> SymMatrix:
+    """Evaluate sum_t coeffs[t] * M^(t) by Horner's rule, where M^(t) is the
+    entrywise power (degree-0 term is the all-ones matrix)."""
     m = as_sym(m)
     cs = [float(c) for c in coeffs]
     if not cs:
         raise ValueError("coefficient list must be nonempty")
     n = m.n
     acc = np.zeros((n, n))
-    if mode == "ordinary":
-        eye = np.eye(n)
-        for c in reversed(cs):
-            acc = acc @ m.a + c * eye
-    elif mode == "hadamard":
-        ones = np.ones((n, n))
-        for c in reversed(cs):
-            acc = acc * m.a + c * ones
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'ordinary' or 'hadamard'")
+    ones = np.ones((n, n))
+    for c in reversed(cs):
+        acc = acc * m.a + c * ones
     return SymMatrix(acc)
 
 

@@ -4,7 +4,8 @@ Three routes per side: a direct detector (distance partition of one
 relation graph, or the path shape of the Krein-number index graph), a
 size-based sufficient condition against the degree/diameter or dimension/
 distance bound, and the product-formula characterization that pins down
-the last class of the ordering.
+the last class of the ordering.  analyze_scheme runs all of them, and the
+sphere check of each eigenspace, once per scheme.
 
 Verdicts are three-valued; the size conditions can only ever say
 "polynomial" or "inconclusive", never "not_polynomial".
@@ -16,11 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MethodsDisagreeError
-from .graphs import Graph, distance_data, moore_bound
-from .numerics import DEFAULT_TOL, SymMatrix
-from .schemes import RelationPartition, SchemeParameters
-from .spherical import absolute_bound, schur_diameter
+from .errors import GramError, MethodsDisagreeError
+from .graphs import moore_bound
+from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL, SymMatrix, check_dense_limit
+from .reports import HYPOTHESIS_NOT_MET, TheoremReport
+from .schemes import (
+    DEFAULT_SEEDS,
+    RelationPartition,
+    SchemeParameters,
+    eigenmatrices,
+    idempotents,
+    parametric_parameters,
+    validate_scheme,
+)
+from .spherical import absolute_bound, from_idempotent, schur_diameter, verify_sphere_theorem
 
 POLYNOMIAL = "polynomial"
 NOT_POLYNOMIAL = "not_polynomial"
@@ -63,11 +73,6 @@ class PolyVerdict:
             "reason": self.reason,
             "evidence": self.evidence,
         }
-
-
-def _column(mat: np.ndarray, j: int) -> np.ndarray:
-    """Column j read down the rows: the values of index j across spaces."""
-    return mat[:, j]
 
 
 def _head_separated(col, tol: float) -> bool:
@@ -114,6 +119,21 @@ def _tensor_index_adjacency(tensor: np.ndarray, j: int, threshold: float) -> lis
     return adj
 
 
+def _distance_levels(adj: np.ndarray) -> tuple[list[np.ndarray], bool]:
+    """Masks of the pairs at distance 0, 1, 2, ... in the graph with 0/1
+    adjacency adj, and whether every pair is reached.  Level t + 1 is the
+    unreached part of level_t @ adj, so each level costs one product."""
+    a = adj.astype(float)
+    level = np.eye(len(a), dtype=bool)
+    reached = level.copy()
+    levels = []
+    while level.any():
+        levels.append(level)
+        level = (level.astype(float) @ a > 0) & ~reached
+        reached |= level
+    return levels, bool(reached.all())
+
+
 def p_polynomial_ordering(
     params: SchemeParameters,
     j: int,
@@ -122,10 +142,11 @@ def p_polynomial_ordering(
 ) -> PolyVerdict:
     """Is the scheme P-polynomial with respect to class j?
 
-    Explicit mode (rel given): the graph of class j must be connected with
-    diameter d and distance classes equal to relation classes, which then
-    provides the ordering.  Parametric mode: the intersection-number index
-    graph of class j must be a path from 0.
+    Explicit mode (rel given, a partition that passed validate_scheme): the
+    graph of class j must be connected with diameter d and distance classes
+    equal to relation classes, which then provides the ordering.  Parametric
+    mode: the intersection-number index graph of class j must be a path
+    from 0.
 
     A failed structural test refutes the ordering outright.  A passed test
     certifies it only under the separation hypothesis (degree distinct
@@ -135,22 +156,21 @@ def p_polynomial_ordering(
     d = params.d
     if not 1 <= j <= d:
         raise ValueError(f"class {j} outside 1..{d}")
-    col = _column(params.P, j)
-    separated = _head_separated(col, tol)
+    separated = _head_separated(params.P[:, j], tol)
     if rel is not None:
-        g = Graph.from_adjacency(rel.labels == j)
-        dd = distance_data(g)
-        evidence = {"mode": "explicit", "diameter": None if not dd.is_connected() else dd.diameter}
-        if not dd.is_connected():
+        levels, connected = _distance_levels(rel.labels == j)
+        diameter = len(levels) - 1
+        evidence = {"mode": "explicit", "diameter": diameter if connected else None}
+        if not connected:
             return PolyVerdict("P", j, NOT_POLYNOMIAL, reason="relation graph disconnected",
                                evidence=evidence)
-        if dd.diameter != d:
+        if diameter != d:
             return PolyVerdict("P", j, NOT_POLYNOMIAL,
-                               reason=f"relation graph has diameter {dd.diameter}, not {d}",
+                               reason=f"relation graph has diameter {diameter}, not {d}",
                                evidence=evidence)
         order = []
-        for t in range(d + 1):
-            found = np.unique(rel.labels[dd.dist == t])
+        for t, level in enumerate(levels):
+            found = np.unique(rel.labels[level])
             if found.size != 1:
                 return PolyVerdict("P", j, NOT_POLYNOMIAL,
                                    reason=f"distance class {t} mixes relation classes {found.tolist()}",
@@ -180,21 +200,21 @@ def p_polynomial_ordering(
 def check_p_large(
     params: SchemeParameters,
     j: int,
-    rel: RelationPartition | None = None,
+    direct: PolyVerdict | None = None,
     tol: float = DEFAULT_TOL,
 ) -> PolyVerdict:
     """Size-based sufficient condition: n beyond the degree/diameter bound
     M(k_j, d-1) forces P-polynomiality with respect to class j.
 
-    The bound comparison is exact integer arithmetic.  When the explicit
-    scheme is available the direct detector must agree, and its ordering is
-    attached; disagreement is a hard error.
+    The bound comparison is exact integer arithmetic.  When direct, the
+    verdict of p_polynomial_ordering for class j, is given and the condition
+    holds, the detector must agree, and its ordering is attached;
+    disagreement is a hard error.
     """
     d = params.d
     if not 1 <= j <= d:
         raise ValueError(f"class {j} outside 1..{d}")
-    col = _column(params.P, j)
-    if not _head_separated(col, tol):
+    if not _head_separated(params.P[:, j], tol):
         return PolyVerdict("P", j, INCONCLUSIVE, reason="degree not separated from the other eigenvalues")
     kj = params.degrees[j]
     bound = moore_bound(kj, d - 1)
@@ -204,14 +224,15 @@ def check_p_large(
                            reason=f"n = {params.n} <= M({kj}, {d - 1}) = {bound}",
                            evidence=evidence)
     ordering = None
-    if rel is not None:
-        direct = p_polynomial_ordering(params, j, rel, tol)
+    if direct is not None:
+        if (direct.kind, direct.base_index) != ("P", j):
+            raise ValueError(f"detector verdict for {direct.kind} {direct.base_index}, not P {j}")
         if direct.status != POLYNOMIAL:
             raise MethodsDisagreeError(
                 f"size condition n = {params.n} > {bound} holds for class {j} but the "
                 f"direct detector says {direct.status}: {direct.reason}")
         ordering = direct.ordering
-        evidence["confirmed_by"] = "explicit"
+        evidence["confirmed_by"] = direct.evidence["mode"]
     return PolyVerdict("P", j, POLYNOMIAL, ordering=ordering,
                        reason=f"n = {params.n} > M({kj}, {d - 1}) = {bound}",
                        evidence=evidence)
@@ -249,7 +270,7 @@ def check_product_formula_P(params: SchemeParameters, j: int, tol: float = DEFAU
     d = params.d
     if not 1 <= j <= d:
         raise ValueError(f"class {j} outside 1..{d}")
-    col = _column(params.P, j)
+    col = params.P[:, j]
     if not _mutually_distinct(col, tol):
         return PolyVerdict("P", j, INCONCLUSIVE, reason="eigenvalues of the class are not mutually distinct")
     lhs, matches = _product_formula(col, params.Q, d, tol)
@@ -282,8 +303,7 @@ def q_polynomial_ordering(
     d = params.d
     if not 1 <= j <= d:
         raise ValueError(f"eigenspace {j} outside 1..{d}")
-    col = _column(params.Q, j)
-    separated = _head_separated(col, tol)
+    separated = _head_separated(params.Q[:, j], tol)
     adj = _tensor_index_adjacency(params.krein, j, tol)
     order = _walk_index_path(adj, d, j)
     evidence: dict = {"mode": "krein"}
@@ -314,7 +334,7 @@ def check_q_large(params: SchemeParameters, j: int, tol: float = DEFAULT_TOL) ->
     d = params.d
     if not 1 <= j <= d:
         raise ValueError(f"eigenspace {j} outside 1..{d}")
-    col = _column(params.Q, j)
+    col = params.Q[:, j]
     if not _head_separated(col, tol):
         return PolyVerdict("Q", j, INCONCLUSIVE,
                            reason="multiplicity not separated from the other column values")
@@ -339,7 +359,7 @@ def check_product_formula_Q(params: SchemeParameters, j: int, tol: float = DEFAU
     d = params.d
     if not 1 <= j <= d:
         raise ValueError(f"eigenspace {j} outside 1..{d}")
-    col = _column(params.Q, j)
+    col = params.Q[:, j]
     if not _mutually_distinct(col, tol):
         return PolyVerdict("Q", j, INCONCLUSIVE,
                            reason="column values of the eigenspace are not mutually distinct")
@@ -352,3 +372,67 @@ def check_product_formula_Q(params: SchemeParameters, j: int, tol: float = DEFAU
     if len(matches) > 1:
         evidence["anomaly"] = "multiple matching indices"
     return PolyVerdict("Q", j, POLYNOMIAL, evidence=evidence)
+
+
+@dataclass(frozen=True)
+class SchemeAnalysis:
+    """Every verdict and report of one scheme.
+
+    verdicts holds six per class j = 1..d, in this order: P detector,
+    P size condition, P product formula, Q detector, Q size condition,
+    Q product formula.  reports holds the sphere report of each eigenspace
+    1..d; it is empty for a parametric scheme, which has no points.
+    """
+
+    params: SchemeParameters
+    verdicts: list[PolyVerdict]
+    reports: list[TheoremReport]
+
+
+def analyze_scheme(
+    scheme,
+    tol: float = DEFAULT_TOL,
+    seeds=DEFAULT_SEEDS,
+    max_dense: int | None = DEFAULT_MAX_DENSE,
+) -> SchemeAnalysis:
+    """Run each check on one scheme, computing each quantity once.
+
+    scheme is a RelationPartition (explicit route: the dense limit is
+    checked before any n x n work, then the axioms, idempotents and
+    eigenmatrices, and the idempotents also feed the Schur-diameter
+    cross-check and the sphere embeddings) or the (p, n) pair returned by
+    parse_intersection_tensor (parametric route).  The P size condition is
+    confirmed against the explicit detector's verdict, which runs once per
+    class.
+    """
+    if isinstance(scheme, RelationPartition):
+        rel = scheme
+        check_dense_limit(rel.n, max_dense)
+        p = validate_scheme(rel)
+        idems = idempotents(rel, tol, seeds, max_dense)
+        params = eigenmatrices(rel, idems, tol, p=p)
+    else:
+        rel = idems = None
+        params = parametric_parameters(*scheme, tol, seeds)
+    verdicts: list[PolyVerdict] = []
+    reports: list[TheoremReport] = []
+    for j in range(1, params.d + 1):
+        direct = p_polynomial_ordering(params, j, rel, tol)
+        verdicts += [
+            direct,
+            check_p_large(params, j, direct if rel is not None else None, tol),
+            check_product_formula_P(params, j, tol),
+            q_polynomial_ordering(params, j, tol, idempotent=idems[j] if idems else None),
+            check_q_large(params, j, tol),
+            check_product_formula_Q(params, j, tol),
+        ]
+        if idems is None:
+            continue
+        try:
+            rep = verify_sphere_theorem(from_idempotent(params, idems, j, tol), tol, route="size")
+        except GramError as exc:
+            rep = TheoremReport(
+                f"sphere(eigenspace={j})", "sphere-eigenvalue", HYPOTHESIS_NOT_MET, tol,
+                {"summary": f"embedding of eigenspace {j} degenerate: {exc}"})
+        reports.append(rep)
+    return SchemeAnalysis(params, verdicts, reports)

@@ -249,7 +249,7 @@ def verify_sphere_theorem(
         denom = 1.0
         for r in roots:
             denom *= sph.values[i] - r
-        interp = eval_matrix_poly(poly_from_roots(roots, 1.0 / denom), sph.gram, mode="hadamard")
+        interp = eval_matrix_poly(poly_from_roots(roots, 1.0 / denom), sph.gram)
         target = ki * np.eye(n) + ai.a
         resid = float(np.max(np.abs(interp.a - target)))
         checks.append({

@@ -6,9 +6,11 @@ Objects are built once per session and cached; tests must not mutate them.
 import functools
 from collections import namedtuple
 
+import numpy as np
 import pytest
 
 from polyscheme.generators import FamilySpec, build_graph, build_scheme
+from polyscheme.numerics import as_sym
 from polyscheme.schemes import eigenmatrices, idempotents, validate_scheme
 
 GRAPH_SPECS = {
@@ -35,6 +37,11 @@ SCHEME_SPECS = {
 }
 
 AnalyzedScheme = namedtuple("AnalyzedScheme", "name rel p idems params")
+
+
+def max_abs_diff(x, y) -> float:
+    """Largest entrywise difference of two symmetric matrices."""
+    return float(np.max(np.abs(as_sym(x).a - as_sym(y).a)))
 
 
 @functools.cache

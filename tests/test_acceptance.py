@@ -118,7 +118,7 @@ def test_criterion_4_srg_sufficiency():
             params = scheme.params
             assert params.n > 1 + params.degrees[1]
             assert params.n > 1 + params.multiplicities[1]
-            p_verdict = check_p_large(params, 1, scheme.rel)
+            p_verdict = check_p_large(params, 1, p_polynomial_ordering(params, 1, scheme.rel))
             assert p_verdict.status == POLYNOMIAL
             assert p_verdict.evidence["confirmed_by"] == "explicit"
             assert p_verdict.ordering == (0, 1, 2)
@@ -190,7 +190,7 @@ def test_criterion_7_schur_diameter():
         sph = from_idempotent(scheme.params, scheme.idems, 1)
         assert np.allclose(sph.gram.a, 2 * scheme.idems[1].a, atol=1e-12)
         assert schur_diameter(sph.gram) == 2
-        assert schur_diameter(SymMatrix.identity(6)) == 1
+        assert schur_diameter(SymMatrix(np.eye(6))) == 1
 
         compared = 0
         for name in sorted(SCHEME_SPECS):

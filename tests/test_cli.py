@@ -4,13 +4,15 @@ Everything runs in process through cli.main so that exit codes and
 stdout/stderr can be asserted without spawning interpreters.
 """
 
+import importlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from polyscheme import graphs
+from polyscheme import graphs, schemes
 from polyscheme.cli import main
 from polyscheme.numerics import SymMatrix
 from polyscheme.reports import reports_from_json
@@ -21,6 +23,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace a function in every polyscheme module that imported it, so
+    that calls through any of its names are caught."""
+    for name, module in list(sys.modules.items()):
+        if name == "polyscheme" or name.startswith("polyscheme."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def count_calls(monkeypatch, *qualnames):
+    """Count the calls of each polyscheme.<module>.<function> named."""
+    calls = dict.fromkeys(qualnames, 0)
+
+    def counted(qualname, fn):
+        def wrapper(*args, **kwargs):
+            calls[qualname] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for qualname in qualnames:
+        modname, attr = qualname.split(".")
+        fn = getattr(importlib.import_module(f"polyscheme.{modname}"), attr)
+        patch_everywhere(monkeypatch, fn, counted(qualname, fn))
+    return calls
 
 
 @pytest.fixture
@@ -215,6 +244,31 @@ class TestAnalyzeScheme:
         assert {v["kind"] for v in payload["verdicts"]} == {"P", "Q"}
         reports, _ = reports_from_json(out)
         assert all(r.ok for r in reports)
+
+    def test_each_quantity_computed_once(self, petersen_rel, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "polyprops.p_polynomial_ordering", "graphs.distance_data",
+                            "schemes.validate_scheme", "schemes.idempotents")
+        code, _, _ = run(capsys, "analyze-scheme", str(petersen_rel), "--json")
+        assert code == 0
+        # One detector run per class (d = 2); the size condition reuses it.
+        assert calls == {"polyprops.p_polynomial_ordering": 2, "graphs.distance_data": 0,
+                         "schemes.validate_scheme": 1, "schemes.idempotents": 1}
+
+    def test_dense_limit_refuses_before_axioms(self, petersen_rel, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("validate_scheme ran above the dense limit")
+
+        patch_everywhere(monkeypatch, schemes.validate_scheme, failing)
+        code, _, err = run(capsys, "analyze-scheme", str(petersen_rel), "--max-dense", "5")
+        assert code == 2
+        assert err.startswith("error: dense computation refused for n=10 > limit 5")
+
+    def test_tensor_value_overflow_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.tensor"
+        path.write_text("3 1\n0 0 0 99999999999999999999\n")
+        code, _, err = run(capsys, "analyze-scheme", str(path), "--parametric")
+        assert code == 2
+        assert err.startswith("error: line 2: value 99999999999999999999 outside")
 
 
 class TestAnalyzeGram:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SCHEME_SPECS, analyzed_scheme, catalog_graph
+from conftest import SCHEME_SPECS, analyzed_scheme, catalog_graph, max_abs_diff
 from polyscheme.errors import MethodsDisagreeError
 from polyscheme.generators import (
     FamilySpec,
@@ -18,7 +18,7 @@ from polyscheme.generators import (
     johnson_intersection_numbers,
 )
 from polyscheme.graphs import distance_data
-from polyscheme.numerics import eigen_clusters, max_abs_diff
+from polyscheme.numerics import eigen_clusters
 from polyscheme.schemes import validate_scheme
 
 JOHNSON83_P = np.array([
@@ -47,12 +47,7 @@ def test_family_spec_rejects(bad):
         bad()
 
 
-def test_family_spec_parse():
-    assert FamilySpec.parse("johnson:8,3") == FamilySpec("johnson", (8, 3))
-    assert FamilySpec.parse("CYCLE:6") == FamilySpec("cycle", (6,))
-    assert FamilySpec.parse("hoffman_singleton") == FamilySpec("hoffman-singleton")
-    with pytest.raises(ValueError):
-        FamilySpec.parse("johnson:8,x")
+def test_family_spec_label():
     assert FamilySpec("johnson", (8, 3)).label() == "johnson(8, 3)"
     assert FamilySpec("petersen").label() == "petersen"
 

@@ -7,7 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import GRAPH_SPECS, catalog_graph
+from conftest import GRAPH_SPECS, catalog_graph, max_abs_diff
 from polyscheme import graphs
 from polyscheme.errors import DenseLimitError, GraphStructureError, ParseError
 from polyscheme.graphs import (
@@ -25,7 +25,6 @@ from polyscheme.graphs import (
     spectral_projectors,
     verify_projector_entries,
 )
-from polyscheme.numerics import max_abs_diff
 
 # name -> (diameter, girth), hand-checked small cases
 CATALOG_SHAPE = {
@@ -56,21 +55,6 @@ def test_from_edges_validation():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
-
-
-def test_from_adjacency_validation():
-    with pytest.raises(ValueError):
-        Graph.from_adjacency(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        Graph.from_adjacency([[0, 1], [0, 0]])
-    with pytest.raises(ValueError):
-        Graph.from_adjacency([[1, 0], [0, 0]])
-
-
-def test_from_adjacency_round_trip():
-    g = catalog_graph("petersen")
-    again = Graph.from_adjacency(g.adjacency_matrix().a.astype(int))
-    assert again.neighbors == g.neighbors
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_SPECS))
@@ -105,7 +89,7 @@ def test_distance_data_disconnected():
 
 def test_petersen_class_sizes():
     dd = distance_data(catalog_graph("petersen"))
-    assert dd.class_sizes() == (10, 30, 60)
+    assert tuple(int(np.count_nonzero(dd.dist == t)) for t in range(3)) == (10, 30, 60)
     assert int(dd.relation(2).sum()) == 60
 
 

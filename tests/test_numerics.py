@@ -1,12 +1,12 @@
 """Numerical kernel: clustering discipline, symmetric-matrix wrapper, and
-the two polynomial calculi."""
+the entrywise polynomial calculus."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import catalog_graph
+from conftest import catalog_graph, max_abs_diff
 from polyscheme.errors import DenseLimitError, ToleranceAmbiguityError
 from polyscheme.numerics import (
     EigenClusters,
@@ -15,8 +15,6 @@ from polyscheme.numerics import (
     cluster_values,
     eigen_clusters,
     eval_matrix_poly,
-    hadamard_power,
-    max_abs_diff,
     poly_from_roots,
     rank_tol,
     snap_to_int,
@@ -37,8 +35,8 @@ def test_sym_matrix_symmetrizes_and_freezes():
     assert m[0, 1] == 1.0 and m[1, 0] == 1.0
     with pytest.raises(ValueError):
         m.a[0, 0] = 5.0
-    assert SymMatrix.identity(3).n == 3
-    assert np.all(SymMatrix.ones(2).a == 1.0)
+    assert SymMatrix(np.eye(3)).n == 3
+    assert np.all(SymMatrix(np.ones((2, 2))).a == 1.0)
 
 
 def test_snap_to_int():
@@ -130,38 +128,18 @@ def test_check_dense_limit():
     assert err.value.n == 11 and err.value.limit == 10
 
 
-def test_hadamard_power():
-    m = SymMatrix([[2.0, -1.0], [-1.0, 3.0]])
-    assert np.all(hadamard_power(m, 0).a == 1.0)
-    assert np.allclose(hadamard_power(m, 3).a, m.a ** 3)
-    with pytest.raises(ValueError):
-        hadamard_power(m, -1)
-
-
-def test_eval_matrix_poly_ordinary():
-    rng = np.random.default_rng(0x5EED)
-    a = rng.standard_normal((5, 5))
-    m = SymMatrix(a + a.T)
-    coeffs = [2.0, -1.0, 0.5]
-    direct = 2.0 * np.eye(5) - m.a + 0.5 * (m.a @ m.a)
-    assert max_abs_diff(eval_matrix_poly(coeffs, m), direct) < 1e-12
-
-
 def test_eval_matrix_poly_hadamard():
     rng = np.random.default_rng(0xFACE)
     a = rng.standard_normal((5, 5))
     m = SymMatrix(a + a.T)
     coeffs = [2.0, -1.0, 0.5]
     direct = 2.0 * np.ones((5, 5)) - m.a + 0.5 * m.a * m.a
-    assert max_abs_diff(eval_matrix_poly(coeffs, m, mode="hadamard"), direct) < 1e-12
+    assert max_abs_diff(eval_matrix_poly(coeffs, m), direct) < 1e-12
 
 
 def test_eval_matrix_poly_rejects():
-    m = SymMatrix.identity(2)
     with pytest.raises(ValueError):
-        eval_matrix_poly([], m)
-    with pytest.raises(ValueError):
-        eval_matrix_poly([1.0], m, mode="schur")
+        eval_matrix_poly([], SymMatrix(np.eye(2)))
 
 
 def test_poly_from_roots():

@@ -3,17 +3,20 @@ formulas, plus the cross-route consistency errors."""
 
 import dataclasses
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from conftest import SCHEME_SPECS, analyzed_scheme
-from polyscheme.errors import MethodsDisagreeError
-from polyscheme.generators import FamilySpec, family_parameters
+from polyscheme.errors import DenseLimitError, MethodsDisagreeError
+from polyscheme.generators import FamilySpec, family_parameters, hamming_intersection_numbers
 from polyscheme.polyprops import (
     INCONCLUSIVE,
     NOT_POLYNOMIAL,
     POLYNOMIAL,
     PolyVerdict,
+    _distance_levels,
+    analyze_scheme,
     check_p_large,
     check_product_formula_P,
     check_product_formula_Q,
@@ -21,6 +24,7 @@ from polyscheme.polyprops import (
     p_polynomial_ordering,
     q_polynomial_ordering,
 )
+from polyscheme.reports import HYPOTHESIS_NOT_MET
 from polyscheme.schemes import RelationPartition
 
 
@@ -60,7 +64,7 @@ def test_petersen_class1():
     assert qv.ordering == (0, 1, 2)
     assert qv.evidence["schur_diameter"] == 2
 
-    size_p = check_p_large(scheme.params, 1, scheme.rel)
+    size_p = check_p_large(scheme.params, 1, explicit)
     assert size_p.status == POLYNOMIAL
     assert size_p.reason == "n = 10 > M(3, 1) = 4"
     assert size_p.ordering == (0, 1, 2)
@@ -234,7 +238,7 @@ def test_p_size_disagreement_is_an_error():
                 lab[x, y] = 0 if x == y else 1
     rel_fake = RelationPartition.from_matrix(lab)
     with pytest.raises(MethodsDisagreeError):
-        check_p_large(pet.params, 1, rel_fake)
+        check_p_large(pet.params, 1, p_polynomial_ordering(pet.params, 1, rel_fake))
 
 
 def test_q_krein_schur_disagreement_is_an_error():
@@ -247,3 +251,63 @@ def test_q_krein_schur_disagreement_is_an_error():
     # Without the idempotent there is no cross-check to disagree with.
     v = q_polynomial_ordering(params_t, 1)
     assert v.status == NOT_POLYNOMIAL
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
+def test_detector_diameter_matches_networkx(name):
+    scheme = analyzed_scheme(name)
+    n = scheme.rel.n
+    for j in range(1, scheme.params.d + 1):
+        g = nx.from_numpy_array((scheme.rel.labels == j).astype(int))
+        expected = nx.diameter(g) if nx.is_connected(g) else None
+        v = p_polynomial_ordering(scheme.params, j, scheme.rel)
+        assert v.evidence["diameter"] == expected
+        # The level masks are the networkx distance classes, pair by pair.
+        oracle = np.full((n, n), -1)
+        for x, row in nx.all_pairs_shortest_path_length(g):
+            for y, t in row.items():
+                oracle[x, y] = t
+        levels, connected = _distance_levels(scheme.rel.labels == j)
+        assert connected == (expected is not None)
+        for t, level in enumerate(levels):
+            assert np.array_equal(level, oracle == t)
+        assert not np.any(oracle >= len(levels))
+
+
+def test_check_p_large_rejects_a_verdict_for_another_class():
+    pet = analyzed_scheme("petersen")
+    with pytest.raises(ValueError):
+        check_p_large(pet.params, 1, p_polynomial_ordering(pet.params, 2, pet.rel))
+
+
+def test_analyze_scheme_explicit_matches_the_single_checks():
+    scheme = analyzed_scheme("cube")
+    params, rel, idems = scheme.params, scheme.rel, scheme.idems
+    analysis = analyze_scheme(rel)
+    assert np.array_equal(analysis.params.P, params.P)
+    expected = []
+    for j in range(1, params.d + 1):
+        direct = p_polynomial_ordering(params, j, rel)
+        expected += [direct, check_p_large(params, j, direct), check_product_formula_P(params, j),
+                     q_polynomial_ordering(params, j, idempotent=idems[j]),
+                     check_q_large(params, j), check_product_formula_Q(params, j)]
+    assert [v.to_dict() for v in analysis.verdicts] == [v.to_dict() for v in expected]
+    # Eigenspaces 2 and 3 embed the cube with repeated points.
+    assert [r.subject for r in analysis.reports] == [
+        "sphere(n=8, m=3, s=3)", "sphere(eigenspace=2)", "sphere(eigenspace=3)"]
+    assert {r.status for r in analysis.reports} == {HYPOTHESIS_NOT_MET}
+
+
+def test_analyze_scheme_parametric_has_no_point_reports():
+    analysis = analyze_scheme((hamming_intersection_numbers(3, 2), 8))
+    assert len(analysis.verdicts) == 6 * 3
+    assert analysis.verdicts[0].evidence["mode"] == "parametric"
+    assert "confirmed_by" not in analysis.verdicts[1].evidence
+    assert analysis.reports == []
+
+
+def test_analyze_scheme_refuses_before_the_axioms():
+    # A partition that breaks axiom 1 is still refused on size first.
+    lab = np.ones((6, 6), dtype=int)
+    with pytest.raises(DenseLimitError):
+        analyze_scheme(RelationPartition.from_matrix(lab), max_dense=5)

@@ -5,14 +5,13 @@ two eigenmatrix routes against each other."""
 import numpy as np
 import pytest
 
-from conftest import SCHEME_SPECS, analyzed_scheme, catalog_graph
+from conftest import SCHEME_SPECS, analyzed_scheme, catalog_graph, max_abs_diff
 from polyscheme.errors import (
     DegenerateElementError,
     ParseError,
     SchemeAxiomError,
 )
 from polyscheme.graphs import distance_data, spectral_projectors
-from polyscheme.numerics import max_abs_diff
 from polyscheme.schemes import (
     RelationPartition,
     SchemeParameters,
@@ -73,7 +72,7 @@ def test_relation_partition_validation():
 def test_relation_partition_accessors():
     rel = analyzed_scheme("petersen").rel
     assert rel.n == 10 and rel.d == 2
-    assert rel.class_sizes() == (10, 30, 60)
+    assert tuple(int(np.count_nonzero(rel.labels == i)) for i in range(3)) == (10, 30, 60)
     a1 = rel.adjacency(1)
     assert int(a1.sum()) == 30
     with pytest.raises(ValueError):
@@ -206,7 +205,7 @@ def test_krein_two_routes_agree(scheme_case):
     trace_route = krein_parameters(scheme_case.idems)
     formula_route = np.einsum("ku,ui,uj->ijk", params.P, params.Q, params.Q) / params.n
     assert float(np.max(np.abs(trace_route - formula_route))) < 1e-7
-    assert params.min_krein() > -1e-7
+    assert params.krein.min() > -1e-7
 
 
 def test_krein_complete_graph():
@@ -319,3 +318,15 @@ def test_intersection_tensor_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_intersection_tensor("10 2\n0 0 0 8\n0 0 0 1\n")
     assert err.value.line_no == 3
+    # A value outside int64 names its line instead of overflowing.
+    with pytest.raises(ParseError) as err:
+        parse_intersection_tensor("3 1\n0 0 0 99999999999999999999\n")
+    assert err.value.line_no == 2
+    # The header is refused before the (d+1)^3 tensor is allocated: too few
+    # entry lines for d + 1 degree lines, or fewer than one class.
+    with pytest.raises(ParseError) as err:
+        parse_intersection_tensor("3 100000\n0 0 0 1\n")
+    assert err.value.line_no == 1
+    with pytest.raises(ParseError) as err:
+        parse_intersection_tensor("3 -4\n")
+    assert err.value.line_no == 1

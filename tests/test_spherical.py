@@ -63,7 +63,7 @@ class TestAbsoluteBound:
 
 class TestFromGram:
     def test_orthonormal_basis(self):
-        sph = from_gram(SymMatrix.identity(4))
+        sph = from_gram(SymMatrix(np.eye(4)))
         assert sph.n == 4
         assert sph.s == 1
         assert sph.dimension == 4
@@ -159,7 +159,7 @@ class TestKStar:
 
 class TestSchurDiameter:
     def test_orthonormal_basis(self):
-        assert schur_diameter(SymMatrix.identity(5)) == 1
+        assert schur_diameter(SymMatrix(np.eye(5))) == 1
 
     def test_pentagon(self):
         assert schur_diameter(PENTAGON) == 2

@@ -73,10 +73,10 @@ class RelationPartition:
         return RelationPartition(arr, d)
 
     def adjacency(self, i: int) -> np.ndarray:
-        """0/1 integer indicator matrix of class i."""
+        """0/1 float indicator matrix of class i."""
         if not 0 <= i <= self.d:
             raise ValueError(f"class {i} outside 0..{self.d}")
-        return (self.labels == i).astype(np.int64)
+        return (self.labels == i).astype(float)
 
 
 def from_distance_data(dd: DistanceData) -> RelationPartition:
@@ -115,30 +115,33 @@ def validate_scheme(rel: RelationPartition) -> np.ndarray:
         raise SchemeAxiomError(
             3, f"pair ({x}, {y}) has label {int(lab[x, y])} but ({y}, {x}) has {int(lab[y, x])}",
             [(x, y), (y, x)])
-    for i in range(d + 1):
-        if not np.any(lab == i):
-            raise SchemeAxiomError(2, f"class {i} is empty", [])
+    # rep[k]: the first pair of class k in row-major order.
+    rep = np.empty(d + 1, dtype=np.intp)
+    for k in range(d + 1):
+        rep[k] = np.argmax(lab.ravel() == k)
+        if lab.flat[rep[k]] != k:
+            raise SchemeAxiomError(2, f"class {k} is empty", [])
+    # Counts are at most n, so float64 products of 0/1 matrices are exact.
     adj = [rel.adjacency(i) for i in range(d + 1)]
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
         for j in range(i, d + 1):
             counts = adj[i] @ adj[j]
-            for k in range(d + 1):
-                mask = lab == k
-                vals = counts[mask]
-                first = int(vals[0])
-                if np.any(vals != first):
-                    pairs = np.argwhere(mask)
-                    offender = pairs[np.nonzero(vals != first)[0][0]]
-                    x1, y1 = (int(v) for v in pairs[0])
-                    x2, y2 = (int(v) for v in offender)
-                    raise SchemeAxiomError(
-                        4,
-                        f"not a scheme: p_{{{i},{j}}}^{{{k}}} differs between pairs "
-                        f"({x1}, {y1}) and ({x2}, {y2}): {first} vs {int(counts[x2, y2])}",
-                        [(x1, y1), (x2, y2)])
-                p[i, j, k] = first
-                p[j, i, k] = first
+            p_ij = counts.flat[rep]
+            bad = counts != p_ij[lab]
+            if bad.any():
+                # The first class, in order, whose counts vary: its first
+                # pair and its first pair with another count.
+                k = int(lab[bad].min())
+                x1, y1 = (int(v) for v in np.unravel_index(rep[k], lab.shape))
+                x2, y2 = (int(v) for v in np.argwhere(bad & (lab == k))[0])
+                raise SchemeAxiomError(
+                    4,
+                    f"not a scheme: p_{{{i},{j}}}^{{{k}}} differs between pairs "
+                    f"({x1}, {y1}) and ({x2}, {y2}): {int(p_ij[k])} vs {int(counts[x2, y2])}",
+                    [(x1, y1), (x2, y2)])
+            p[i, j] = p_ij
+            p[j, i] = p_ij
     return p
 
 
@@ -175,7 +178,7 @@ def idempotents(
     """
     check_dense_limit(rel.n, max_dense)
     n, d = rel.n, rel.d
-    adj = [rel.adjacency(i).astype(float) for i in range(d + 1)]
+    adj = [rel.adjacency(i) for i in range(d + 1)]
     for seed in seeds:
         coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
         generic = sum(c * a for c, a in zip(coeffs, adj))
@@ -261,7 +264,7 @@ def eigenmatrices(
     if p is None:
         p = validate_scheme(rel)
     n, d = rel.n, rel.d
-    adj = [rel.adjacency(i).astype(float) for i in range(d + 1)]
+    adj = [rel.adjacency(i) for i in range(d + 1)]
     mults = []
     for e in idems:
         t = float(np.trace(e.a))

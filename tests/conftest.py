@@ -9,6 +9,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from polyscheme.errors import SchemeAxiomError, ToleranceAmbiguityError
 from polyscheme.generators import FamilySpec, build_graph, build_scheme
 from polyscheme.numerics import as_sym
 from polyscheme.schemes import eigenmatrices, idempotents, validate_scheme
@@ -42,6 +43,66 @@ AnalyzedScheme = namedtuple("AnalyzedScheme", "name rel p idems params")
 def max_abs_diff(x, y) -> float:
     """Largest entrywise difference of two symmetric matrices."""
     return float(np.max(np.abs(as_sym(x).a - as_sym(y).a)))
+
+
+def cluster_values_reference(raw, tol):
+    """Oracle for numerics.cluster_values: one Python step per value."""
+    arr = np.asarray(raw, dtype=float).ravel()
+    order = np.argsort(-arr, kind="stable")
+    svals = arr[order]
+    groups = [[0]]
+    for pos in range(1, svals.size):
+        gap = svals[pos - 1] - svals[pos]
+        if gap <= tol:
+            groups[-1].append(pos)
+        elif gap <= 2 * tol:
+            raise ToleranceAmbiguityError(
+                f"values {svals[pos]!r} and {svals[pos - 1]!r} are separated by "
+                f"{gap!r}, inside ({tol!r}, {2 * tol!r}]; adjust the tolerance"
+            )
+        else:
+            groups.append([pos])
+    values, counts = [], []
+    labels = np.empty(arr.size, dtype=int)
+    for gi, members in enumerate(groups):
+        spread = svals[members[0]] - svals[members[-1]]
+        if spread > tol:
+            raise ToleranceAmbiguityError(
+                f"cluster of {len(members)} values spreads over {spread!r} > "
+                f"tol {tol!r}; adjust the tolerance"
+            )
+        values.append(float(np.mean(svals[members])))
+        counts.append(len(members))
+        labels[order[members]] = gi
+    return values, counts, labels
+
+
+def validate_scheme_axiom_4_reference(rel):
+    """Oracle for the axiom-4 part of schemes.validate_scheme: int64 class
+    matrices and one class mask per (i, j, k)."""
+    lab, d = rel.labels, rel.d
+    adj = [(lab == i).astype(np.int64) for i in range(d + 1)]
+    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            counts = adj[i] @ adj[j]
+            for k in range(d + 1):
+                mask = lab == k
+                vals = counts[mask]
+                first = int(vals[0])
+                if np.any(vals != first):
+                    pairs = np.argwhere(mask)
+                    offender = pairs[np.nonzero(vals != first)[0][0]]
+                    x1, y1 = (int(v) for v in pairs[0])
+                    x2, y2 = (int(v) for v in offender)
+                    raise SchemeAxiomError(
+                        4,
+                        f"not a scheme: p_{{{i},{j}}}^{{{k}}} differs between pairs "
+                        f"({x1}, {y1}) and ({x2}, {y2}): {first} vs {int(counts[x2, y2])}",
+                        [(x1, y1), (x2, y2)])
+                p[i, j, k] = first
+                p[j, i, k] = first
+    return p
 
 
 @functools.cache

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import catalog_graph, max_abs_diff
+from conftest import catalog_graph, cluster_values_reference, max_abs_diff
 from polyscheme.errors import DenseLimitError, ToleranceAmbiguityError
 from polyscheme.numerics import (
     EigenClusters,
@@ -73,6 +75,62 @@ def test_cluster_values_degenerate_input():
         cluster_values([], 1e-9)
     with pytest.raises(ValueError):
         cluster_values([1.0], 0.0)
+
+
+TOLS = st.sampled_from([1e-9, 1e-6, 0.25])
+NAN = float("nan")
+
+
+@st.composite
+def jittered_clusters(draw):
+    """Cluster centres far apart, members within tol/2.5 of their centre."""
+    tol = draw(TOLS)
+    raw = []
+    centre = draw(st.floats(-1e3, 1e3))
+    for _ in range(draw(st.integers(1, 6))):
+        centre -= tol * draw(st.floats(2.5, 50.0))
+        jitter = st.floats(-tol / 2.5, tol / 2.5)
+        raw += [centre + draw(jitter) for _ in range(draw(st.integers(1, 8)))]
+    return raw, tol
+
+
+@st.composite
+def stepped_values(draw):
+    """A walk whose steps are ties, steps of at most tol, gaps inside the
+    ambiguous band (tol, 2*tol], or clear gaps; optionally with NaNs."""
+    tol = draw(TOLS)
+    raw = [draw(st.floats(-1e3, 1e3))]
+    unit = st.floats(0.0, 1.0)
+    for kind in draw(st.lists(st.sampled_from(["tie", "close", "band", "far"]), max_size=30)):
+        step = {
+            "tie": 0.0,
+            "close": tol * draw(unit),
+            "band": tol * (1.0 + draw(st.floats(0.0, 1.0, exclude_min=True))),
+            "far": tol * (2.5 + 10 * draw(unit)),
+        }[kind]
+        raw.append(raw[-1] - step)
+    raw += [NAN] * draw(st.integers(0, 2))
+    return draw(st.permutations(raw)), tol
+
+
+def _clustering(fn, raw, tol):
+    try:
+        values, counts, labels = fn(raw, tol)
+    except ToleranceAmbiguityError as err:
+        return "raises", str(err)
+    return [repr(v) for v in values], counts, labels.dtype, labels.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(jittered_clusters(), stepped_values()))
+@example(([5.0], 1e-9))
+@example(([2.0, -1.0, 2.0, 2.0, -1.0], 1e-9))
+@example(([0.0, 1.5e-9], 1e-9))
+@example(([0.0, 0.8e-9, 1.6e-9, 5.0, 5.0 + 0.7e-9, 5.0 + 1.4e-9, 5.0 + 2.1e-9], 1e-9))
+@example(([1.0, NAN, 1.0 + 5e-10, NAN, -3.0], 1e-9))
+def test_cluster_values_matches_reference(case):
+    raw, tol = case
+    assert _clustering(cluster_values, raw, tol) == _clustering(cluster_values_reference, raw, tol)
 
 
 def test_eigen_clusters_validation():

@@ -5,12 +5,19 @@ two eigenmatrix routes against each other."""
 import numpy as np
 import pytest
 
-from conftest import SCHEME_SPECS, analyzed_scheme, catalog_graph, max_abs_diff
+from conftest import (
+    SCHEME_SPECS,
+    analyzed_scheme,
+    catalog_graph,
+    max_abs_diff,
+    validate_scheme_axiom_4_reference,
+)
 from polyscheme.errors import (
     DegenerateElementError,
     ParseError,
     SchemeAxiomError,
 )
+from polyscheme.generators import FamilySpec, build_scheme
 from polyscheme.graphs import distance_data, spectral_projectors
 from polyscheme.schemes import (
     RelationPartition,
@@ -90,6 +97,41 @@ def test_from_distance_data_rejects_disconnected():
 def test_validate_scheme_matches_brute_oracle():
     scheme = analyzed_scheme("petersen")
     assert np.array_equal(scheme.p, brute_tensor(scheme.rel))
+
+
+def _one_symmetric_swap(rel, seed):
+    """rel with the labels of two off-diagonal pairs from different classes
+    exchanged, on both triangles; seed None leaves rel unchanged."""
+    if seed is None:
+        return rel
+    lab = np.array(rel.labels)
+    rng = np.random.default_rng(seed)
+    x1, y1 = rng.choice(rel.n, size=2, replace=False)
+    while True:
+        x2, y2 = rng.choice(rel.n, size=2, replace=False)
+        if lab[x2, y2] != lab[x1, y1]:
+            break
+    a, b = lab[x1, y1], lab[x2, y2]
+    lab[x1, y1] = lab[y1, x1] = b
+    lab[x2, y2] = lab[y2, x2] = a
+    return RelationPartition.from_matrix(lab, d=rel.d)
+
+
+def _axioms_outcome(fn, rel):
+    try:
+        return fn(rel).tolist()
+    except SchemeAxiomError as err:
+        return err.axiom, err.witnesses, str(err)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("johnson", (6, 3)), FamilySpec("hamming", (3, 3))],
+                         ids=["johnson63", "hamming33"])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+def test_validate_scheme_matches_int64_reference(spec, seed):
+    rel = _one_symmetric_swap(build_scheme(spec), seed)
+    outcome = _axioms_outcome(validate_scheme, rel)
+    assert outcome == _axioms_outcome(validate_scheme_axiom_4_reference, rel)
+    assert (seed is None) == isinstance(outcome, list)
 
 
 def test_axiom_one_diagonal():

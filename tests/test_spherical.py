@@ -38,6 +38,18 @@ PENTAGON = gram_of(regular_polygon(5))
 SQUARE = gram_of(regular_polygon(4))
 
 
+def johnson2_sphere(v, seed):
+    """Gram matrix of the 2-subsets of a v-set, each mapped to
+    e_a + e_b minus the centroid and normalized, in a random order."""
+    pairs = np.array([(a, b) for a in range(v) for b in range(a + 1, v)])
+    pairs = pairs[np.random.default_rng(seed).permutation(len(pairs))]
+    vecs = np.full((len(pairs), v), -2.0 / v)
+    vecs[np.arange(len(pairs)), pairs[:, 0]] += 1.0
+    vecs[np.arange(len(pairs)), pairs[:, 1]] += 1.0
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return SymMatrix(vecs @ vecs.T)
+
+
 class TestAbsoluteBound:
     @pytest.mark.parametrize(
         "m, d, expected",
@@ -99,6 +111,16 @@ class TestFromGram:
     def test_repeated_points(self):
         with pytest.raises(GramError, match="repeated points"):
             from_gram(SymMatrix(np.ones((3, 3))))
+
+
+    def test_johnson_28_2_at_scale(self):
+        gram = johnson2_sphere(28, seed=5)
+        sph = from_gram(gram)
+        assert sph.n == 378 and sph.dimension == 27
+        assert np.allclose(sph.values, (1.0, 6 / 13, -1 / 13), rtol=0, atol=1e-12)
+        counts = [int(np.count_nonzero(sph.labels == i)) for i in (1, 2)]
+        assert counts == [378 * 52, 378 * 325]
+        assert schur_diameter(gram) == 2
 
 
 class TestFromIdempotent:

@@ -18,7 +18,7 @@ import sys
 
 from . import generators, polyprops, schemes, spherical
 from .errors import AnalysisError
-from .graphs import analyze_graph, format_edge_list, girth, moore_bound, parse_edge_list
+from .graphs import analyze_graph, format_edge_list, moore_bound, parse_edge_list
 from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL
 from .reports import any_failed, reports_to_json
 
@@ -81,7 +81,7 @@ def cmd_analyze_graph(args) -> int:
     analysis = analyze_graph(g, tol, args.max_dense)
     spectrum, dd, reports = analysis.spectrum, analysis.distances, analysis.reports
     k = g.regular_degree()
-    gi = girth(g)
+    gi = analysis.girth
     facts = {
         "n": g.n,
         "edges": g.edge_count,

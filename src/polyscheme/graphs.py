@@ -5,19 +5,20 @@ for graphs with as few distinct eigenvalues as their diameter allows.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import GraphStructureError, ParseError, content_lines
+from .errors import GraphStructureError, MethodsDisagreeError, ParseError, content_lines
 from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
     EigenClusters,
     SymMatrix,
     check_dense_limit,
+    cluster_spectrum,
     eigen_clusters,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, TheoremReport
@@ -61,7 +62,8 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def adjacency_matrix(self) -> SymMatrix:
+    def adjacency_matrix(self, max_dense: int | None = DEFAULT_MAX_DENSE) -> SymMatrix:
+        check_dense_limit(self.n, max_dense)
         a = np.zeros((self.n, self.n))
         for u, nb in enumerate(self.neighbors):
             a[u, list(nb)] = 1.0
@@ -75,35 +77,21 @@ class Graph:
         degs = set(self.degrees())
         return degs.pop() if len(degs) == 1 else None
 
-    def is_connected(self) -> bool:
-        seen = _bfs_distances(self.neighbors, 0)
-        return not np.any(seen == UNREACHABLE)
-
-
-def _bfs_distances(neighbors, root: int) -> np.ndarray:
-    dist = np.full(len(neighbors), UNREACHABLE, dtype=int)
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in neighbors[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
-
 
 @dataclass(frozen=True)
 class DistanceData:
-    """All-pairs hop distances; UNREACHABLE marks disconnected pairs.
+    """All-pairs hop distances and geodesic counts, and the girth.
 
+    dist marks disconnected pairs UNREACHABLE.  geodesics[x, y] counts the
+    shortest x-y paths (0 if unreachable), exactly while below 2**53.
     diameter is the largest finite distance, so every distance class
-    0..diameter is nonempty.
+    0..diameter is nonempty; girth is None for a forest.
     """
 
     dist: np.ndarray
+    geodesics: np.ndarray
     diameter: int
+    girth: int | None
 
     @property
     def n(self) -> int:
@@ -117,49 +105,94 @@ class DistanceData:
         return self.dist == t
 
 
-def distance_data(g: Graph) -> DistanceData:
-    """BFS from every vertex; disconnected input is allowed here."""
-    n = g.n
-    dist = np.empty((n, n), dtype=int)
-    for v in range(n):
-        dist[v] = _bfs_distances(g.neighbors, v)
-    finite = dist[dist != UNREACHABLE]
-    dist.setflags(write=False)
-    return DistanceData(dist, int(finite.max()))
+def distance_data(g: Graph, max_dense: int | None = DEFAULT_MAX_DENSE) -> DistanceData:
+    """Distances, geodesic counts and girth of g, which may be disconnected.
+    Graphs above max_dense are refused before anything n x n is allocated."""
+    return adjacency_distances(g.adjacency_matrix(max_dense).a)
 
 
-def girth(g: Graph) -> int | None:
-    """Length of the shortest cycle, or None if the graph is acyclic.
+def _neighbour_table(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n x (max degree) table of each vertex's neighbours, and the mask of
+    its padding: the rows of lower-degree vertices repeat the vertex."""
+    n = len(adj)
+    rows, cols = np.nonzero(adj)
+    degrees = np.bincount(rows, minlength=n)
+    table = np.repeat(np.arange(n), degrees.max(initial=0)).reshape(n, -1)
+    starts = np.cumsum(degrees) - degrees
+    table[rows, np.arange(rows.size) - starts[rows]] = cols
+    return table, table == np.arange(n)[:, None]
 
-    Per-edge BFS: the shortest cycle through edge (u, v) has length one
-    more than the shortest u-v path avoiding that edge.
+
+def _gather_limit(n: int) -> int:
+    """Largest frontier size times degree that a level gathers instead of
+    multiplying.  Measured with one BLAS thread, a product costs 0.04 ns
+    per multiply-add (n^3 of them), and a gather 60 ns per entry plus 12 us
+    more fixed overhead; at most n^2 entries keep memory O(n^2)."""
+    return min((n ** 3 - 300_000) // 1500, n * n)
+
+
+def adjacency_distances(adj) -> DistanceData:
+    """Distances from every root at once, one level per step, carrying the
+    geodesic counts: level t + 1 is the unreached part of G_t A, where G_t
+    holds the counts of the level-t pairs.  A step is one BLAS product, or a
+    gather over the neighbour table of the frontier when _gather_limit
+    allows.
+
+    The girth comes from the same loop.  A vertex at level t with a
+    neighbour at level t closes an odd walk of length 2t + 1, and one with
+    two geodesics closes a cycle of length at most 2t.  A root on a shortest
+    cycle sees its exact length this way, so the first hit is the girth.
     """
-    best: int | None = None
-    for u, v in g.edges():
-        dist = {u: 0}
-        queue = deque([u])
-        found = None
-        while queue:
-            x = queue.popleft()
-            if best is not None and dist[x] + 1 >= best:
-                break
-            for y in g.neighbors[x]:
-                if {x, y} == {u, v}:
-                    continue
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    if y == v:
-                        found = dist[y]
-                        queue.clear()
-                        break
-                    queue.append(y)
-        if found is not None:
-            cycle = found + 1
-            if best is None or cycle < best:
-                best = cycle
-                if best == 3:
-                    return 3
-    return best
+    adj = np.asarray(adj, dtype=float)
+    n = len(adj)
+    degree = int(adj.sum(axis=1).max())
+    table = None
+    dist = np.full((n, n), UNREACHABLE)
+    paths = np.zeros((n, n))
+    flat_dist, flat_paths = dist.reshape(-1), paths.reshape(-1)
+    front = np.arange(n) * (n + 1)
+    flat_dist[front] = 0
+    flat_paths[front] = 1.0
+    gather_limit = _gather_limit(n)
+    t, cycle = 0, None
+    while True:
+        if front.size * degree < gather_limit:
+            if table is None:
+                table, padding = _neighbour_table(adj)
+            w = front % n
+            reach = (front - w)[:, None] + table[w]
+            seen = flat_dist[reach]
+            closes = cycle is None and np.any((seen == t) & ~padding[w])
+            onward = seen == UNREACHABLE
+            new, slot = np.unique(reach[onward], return_inverse=True)
+            carried = np.broadcast_to(flat_paths[front][:, None], reach.shape)[onward]
+            counts = np.bincount(slot, weights=carried, minlength=new.size)
+        else:
+            level = np.zeros(n * n)
+            level[front] = flat_paths[front]
+            step = (level.reshape(n, n) @ adj).reshape(-1)
+            closes = cycle is None and np.any(step[front] > 0)
+            new = np.flatnonzero((step > 0) & (flat_dist == UNREACHABLE))
+            counts = step[new]
+        if closes:
+            cycle = 2 * t + 1
+        if not new.size:
+            break
+        t += 1
+        flat_dist[new] = t
+        flat_paths[new] = counts
+        if cycle is None and np.any(counts > 1):
+            cycle = 2 * t
+        front = new
+    dist.setflags(write=False)
+    paths.setflags(write=False)
+    return DistanceData(dist, paths, t, cycle)
+
+
+def girth(g: Graph | DistanceData) -> int | None:
+    """Length of the shortest cycle, or None if the graph is acyclic.  Read
+    off the level loop; pass the graph's DistanceData to skip rerunning it."""
+    return (g if isinstance(g, DistanceData) else distance_data(g)).girth
 
 
 def moore_bound(k: int, d: int) -> int:
@@ -175,15 +208,21 @@ def moore_bound(k: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class ProjectorFamily:
-    """Spectrum of an adjacency matrix together with one orthogonal
-    projector per distinct eigenvalue, in matching (decreasing) order."""
+    """Spectrum of an adjacency matrix with an orthonormal block of
+    eigenvectors per distinct eigenvalue, in matching (decreasing) order.
+    Projectors are formed on demand, one at a time."""
 
     spectrum: EigenClusters
-    projectors: tuple[SymMatrix, ...]
+    blocks: tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:
-        return self.projectors[0].n
+        return self.blocks[0].shape[0]
+
+    def projector(self, i: int) -> np.ndarray:
+        """E_i = U_i U_i^T, the orthogonal projector onto eigenspace i."""
+        u = self.blocks[i]
+        return u @ u.T
 
 
 def spectral_projectors(
@@ -191,27 +230,20 @@ def spectral_projectors(
     tol: float = DEFAULT_TOL,
     max_dense: int | None = DEFAULT_MAX_DENSE,
 ) -> ProjectorFamily:
-    """Eigenspace projectors of the adjacency matrix via the Lagrange
-    product prod_{j != i} (A - v_j I) / (v_i - v_j).
+    """Eigenspaces of the adjacency matrix from one eigh, with the
+    eigenvalues clustered at tol.
 
-    Requires a connected regular graph; the product form avoids any
-    dependence on an eigenvector basis.
+    Requires a connected regular graph.  The top eigenvalue k of a
+    k-regular graph has one eigenvector per component, so connectivity is
+    read off its multiplicity.
     """
     if g.regular_degree() is None:
         raise GraphStructureError("not regular: spectral projector analysis needs a regular graph")
-    if not g.is_connected():
+    w, vecs = np.linalg.eigh(g.adjacency_matrix(max_dense).a)
+    spectrum, labels = cluster_spectrum(w, tol)
+    if spectrum.multiplicities[0] > 1:
         raise GraphStructureError("not connected: spectral projector analysis needs a connected graph")
-    a = g.adjacency_matrix()
-    spectrum = eigen_clusters(a, tol, max_dense=max_dense)
-    eye = np.eye(g.n)
-    projectors = []
-    for i, vi in enumerate(spectrum.values):
-        prod = eye
-        for j, vj in enumerate(spectrum.values):
-            if j != i:
-                prod = prod @ (a.a - vj * eye) / (vi - vj)
-        projectors.append(SymMatrix(prod))
-    return ProjectorFamily(spectrum, tuple(projectors))
+    return ProjectorFamily(spectrum, tuple(vecs[:, labels == i] for i in range(spectrum.s + 1)))
 
 
 def k_factor(spectrum: EigenClusters, i: int) -> float:
@@ -245,41 +277,68 @@ def k_factor_fraction(spectrum: EigenClusters, i: int) -> Fraction | None:
 
 def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
     """Compare every distance-d entry of each nontrivial projector with the
-    forced value -K_i/n.  Returns per-index expectations, the worst
-    deviation with its witness, and per-row counts of matching entries."""
-    n = family.n
-    d = dd.diameter
-    far = dd.relation(d)
+    forced value -K_i/n, forming one projector at a time.
+
+    With exactly d + 1 eigenvalues the same entries are also checked against
+    the geodesic counts: on a distance-d pair every A^t with t < d vanishes,
+    so the Lagrange form of E_i gives E_i[x, y] * prod_{j != i} (v_i - v_j)
+    = (A^d)[x, y], the number of x-y geodesics.  The count route's entry
+    differing from the projector's by more than tol is a
+    MethodsDisagreeError.  The comparison is on the entry scale, like the
+    forced-entry check: the product multiplies d eigenvalue gaps, some
+    small, so relative to the counts it carries errors near 1e-9 at n = 1001.
+
+    Returns per-index expectations, the worst deviation with its witness,
+    per-row counts of matching entries, and the worst identity deviation
+    (None when the identity does not apply).
+    """
+    spectrum = family.spectrum
+    n, d, v = family.n, dd.diameter, spectrum.values
+    far = np.flatnonzero(dd.relation(d))
+    paths = dd.geodesics.reshape(-1)[far] if spectrum.s == d else None
     expected = []
     worst = 0.0
     witness = None
     row_counts = []
-    for i in range(1, family.spectrum.s + 1):
-        want = -k_factor(family.spectrum, i) / n
-        frac = k_factor_fraction(family.spectrum, i)
+    identity = None if paths is None else 0.0
+    for i in range(1, spectrum.s + 1):
+        want = -k_factor(spectrum, i) / n
+        frac = k_factor_fraction(spectrum, i)
         expected.append({
             "projector": i,
             "value": want,
             "exact": str(-frac / n) if frac is not None else None,
         })
-        ei = family.projectors[i].a
-        dev = np.abs(ei - want)
-        local = float(dev[far].max())
+        ei = family.projector(i)
+        entries = ei.reshape(-1)[far]
+        gaps = np.abs(entries - want)
+        local = float(gaps.max())
         if local > worst:
             worst = local
-            flat = np.where(far & (dev >= local))
-            witness = [int(flat[0][0]), int(flat[1][0]), i]
+            witness = [*divmod(int(far[np.argmax(gaps >= local)]), n), i]
+        dev = np.abs(np.subtract(ei, want, out=ei), out=ei)
         row_counts.append(int((dev <= tol).sum(axis=1).min()))
-    return expected, worst, witness, row_counts
+        if paths is not None:
+            counted = paths / math.prod(v[i] - vj for j, vj in enumerate(v) if j != i)
+            gaps = np.abs(entries - counted)
+            at = int(np.argmax(gaps))
+            identity = max(identity, float(gaps[at]))
+            if identity > tol:
+                x, y = divmod(int(far[at]), n)
+                raise MethodsDisagreeError(
+                    f"entry ({x}, {y}) of projector {i} is {entries[at]!r}, but its "
+                    f"{paths[at]:.17g} geodesics give {counted[at]!r}")
+    return expected, worst, witness, row_counts, identity
 
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """The adjacency spectrum, the all-pairs distances, and the
+    """The adjacency spectrum, the all-pairs distances, the girth, and the
     projector-entries and large-graph reports, in that order."""
 
     spectrum: EigenClusters
     distances: DistanceData
+    girth: int | None
     reports: tuple[TheoremReport, TheoremReport]
 
 
@@ -288,12 +347,14 @@ def analyze_graph(
     tol: float = DEFAULT_TOL,
     max_dense: int | None = DEFAULT_MAX_DENSE,
 ) -> GraphAnalysis:
-    """Both graph theorems from one all-pairs BFS, one eigensolve and, for
-    a connected regular graph, one projector family.  Graphs above
-    max_dense are refused before any of that work; hypothesis failures
-    are report outcomes, not exceptions."""
+    """Both graph theorems from one level loop (distances, geodesic counts,
+    girth) and one eigensolve, whose eigenvector blocks give the projectors
+    of a connected regular graph.  Graphs above max_dense are refused
+    before any of that work; hypothesis failures are report outcomes, not
+    exceptions."""
     check_dense_limit(g.n, max_dense)
-    dd = distance_data(g)
+    dd = distance_data(g, max_dense)
+    gi = girth(dd)
     k = g.regular_degree()
     if not k or not dd.is_connected():
         reason = ("not regular" if k is None
@@ -301,12 +362,12 @@ def analyze_graph(
         reports = tuple(
             TheoremReport(f"graph(n={g.n})", theorem, HYPOTHESIS_NOT_MET, tol, {"summary": reason})
             for theorem in ("projector-entries", "large-graph"))
-        return GraphAnalysis(eigen_clusters(g.adjacency_matrix(), tol, max_dense=max_dense),
-                             dd, reports)
+        spectrum = eigen_clusters(g.adjacency_matrix(max_dense), tol, max_dense=max_dense)
+        return GraphAnalysis(spectrum, dd, gi, reports)
     family = spectral_projectors(g, tol, max_dense)
     scan = _forced_entry_scan(family, dd, tol)
     subject = f"graph(n={g.n}, k={k})"
-    return GraphAnalysis(family.spectrum, dd, (
+    return GraphAnalysis(family.spectrum, dd, gi, (
         _projector_entries_report(subject, family.spectrum, dd, scan, tol),
         _large_graph_report(subject, g, k, family.spectrum, dd, scan, tol),
     ))
@@ -321,13 +382,14 @@ def _projector_entries_report(subject, spectrum, dd, scan, tol) -> TheoremReport
             "diameter": d,
             "summary": f"{s + 1} distinct eigenvalues but diameter {d}; need diameter + 1",
         })
-    expected, worst, witness, _ = scan
+    expected, worst, witness, _, identity = scan
     evidence = {
         "spectrum": list(spectrum.values),
         "multiplicities": list(spectrum.multiplicities),
         "diameter": d,
         "expected_entries": expected,
         "max_deviation": worst,
+        "geodesic_deviation": identity,
     }
     if worst <= tol:
         evidence["summary"] = (
@@ -361,12 +423,13 @@ def _large_graph_report(subject, g, k, spectrum, dd, scan, tol) -> TheoremReport
     if g.n <= bound:
         evidence["summary"] = f"n = {g.n} <= M({k}, {d - 1}) = {bound}; size hypothesis not met"
         return TheoremReport(subject, theorem, HYPOTHESIS_NOT_MET, tol, evidence)
-    expected, worst, entry_witness, row_counts = scan
+    expected, worst, entry_witness, row_counts, identity = scan
     min_rows = min(row_counts)
     evidence.update({
         "diameter": dd.diameter,
         "expected_entries": expected,
         "max_deviation": worst,
+        "geodesic_deviation": identity,
         "min_forced_per_row": min_rows,
         "row_floor": g.n - bound,
     })

@@ -168,11 +168,16 @@ def eigen_clusters(
     """Clustered spectrum of a symmetric matrix, in decreasing order."""
     m = as_sym(m)
     check_dense_limit(m.n, max_dense)
-    w = np.linalg.eigvalsh(m.a)
-    values, counts, _ = cluster_values(w, tol)
+    return cluster_spectrum(np.linalg.eigvalsh(m.a), tol, snap=snap)[0]
+
+
+def cluster_spectrum(w, tol: float = DEFAULT_TOL, *, snap: bool = True):
+    """Clustered spectrum of the eigenvalues w, and for each of them the
+    index of its cluster (see cluster_values)."""
+    values, counts, labels = cluster_values(w, tol)
     if snap:
         values = [snap_to_int(v, tol) for v in values]
-    return EigenClusters(tuple(values), tuple(counts), tol)
+    return EigenClusters(tuple(values), tuple(counts), tol), labels
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL, max_dense: int | None = DEFAULT_MAX_DENSE) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GramError, MethodsDisagreeError
-from .graphs import moore_bound
+from .graphs import adjacency_distances, moore_bound
 from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL, SymMatrix, check_dense_limit
 from .reports import HYPOTHESIS_NOT_MET, TheoremReport
 from .schemes import (
@@ -119,21 +119,6 @@ def _tensor_index_adjacency(tensor: np.ndarray, j: int, threshold: float) -> lis
     return adj
 
 
-def _distance_levels(adj: np.ndarray) -> tuple[list[np.ndarray], bool]:
-    """Masks of the pairs at distance 0, 1, 2, ... in the graph with 0/1
-    adjacency adj, and whether every pair is reached.  Level t + 1 is the
-    unreached part of level_t @ adj, so each level costs one product."""
-    a = adj.astype(float)
-    level = np.eye(len(a), dtype=bool)
-    reached = level.copy()
-    levels = []
-    while level.any():
-        levels.append(level)
-        level = (level.astype(float) @ a > 0) & ~reached
-        reached |= level
-    return levels, bool(reached.all())
-
-
 def p_polynomial_ordering(
     params: SchemeParameters,
     j: int,
@@ -158,8 +143,8 @@ def p_polynomial_ordering(
         raise ValueError(f"class {j} outside 1..{d}")
     separated = _head_separated(params.P[:, j], tol)
     if rel is not None:
-        levels, connected = _distance_levels(rel.labels == j)
-        diameter = len(levels) - 1
+        dd = adjacency_distances(rel.labels == j)
+        diameter, connected = dd.diameter, dd.is_connected()
         evidence = {"mode": "explicit", "diameter": diameter if connected else None}
         if not connected:
             return PolyVerdict("P", j, NOT_POLYNOMIAL, reason="relation graph disconnected",
@@ -169,8 +154,8 @@ def p_polynomial_ordering(
                                reason=f"relation graph has diameter {diameter}, not {d}",
                                evidence=evidence)
         order = []
-        for t, level in enumerate(levels):
-            found = np.unique(rel.labels[level])
+        for t in range(d + 1):
+            found = np.unique(rel.labels[dd.relation(t)])
             if found.size != 1:
                 return PolyVerdict("P", j, NOT_POLYNOMIAL,
                                    reason=f"distance class {t} mixes relation classes {found.tolist()}",

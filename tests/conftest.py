@@ -4,7 +4,7 @@ Objects are built once per session and cached; tests must not mutate them.
 """
 
 import functools
-from collections import namedtuple
+from collections import deque, namedtuple
 
 import numpy as np
 import pytest
@@ -43,6 +43,48 @@ AnalyzedScheme = namedtuple("AnalyzedScheme", "name rel p idems params")
 def max_abs_diff(x, y) -> float:
     """Largest entrywise difference of two symmetric matrices."""
     return float(np.max(np.abs(as_sym(x).a - as_sym(y).a)))
+
+
+def bfs_distances_reference(neighbors, root):
+    """Oracle for one row of graphs.distance_data: a Python BFS from root,
+    with -1 for unreachable vertices."""
+    dist = np.full(len(neighbors), -1, dtype=int)
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in neighbors[u]:
+            if dist[v] == -1:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def girth_reference(g):
+    """Oracle for graphs.girth: per-edge BFS.  The shortest cycle through
+    edge (u, v) is one longer than the shortest u-v path avoiding it."""
+    best = None
+    for u, v in g.edges():
+        dist = {u: 0}
+        queue = deque([u])
+        found = None
+        while queue:
+            x = queue.popleft()
+            if best is not None and dist[x] + 1 >= best:
+                break
+            for y in g.neighbors[x]:
+                if {x, y} == {u, v}:
+                    continue
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    if y == v:
+                        found = dist[y]
+                        queue.clear()
+                        break
+                    queue.append(y)
+        if found is not None and (best is None or found + 1 < best):
+            best = found + 1
+    return best
 
 
 def cluster_values_reference(raw, tol):

@@ -61,8 +61,8 @@ def test_criterion_1_petersen_projector_entries():
         pairs = [(x, y) for x in range(10) for y in range(x + 1, 10) if dist[x, y] == 2]
         assert len(pairs) == 30
         for x, y in pairs:
-            assert abs(family.projectors[1].a[x, y] - (-1 / 6)) <= 1e-9
-            assert abs(family.projectors[2].a[x, y] - (1 / 15)) <= 1e-9
+            assert abs(family.projector(1)[x, y] - (-1 / 6)) <= 1e-9
+            assert abs(family.projector(2)[x, y] - (1 / 15)) <= 1e-9
 
 
 def test_criterion_2_large_graph_reports():
@@ -225,7 +225,7 @@ def test_criterion_9_property_suites():
         for name in sorted(GRAPH_SPECS):
             graph = catalog_graph(name)
             family = spectral_projectors(graph)
-            mats = [p.a for p in family.projectors]
+            mats = [family.projector(i) for i in range(family.spectrum.s + 1)]
             total = np.zeros_like(mats[0])
             recon = np.zeros_like(mats[0])
             for i, m in enumerate(mats):

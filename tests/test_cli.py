@@ -159,7 +159,8 @@ class TestAnalyzeGraph:
         assert "[hypothesis-not-met]" in out
 
     def test_each_quantity_computed_once(self, petersen_edges, capsys, monkeypatch):
-        calls = {"distance_data": 0, "spectral_projectors": 0, "eigvalsh": 0}
+        calls = {"distance_data": 0, "spectral_projectors": 0, "girth": 0,
+                 "eigh": 0, "eigvalsh": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -167,12 +168,15 @@ class TestAnalyzeGraph:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("distance_data", "spectral_projectors"):
+        for name in ("distance_data", "spectral_projectors", "girth"):
             monkeypatch.setattr(graphs, name, counted(name, getattr(graphs, name)))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         code, _, _ = run(capsys, "analyze-graph", str(petersen_edges), "--json")
         assert code == 0
-        assert calls == {"distance_data": 1, "spectral_projectors": 1, "eigvalsh": 1}
+        # One eigh gives the spectrum and the projectors; no eigvalsh.
+        assert calls == {"distance_data": 1, "spectral_projectors": 1, "girth": 1,
+                         "eigh": 1, "eigvalsh": 0}
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze-graph", "no-such-file.edges")

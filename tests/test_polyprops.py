@@ -10,12 +10,12 @@ import pytest
 from conftest import SCHEME_SPECS, analyzed_scheme
 from polyscheme.errors import DenseLimitError, MethodsDisagreeError
 from polyscheme.generators import FamilySpec, family_parameters, hamming_intersection_numbers
+from polyscheme.graphs import adjacency_distances
 from polyscheme.polyprops import (
     INCONCLUSIVE,
     NOT_POLYNOMIAL,
     POLYNOMIAL,
     PolyVerdict,
-    _distance_levels,
     analyze_scheme,
     check_p_large,
     check_product_formula_P,
@@ -267,11 +267,11 @@ def test_detector_diameter_matches_networkx(name):
         for x, row in nx.all_pairs_shortest_path_length(g):
             for y, t in row.items():
                 oracle[x, y] = t
-        levels, connected = _distance_levels(scheme.rel.labels == j)
-        assert connected == (expected is not None)
-        for t, level in enumerate(levels):
-            assert np.array_equal(level, oracle == t)
-        assert not np.any(oracle >= len(levels))
+        dd = adjacency_distances(scheme.rel.labels == j)
+        assert dd.is_connected() == (expected is not None)
+        for t in range(dd.diameter + 1):
+            assert np.array_equal(dd.relation(t), oracle == t)
+        assert not np.any(oracle > dd.diameter)
 
 
 def test_check_p_large_rejects_a_verdict_for_another_class():

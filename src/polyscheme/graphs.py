@@ -20,6 +20,7 @@ from .numerics import (
     check_dense_limit,
     cluster_spectrum,
     eigen_clusters,
+    k_factor,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, TheoremReport
 
@@ -246,22 +247,9 @@ def spectral_projectors(
     return ProjectorFamily(spectrum, tuple(vecs[:, labels == i] for i in range(spectrum.s + 1)))
 
 
-def k_factor(spectrum: EigenClusters, i: int) -> float:
-    """prod over nontrivial j != i of (v_0 - v_j) / (v_i - v_j); the empty
-    product (two-eigenvalue spectrum) is 1."""
-    s = spectrum.s
-    if not 1 <= i <= s:
-        raise ValueError(f"index {i} outside 1..{s}")
-    v = spectrum.values
-    out = 1.0
-    for j in range(1, s + 1):
-        if j != i:
-            out *= (v[0] - v[j]) / (v[i] - v[j])
-    return out
-
-
 def k_factor_fraction(spectrum: EigenClusters, i: int) -> Fraction | None:
-    """Exact value of k_factor when every eigenvalue snapped to an integer."""
+    """Exact value of k_factor(spectrum.values, i) when every eigenvalue
+    snapped to an integer."""
     v = spectrum.values
     if not all(float(x).is_integer() for x in v):
         return None
@@ -302,7 +290,7 @@ def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
     row_counts = []
     identity = None if paths is None else 0.0
     for i in range(1, spectrum.s + 1):
-        want = -k_factor(spectrum, i) / n
+        want = -k_factor(spectrum.values, i) / n
         frac = k_factor_fraction(spectrum, i)
         expected.append({
             "projector": i,

@@ -94,8 +94,8 @@ def cluster_values(raw, tol: float = DEFAULT_TOL):
     if ambiguous.size:
         pos = ambiguous[0] + 1
         raise ToleranceAmbiguityError(
-            f"values {svals[pos]!r} and {svals[pos - 1]!r} are separated by "
-            f"{gaps[pos - 1]!r}, inside ({tol!r}, {2 * tol!r}]; adjust the tolerance"
+            f"values {float(svals[pos])!r} and {float(svals[pos - 1])!r} are separated by "
+            f"{float(gaps[pos - 1])!r}, inside ({tol!r}, {2 * tol!r}]; adjust the tolerance"
         )
     # A NaN gap compares false both ways, so it splits rather than joins.
     split = ~(gaps <= 2 * tol)
@@ -106,7 +106,7 @@ def cluster_values(raw, tol: float = DEFAULT_TOL):
     if wide.size:
         gi = wide[0]
         raise ToleranceAmbiguityError(
-            f"cluster of {ends[gi] - starts[gi]} values spreads over {spreads[gi]!r} > "
+            f"cluster of {ends[gi] - starts[gi]} values spreads over {float(spreads[gi])!r} > "
             f"tol {tol!r}; adjust the tolerance"
         )
     values = [float(np.mean(svals[a:b])) for a, b in zip(starts, ends)]
@@ -162,22 +162,34 @@ def eigen_clusters(
     m,
     tol: float = DEFAULT_TOL,
     *,
-    snap: bool = True,
     max_dense: int | None = DEFAULT_MAX_DENSE,
 ) -> EigenClusters:
     """Clustered spectrum of a symmetric matrix, in decreasing order."""
     m = as_sym(m)
     check_dense_limit(m.n, max_dense)
-    return cluster_spectrum(np.linalg.eigvalsh(m.a), tol, snap=snap)[0]
+    return cluster_spectrum(np.linalg.eigvalsh(m.a), tol)[0]
 
 
-def cluster_spectrum(w, tol: float = DEFAULT_TOL, *, snap: bool = True):
+def cluster_spectrum(w, tol: float = DEFAULT_TOL):
     """Clustered spectrum of the eigenvalues w, and for each of them the
     index of its cluster (see cluster_values)."""
     values, counts, labels = cluster_values(w, tol)
-    if snap:
-        values = [snap_to_int(v, tol) for v in values]
+    values = [snap_to_int(v, tol) for v in values]
     return EigenClusters(tuple(values), tuple(counts), tol), labels
+
+
+def k_factor(values, i: int) -> float:
+    """prod over j != i, 1 <= j <= s, of (values[0] - values[j]) /
+    (values[i] - values[j]), where values[0] heads a list of s + 1 distinct
+    values; the empty product (s = 1) is 1."""
+    s = len(values) - 1
+    if not 1 <= i <= s:
+        raise ValueError(f"index {i} outside 1..{s}")
+    out = 1.0
+    for j in range(1, s + 1):
+        if j != i:
+            out *= (values[0] - values[j]) / (values[i] - values[j])
+    return out
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL, max_dense: int | None = DEFAULT_MAX_DENSE) -> int:

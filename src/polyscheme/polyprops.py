@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GramError, MethodsDisagreeError
 from .graphs import adjacency_distances, moore_bound
-from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL, SymMatrix, check_dense_limit
+from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL, check_dense_limit, k_factor
 from .reports import HYPOTHESIS_NOT_MET, TheoremReport
 from .schemes import (
     DEFAULT_SEEDS,
@@ -30,7 +30,13 @@ from .schemes import (
     parametric_parameters,
     validate_scheme,
 )
-from .spherical import absolute_bound, from_idempotent, schur_diameter, verify_sphere_theorem
+from .spherical import (
+    SphericalSet,
+    absolute_bound,
+    from_idempotent,
+    schur_diameter,
+    verify_sphere_theorem,
+)
 
 POLYNOMIAL = "polynomial"
 NOT_POLYNOMIAL = "not_polynomial"
@@ -229,15 +235,7 @@ def _product_formula(side_values: np.ndarray, other_matrix: np.ndarray, d: int, 
     side_values is the length-(d+1) value column of the base index; a
     witness l must satisfy lhs(h) = -other_matrix[l, h] for all h >= 1.
     """
-    lhs = []
-    for h in range(1, d + 1):
-        num = 1.0
-        den = 1.0
-        for i in range(1, d + 1):
-            if i != h:
-                num *= side_values[0] - side_values[i]
-                den *= side_values[h] - side_values[i]
-        lhs.append(num / den)
+    lhs = [k_factor(side_values, h) for h in range(1, d + 1)]
     matches = []
     for cand in range(d + 1):
         if all(abs(lhs[h - 1] + other_matrix[cand, h]) <= tol for h in range(1, d + 1)):
@@ -273,17 +271,18 @@ def q_polynomial_ordering(
     params: SchemeParameters,
     j: int,
     tol: float = DEFAULT_TOL,
-    idempotent: SymMatrix | None = None,
+    sphere: SphericalSet | None = None,
 ) -> PolyVerdict:
     """Is the scheme Q-polynomial with respect to eigenspace j?
 
     Primary route: the Krein-number index graph of eigenspace j must be a
     path from 0 (nonzero threshold = tol).  A non-path refutes; a path
     certifies only when the multiplicity is separated from the other
-    column values, else the verdict is inconclusive.  When the idempotent
-    is given and the separation hypothesis holds, the Schur-diameter of
-    its scaled Gram matrix is computed as a cross-check and must agree
-    with the Krein route; disagreement is a hard error.
+    column values, else the verdict is inconclusive.  When sphere, the
+    eigenspace's embedding from from_idempotent, is given and the
+    separation hypothesis holds, its Schur-diameter is computed as a
+    cross-check and must agree with the Krein route; disagreement is a
+    hard error.
     """
     d = params.d
     if not 1 <= j <= d:
@@ -292,9 +291,8 @@ def q_polynomial_ordering(
     adj = _tensor_index_adjacency(params.krein, j, tol)
     order = _walk_index_path(adj, d, j)
     evidence: dict = {"mode": "krein"}
-    if idempotent is not None and separated:
-        mj = params.multiplicities[j]
-        sd = schur_diameter(SymMatrix(params.n / mj * idempotent.a), tol)
+    if sphere is not None and separated:
+        sd = schur_diameter(sphere, tol)
         evidence["schur_diameter"] = sd
         if (sd == d) != (order is not None):
             raise MethodsDisagreeError(
@@ -384,11 +382,11 @@ def analyze_scheme(
 
     scheme is a RelationPartition (explicit route: the dense limit is
     checked before any n x n work, then the axioms, idempotents and
-    eigenmatrices, and the idempotents also feed the Schur-diameter
-    cross-check and the sphere embeddings) or the (p, n) pair returned by
-    parse_intersection_tensor (parametric route).  The P size condition is
-    confirmed against the explicit detector's verdict, which runs once per
-    class.
+    eigenmatrices; each eigenspace's sphere embedding is built once and
+    feeds both the Schur-diameter cross-check and the sphere report) or
+    the (p, n) pair returned by parse_intersection_tensor (parametric
+    route).  The P size condition is confirmed against the explicit
+    detector's verdict, which runs once per class.
     """
     if isinstance(scheme, RelationPartition):
         rel = scheme
@@ -402,22 +400,23 @@ def analyze_scheme(
     verdicts: list[PolyVerdict] = []
     reports: list[TheoremReport] = []
     for j in range(1, params.d + 1):
+        sph = None
+        if idems is not None:
+            try:
+                sph = from_idempotent(params, idems, j, tol)
+            except GramError as exc:
+                reports.append(TheoremReport(
+                    f"sphere(eigenspace={j})", "sphere-eigenvalue", HYPOTHESIS_NOT_MET, tol,
+                    {"summary": f"embedding of eigenspace {j} degenerate: {exc}"}))
         direct = p_polynomial_ordering(params, j, rel, tol)
         verdicts += [
             direct,
             check_p_large(params, j, direct if rel is not None else None, tol),
             check_product_formula_P(params, j, tol),
-            q_polynomial_ordering(params, j, tol, idempotent=idems[j] if idems else None),
+            q_polynomial_ordering(params, j, tol, sphere=sph),
             check_q_large(params, j, tol),
             check_product_formula_Q(params, j, tol),
         ]
-        if idems is None:
-            continue
-        try:
-            rep = verify_sphere_theorem(from_idempotent(params, idems, j, tol), tol, route="size")
-        except GramError as exc:
-            rep = TheoremReport(
-                f"sphere(eigenspace={j})", "sphere-eigenvalue", HYPOTHESIS_NOT_MET, tol,
-                {"summary": f"embedding of eigenspace {j} degenerate: {exc}"})
-        reports.append(rep)
+        if sph is not None:
+            reports.append(verify_sphere_theorem(sph, tol, route="size"))
     return SchemeAnalysis(params, verdicts, reports)

@@ -16,11 +16,11 @@ from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
     SymMatrix,
-    as_sym,
     check_dense_limit,
     cluster_values,
     eigen_clusters,
     eval_matrix_poly,
+    k_factor,
     poly_from_roots,
     rank_tol,
 )
@@ -77,22 +77,23 @@ def from_gram(
     tol: float = DEFAULT_TOL,
     max_dense: int | None = DEFAULT_MAX_DENSE,
 ) -> SphericalSet:
-    """Build a SphericalSet from a Gram matrix.
+    """Build a SphericalSet from a Gram matrix, a SymMatrix or an array.
 
-    Requires unit diagonal within tol (then snapped to exactly 1), positive
-    semidefiniteness within tol, and no off-diagonal value at 1 (repeated
-    points).  The number of distinct inner products is decided by
-    clustering at tol.
+    The set is admitted here against max_dense; the checks that read it do
+    not check the limit again.  Requires unit diagonal within tol (then
+    snapped to exactly 1), positive semidefiniteness within tol, and no
+    off-diagonal value at 1 (repeated points).  The number of distinct
+    inner products is decided by clustering at tol.
     """
-    m = as_sym(m)
-    check_dense_limit(m.n, max_dense)
-    n = m.n
-    diag_dev = float(np.max(np.abs(np.diag(m.a) - 1.0))) if n else 0.0
-    if diag_dev > tol:
+    src = m.a if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    check_dense_limit(len(src), max_dense)
+    diag_dev = float(np.max(np.abs(np.diagonal(src) - 1.0)))
+    if not diag_dev <= tol:
         raise GramError(f"diagonal deviates from 1 by {diag_dev:.3g} > tol")
-    a = np.array(m.a)
+    a = np.array(src)
     np.fill_diagonal(a, 1.0)
     gram = SymMatrix(a)
+    n = gram.n
     w = np.linalg.eigvalsh(gram.a)
     wmin = float(w.min())
     if wmin < -tol:
@@ -120,78 +121,35 @@ def from_gram(
 def from_idempotent(params, idems, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
     """Unit-sphere embedding carried by idempotent j: Gram = (n/m_j) E_j,
     whose off-diagonal values are the column-j second-eigenmatrix entries
-    divided by m_j."""
+    divided by m_j.  E_j is already a dense n x n matrix, so no dense limit
+    is checked here."""
     if not 1 <= j <= params.d:
         raise ValueError(f"eigenspace {j} outside 1..{params.d}")
     mj = params.multiplicities[j]
-    return from_gram(SymMatrix(params.n / mj * idems[j].a), tol)
+    return from_gram(params.n / mj * idems[j].a, tol, max_dense=None)
 
 
-def k_star(values, i: int) -> float:
-    """prod over j != i of (values[0] - values[j]) / (values[i] - values[j]),
-    where values[0] = 1 heads the inner-product list."""
-    s = len(values) - 1
-    if not 1 <= i <= s:
-        raise ValueError(f"index {i} outside 1..{s}")
-    out = 1.0
-    for j in range(1, s + 1):
-        if j != i:
-            out *= (values[0] - values[j]) / (values[i] - values[j])
-    return out
+def schur_diameter(sph: SphericalSet, tol: float = DEFAULT_TOL, seeds=SCHUR_SEEDS) -> int:
+    """Least t such that some degree-t entrywise polynomial of the set's
+    Gram matrix has full rank, where degree 0 is the all-ones matrix.
 
-
-def _annihilator_combo(sph_values, powers) -> np.ndarray:
-    """Evaluate prod (x - value) over off-diagonal values via the stored
-    entrywise powers; on a valid Gram matrix this is a positive multiple
-    of the identity."""
-    coeffs = poly_from_roots(sph_values[1:])
-    out = np.zeros_like(powers[0])
-    for c, pw in zip(coeffs, powers):
-        out += c * pw
-    return out
-
-
-def schur_diameter(
-    m,
-    tol: float = DEFAULT_TOL,
-    seeds=SCHUR_SEEDS,
-    t_max: int | None = None,
-    max_dense: int | None = DEFAULT_MAX_DENSE,
-) -> int:
-    """Least t such that some degree-t entrywise polynomial of M has full
-    rank, where degree 0 is the all-ones matrix.
-
-    Tries a few fixed-seed random combinations of the entrywise powers at
-    each degree.  The search stops at t_max, defaulting to the number of
-    distinct entry values minus one, beyond which the span stops growing;
-    for a unit-diagonal Gram matrix the annihilator of the off-diagonal
-    values certifies full rank at its distance count.
+    Tries a few fixed-seed random combinations at each degree t <= s.  At
+    t = s it also tries the annihilator prod (x - v) of the off-diagonal
+    values v, which on the unit-diagonal Gram matrix is a positive multiple
+    of the identity (Delsarte-Goethals-Seidel), so no degree above s is
+    searched.
     """
-    m = as_sym(m)
-    check_dense_limit(m.n, max_dense)
-    n = m.n
-    entry_values, _, _ = cluster_values(m.a, tol)
-    if t_max is None:
-        t_max = len(entry_values) - 1
-    unit_diag = float(np.max(np.abs(np.diag(m.a) - 1.0))) <= tol
-    off_values: list[float] = []
-    if unit_diag and n > 1:
-        off_values, _, _ = cluster_values(m.a[~np.eye(n, dtype=bool)], tol)
-    powers = [np.ones((n, n))]
-    for t in range(t_max + 1):
-        if t > 0:
-            powers.append(powers[-1] * m.a)
+    for t in range(sph.s + 1):
+        trials = []
         for seed in seeds:
             coeffs = np.random.default_rng([seed, t]).standard_normal(t + 1)
-            coeffs /= np.linalg.norm(coeffs)
-            combo = sum(c * pw for c, pw in zip(coeffs, powers))
-            if rank_tol(SymMatrix(combo), tol, max_dense=max_dense) == n:
+            trials.append(coeffs / np.linalg.norm(coeffs))
+        if t == sph.s:
+            trials.append(poly_from_roots(sph.values[1:]))
+        for coeffs in trials:
+            if rank_tol(eval_matrix_poly(coeffs, sph.gram), tol, max_dense=None) == sph.n:
                 return t
-        if unit_diag and t == len(off_values):
-            combo = _annihilator_combo((1.0, *off_values), powers)
-            if rank_tol(SymMatrix(combo), tol, max_dense=max_dense) == n:
-                return t
-    raise SchurDisconnectedError(t_max)
+    raise SchurDisconnectedError(sph.s)
 
 
 def verify_sphere_theorem(
@@ -208,25 +166,28 @@ def verify_sphere_theorem(
     checked for each class i: -K*_i is an eigenvalue of the class-i graph
     with multiplicity at least |X| - N(m, d-1), and the interpolating
     entrywise polynomial identity f*_i(M) = K*_i I + A_i holds to 100*tol.
+    A single point (s = 0) has no class to force, so neither route's
+    hypothesis holds.
     """
     theorem = "sphere-eigenvalue"
     n, mdim, s = sph.n, sph.dimension, sph.s
+    if route not in ("size", "schur"):
+        raise ValueError(f"unknown route {route!r}; expected 'size' or 'schur'")
+    d = s if route == "schur" or declared_d is None else declared_d
+    if d < s:
+        raise ValueError(f"declared distance count {d} below the observed {s}")
     subject = f"sphere(n={n}, m={mdim}, s={s})"
     evidence: dict = {"n": n, "m": mdim, "values": list(sph.values), "route": route}
+    if s == 0:
+        evidence["summary"] = "a single point has no distance class to force an eigenvalue"
+        return TheoremReport(subject, theorem, HYPOTHESIS_NOT_MET, tol, evidence)
     if route == "schur":
-        sd = schur_diameter(sph.gram, tol)
+        sd = schur_diameter(sph, tol)
         evidence["schur_diameter"] = sd
         if sd != s:
             evidence["summary"] = f"Schur-diameter {sd} != distance count {s}"
             return TheoremReport(subject, theorem, HYPOTHESIS_NOT_MET, tol, evidence)
-        d = s
-    elif route == "size":
-        d = s if declared_d is None else declared_d
-        if d < s:
-            raise ValueError(f"declared distance count {d} below the observed {s}")
-    else:
-        raise ValueError(f"unknown route {route!r}; expected 'size' or 'schur'")
-    bound = absolute_bound(mdim, d - 1) if d >= 1 else 1
+    bound = absolute_bound(mdim, d - 1)
     evidence["d"] = d
     evidence["absolute_bound"] = bound
     if route == "size":
@@ -241,9 +202,9 @@ def verify_sphere_theorem(
     checks = []
     failures = []
     for i in range(1, d + 1):
-        ki = k_star(sph.values, i)
+        ki = k_factor(sph.values, i)
         ai = SymMatrix(sph.distance_class(i))
-        spec_i = eigen_clusters(ai, tol)
+        spec_i = eigen_clusters(ai, tol, max_dense=None)
         mult = spec_i.multiplicity_of(-ki, 10 * tol)
         roots = [sph.values[j] for j in range(1, d + 1) if j != i]
         denom = 1.0

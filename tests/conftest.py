@@ -9,10 +9,11 @@ from collections import deque, namedtuple
 import numpy as np
 import pytest
 
-from polyscheme.errors import SchemeAxiomError, ToleranceAmbiguityError
+from polyscheme.errors import GramError, SchemeAxiomError, ToleranceAmbiguityError
 from polyscheme.generators import FamilySpec, build_graph, build_scheme
 from polyscheme.numerics import as_sym
 from polyscheme.schemes import eigenmatrices, idempotents, validate_scheme
+from polyscheme.spherical import from_idempotent
 
 GRAPH_SPECS = {
     "complete4": FamilySpec("complete", (4,)),
@@ -43,6 +44,19 @@ AnalyzedScheme = namedtuple("AnalyzedScheme", "name rel p idems params")
 def max_abs_diff(x, y) -> float:
     """Largest entrywise difference of two symmetric matrices."""
     return float(np.max(np.abs(as_sym(x).a - as_sym(y).a)))
+
+
+def same_evidence(a, b, key=""):
+    """Report evidence equal up to 1e-9 in every float.  Summaries and
+    witnesses may name labels or coordinates, so they are not compared."""
+    if isinstance(a, float) or isinstance(b, float):
+        return abs(a - b) <= 1e-9
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            k == "summary" or same_evidence(a[k], b[k], k) for k in a)
+    if isinstance(a, list) and key != "witness":
+        return len(a) == len(b) and all(same_evidence(x, y, key) for x, y in zip(a, b))
+    return key == "witness" or a == b
 
 
 def bfs_distances_reference(neighbors, root):
@@ -99,8 +113,8 @@ def cluster_values_reference(raw, tol):
             groups[-1].append(pos)
         elif gap <= 2 * tol:
             raise ToleranceAmbiguityError(
-                f"values {svals[pos]!r} and {svals[pos - 1]!r} are separated by "
-                f"{gap!r}, inside ({tol!r}, {2 * tol!r}]; adjust the tolerance"
+                f"values {float(svals[pos])!r} and {float(svals[pos - 1])!r} are separated by "
+                f"{float(gap)!r}, inside ({tol!r}, {2 * tol!r}]; adjust the tolerance"
             )
         else:
             groups.append([pos])
@@ -110,7 +124,7 @@ def cluster_values_reference(raw, tol):
         spread = svals[members[0]] - svals[members[-1]]
         if spread > tol:
             raise ToleranceAmbiguityError(
-                f"cluster of {len(members)} values spreads over {spread!r} > "
+                f"cluster of {len(members)} values spreads over {float(spread)!r} > "
                 f"tol {tol!r}; adjust the tolerance"
             )
         values.append(float(np.mean(svals[members])))
@@ -159,6 +173,15 @@ def analyzed_scheme(name):
     idems = idempotents(rel)
     params = eigenmatrices(rel, idems, p=p)
     return AnalyzedScheme(name, rel, p, idems, params)
+
+
+def sphere_of(scheme, j):
+    """The eigenspace-j embedding that analyze_scheme hands to
+    q_polynomial_ordering, or None when it is degenerate."""
+    try:
+        return from_idempotent(scheme.params, scheme.idems, j)
+    except GramError:
+        return None
 
 
 @pytest.fixture(params=sorted(GRAPH_SPECS))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GRAPH_SPECS, SCHEME_SPECS, analyzed_scheme, catalog_graph
+from conftest import GRAPH_SPECS, SCHEME_SPECS, analyzed_scheme, catalog_graph, sphere_of
 from polyscheme.errors import SchemeAxiomError
 from polyscheme.generators import FamilySpec, family_parameters
 from polyscheme.graphs import distance_data, large_graph_report, moore_bound, spectral_projectors
@@ -123,7 +123,7 @@ def test_criterion_4_srg_sufficiency():
             assert p_verdict.evidence["confirmed_by"] == "explicit"
             assert p_verdict.ordering == (0, 1, 2)
             assert check_q_large(params, 1).status == POLYNOMIAL
-            q_verdict = q_polynomial_ordering(params, 1, idempotent=scheme.idems[1])
+            q_verdict = q_polynomial_ordering(params, 1, sphere=sphere_of(scheme, 1))
             assert q_verdict.status == POLYNOMIAL
             assert q_verdict.ordering == (0, 1, 2)
 
@@ -185,12 +185,12 @@ def test_criterion_6_forced_sphere_eigenvalues():
 
 def test_criterion_7_schur_diameter():
     with criterion(7, "Schur-diameter values and detector equivalence"):
-        assert schur_diameter(pentagon_gram()) == 2
+        assert schur_diameter(from_gram(pentagon_gram())) == 2
         scheme = analyzed_scheme("petersen")
         sph = from_idempotent(scheme.params, scheme.idems, 1)
         assert np.allclose(sph.gram.a, 2 * scheme.idems[1].a, atol=1e-12)
-        assert schur_diameter(sph.gram) == 2
-        assert schur_diameter(SymMatrix(np.eye(6))) == 1
+        assert schur_diameter(sph) == 2
+        assert schur_diameter(from_gram(np.eye(6))) == 1
 
         compared = 0
         for name in sorted(SCHEME_SPECS):
@@ -199,7 +199,7 @@ def test_criterion_7_schur_diameter():
             if np.min(np.diff(np.sort(col))) <= 1e-9:
                 continue
             embedded = from_idempotent(other.params, other.idems, 1)
-            sd = schur_diameter(embedded.gram)
+            sd = schur_diameter(embedded)
             verdict = q_polynomial_ordering(other.params, 1)
             assert (sd == other.params.d) == (verdict.status == POLYNOMIAL), name
             compared += 1

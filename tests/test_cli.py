@@ -5,6 +5,7 @@ stdout/stderr can be asserted without spawning interpreters.
 """
 
 import importlib
+import io
 import json
 import math
 import sys
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from polyscheme import graphs, schemes
+from polyscheme import graphs, numerics, schemes
 from polyscheme.cli import main
 from polyscheme.numerics import SymMatrix
 from polyscheme.reports import reports_from_json
@@ -50,6 +51,19 @@ def count_calls(monkeypatch, *qualnames):
         fn = getattr(importlib.import_module(f"polyscheme.{modname}"), attr)
         patch_everywhere(monkeypatch, fn, counted(qualname, fn))
     return calls
+
+
+def record_dense_limits(monkeypatch):
+    """Record the limit that every dense-limit check is made against."""
+    seen = []
+    original = numerics.check_dense_limit
+
+    def recording(n, max_dense=numerics.DEFAULT_MAX_DENSE):
+        seen.append(max_dense)
+        return original(n, max_dense)
+
+    patch_everywhere(monkeypatch, original, recording)
+    return seen
 
 
 @pytest.fixture
@@ -251,12 +265,40 @@ class TestAnalyzeScheme:
 
     def test_each_quantity_computed_once(self, petersen_rel, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "polyprops.p_polynomial_ordering", "graphs.distance_data",
-                            "schemes.validate_scheme", "schemes.idempotents")
+                            "schemes.validate_scheme", "schemes.idempotents",
+                            "spherical.from_gram", "spherical.schur_diameter",
+                            "numerics.cluster_values")
         code, _, _ = run(capsys, "analyze-scheme", str(petersen_rel), "--json")
         assert code == 0
         # One detector run per class (d = 2); the size condition reuses it.
+        # One sphere embedding per eigenspace feeds both its Schur-diameter
+        # cross-check and its sphere report; the Schur search clusters
+        # nothing, so the clusterings are one spectrum, two embeddings and
+        # the four distance-class spectra.
         assert calls == {"polyprops.p_polynomial_ordering": 2, "graphs.distance_data": 0,
-                         "schemes.validate_scheme": 1, "schemes.idempotents": 1}
+                         "schemes.validate_scheme": 1, "schemes.idempotents": 1,
+                         "spherical.from_gram": 2, "spherical.schur_diameter": 2,
+                         "numerics.cluster_values": 7}
+
+    def test_max_dense_reaches_every_stage(self, petersen_rel, capsys, monkeypatch):
+        seen = record_dense_limits(monkeypatch)
+        code, _, _ = run(capsys, "analyze-scheme", str(petersen_rel), "--json",
+                         "--max-dense", "12")
+        assert code == 0
+        # Only the given limit is checked; the sphere stages, which read an
+        # already admitted n x n matrix, check none.
+        assert 12 in seen
+        assert set(seen) <= {12, None}
+
+    def test_ambiguity_error_prints_plain_floats(self, tmp_path, capsys):
+        path = tmp_path / "j83.rel"
+        assert main(["gen", "johnson", "8", "3", "-o", str(path)]) == 0
+        capsys.readouterr()
+        code, _, err = run(capsys, "analyze-scheme", str(path), "--tol", "0.3")
+        assert code == 2
+        assert err.startswith("error: values ")
+        assert err.endswith("adjust the tolerance\n")
+        assert "np.float64" not in err
 
     def test_dense_limit_refuses_before_axioms(self, petersen_rel, capsys, monkeypatch):
         def failing(*args, **kwargs):
@@ -303,6 +345,25 @@ class TestAnalyzeGram:
         assert reports[0].ok
         assert reports[0].subject == "sphere(n=5, m=2, s=2)"
         assert meta["subject"].endswith("pentagon.gram")
+
+    @pytest.mark.parametrize("route", ["size", "schur"])
+    def test_max_dense_reaches_every_stage(self, pentagon_gram, capsys, monkeypatch, route):
+        seen = record_dense_limits(monkeypatch)
+        code, _, _ = run(capsys, "analyze-gram", str(pentagon_gram), "--route", route,
+                         "--max-dense", "7")
+        assert code == 0
+        # The set is admitted once against the given limit; the checks that
+        # read it never fall back to the default.
+        assert [limit for limit in seen if limit is not None] == [7]
+
+    @pytest.mark.parametrize("route", ["size", "schur"])
+    def test_single_point_has_nothing_to_force(self, capsys, monkeypatch, route):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\n1.0\n"))
+        code, out, _ = run(capsys, "analyze-gram", "--route", route, "--json", "-")
+        assert code == 0
+        reports, _ = reports_from_json(out)
+        assert reports[0].status == "hypothesis-not-met"
+        assert "checks" not in reports[0].evidence
 
     def test_malformed_gram(self, tmp_path, capsys):
         path = tmp_path / "bad.gram"

@@ -7,7 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import SCHEME_SPECS, analyzed_scheme
+from conftest import SCHEME_SPECS, analyzed_scheme, sphere_of
 from polyscheme.errors import DenseLimitError, MethodsDisagreeError
 from polyscheme.generators import FamilySpec, family_parameters, hamming_intersection_numbers
 from polyscheme.graphs import adjacency_distances
@@ -59,7 +59,7 @@ def test_petersen_class1():
     assert explicit.status == parametric.status == POLYNOMIAL
     assert explicit.ordering == parametric.ordering == (0, 1, 2)
 
-    qv = q_polynomial_ordering(scheme.params, 1, idempotent=scheme.idems[1])
+    qv = q_polynomial_ordering(scheme.params, 1, sphere=sphere_of(scheme, 1))
     assert qv.status == POLYNOMIAL
     assert qv.ordering == (0, 1, 2)
     assert qv.evidence["schur_diameter"] == 2
@@ -80,7 +80,7 @@ def test_petersen_class2():
     scheme = analyzed_scheme("petersen")
     v = p_polynomial_ordering(scheme.params, 2, scheme.rel)
     assert v.status == POLYNOMIAL and v.ordering == (0, 2, 1)
-    qv = q_polynomial_ordering(scheme.params, 2, idempotent=scheme.idems[2])
+    qv = q_polynomial_ordering(scheme.params, 2, sphere=sphere_of(scheme, 2))
     assert qv.status == POLYNOMIAL and qv.ordering == (0, 2, 1)
     assert check_p_large(scheme.params, 2).evidence["bound"] == 7
     assert check_q_large(scheme.params, 2).evidence["bound"] == 5
@@ -113,7 +113,7 @@ def test_cube_class1():
     assert explicit.status == POLYNOMIAL
     assert explicit.ordering == (0, 1, 2, 3)
     assert p_polynomial_ordering(scheme.params, 1).ordering == (0, 1, 2, 3)
-    qv = q_polynomial_ordering(scheme.params, 1, idempotent=scheme.idems[1])
+    qv = q_polynomial_ordering(scheme.params, 1, sphere=sphere_of(scheme, 1))
     assert qv.status == POLYNOMIAL
     assert qv.evidence["schur_diameter"] == 3
     assert check_product_formula_P(scheme.params, 1).evidence["witness_l"] == 3
@@ -140,7 +140,7 @@ def test_cube_refuted_classes():
         assert explicit.reason == "relation graph disconnected"
         parametric = p_polynomial_ordering(scheme.params, j)
         assert parametric.status == NOT_POLYNOMIAL
-        qv = q_polynomial_ordering(scheme.params, j, idempotent=scheme.idems[j])
+        qv = q_polynomial_ordering(scheme.params, j, sphere=sphere_of(scheme, j))
         assert qv.status == NOT_POLYNOMIAL
         assert "schur_diameter" not in qv.evidence
 
@@ -161,7 +161,7 @@ def test_cube_unseparated_paths():
 def test_complete_graph_everything_trivially_polynomial():
     scheme = analyzed_scheme("complete4")
     assert p_polynomial_ordering(scheme.params, 1, scheme.rel).ordering == (0, 1)
-    assert q_polynomial_ordering(scheme.params, 1, idempotent=scheme.idems[1]).ordering == (0, 1)
+    assert q_polynomial_ordering(scheme.params, 1, sphere=sphere_of(scheme, 1)).ordering == (0, 1)
     assert check_p_large(scheme.params, 1).status == POLYNOMIAL
     assert check_q_large(scheme.params, 1).status == POLYNOMIAL
     assert check_product_formula_P(scheme.params, 1).evidence["witness_l"] == 1
@@ -176,8 +176,8 @@ def test_cycle6_verdicts():
         assert p_polynomial_ordering(scheme.params, j, scheme.rel).status == NOT_POLYNOMIAL
         assert p_polynomial_ordering(scheme.params, j).status == NOT_POLYNOMIAL
         assert q_polynomial_ordering(
-            scheme.params, j, idempotent=scheme.idems[j]).status == NOT_POLYNOMIAL
-    q1 = q_polynomial_ordering(scheme.params, 1, idempotent=scheme.idems[1])
+            scheme.params, j, sphere=sphere_of(scheme, j)).status == NOT_POLYNOMIAL
+    q1 = q_polynomial_ordering(scheme.params, 1, sphere=sphere_of(scheme, 1))
     assert q1.status == POLYNOMIAL
     assert q1.evidence["schur_diameter"] == 3
 
@@ -220,7 +220,7 @@ def test_witness_is_last_of_ordering():
             if pv.status == POLYNOMIAL and fp.status == POLYNOMIAL:
                 assert fp.evidence["witness_l"] == pv.ordering[-1]
                 seen += 1
-            qv = q_polynomial_ordering(scheme.params, j, idempotent=scheme.idems[j])
+            qv = q_polynomial_ordering(scheme.params, j, sphere=sphere_of(scheme, j))
             fq = check_product_formula_Q(scheme.params, j)
             if qv.status == POLYNOMIAL and fq.status == POLYNOMIAL:
                 assert fq.evidence["witness_l"] == qv.ordering[-1]
@@ -247,8 +247,8 @@ def test_q_krein_schur_disagreement_is_an_error():
     tampered[1] = 0.0
     params_t = dataclasses.replace(pet.params, krein=tampered)
     with pytest.raises(MethodsDisagreeError):
-        q_polynomial_ordering(params_t, 1, idempotent=pet.idems[1])
-    # Without the idempotent there is no cross-check to disagree with.
+        q_polynomial_ordering(params_t, 1, sphere=sphere_of(pet, 1))
+    # Without the embedding there is no cross-check to disagree with.
     v = q_polynomial_ordering(params_t, 1)
     assert v.status == NOT_POLYNOMIAL
 
@@ -289,7 +289,7 @@ def test_analyze_scheme_explicit_matches_the_single_checks():
     for j in range(1, params.d + 1):
         direct = p_polynomial_ordering(params, j, rel)
         expected += [direct, check_p_large(params, j, direct), check_product_formula_P(params, j),
-                     q_polynomial_ordering(params, j, idempotent=idems[j]),
+                     q_polynomial_ordering(params, j, sphere=sphere_of(scheme, j)),
                      check_q_large(params, j), check_product_formula_Q(params, j)]
     assert [v.to_dict() for v in analysis.verdicts] == [v.to_dict() for v in expected]
     # Eigenspaces 2 and 3 embed the cube with repeated points.

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SCHEME_SPECS, analyzed_scheme
+from conftest import SCHEME_SPECS, analyzed_scheme, same_evidence
 from polyscheme.errors import GramError, ParseError, SchurDisconnectedError
-from polyscheme.numerics import SymMatrix
+from polyscheme.numerics import SymMatrix, k_factor
 from polyscheme.polyprops import POLYNOMIAL, q_polynomial_ordering
 from polyscheme.reports import HYPOTHESIS_NOT_MET, PASS
 from polyscheme.spherical import (
@@ -15,7 +17,6 @@ from polyscheme.spherical import (
     format_gram_matrix,
     from_gram,
     from_idempotent,
-    k_star,
     parse_gram_matrix,
     schur_diameter,
     verify_sphere_theorem,
@@ -120,7 +121,7 @@ class TestFromGram:
         assert np.allclose(sph.values, (1.0, 6 / 13, -1 / 13), rtol=0, atol=1e-12)
         counts = [int(np.count_nonzero(sph.labels == i)) for i in (1, 2)]
         assert counts == [378 * 52, 378 * 325]
-        assert schur_diameter(gram) == 2
+        assert schur_diameter(sph) == 2
 
 
 class TestFromIdempotent:
@@ -153,54 +154,52 @@ class TestFromIdempotent:
 
 
 class TestKStar:
+    """K*_i of the sphere theorem is numerics.k_factor over the set's values."""
+
     def test_pentagon_golden_ratio(self):
         values = from_gram(PENTAGON).values
-        assert k_star(values, 1) == pytest.approx(GOLDEN, abs=1e-12)
-        assert k_star(values, 2) == pytest.approx(1 - GOLDEN, abs=1e-12)
+        assert k_factor(values, 1) == pytest.approx(GOLDEN, abs=1e-12)
+        assert k_factor(values, 2) == pytest.approx(1 - GOLDEN, abs=1e-12)
 
     def test_petersen_embedding(self):
         scheme = analyzed_scheme("petersen")
         values = from_idempotent(scheme.params, scheme.idems, 1).values
-        assert k_star(values, 1) == pytest.approx(2.0, abs=1e-9)
-        assert k_star(values, 2) == pytest.approx(-1.0, abs=1e-9)
+        assert k_factor(values, 1) == pytest.approx(2.0, abs=1e-9)
+        assert k_factor(values, 2) == pytest.approx(-1.0, abs=1e-9)
 
     def test_square(self):
         values = from_gram(SQUARE).values
-        assert k_star(values, 1) == pytest.approx(2.0, abs=1e-12)
-        assert k_star(values, 2) == pytest.approx(-1.0, abs=1e-12)
+        assert k_factor(values, 1) == pytest.approx(2.0, abs=1e-12)
+        assert k_factor(values, 2) == pytest.approx(-1.0, abs=1e-12)
 
     def test_single_class_is_empty_product(self):
-        assert k_star((1.0, -1 / 3), 1) == 1.0
+        assert k_factor((1.0, -1 / 3), 1) == 1.0
 
     @pytest.mark.parametrize("i", [0, 3])
     def test_rejects_out_of_range_index(self, i):
         values = from_gram(PENTAGON).values
         with pytest.raises(ValueError, match="outside 1..2"):
-            k_star(values, i)
+            k_factor(values, i)
 
 
 class TestSchurDiameter:
     def test_orthonormal_basis(self):
-        assert schur_diameter(SymMatrix(np.eye(5))) == 1
+        assert schur_diameter(from_gram(SymMatrix(np.eye(5)))) == 1
 
     def test_pentagon(self):
-        assert schur_diameter(PENTAGON) == 2
+        assert schur_diameter(from_gram(PENTAGON)) == 2
 
     def test_petersen_embedding(self):
         scheme = analyzed_scheme("petersen")
         sph = from_idempotent(scheme.params, scheme.idems, 1)
-        assert schur_diameter(sph.gram) == 2
+        assert schur_diameter(sph) == 2
 
-    def test_all_ones_disconnected(self):
-        with pytest.raises(SchurDisconnectedError) as info:
-            schur_diameter(SymMatrix(np.ones((4, 4))))
-        assert info.value.max_degree == 0
-
-    def test_truncated_degree_disconnected(self):
-        # the square needs degree 2; capping at 1 must fail loudly
-        with pytest.raises(SchurDisconnectedError, match="up to degree 1") as info:
-            schur_diameter(SQUARE, t_max=1)
-        assert info.value.max_degree == 1
+    def test_tolerance_above_every_trial_disconnected(self):
+        # With every eigenvalue below tol no trial reaches full rank, and
+        # the search stops at the square's distance count 2.
+        with pytest.raises(SchurDisconnectedError, match="up to degree 2") as info:
+            schur_diameter(from_gram(SQUARE), tol=100.0)
+        assert info.value.max_degree == 2
 
 
 class TestVerifySphereTheorem:
@@ -269,6 +268,12 @@ class TestVerifySphereTheorem:
         assert report.status == HYPOTHESIS_NOT_MET
         assert report.evidence["summary"] == "Schur-diameter 2 != distance count 3"
 
+    @pytest.mark.parametrize("route", ["size", "schur"])
+    def test_single_point_has_nothing_to_force(self, route):
+        report = verify_sphere_theorem(from_gram(np.ones((1, 1))), route=route)
+        assert report.status == HYPOTHESIS_NOT_MET
+        assert "checks" not in report.evidence and "schur_diameter" not in report.evidence
+
     def test_rejects_unknown_route(self):
         with pytest.raises(ValueError, match="unknown route"):
             verify_sphere_theorem(from_gram(SQUARE), route="exact")
@@ -294,14 +299,50 @@ def test_schur_diameter_matches_krein_route(name):
         if np.min(np.diff(np.sort(col))) <= 1e-9:
             continue
         sph = from_idempotent(params, scheme.idems, j)
-        sd = schur_diameter(sph.gram)
+        sd = schur_diameter(sph)
         verdict = q_polynomial_ordering(params, j)
         assert (sd == params.d) == (verdict.status == POLYNOMIAL)
-        # handing the idempotent over must not trip the cross-check either
-        cross = q_polynomial_ordering(params, j, idempotent=scheme.idems[j])
+        # handing the embedding over must not trip the cross-check either
+        cross = q_polynomial_ordering(params, j, sphere=sph)
         assert cross.status == verdict.status
         compared += 1
     assert compared >= 1
+
+
+def _embedding(name, j):
+    scheme = analyzed_scheme(name)
+    return from_idempotent(scheme.params, scheme.idems, j).gram
+
+
+# Both routes pass on the pentagon and on J(8,3) eigenspace 1.  H(3,3)
+# eigenspace 1 sits on the size bound, so only the Schur route passes, and
+# eigenspace 2 has Schur-diameter 2 below its distance count 3.
+INVARIANCE_GRAMS = {
+    "pentagon": lambda: PENTAGON,
+    "johnson83-e1": lambda: _embedding("johnson83", 1),
+    "hamming33-e1": lambda: _embedding("hamming33", 1),
+    "hamming33-e2": lambda: _embedding("hamming33", 2),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(INVARIANCE_GRAMS)), st.integers(0, 2**32 - 1))
+def test_sphere_reports_ignore_labels_and_coordinates(name, seed):
+    """Relabelling the points, or rotating them and recomputing the Gram
+    matrix, leaves both routes' reports unchanged."""
+    gram = INVARIANCE_GRAMS[name]().a
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(gram))
+    w, v = np.linalg.eigh(gram)
+    points = v[:, w > 1e-9] * np.sqrt(w[w > 1e-9])
+    q, _ = np.linalg.qr(rng.standard_normal((points.shape[1], points.shape[1])))
+    rotated = points @ q
+    for route in ("size", "schur"):
+        base = verify_sphere_theorem(from_gram(gram), route=route)
+        for other in (gram[np.ix_(perm, perm)], rotated @ rotated.T):
+            got = verify_sphere_theorem(from_gram(other), route=route)
+            assert (got.subject, got.status) == (base.subject, base.status)
+            assert same_evidence(got.evidence, base.evidence)
 
 
 class TestGramIO:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +65,12 @@ class Graph:
                     yield (u, v)
 
     def adjacency_matrix(self, max_dense: int | None = DEFAULT_MAX_DENSE) -> SymMatrix:
+        """The dense 0/1 adjacency matrix, built once; every call checks the limit."""
         check_dense_limit(self.n, max_dense)
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> SymMatrix:
         a = np.zeros((self.n, self.n))
         for u, nb in enumerate(self.neighbors):
             a[u, list(nb)] = 1.0

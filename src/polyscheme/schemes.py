@@ -11,6 +11,7 @@ eigenmatrix lists the degrees and row 0 of the second the multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .graphs import DistanceData
 from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
-    SymMatrix,
     check_dense_limit,
     cluster_values,
 )
@@ -73,10 +73,19 @@ class RelationPartition:
         return RelationPartition(arr, d)
 
     def adjacency(self, i: int) -> np.ndarray:
-        """0/1 float indicator matrix of class i."""
+        """0/1 float indicator matrix of class i, built afresh."""
         if not 0 <= i <= self.d:
             raise ValueError(f"class {i} outside 0..{self.d}")
         return (self.labels == i).astype(float)
+
+    @cached_property
+    def class_matrices(self) -> tuple[np.ndarray, ...]:
+        """The read-only indicator matrices of classes 0..d, built once and
+        shared by every stage that reads them."""
+        mats = tuple(self.adjacency(i) for i in range(self.d + 1))
+        for a in mats:
+            a.setflags(write=False)
+        return mats
 
 
 def from_distance_data(dd: DistanceData) -> RelationPartition:
@@ -86,7 +95,7 @@ def from_distance_data(dd: DistanceData) -> RelationPartition:
     return RelationPartition.from_matrix(np.array(dd.dist), d=dd.diameter)
 
 
-def validate_scheme(rel: RelationPartition) -> np.ndarray:
+def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_DENSE) -> np.ndarray:
     """Check the defining axioms and return the intersection numbers
     p[i, j, k] as exact integers.
 
@@ -94,8 +103,10 @@ def validate_scheme(rel: RelationPartition) -> np.ndarray:
     (2); the partition is symmetric (3); for each (i, j, k) the count of
     z with label(x, z) = i and label(z, y) = j is the same for every pair
     (x, y) in class k (4).  Violations raise SchemeAxiomError carrying the
-    offending pairs.
+    offending pairs.  Partitions above max_dense are refused before any of
+    that work.
     """
+    check_dense_limit(rel.n, max_dense)
     lab = rel.labels
     n, d = rel.n, rel.d
     diag = np.diag(lab)
@@ -122,7 +133,7 @@ def validate_scheme(rel: RelationPartition) -> np.ndarray:
         if lab.flat[rep[k]] != k:
             raise SchemeAxiomError(2, f"class {k} is empty", [])
     # Counts are at most n, so float64 products of 0/1 matrices are exact.
-    adj = [rel.adjacency(i) for i in range(d + 1)]
+    adj = rel.class_matrices
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
         for j in range(i, d + 1):
@@ -145,21 +156,33 @@ def validate_scheme(rel: RelationPartition) -> np.ndarray:
     return p
 
 
-def _canonical_order(projs, mults, a1, tol):
-    """Identity-eigenspace projector first, then decreasing eigenvalue on
-    class 1, ties broken by increasing rank."""
-    n = a1.shape[0]
-    ones = np.ones(n)
-    weights = [float(ones @ e @ ones) for e in projs]
-    j0 = int(np.argmax(weights))
-    rest = []
-    for idx in range(len(projs)):
-        if idx == j0:
-            continue
-        lam = float(np.tensordot(a1, projs[idx]) / mults[idx])
-        rest.append((round(lam / max(tol, 1e-12)), mults[idx], idx))
-    rest.sort(key=lambda t: (-t[0], t[1]))
-    return [j0] + [idx for _, _, idx in rest]
+def _eigenspace_order(P: np.ndarray, mults, tol: float) -> list[int]:
+    """Canonical order of eigenspaces given their rows of the first
+    eigenmatrix: the trivial eigenspace first (its row sums to n, every
+    other row to 0), then decreasing class-1 eigenvalue rounded at tol,
+    ties to the smaller multiplicity."""
+    j0 = int(np.argmax(P.sum(axis=1)))
+    return [j0] + sorted((j for j in range(len(P)) if j != j0),
+                         key=lambda j: (-round(P[j, 1] / max(tol, 1e-12)), mults[j]))
+
+
+@dataclass(frozen=True)
+class SchemeIdempotents:
+    """The primitive idempotents E_j = U_j U_j^T of a scheme, held as their
+    orthonormal eigenvector blocks U_j (n x m_j) in canonical order, and
+    the eigenvalue eigenvalues[j, i] of class i on eigenspace j."""
+
+    blocks: tuple[np.ndarray, ...]
+    eigenvalues: np.ndarray
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(u.shape[1] for u in self.blocks)
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """The dense n x n idempotents, each formed once on first use."""
+        return tuple(u @ u.T for u in self.blocks)
 
 
 def idempotents(
@@ -167,55 +190,51 @@ def idempotents(
     tol: float = DEFAULT_TOL,
     seeds=DEFAULT_SEEDS,
     max_dense: int | None = DEFAULT_MAX_DENSE,
-) -> list[SymMatrix]:
+) -> SchemeIdempotents:
     """Primitive idempotents of the adjacency algebra, canonically ordered.
 
     Diagonalizes a random fixed-seed combination of the class matrices.  A
     combination with fewer than d+1 distinct eigenvalues (or an ambiguous
     clustering) is degenerate and triggers the next seed; running out of
-    seeds raises DegenerateElementError.  Each projector is verified to act
-    as a scalar on every class matrix.
+    seeds raises DegenerateElementError.  Each block is verified to be an
+    eigenspace of every class matrix: with lam = <A_i, E_j>/m_j, every row
+    of A_i U_j - lam U_j has 2-norm within 100*tol*n, which bounds every
+    entry of A_i E_j - lam E_j by the same amount.
     """
     check_dense_limit(rel.n, max_dense)
     n, d = rel.n, rel.d
-    adj = [rel.adjacency(i) for i in range(d + 1)]
+    adj = rel.class_matrices
     for seed in seeds:
         coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
-        generic = sum(c * a for c, a in zip(coeffs, adj))
-        w, vecs = np.linalg.eigh((generic + generic.T) / 2.0)
+        w, vecs = np.linalg.eigh(sum(c * a for c, a in zip(coeffs, adj)))
         try:
             _, counts, labels = cluster_values(w, tol)
         except ToleranceAmbiguityError:
             continue
         if len(counts) != d + 1:
             continue
-        projs = []
-        for ci in range(len(counts)):
-            cols = vecs[:, labels == ci]
-            projs.append(cols @ cols.T)
-        mults = [int(round(np.trace(e))) for e in projs]
-        scalar_resid = 0.0
-        for e, m in zip(projs, mults):
-            for a in adj:
-                lam = float(np.tensordot(a, e)) / m
-                scalar_resid = max(scalar_resid, float(np.max(np.abs(a @ e - lam * e))))
-        if scalar_resid > 100 * tol * max(1.0, n):
-            continue
-        order = _canonical_order(projs, mults, adj[1], tol)
-        return [SymMatrix(projs[idx]) for idx in order]
+        member = (labels[:, None] == np.arange(d + 1)).astype(float)
+        lam = np.empty((d + 1, d + 1))
+        resid = 0.0
+        for i, a in enumerate(adj):
+            av = a @ vecs
+            lam[:, i] = np.einsum("xc,xc->c", vecs, av) @ member / counts
+            r = av - vecs * lam[labels, i]
+            resid = max(resid, float(np.sqrt((r * r) @ member).max()))
+        if resid <= 100 * tol * max(1.0, n):
+            order = _eigenspace_order(lam, counts, tol)
+            return SchemeIdempotents(tuple(vecs[:, labels == j] for j in order), lam[order])
     raise DegenerateElementError(
         f"generic element degenerate for every seed in {tuple(seeds)}"
     )
 
 
-def krein_parameters(idems, tol: float = DEFAULT_TOL) -> np.ndarray:
+def krein_parameters(idems: SchemeIdempotents) -> np.ndarray:
     """Structure constants q[i, j, k] of the idempotents under the
     entrywise product, extracted by trace inner products:
     q_ij^k = n * <E_i o E_j, E_k> / rank(E_k)."""
-    n = idems[0].n
-    d = len(idems) - 1
-    mats = [e.a for e in idems]
-    mults = [int(round(np.trace(e))) for e in mats]
+    mats, mults = idems.projectors, idems.multiplicities
+    n, d = len(mats[0]), len(mats) - 1
     q = np.empty((d + 1, d + 1, d + 1))
     for i in range(d + 1):
         for j in range(i, d + 1):
@@ -250,39 +269,28 @@ class SchemeParameters:
 
 def eigenmatrices(
     rel: RelationPartition,
-    idems,
+    idems: SchemeIdempotents,
     tol: float = DEFAULT_TOL,
     p: np.ndarray | None = None,
 ) -> SchemeParameters:
     """Assemble SchemeParameters from an explicit scheme.
 
-    First-eigenmatrix entries are the eigenvalues of each class matrix on
-    each idempotent image (trace inner products); second-eigenmatrix
-    entries are representative entries of each idempotent, scaled by n.
-    The two are cross-checked by P Q = n I.
+    The first eigenmatrix holds the eigenvalue of each class on each block,
+    as idempotents found it, and the multiplicities are the block widths.
+    The second eigenmatrix reads each idempotent at the first pair (x, y)
+    of each class, Q[j, i] = n U_i[x] . U_i[y].  The two are cross-checked
+    by P Q = n I.
     """
     if p is None:
         p = validate_scheme(rel)
     n, d = rel.n, rel.d
-    adj = [rel.adjacency(i) for i in range(d + 1)]
-    mults = []
-    for e in idems:
-        t = float(np.trace(e.a))
-        m = int(round(t))
-        if abs(t - m) > 1e-6 * max(1.0, n):
-            raise ValueError(f"idempotent trace {t} is not close to an integer")
-        mults.append(m)
-    if sum(mults) != n:
-        raise ValueError(f"multiplicities {mults} do not sum to n = {n}")
-    pm = np.empty((d + 1, d + 1))
-    for j, e in enumerate(idems):
-        for i in range(d + 1):
-            pm[j, i] = float(np.tensordot(adj[i], e.a)) / mults[j]
-    reps = [tuple(int(v) for v in np.argwhere(rel.labels == j)[0]) for j in range(d + 1)]
-    qm = np.empty((d + 1, d + 1))
-    for j, (x, y) in enumerate(reps):
-        for i in range(d + 1):
-            qm[j, i] = n * idems[i].a[x, y]
+    if [u.shape[0] for u in idems.blocks] != [n] * (d + 1):
+        raise ValueError(f"idempotents of another scheme: {idems.multiplicities} on n = {n}")
+    mults = idems.multiplicities
+    pm = idems.eigenvalues.copy()
+    # The first pair of each class in row-major order.
+    xs, ys = np.unravel_index([np.argmax(rel.labels == j) for j in range(d + 1)], rel.labels.shape)
+    qm = n * np.column_stack([(u[xs] * u[ys]).sum(axis=1) for u in idems.blocks])
     dev = float(np.max(np.abs(pm @ qm - n * np.eye(d + 1))))
     if dev > 100 * tol * max(1.0, n):
         raise ValueError(f"eigenmatrix product deviates from n*I by {dev:.3g}")
@@ -293,7 +301,7 @@ def eigenmatrices(
     qm[0] = mults
     return SchemeParameters(
         n=n, d=d, p=p, P=pm, Q=qm,
-        degrees=degrees, multiplicities=tuple(mults),
+        degrees=degrees, multiplicities=mults,
         krein=krein_parameters(idems),
     )
 
@@ -372,8 +380,7 @@ def parametric_parameters(
         raise DegenerateElementError(
             f"no seed in {tuple(seeds)} separated the intersection-matrix eigenvalues")
     deg_vec = np.array(degrees, dtype=float)
-    j0 = int(np.argmin(np.abs(rows - deg_vec).max(axis=1)))
-    if np.max(np.abs(rows[j0] - deg_vec)) > 1e-6 * max(1.0, deg_vec.max()):
+    if np.abs(rows - deg_vec).max(axis=1).min() > 1e-6 * max(1.0, deg_vec.max()):
         raise ValueError("no eigenvalue row matches the degree vector")
     mult_raw = [n / float((rows[j] ** 2 / deg_vec).sum()) for j in range(d + 1)]
     mults = []
@@ -384,10 +391,7 @@ def parametric_parameters(
         mults.append(m)
     if sum(mults) != n:
         raise ValueError(f"multiplicities {mults} do not sum to n = {n}")
-    order = [j0] + sorted(
-        (j for j in range(d + 1) if j != j0),
-        key=lambda j: (-round(rows[j, 1] / max(tol, 1e-12)), mults[j]),
-    )
+    order = _eigenspace_order(rows, mults, tol)
     pm = rows[order]
     pm[0] = deg_vec
     mults = [mults[j] for j in order]

@@ -119,14 +119,14 @@ def from_gram(
 
 
 def from_idempotent(params, idems, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
-    """Unit-sphere embedding carried by idempotent j: Gram = (n/m_j) E_j,
-    whose off-diagonal values are the column-j second-eigenmatrix entries
-    divided by m_j.  E_j is already a dense n x n matrix, so no dense limit
-    is checked here."""
+    """Unit-sphere embedding carried by idempotent j of a SchemeIdempotents:
+    Gram = (n/m_j) E_j, whose off-diagonal values are the column-j second-
+    eigenmatrix entries divided by m_j.  E_j is already a dense n x n
+    matrix, so no dense limit is checked here."""
     if not 1 <= j <= params.d:
         raise ValueError(f"eigenspace {j} outside 1..{params.d}")
     mj = params.multiplicities[j]
-    return from_gram(params.n / mj * idems[j].a, tol, max_dense=None)
+    return from_gram(params.n / mj * idems.projectors[j], tol, max_dense=None)
 
 
 def schur_diameter(sph: SphericalSet, tol: float = DEFAULT_TOL, seeds=SCHUR_SEEDS) -> int:
@@ -173,7 +173,9 @@ def verify_sphere_theorem(
     n, mdim, s = sph.n, sph.dimension, sph.s
     if route not in ("size", "schur"):
         raise ValueError(f"unknown route {route!r}; expected 'size' or 'schur'")
-    d = s if route == "schur" or declared_d is None else declared_d
+    if route == "schur" and declared_d is not None:
+        raise ValueError("a declared distance count applies to the size route only")
+    d = s if declared_d is None else declared_d
     if d < s:
         raise ValueError(f"declared distance count {d} below the observed {s}")
     subject = f"sphere(n={n}, m={mdim}, s={s})"

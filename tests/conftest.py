@@ -9,10 +9,15 @@ from collections import deque, namedtuple
 import numpy as np
 import pytest
 
-from polyscheme.errors import GramError, SchemeAxiomError, ToleranceAmbiguityError
+from polyscheme.errors import (
+    DegenerateElementError,
+    GramError,
+    SchemeAxiomError,
+    ToleranceAmbiguityError,
+)
 from polyscheme.generators import FamilySpec, build_graph, build_scheme
-from polyscheme.numerics import as_sym
-from polyscheme.schemes import eigenmatrices, idempotents, validate_scheme
+from polyscheme.numerics import DEFAULT_TOL, as_sym, cluster_values
+from polyscheme.schemes import DEFAULT_SEEDS, eigenmatrices, idempotents, validate_scheme
 from polyscheme.spherical import from_idempotent
 
 GRAPH_SPECS = {
@@ -159,6 +164,66 @@ def validate_scheme_axiom_4_reference(rel):
                 p[i, j, k] = first
                 p[j, i, k] = first
     return p
+
+
+IdempotentsReference = namedtuple("IdempotentsReference", "projectors P Q multiplicities")
+
+
+def _canonical_order_reference(projs, mults, a1, tol):
+    """Identity-eigenspace projector first, then decreasing eigenvalue on
+    class 1, ties broken by increasing rank."""
+    n = a1.shape[0]
+    ones = np.ones(n)
+    weights = [float(ones @ e @ ones) for e in projs]
+    j0 = int(np.argmax(weights))
+    rest = []
+    for idx in range(len(projs)):
+        if idx == j0:
+            continue
+        lam = float(np.tensordot(a1, projs[idx]) / mults[idx])
+        rest.append((round(lam / max(tol, 1e-12)), mults[idx], idx))
+    rest.sort(key=lambda t: (-t[0], t[1]))
+    return [j0] + [idx for _, _, idx in rest]
+
+
+def idempotents_reference(rel, tol=DEFAULT_TOL, seeds=DEFAULT_SEEDS):
+    """Oracle for schemes.idempotents and schemes.eigenmatrices: dense
+    projectors E_j checked as scalars on every class by (d+1)^2 products
+    A_i E_j, multiplicities from traces, P[j, i] = <A_i, E_j>/m_j and
+    Q[j, i] = n E_i at the first pair of class j."""
+    n, d = rel.n, rel.d
+    adj = [rel.adjacency(i) for i in range(d + 1)]
+    for seed in seeds:
+        coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
+        generic = sum(c * a for c, a in zip(coeffs, adj))
+        w, vecs = np.linalg.eigh((generic + generic.T) / 2.0)
+        try:
+            _, counts, labels = cluster_values(w, tol)
+        except ToleranceAmbiguityError:
+            continue
+        if len(counts) != d + 1:
+            continue
+        projs = []
+        for ci in range(len(counts)):
+            cols = vecs[:, labels == ci]
+            projs.append(cols @ cols.T)
+        mults = [int(round(np.trace(e))) for e in projs]
+        scalar_resid = 0.0
+        for e, m in zip(projs, mults):
+            for a in adj:
+                lam = float(np.tensordot(a, e)) / m
+                scalar_resid = max(scalar_resid, float(np.max(np.abs(a @ e - lam * e))))
+        if scalar_resid > 100 * tol * max(1.0, n):
+            continue
+        order = _canonical_order_reference(projs, mults, adj[1], tol)
+        projs = [projs[idx] for idx in order]
+        mults = [mults[idx] for idx in order]
+        pm = np.array([[float(np.tensordot(a, e)) / m for a in adj]
+                       for e, m in zip(projs, mults)])
+        reps = [tuple(int(v) for v in np.argwhere(rel.labels == j)[0]) for j in range(d + 1)]
+        qm = np.array([[n * e[x, y] for e in projs] for x, y in reps])
+        return IdempotentsReference(projs, pm, qm, mults)
+    raise DegenerateElementError(f"generic element degenerate for every seed in {tuple(seeds)}")
 
 
 @functools.cache

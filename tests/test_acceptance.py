@@ -188,7 +188,7 @@ def test_criterion_7_schur_diameter():
         assert schur_diameter(from_gram(pentagon_gram())) == 2
         scheme = analyzed_scheme("petersen")
         sph = from_idempotent(scheme.params, scheme.idems, 1)
-        assert np.allclose(sph.gram.a, 2 * scheme.idems[1].a, atol=1e-12)
+        assert np.allclose(sph.gram.a, 2 * scheme.idems.projectors[1], atol=1e-12)
         assert schur_diameter(sph) == 2
         assert schur_diameter(from_gram(np.eye(6))) == 1
 

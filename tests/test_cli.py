@@ -53,6 +53,27 @@ def count_calls(monkeypatch, *qualnames):
     return calls
 
 
+def count_dense_builds(monkeypatch):
+    """Count SymMatrix constructions; each dense adjacency build makes one."""
+    calls = {"SymMatrix": 0}
+    original = numerics.SymMatrix.__init__
+
+    def counted(self, entries):
+        calls["SymMatrix"] += 1
+        original(self, entries)
+
+    monkeypatch.setattr(numerics.SymMatrix, "__init__", counted)
+    return calls
+
+
+def is_projector(m) -> bool:
+    """A square matrix P with P @ P = P that is neither 0 nor I."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    return 0.5 < float(a.diagonal().sum()) < len(a) - 0.5 and np.allclose(a @ a, a, atol=1e-9)
+
+
 def record_dense_limits(monkeypatch):
     """Record the limit that every dense-limit check is made against."""
     seen = []
@@ -165,12 +186,16 @@ class TestAnalyzeGraph:
         assert out == ""
         assert json.loads(dest.read_text())["n"] == 10
 
-    def test_irregular_graph_reports_in_band(self, tmp_path, capsys):
+    def test_irregular_graph_reports_in_band(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "path3.edges"
         path.write_text("3 2\n0 1\n1 2\n")
+        builds = count_dense_builds(monkeypatch)
         code, out, _ = run(capsys, "analyze-graph", str(path))
         assert code == 0
         assert "[hypothesis-not-met]" in out
+        # The spectrum of an irregular graph reads the adjacency that the
+        # distances were computed from.
+        assert builds == {"SymMatrix": 1}
 
     def test_each_quantity_computed_once(self, petersen_edges, capsys, monkeypatch):
         calls = {"distance_data": 0, "spectral_projectors": 0, "girth": 0,
@@ -186,11 +211,15 @@ class TestAnalyzeGraph:
             monkeypatch.setattr(graphs, name, counted(name, getattr(graphs, name)))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        builds = count_dense_builds(monkeypatch)
         code, _, _ = run(capsys, "analyze-graph", str(petersen_edges), "--json")
         assert code == 0
-        # One eigh gives the spectrum and the projectors; no eigvalsh.
+        # One eigh gives the spectrum and the projectors; no eigvalsh.  The
+        # dense adjacency is built once and read by the distances and the
+        # eigensolve.
         assert calls == {"distance_data": 1, "spectral_projectors": 1, "girth": 1,
                          "eigh": 1, "eigvalsh": 0}
+        assert builds == {"SymMatrix": 1}
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze-graph", "no-such-file.edges")
@@ -268,6 +297,45 @@ class TestAnalyzeScheme:
                             "schemes.validate_scheme", "schemes.idempotents",
                             "spherical.from_gram", "spherical.schur_diameter",
                             "numerics.cluster_values")
+        kernels = dict.fromkeys(("class matrix", "np.trace", "np.tensordot",
+                                 "np.tensordot in krein_parameters", "A_i @ E_j",
+                                 "SymMatrix(E_j)"), 0)
+
+        def tally(key, fn):
+            def wrapper(*args, **kwargs):
+                kernels[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        class ClassMatrix(np.ndarray):
+            """A class matrix that counts its products with a projector."""
+
+            def __matmul__(self, other):
+                kernels["A_i @ E_j"] += is_projector(other)
+                return np.asarray(self) @ np.asarray(other)
+
+        build = schemes.RelationPartition.adjacency
+        monkeypatch.setattr(schemes.RelationPartition, "adjacency",
+                            tally("class matrix", lambda rel, i: build(rel, i).view(ClassMatrix)))
+        monkeypatch.setattr(np, "trace", tally("np.trace", np.trace))
+        monkeypatch.setattr(np, "tensordot", tally("np.tensordot", np.tensordot))
+        krein = schemes.krein_parameters
+
+        def counted_krein(*args, **kwargs):
+            before = kernels["np.tensordot"]
+            try:
+                return krein(*args, **kwargs)
+            finally:
+                kernels["np.tensordot in krein_parameters"] += kernels["np.tensordot"] - before
+
+        patch_everywhere(monkeypatch, krein, counted_krein)
+        sym_init = numerics.SymMatrix.__init__
+
+        def counted_init(self, entries):
+            kernels["SymMatrix(E_j)"] += is_projector(entries)
+            sym_init(self, entries)
+
+        monkeypatch.setattr(numerics.SymMatrix, "__init__", counted_init)
         code, _, _ = run(capsys, "analyze-scheme", str(petersen_rel), "--json")
         assert code == 0
         # One detector run per class (d = 2); the size condition reuses it.
@@ -279,6 +347,14 @@ class TestAnalyzeScheme:
                          "schemes.validate_scheme": 1, "schemes.idempotents": 1,
                          "spherical.from_gram": 2, "spherical.schur_diameter": 2,
                          "numerics.cluster_values": 7}
+        # The three class matrices are built once and shared.  The
+        # idempotents are checked on their eigenvector blocks, so no class
+        # matrix meets a dense projector; multiplicities are block widths,
+        # not traces; each dense E_j is formed once and never copied into a
+        # SymMatrix; the only trace inner products are the 18 Krein ones.
+        assert kernels == {"class matrix": 3, "np.trace": 0, "np.tensordot": 18,
+                           "np.tensordot in krein_parameters": 18, "A_i @ E_j": 0,
+                           "SymMatrix(E_j)": 0}
 
     def test_max_dense_reaches_every_stage(self, petersen_rel, capsys, monkeypatch):
         seen = record_dense_limits(monkeypatch)
@@ -336,6 +412,13 @@ class TestAnalyzeGram:
             capsys, "analyze-gram", str(pentagon_gram), "--declared-d", "3")
         assert code == 0
         assert "n = 5 <= N(2, 2) = 5; size hypothesis not met" in out
+
+    def test_declared_d_is_refused_on_the_schur_route(self, pentagon_gram, capsys):
+        code, out, err = run(capsys, "analyze-gram", str(pentagon_gram), "--route", "schur",
+                             "--declared-d", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: a declared distance count applies to the size route only\n"
 
     def test_json(self, pentagon_gram, capsys):
         code, out, _ = run(capsys, "analyze-gram", str(pentagon_gram), "--json")

@@ -2,14 +2,22 @@
 formulas, plus the cross-route consistency errors."""
 
 import dataclasses
+import functools
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SCHEME_SPECS, analyzed_scheme, sphere_of
+from conftest import SCHEME_SPECS, analyzed_scheme, same_evidence, sphere_of
 from polyscheme.errors import DenseLimitError, MethodsDisagreeError
-from polyscheme.generators import FamilySpec, family_parameters, hamming_intersection_numbers
+from polyscheme.generators import (
+    FamilySpec,
+    build_scheme,
+    family_parameters,
+    hamming_intersection_numbers,
+)
 from polyscheme.graphs import adjacency_distances
 from polyscheme.polyprops import (
     INCONCLUSIVE,
@@ -311,3 +319,42 @@ def test_analyze_scheme_refuses_before_the_axioms():
     lab = np.ones((6, 6), dtype=int)
     with pytest.raises(DenseLimitError):
         analyze_scheme(RelationPartition.from_matrix(lab), max_dense=5)
+
+
+PERMUTATION_SPECS = {
+    "cycle7": FamilySpec("cycle", (7,)),
+    "hamming33": FamilySpec("hamming", (3, 3)),
+    "johnson73": FamilySpec("johnson", (7, 3)),
+    "johnson83": FamilySpec("johnson", (8, 3)),
+    "petersen": FamilySpec("petersen"),
+}
+
+
+@functools.cache
+def unpermuted_analysis(name):
+    rel = build_scheme(PERMUTATION_SPECS[name])
+    return rel, analyze_scheme(rel)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(PERMUTATION_SPECS)), st.integers(0, 2**32 - 1))
+def test_scheme_reports_ignore_point_labels(name, seed):
+    """Relabelling the points moves the representative pairs and rotates
+    the eigenvector blocks, but leaves every quantity of the analysis,
+    and the eigenspace order, unchanged."""
+    rel, base = unpermuted_analysis(name)
+    perm = np.random.default_rng(seed).permutation(rel.n)
+    got = analyze_scheme(RelationPartition.from_matrix(rel.labels[np.ix_(perm, perm)], d=rel.d))
+    assert got.params.degrees == base.params.degrees
+    assert got.params.multiplicities == base.params.multiplicities
+    assert float(np.max(np.abs(got.params.P - base.params.P))) <= 1e-9
+    assert float(np.max(np.abs(got.params.Q - base.params.Q))) <= 1e-9
+    assert len(got.verdicts) == len(base.verdicts)
+    for v, b in zip(got.verdicts, base.verdicts):
+        assert (v.kind, v.base_index, v.status, v.reason, v.ordering) == \
+            (b.kind, b.base_index, b.status, b.reason, b.ordering)
+        assert same_evidence(v.evidence, b.evidence)
+    assert [(r.subject, r.status) for r in got.reports] == \
+        [(r.subject, r.status) for r in base.reports]
+    for r, b in zip(got.reports, base.reports):
+        assert same_evidence(r.evidence, b.evidence)

@@ -2,6 +2,8 @@
 counting oracle, idempotents against the graph-side projectors, and the
 two eigenmatrix routes against each other."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,20 @@ from conftest import (
     SCHEME_SPECS,
     analyzed_scheme,
     catalog_graph,
+    idempotents_reference,
     max_abs_diff,
     validate_scheme_axiom_4_reference,
 )
 from polyscheme.errors import (
     DegenerateElementError,
+    DenseLimitError,
     ParseError,
     SchemeAxiomError,
 )
 from polyscheme.generators import FamilySpec, build_scheme
 from polyscheme.graphs import distance_data, spectral_projectors
 from polyscheme.schemes import (
+    SEED_SETS,
     RelationPartition,
     SchemeParameters,
     eigenmatrices,
@@ -178,9 +183,67 @@ def test_axiom_four_path_partition():
 def test_idempotents_match_graph_projectors():
     scheme = analyzed_scheme("petersen")
     family = spectral_projectors(catalog_graph("petersen"))
-    assert len(scheme.idems) == len(family.blocks) == 3
-    for i, e in enumerate(scheme.idems):
+    assert len(scheme.idems.blocks) == len(family.blocks) == 3
+    for i, e in enumerate(scheme.idems.projectors):
         assert max_abs_diff(e, family.projector(i)) < 1e-9
+
+
+# The catalog, the five explicit inputs of the benchmark's scheme workload,
+# and the cube with classes 1 and 3 swapped: its class 1 is the antipodal
+# matching, whose eigenvalue -1 is shared by eigenspaces of multiplicity 1
+# and 3, so the canonical order needs its tie-break.
+ORACLE_SPECS = {
+    **SCHEME_SPECS,
+    "hamming35": FamilySpec("hamming", (3, 5)),
+    "hamming43": FamilySpec("hamming", (4, 3)),
+    "hamming52": FamilySpec("hamming", (5, 2)),
+    "johnson93": FamilySpec("johnson", (9, 3)),
+    "johnson94": FamilySpec("johnson", (9, 4)),
+}
+
+
+@functools.cache
+def oracle_scheme(name):
+    if name == "cube-antipodal-first":
+        return RelationPartition.from_matrix(np.choose(analyzed_scheme("cube").rel.labels,
+                                                       [0, 3, 2, 1]))
+    return build_scheme(ORACLE_SPECS[name])
+
+
+@pytest.mark.parametrize("seed_set", sorted(SEED_SETS))
+@pytest.mark.parametrize("name", sorted([*ORACLE_SPECS, "cube-antipodal-first"]))
+def test_idempotents_match_dense_reference(name, seed_set):
+    rel = oracle_scheme(name)
+    seeds = SEED_SETS[seed_set]
+    ref = idempotents_reference(rel, seeds=seeds)
+    idems = idempotents(rel, seeds=seeds)
+    params = eigenmatrices(rel, idems, p=validate_scheme(rel))
+    assert idems.multiplicities == params.multiplicities == tuple(ref.multiplicities)
+    # Projector by projector, so the eigenspace order is compared too.
+    assert len(idems.projectors) == len(ref.projectors)
+    for e, e_ref in zip(idems.projectors, ref.projectors):
+        assert float(np.max(np.abs(e - e_ref))) < 1e-9
+    for got in (idems.eigenvalues, params.P):
+        assert float(np.max(np.abs(got - ref.P))) < 1e-9
+    assert float(np.max(np.abs(params.Q - ref.Q))) < 1e-9
+
+
+def test_eigenspace_ties_go_to_the_smaller_multiplicity():
+    rel = oracle_scheme("cube-antipodal-first")
+    params = eigenmatrices(rel, idempotents(rel))
+    assert float(np.max(np.abs(params.P[:, 1] - [1.0, 1.0, -1.0, -1.0]))) < 1e-9
+    assert params.multiplicities == (1, 3, 1, 3)
+
+
+def test_validate_scheme_refuses_before_allocating(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an n x n array was allocated above the dense limit")
+
+    rel = build_scheme(FamilySpec("johnson", (6, 3)))
+    monkeypatch.setattr(RelationPartition, "adjacency", fail)
+    monkeypatch.setattr(np, "eye", fail)
+    with pytest.raises(DenseLimitError):
+        validate_scheme(rel, max_dense=5)
 
 
 def test_idempotents_exhaust_seeds():
@@ -190,19 +253,19 @@ def test_idempotents_exhaust_seeds():
 
 
 def test_idempotent_family_properties(scheme_case):
-    idems = scheme_case.idems
+    idems = scheme_case.idems.projectors
     params = scheme_case.params
     n, d = params.n, params.d
     assert len(idems) == d + 1
     assert max_abs_diff(idems[0], np.ones((n, n)) / n) < 1e-9
     total = np.zeros((n, n))
     for j, e in enumerate(idems):
-        assert max_abs_diff(e.a @ e.a, e) < 1e-7
-        tr = float(np.trace(e.a))
+        assert max_abs_diff(e @ e, e) < 1e-7
+        tr = float(np.trace(e))
         assert abs(tr - params.multiplicities[j]) < 1e-7
         for other in idems[j + 1:]:
-            assert float(np.max(np.abs(e.a @ other.a))) < 1e-7
-        total += e.a
+            assert float(np.max(np.abs(e @ other))) < 1e-7
+        total += e
     assert max_abs_diff(total, np.eye(n)) < 1e-7
     assert sum(params.multiplicities) == n
 
@@ -212,8 +275,8 @@ def test_idempotents_diagonalize_classes(scheme_case):
     rel, idems, params = scheme_case.rel, scheme_case.idems, scheme_case.params
     for i in range(params.d + 1):
         ai = rel.adjacency(i).astype(float)
-        for j, e in enumerate(idems):
-            assert float(np.max(np.abs(ai @ e.a - params.P[j, i] * e.a))) < 1e-7
+        for j, e in enumerate(idems.projectors):
+            assert float(np.max(np.abs(ai @ e - params.P[j, i] * e))) < 1e-7
 
 
 def test_eigenmatrices_petersen_frozen():

@@ -282,6 +282,13 @@ class TestVerifySphereTheorem:
         with pytest.raises(ValueError, match="below the observed"):
             verify_sphere_theorem(from_gram(SQUARE), declared_d=1)
 
+    @pytest.mark.parametrize("declared_d", [1, 2, 3])
+    def test_schur_route_refuses_a_declared_count(self, declared_d):
+        # The Schur route's hypothesis is the observed count; a declared one
+        # would be ignored, so it is refused whether below, at or above s.
+        with pytest.raises(ValueError, match="size route only"):
+            verify_sphere_theorem(from_gram(PENTAGON), route="schur", declared_d=declared_d)
+
 
 @pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
 def test_schur_diameter_matches_krein_route(name):

@@ -12,7 +12,6 @@ Exit codes: 0 when no check failed, 1 when some check reports failure,
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 
@@ -60,23 +59,13 @@ def cmd_gen(args) -> int:
     elif kind == "scheme":
         text = schemes.format_relation_matrix(generators.build_scheme(spec))
     else:
-        if spec.name == "johnson":
-            p = generators.johnson_intersection_numbers(*spec.args)
-            n = math.comb(spec.args[0], spec.args[1])
-        elif spec.name == "hamming":
-            p = generators.hamming_intersection_numbers(*spec.args)
-            n = spec.args[1] ** spec.args[0]
-        else:
-            rel = generators.build_scheme(spec)
-            p = schemes.validate_scheme(rel)
-            n = rel.n
-        text = schemes.format_intersection_tensor(p, n)
+        text = schemes.format_intersection_tensor(*generators.family_tensor(spec))
     _write(text, args.output)
     return 0
 
 
 def cmd_analyze_graph(args) -> int:
-    g = parse_edge_list(_read(args.path))
+    g = parse_edge_list(_read(args.path), args.max_dense)
     tol = args.tol
     analysis = analyze_graph(g, tol, args.max_dense)
     spectrum, dd, reports = analysis.spectrum, analysis.distances, analysis.reports

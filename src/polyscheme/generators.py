@@ -259,23 +259,35 @@ def hamming_intersection_numbers(d: int, q: int) -> np.ndarray:
     return p
 
 
+def family_tensor(spec: FamilySpec) -> tuple[np.ndarray, int]:
+    """(p, n): the intersection tensor of a family member and its number of
+    points.  Johnson and Hamming members take the closed forms without
+    building any point; the others count on their validated scheme."""
+    if spec.name == "johnson":
+        n, k = spec.args
+        return johnson_intersection_numbers(n, k), math.comb(n, k)
+    if spec.name == "hamming":
+        d, q = spec.args
+        return hamming_intersection_numbers(d, q), q ** d
+    rel = build_scheme(spec)
+    return validate_scheme(rel), rel.n
+
+
 def _expected_closed_forms(spec: FamilySpec):
-    """(n, degrees, multiplicities, second column of P) for johnson/hamming."""
+    """(degrees, multiplicities, second column of P) for johnson/hamming."""
     if spec.name == "johnson":
         n, k = spec.args
         d = min(k, n - k)
-        size = math.comb(n, k)
         degrees = [math.comb(k, i) * math.comb(n - k, i) for i in range(d + 1)]
         mults = [_comb0(n, j) - _comb0(n, j - 1) for j in range(d + 1)]
         col1 = [(k - j) * (n - k - j) - j for j in range(d + 1)]
-        return size, degrees, mults, col1
+        return degrees, mults, col1
     if spec.name == "hamming":
         d, q = spec.args
-        size = q ** d
         degrees = [math.comb(d, i) * (q - 1) ** i for i in range(d + 1)]
         mults = [math.comb(d, j) * (q - 1) ** j for j in range(d + 1)]
         col1 = [d * (q - 1) - q * j for j in range(d + 1)]
-        return size, degrees, mults, col1
+        return degrees, mults, col1
     raise ValueError(f"no closed forms for family {spec.name!r}")
 
 
@@ -286,12 +298,8 @@ def family_parameters(spec: FamilySpec, tol: float = DEFAULT_TOL) -> SchemeParam
     degrees, multiplicities and second eigenmatrix column; a mismatch
     means the two routes disagree and is a hard error.
     """
-    size, degrees, mults, col1 = _expected_closed_forms(spec)
-    if spec.name == "johnson":
-        p = johnson_intersection_numbers(*spec.args)
-    else:
-        p = hamming_intersection_numbers(*spec.args)
-    params = parametric_parameters(p, size, tol)
+    degrees, mults, col1 = _expected_closed_forms(spec)
+    params = parametric_parameters(*family_tensor(spec), tol)
     if list(params.degrees) != degrees:
         raise MethodsDisagreeError(
             f"{spec.label()}: tensor degrees {list(params.degrees)} != closed form {degrees}")

@@ -477,10 +477,11 @@ def large_graph_report(
 
 # --- edge-list text format ------------------------------------------------
 # First line "n m", then m lines "u v" (0-based).  Blank lines and "#"
-# comments are ignored.
+# comments are ignored.  A header n above the dense limit is refused before
+# any per-vertex work, since no analysis could admit the graph.
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> Graph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for line_no, parts in content_lines(text):
@@ -489,6 +490,7 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise ParseError(line_no, f"expected two integers, got {' '.join(parts)!r}") from None
         if header is None:
+            check_dense_limit(u, max_dense)
             header = (u, v)
         else:
             edges.append((u, v))

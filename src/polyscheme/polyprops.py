@@ -382,8 +382,9 @@ def analyze_scheme(
 
     scheme is a RelationPartition (explicit route: the dense limit is
     checked before any n x n work, then the axioms, idempotents and
-    eigenmatrices; each eigenspace's sphere embedding is built once and
-    feeds both the Schur-diameter cross-check and the sphere report) or
+    eigenmatrices; each eigenspace's sphere embedding is built once from
+    its eigenvector block, one at a time, and feeds both the Schur-diameter
+    cross-check and the sphere report) or
     the (p, n) pair returned by parse_intersection_tensor (parametric
     route).  The P size condition is confirmed against the explicit
     detector's verdict, which runs once per class.

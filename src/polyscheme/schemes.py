@@ -179,11 +179,6 @@ class SchemeIdempotents:
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(u.shape[1] for u in self.blocks)
 
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """The dense n x n idempotents, each formed once on first use."""
-        return tuple(u @ u.T for u in self.blocks)
-
 
 def idempotents(
     rel: RelationPartition,
@@ -229,21 +224,10 @@ def idempotents(
     )
 
 
-def krein_parameters(idems: SchemeIdempotents) -> np.ndarray:
-    """Structure constants q[i, j, k] of the idempotents under the
-    entrywise product, extracted by trace inner products:
-    q_ij^k = n * <E_i o E_j, E_k> / rank(E_k)."""
-    mats, mults = idems.projectors, idems.multiplicities
-    n, d = len(mats[0]), len(mats) - 1
-    q = np.empty((d + 1, d + 1, d + 1))
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            had = mats[i] * mats[j]
-            for k in range(d + 1):
-                val = n * float(np.tensordot(had, mats[k])) / mults[k]
-                q[i, j, k] = val
-                q[j, i, k] = val
-    return q
+def krein_parameters(P: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:
+    """Krein numbers q[i, j, k] of a scheme from its eigenmatrices
+    (Bannai-Ito 1984): q_ij^k = (1/n) sum_u P[k, u] Q[u, i] Q[u, j]."""
+    return np.einsum("ku,ui,uj->ijk", P, Q, Q) / n
 
 
 @dataclass(frozen=True)
@@ -279,7 +263,7 @@ def eigenmatrices(
     as idempotents found it, and the multiplicities are the block widths.
     The second eigenmatrix reads each idempotent at the first pair (x, y)
     of each class, Q[j, i] = n U_i[x] . U_i[y].  The two are cross-checked
-    by P Q = n I.
+    by P Q = n I, and the Krein numbers follow from them.
     """
     if p is None:
         p = validate_scheme(rel)
@@ -302,7 +286,7 @@ def eigenmatrices(
     return SchemeParameters(
         n=n, d=d, p=p, P=pm, Q=qm,
         degrees=degrees, multiplicities=mults,
-        krein=krein_parameters(idems),
+        krein=krein_parameters(pm, qm, n),
     )
 
 
@@ -342,8 +326,9 @@ def parametric_parameters(
 
     The transposed intersection matrices commute (checked exactly); their
     simultaneous diagonalization yields the rows of the first eigenmatrix,
-    multiplicities come from degree-weighted row norms, and the second
-    eigenmatrix is n times the inverse of the first.
+    multiplicities come from degree-weighted row norms, the second
+    eigenmatrix is n times the inverse of the first, and the Krein numbers
+    follow from the two as on the explicit route.
     """
     p = np.array(p, dtype=np.int64)
     degrees = _check_tensor(p, n)
@@ -396,10 +381,9 @@ def parametric_parameters(
     pm[0] = deg_vec
     mults = [mults[j] for j in order]
     qm = n * np.linalg.inv(pm)
-    krein = np.einsum("ku,ui,uj->ijk", pm, qm, qm) / n
     return SchemeParameters(
         n=n, d=d, p=p, P=pm, Q=qm,
-        degrees=degrees, multiplicities=tuple(mults), krein=krein,
+        degrees=degrees, multiplicities=tuple(mults), krein=krein_parameters(pm, qm, n),
     )
 
 

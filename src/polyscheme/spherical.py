@@ -120,13 +120,16 @@ def from_gram(
 
 def from_idempotent(params, idems, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
     """Unit-sphere embedding carried by idempotent j of a SchemeIdempotents:
-    Gram = (n/m_j) E_j, whose off-diagonal values are the column-j second-
-    eigenmatrix entries divided by m_j.  E_j is already a dense n x n
-    matrix, so no dense limit is checked here."""
+    Gram = (n/m_j) E_j = (n/m_j) U_j U_j^T, whose off-diagonal values are
+    the column-j second-eigenmatrix entries divided by m_j.  The Gram is
+    formed here from the eigenvector block, in one product scaled in place;
+    the scheme was admitted with its blocks, so no dense limit is checked."""
     if not 1 <= j <= params.d:
         raise ValueError(f"eigenspace {j} outside 1..{params.d}")
-    mj = params.multiplicities[j]
-    return from_gram(params.n / mj * idems.projectors[j], tol, max_dense=None)
+    u = idems.blocks[j]
+    gram = u @ u.T
+    gram *= params.n / params.multiplicities[j]
+    return from_gram(gram, tol, max_dense=None)
 
 
 def schur_diameter(sph: SphericalSet, tol: float = DEFAULT_TOL, seeds=SCHUR_SEEDS) -> int:

@@ -16,7 +16,7 @@ from polyscheme.errors import (
     ToleranceAmbiguityError,
 )
 from polyscheme.generators import FamilySpec, build_graph, build_scheme
-from polyscheme.numerics import DEFAULT_TOL, as_sym, cluster_values
+from polyscheme.numerics import DEFAULT_TOL, SymMatrix, cluster_values
 from polyscheme.schemes import DEFAULT_SEEDS, eigenmatrices, idempotents, validate_scheme
 from polyscheme.spherical import from_idempotent
 
@@ -47,8 +47,16 @@ AnalyzedScheme = namedtuple("AnalyzedScheme", "name rel p idems params")
 
 
 def max_abs_diff(x, y) -> float:
-    """Largest entrywise difference of two symmetric matrices."""
-    return float(np.max(np.abs(as_sym(x).a - as_sym(y).a)))
+    """Largest entrywise difference of two matrices, each an array or a
+    SymMatrix; neither is symmetrized, so a transpose does not pass."""
+    def entries(m):
+        return np.asarray(m.a if isinstance(m, SymMatrix) else m, dtype=float)
+    return float(np.max(np.abs(entries(x) - entries(y))))
+
+
+def projectors(idems):
+    """The dense idempotents E_j = U_j U_j^T of a SchemeIdempotents."""
+    return [u @ u.T for u in idems.blocks]
 
 
 def same_evidence(a, b, key=""):
@@ -224,6 +232,20 @@ def idempotents_reference(rel, tol=DEFAULT_TOL, seeds=DEFAULT_SEEDS):
         qm = np.array([[n * e[x, y] for e in projs] for x, y in reps])
         return IdempotentsReference(projs, pm, qm, mults)
     raise DegenerateElementError(f"generic element degenerate for every seed in {tuple(seeds)}")
+
+
+def krein_trace_reference(projs, mults):
+    """Oracle for schemes.krein_parameters: the structure constants of the
+    dense idempotents under the entrywise product, by trace inner products,
+    q_ij^k = n <E_i o E_j, E_k> / m_k."""
+    n, d = len(projs[0]), len(projs) - 1
+    q = np.empty((d + 1, d + 1, d + 1))
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            had = projs[i] * projs[j]
+            for k in range(d + 1):
+                q[i, j, k] = q[j, i, k] = n * float(np.tensordot(had, projs[k])) / mults[k]
+    return q
 
 
 @functools.cache

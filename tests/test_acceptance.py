@@ -10,7 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GRAPH_SPECS, SCHEME_SPECS, analyzed_scheme, catalog_graph, sphere_of
+from conftest import (
+    GRAPH_SPECS,
+    SCHEME_SPECS,
+    analyzed_scheme,
+    catalog_graph,
+    projectors,
+    sphere_of,
+)
 from polyscheme.errors import SchemeAxiomError
 from polyscheme.generators import FamilySpec, family_parameters
 from polyscheme.graphs import distance_data, large_graph_report, moore_bound, spectral_projectors
@@ -188,7 +195,7 @@ def test_criterion_7_schur_diameter():
         assert schur_diameter(from_gram(pentagon_gram())) == 2
         scheme = analyzed_scheme("petersen")
         sph = from_idempotent(scheme.params, scheme.idems, 1)
-        assert np.allclose(sph.gram.a, 2 * scheme.idems.projectors[1], atol=1e-12)
+        assert np.allclose(sph.gram.a, 2 * projectors(scheme.idems)[1], atol=1e-12)
         assert schur_diameter(sph) == 2
         assert schur_diameter(from_gram(np.eye(6))) == 1
 

@@ -4,6 +4,7 @@ Everything runs in process through cli.main so that exit codes and
 stdout/stderr can be asserted without spawning interpreters.
 """
 
+import dataclasses
 import importlib
 import io
 import json
@@ -221,6 +222,26 @@ class TestAnalyzeGraph:
                          "eigh": 1, "eigvalsh": 0}
         assert builds == {"SymMatrix": 1}
 
+    @pytest.mark.parametrize("header, argv, n, limit", [
+        ("1000000000 0", (), 1000000000, numerics.DEFAULT_MAX_DENSE),
+        ("20 0", ("--max-dense", "12"), 20, 12),
+    ])
+    def test_oversized_header_refused_before_vertices(self, tmp_path, capsys, monkeypatch,
+                                                      header, argv, n, limit):
+        def fail(*args, **kwargs):
+            raise AssertionError("per-vertex work began above the dense limit")
+
+        monkeypatch.setattr(graphs.Graph, "from_edges", staticmethod(fail))
+        seen = record_dense_limits(monkeypatch)
+        path = tmp_path / "big.edges"
+        path.write_text(header + "\n")
+        code, out, err = run(capsys, "analyze-graph", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: dense computation refused for n={n} > limit {limit}; " \
+                      "raise the limit explicitly to proceed\n"
+        # The parser made the only check, against the given limit.
+        assert seen == [limit]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze-graph", "no-such-file.edges")
         assert code == 2
@@ -297,9 +318,8 @@ class TestAnalyzeScheme:
                             "schemes.validate_scheme", "schemes.idempotents",
                             "spherical.from_gram", "spherical.schur_diameter",
                             "numerics.cluster_values")
-        kernels = dict.fromkeys(("class matrix", "np.trace", "np.tensordot",
-                                 "np.tensordot in krein_parameters", "A_i @ E_j",
-                                 "SymMatrix(E_j)"), 0)
+        kernels = dict.fromkeys(("class matrix", "np.trace", "np.tensordot", "A_i @ E_j",
+                                 "U_j @ U_j^T", "SymMatrix(E_j)"), 0)
 
         def tally(key, fn):
             def wrapper(*args, **kwargs):
@@ -314,21 +334,27 @@ class TestAnalyzeScheme:
                 kernels["A_i @ E_j"] += is_projector(other)
                 return np.asarray(self) @ np.asarray(other)
 
+        class Block(np.ndarray):
+            """An eigenvector block that counts the dense projectors formed
+            from it."""
+
+            def __matmul__(self, other):
+                product = np.asarray(self) @ np.asarray(other)
+                kernels["U_j @ U_j^T"] += is_projector(product)
+                return product
+
         build = schemes.RelationPartition.adjacency
         monkeypatch.setattr(schemes.RelationPartition, "adjacency",
                             tally("class matrix", lambda rel, i: build(rel, i).view(ClassMatrix)))
         monkeypatch.setattr(np, "trace", tally("np.trace", np.trace))
         monkeypatch.setattr(np, "tensordot", tally("np.tensordot", np.tensordot))
-        krein = schemes.krein_parameters
+        counted_idempotents = schemes.idempotents
 
-        def counted_krein(*args, **kwargs):
-            before = kernels["np.tensordot"]
-            try:
-                return krein(*args, **kwargs)
-            finally:
-                kernels["np.tensordot in krein_parameters"] += kernels["np.tensordot"] - before
+        def block_idempotents(*args, **kwargs):
+            idems = counted_idempotents(*args, **kwargs)
+            return dataclasses.replace(idems, blocks=tuple(u.view(Block) for u in idems.blocks))
 
-        patch_everywhere(monkeypatch, krein, counted_krein)
+        patch_everywhere(monkeypatch, counted_idempotents, block_idempotents)
         sym_init = numerics.SymMatrix.__init__
 
         def counted_init(self, entries):
@@ -350,11 +376,12 @@ class TestAnalyzeScheme:
         # The three class matrices are built once and shared.  The
         # idempotents are checked on their eigenvector blocks, so no class
         # matrix meets a dense projector; multiplicities are block widths,
-        # not traces; each dense E_j is formed once and never copied into a
-        # SymMatrix; the only trace inner products are the 18 Krein ones.
-        assert kernels == {"class matrix": 3, "np.trace": 0, "np.tensordot": 18,
-                           "np.tensordot in krein_parameters": 18, "A_i @ E_j": 0,
-                           "SymMatrix(E_j)": 0}
+        # not traces; the Krein numbers come from P and Q, with no trace
+        # inner product; the only dense projectors are the d eigenspace
+        # Grams, each formed once from its block (E_0 never), and none is
+        # copied into a SymMatrix.
+        assert kernels == {"class matrix": 3, "np.trace": 0, "np.tensordot": 0,
+                           "A_i @ E_j": 0, "U_j @ U_j^T": 2, "SymMatrix(E_j)": 0}
 
     def test_max_dense_reaches_every_stage(self, petersen_rel, capsys, monkeypatch):
         seen = record_dense_limits(monkeypatch)

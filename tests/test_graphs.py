@@ -289,6 +289,21 @@ def test_analyze_graph_refuses_before_distances(monkeypatch):
         analyze_graph(cycle8, max_dense=5)
 
 
+def test_edge_list_header_refused_before_vertices(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("per-vertex work began above the dense limit")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(fail))
+    with pytest.raises(DenseLimitError):
+        parse_edge_list("1000000000 0\n")
+    with pytest.raises(DenseLimitError):
+        parse_edge_list("# comment first\n20 1\n0 1\n", max_dense=12)
+
+
+def test_edge_list_limit_can_be_lifted():
+    assert parse_edge_list("20 1\n0 1\n", max_dense=None).n == 20
+
+
 def test_edge_list_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_edge_list("3 1\n0 1 2\n")

@@ -10,12 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCHEME_SPECS, analyzed_scheme, same_evidence, sphere_of
+from conftest import (
+    SCHEME_SPECS,
+    analyzed_scheme,
+    krein_trace_reference,
+    projectors,
+    same_evidence,
+    sphere_of,
+)
 from polyscheme.errors import DenseLimitError, MethodsDisagreeError
 from polyscheme.generators import (
     FamilySpec,
+    _expected_closed_forms,
     build_scheme,
     family_parameters,
+    family_tensor,
     hamming_intersection_numbers,
 )
 from polyscheme.graphs import adjacency_distances
@@ -33,7 +42,7 @@ from polyscheme.polyprops import (
     q_polynomial_ordering,
 )
 from polyscheme.reports import HYPOTHESIS_NOT_MET
-from polyscheme.schemes import RelationPartition
+from polyscheme.schemes import RelationPartition, idempotents
 
 
 def test_verdict_validation():
@@ -312,6 +321,31 @@ def test_analyze_scheme_parametric_has_no_point_reports():
     assert analysis.verdicts[0].evidence["mode"] == "parametric"
     assert "confirmed_by" not in analysis.verdicts[1].evidence
     assert analysis.reports == []
+
+
+def test_johnson_12_4_routes_agree_at_scale():
+    """J(12,4), n = 495: the explicit route against the parametric route
+    and the closed forms, and its Krein numbers from P and Q against trace
+    products of its own dense idempotents."""
+    spec = FamilySpec("johnson", (12, 4))
+    rel = build_scheme(spec)
+    explicit = analyze_scheme(rel)
+    parametric = analyze_scheme(family_tensor(spec))
+    ex, par = explicit.params, parametric.params
+    degrees, mults, col1 = _expected_closed_forms(spec)
+    assert (ex.n, ex.d) == (par.n, par.d) == (495, 4)
+    assert list(ex.degrees) == list(par.degrees) == degrees
+    assert list(ex.multiplicities) == list(par.multiplicities) == mults
+    assert float(np.max(np.abs(ex.P[:, 1] - col1))) <= 1e-9
+    assert float(np.max(np.abs(ex.P - par.P))) <= 1e-9
+    assert float(np.max(np.abs(ex.Q - par.Q))) <= 1e-9
+    assert float(np.max(np.abs(ex.krein - par.krein))) <= 1e-7
+    assert [(v.kind, v.base_index, v.status, v.ordering) for v in explicit.verdicts] == \
+        [(v.kind, v.base_index, v.status, v.ordering) for v in parametric.verdicts]
+    assert explicit.verdicts[3].ordering == (0, 1, 2, 3, 4)
+    idems = idempotents(rel)
+    trace_route = krein_trace_reference(projectors(idems), idems.multiplicities)
+    assert float(np.max(np.abs(ex.krein - trace_route))) <= 1e-7
 
 
 def test_analyze_scheme_refuses_before_the_axioms():

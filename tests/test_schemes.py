@@ -12,7 +12,9 @@ from conftest import (
     analyzed_scheme,
     catalog_graph,
     idempotents_reference,
+    krein_trace_reference,
     max_abs_diff,
+    projectors,
     validate_scheme_axiom_4_reference,
 )
 from polyscheme.errors import (
@@ -32,7 +34,6 @@ from polyscheme.schemes import (
     format_relation_matrix,
     from_distance_data,
     idempotents,
-    krein_parameters,
     parametric_parameters,
     parse_intersection_tensor,
     parse_relation_matrix,
@@ -184,7 +185,7 @@ def test_idempotents_match_graph_projectors():
     scheme = analyzed_scheme("petersen")
     family = spectral_projectors(catalog_graph("petersen"))
     assert len(scheme.idems.blocks) == len(family.blocks) == 3
-    for i, e in enumerate(scheme.idems.projectors):
+    for i, e in enumerate(projectors(scheme.idems)):
         assert max_abs_diff(e, family.projector(i)) < 1e-9
 
 
@@ -220,8 +221,8 @@ def test_idempotents_match_dense_reference(name, seed_set):
     params = eigenmatrices(rel, idems, p=validate_scheme(rel))
     assert idems.multiplicities == params.multiplicities == tuple(ref.multiplicities)
     # Projector by projector, so the eigenspace order is compared too.
-    assert len(idems.projectors) == len(ref.projectors)
-    for e, e_ref in zip(idems.projectors, ref.projectors):
+    assert len(idems.blocks) == len(ref.projectors)
+    for e, e_ref in zip(projectors(idems), ref.projectors):
         assert float(np.max(np.abs(e - e_ref))) < 1e-9
     for got in (idems.eigenvalues, params.P):
         assert float(np.max(np.abs(got - ref.P))) < 1e-9
@@ -253,7 +254,7 @@ def test_idempotents_exhaust_seeds():
 
 
 def test_idempotent_family_properties(scheme_case):
-    idems = scheme_case.idems.projectors
+    idems = projectors(scheme_case.idems)
     params = scheme_case.params
     n, d = params.n, params.d
     assert len(idems) == d + 1
@@ -275,7 +276,7 @@ def test_idempotents_diagonalize_classes(scheme_case):
     rel, idems, params = scheme_case.rel, scheme_case.idems, scheme_case.params
     for i in range(params.d + 1):
         ai = rel.adjacency(i).astype(float)
-        for j, e in enumerate(idems.projectors):
+        for j, e in enumerate(projectors(idems)):
             assert float(np.max(np.abs(ai @ e - params.P[j, i] * e))) < 1e-7
 
 
@@ -285,6 +286,9 @@ def test_eigenmatrices_petersen_frozen():
     assert params.multiplicities == (1, 5, 4)
     assert max_abs_diff(params.P, PETERSEN_P) < 1e-9
     assert max_abs_diff(params.Q, PETERSEN_Q) < 1e-9
+    # The comparison is entrywise, so a transposed eigenmatrix fails it.
+    assert max_abs_diff(params.P.T, PETERSEN_P) > 1.0
+    assert max_abs_diff(params.Q.T, PETERSEN_Q) > 1.0
 
 
 def test_eigenmatrix_identities(scheme_case):
@@ -306,10 +310,12 @@ def test_eigenmatrices_rejects_foreign_idempotents():
 
 
 def test_krein_two_routes_agree(scheme_case):
+    # The formula from P and Q against trace products of the dense
+    # idempotents of the reference route.
     params = scheme_case.params
-    trace_route = krein_parameters(scheme_case.idems)
-    formula_route = np.einsum("ku,ui,uj->ijk", params.P, params.Q, params.Q) / params.n
-    assert float(np.max(np.abs(trace_route - formula_route))) < 1e-7
+    ref = idempotents_reference(scheme_case.rel)
+    trace_route = krein_trace_reference(ref.projectors, ref.multiplicities)
+    assert float(np.max(np.abs(params.krein - trace_route))) < 1e-7
     assert params.krein.min() > -1e-7
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 when no check failed, 1 when some check reports failure,
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -47,6 +48,16 @@ def _matrix_block(mat) -> list[str]:
     cells = [[_fmt(v) for v in row] for row in mat]
     width = max(len(c) for row in cells for c in row)
     return ["  " + "  ".join(c.rjust(width) for c in row) for row in cells]
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return tol
 
 
 def cmd_gen(args) -> int:
@@ -125,9 +136,11 @@ def _verdict_line(label: str, v) -> str:
 
 
 def cmd_analyze_scheme(args) -> int:
-    parse = schemes.parse_intersection_tensor if args.parametric else schemes.parse_relation_matrix
+    text = _read(args.path)
+    scheme = (schemes.parse_intersection_tensor(text) if args.parametric
+              else schemes.parse_relation_matrix(text, args.max_dense))
     analysis = polyprops.analyze_scheme(
-        parse(_read(args.path)), args.tol, schemes.SEED_SETS[args.seed_set], args.max_dense)
+        scheme, args.tol, schemes.SEED_SETS[args.seed_set], args.max_dense)
     params, verdicts, reports = analysis.params, analysis.verdicts, analysis.reports
     d = params.d
     if args.json:
@@ -163,8 +176,8 @@ def cmd_analyze_scheme(args) -> int:
 
 
 def cmd_analyze_gram(args) -> int:
-    m = spherical.parse_gram_matrix(_read(args.path))
-    sph = spherical.from_gram(m, args.tol, max_dense=args.max_dense)
+    m = spherical.parse_gram_matrix(_read(args.path), args.max_dense)
+    sph = spherical.from_gram(m, args.tol, max_dense=None)
     rep = spherical.verify_sphere_theorem(
         sph, args.tol, route=args.route, declared_d=args.declared_d)
     if args.json:
@@ -290,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, seeds=False):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="numerical tolerance (default 1e-9)")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help="numerical tolerance, finite and positive (default 1e-9)")
         p.add_argument("--max-dense", type=int, default=DEFAULT_MAX_DENSE,
                        help="largest dense matrix side accepted")
         p.add_argument("--json", action="store_true", help="machine-readable output")

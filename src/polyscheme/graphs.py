@@ -17,7 +17,6 @@ from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
     EigenClusters,
-    SymMatrix,
     check_dense_limit,
     cluster_spectrum,
     eigen_clusters,
@@ -64,17 +63,19 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def adjacency_matrix(self, max_dense: int | None = DEFAULT_MAX_DENSE) -> SymMatrix:
-        """The dense 0/1 adjacency matrix, built once; every call checks the limit."""
+    def adjacency_matrix(self, max_dense: int | None = DEFAULT_MAX_DENSE) -> np.ndarray:
+        """The dense 0/1 adjacency matrix, built once and read-only; every
+        call checks the limit."""
         check_dense_limit(self.n, max_dense)
         return self._adjacency
 
     @cached_property
-    def _adjacency(self) -> SymMatrix:
+    def _adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for u, nb in enumerate(self.neighbors):
             a[u, list(nb)] = 1.0
-        return SymMatrix(a)
+        a.setflags(write=False)
+        return a
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nb) for nb in self.neighbors)
@@ -115,7 +116,7 @@ class DistanceData:
 def distance_data(g: Graph, max_dense: int | None = DEFAULT_MAX_DENSE) -> DistanceData:
     """Distances, geodesic counts and girth of g, which may be disconnected.
     Graphs above max_dense are refused before anything n x n is allocated."""
-    return adjacency_distances(g.adjacency_matrix(max_dense).a)
+    return adjacency_distances(g.adjacency_matrix(max_dense))
 
 
 def _neighbour_table(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +247,7 @@ def spectral_projectors(
     """
     if g.regular_degree() is None:
         raise GraphStructureError("not regular: spectral projector analysis needs a regular graph")
-    w, vecs = np.linalg.eigh(g.adjacency_matrix(max_dense).a)
+    w, vecs = np.linalg.eigh(g.adjacency_matrix(max_dense))
     spectrum, labels = cluster_spectrum(w, tol)
     if spectrum.multiplicities[0] > 1:
         raise GraphStructureError("not connected: spectral projector analysis needs a connected graph")

@@ -1,5 +1,7 @@
 """Dense symmetric-matrix kernel: eigenvalue clustering, numerical rank,
 and the entrywise polynomial calculus used by the rest of the package.
+The kernels take and return plain ndarrays and trust their callers to
+pass symmetric ones; spherical.from_gram admits a caller's matrix.
 
 All tolerances are absolute.  The default of 1e-9 suits matrices whose
 entries are O(1)..O(1e3), which covers every catalog object here.
@@ -21,46 +23,6 @@ def check_dense_limit(n: int, max_dense: int | None = DEFAULT_MAX_DENSE) -> None
     """Refuse dense O(n^3) work above the cap; pass max_dense=None to lift it."""
     if max_dense is not None and n > max_dense:
         raise DenseLimitError(n, max_dense)
-
-
-class SymMatrix:
-    """Immutable dense real symmetric matrix.
-
-    Input is symmetrized as (A + A')/2 and frozen.  Entries must be finite.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] == 0:
-            raise ValueError("matrix must have at least one row")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        a = (a + a.T) / 2.0
-        a.setflags(write=False)
-        self._a = a
-
-    @property
-    def n(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def a(self) -> np.ndarray:
-        """The underlying (read-only) ndarray."""
-        return self._a
-
-    def __getitem__(self, key):
-        return self._a[key]
-
-    def __repr__(self) -> str:
-        return f"SymMatrix(n={self.n})"
-
-
-def as_sym(m) -> SymMatrix:
-    return m if isinstance(m, SymMatrix) else SymMatrix(m)
 
 
 def snap_to_int(x: float, tol: float = DEFAULT_TOL) -> float:
@@ -85,8 +47,8 @@ def cluster_values(raw, tol: float = DEFAULT_TOL):
     arr = np.asarray(raw, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("cannot cluster an empty value list")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tolerance must be finite and positive")
     order = np.argsort(-arr, kind="stable")
     svals = arr[order]
     gaps = svals[:-1] - svals[1:]
@@ -165,9 +127,8 @@ def eigen_clusters(
     max_dense: int | None = DEFAULT_MAX_DENSE,
 ) -> EigenClusters:
     """Clustered spectrum of a symmetric matrix, in decreasing order."""
-    m = as_sym(m)
-    check_dense_limit(m.n, max_dense)
-    return cluster_spectrum(np.linalg.eigvalsh(m.a), tol)[0]
+    check_dense_limit(len(m), max_dense)
+    return cluster_spectrum(np.linalg.eigvalsh(m), tol)[0]
 
 
 def cluster_spectrum(w, tol: float = DEFAULT_TOL):
@@ -192,27 +153,24 @@ def k_factor(values, i: int) -> float:
     return out
 
 
-def rank_tol(m, tol: float = DEFAULT_TOL, max_dense: int | None = DEFAULT_MAX_DENSE) -> int:
+def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues of magnitude > tol."""
-    m = as_sym(m)
-    check_dense_limit(m.n, max_dense)
-    w = np.linalg.eigvalsh(m.a)
-    return int(np.count_nonzero(np.abs(w) > tol))
+    return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(m)) > tol))
 
 
-def eval_matrix_poly(coeffs, m) -> SymMatrix:
+def eval_matrix_poly(coeffs, m) -> np.ndarray:
     """Evaluate sum_t coeffs[t] * M^(t) by Horner's rule, where M^(t) is the
-    entrywise power (degree-0 term is the all-ones matrix)."""
-    m = as_sym(m)
+    entrywise power (degree-0 term is the all-ones matrix).  Each step acts
+    entrywise, so a symmetric M gives a symmetric result."""
     cs = [float(c) for c in coeffs]
     if not cs:
         raise ValueError("coefficient list must be nonempty")
-    n = m.n
+    n = len(m)
     acc = np.zeros((n, n))
     ones = np.ones((n, n))
     for c in reversed(cs):
-        acc = acc * m.a + c * ones
-    return SymMatrix(acc)
+        acc = acc * m + c * ones
+    return acc
 
 
 def poly_from_roots(roots, scale: float = 1.0) -> list[float]:

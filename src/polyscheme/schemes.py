@@ -389,10 +389,11 @@ def parametric_parameters(
 
 # --- relation-matrix text format ------------------------------------------
 # First line "n d", then n rows of n labels.  Blank lines and "#" comments
-# are ignored.
+# are ignored.  A header n above the dense limit is refused before any row
+# is read.
 
 
-def parse_relation_matrix(text: str) -> RelationPartition:
+def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> RelationPartition:
     header = None
     rows: list[list[int]] = []
     for line_no, tokens in content_lines(text):
@@ -403,6 +404,7 @@ def parse_relation_matrix(text: str) -> RelationPartition:
         if header is None:
             if len(nums) != 2:
                 raise ParseError(line_no, "header must be 'n d'")
+            check_dense_limit(nums[0], max_dense)
             header = (nums[0], nums[1])
             continue
         if len(nums) != header[0]:

@@ -15,7 +15,6 @@ from .errors import GramError, ParseError, SchurDisconnectedError, content_lines
 from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
-    SymMatrix,
     check_dense_limit,
     cluster_values,
     eigen_clusters,
@@ -47,10 +46,11 @@ class SphericalSet:
 
     values[0] is the diagonal 1; values[1:] are the clustered distinct
     off-diagonal inner products in decreasing order, all below 1.
-    labels[x, y] indexes values, with 0 exactly on the diagonal.
+    labels[x, y] indexes values, with 0 exactly on the diagonal.  gram is
+    read-only and exactly symmetric.
     """
 
-    gram: SymMatrix
+    gram: np.ndarray
     dimension: int
     values: tuple[float, ...]
     labels: np.ndarray
@@ -58,7 +58,7 @@ class SphericalSet:
 
     @property
     def n(self) -> int:
-        return self.gram.n
+        return len(self.gram)
 
     @property
     def s(self) -> int:
@@ -77,31 +77,40 @@ def from_gram(
     tol: float = DEFAULT_TOL,
     max_dense: int | None = DEFAULT_MAX_DENSE,
 ) -> SphericalSet:
-    """Build a SphericalSet from a Gram matrix, a SymMatrix or an array.
+    """Admit a caller's matrix as the Gram matrix of a SphericalSet.
 
-    The set is admitted here against max_dense; the checks that read it do
-    not check the limit again.  Requires unit diagonal within tol (then
-    snapped to exactly 1), positive semidefiniteness within tol, and no
-    off-diagonal value at 1 (repeated points).  The number of distinct
-    inner products is decided by clustering at tol.
+    The matrix must be square, non-empty and finite (ValueError), have at
+    most max_dense rows, and have unit diagonal within tol.  It is then
+    symmetrized once, as (A + A^T)/2, into the set's own read-only copy,
+    with the diagonal snapped to exactly 1; the checks that read the set
+    trust it and check no limit again.  Requires positive semidefiniteness
+    within tol and no off-diagonal value at 1 (repeated points).  The
+    number of distinct inner products is decided by clustering at tol.
     """
-    src = m.a if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    src = np.asarray(m, dtype=float)
+    if src.ndim != 2 or src.shape[0] != src.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {src.shape}")
+    if src.shape[0] == 0:
+        raise ValueError("matrix must have at least one row")
     check_dense_limit(len(src), max_dense)
+    if not np.all(np.isfinite(src)):
+        raise ValueError("matrix entries must be finite")
     diag_dev = float(np.max(np.abs(np.diagonal(src) - 1.0)))
     if not diag_dev <= tol:
         raise GramError(f"diagonal deviates from 1 by {diag_dev:.3g} > tol")
-    a = np.array(src)
-    np.fill_diagonal(a, 1.0)
-    gram = SymMatrix(a)
-    n = gram.n
-    w = np.linalg.eigvalsh(gram.a)
+    gram = src + src.T
+    gram /= 2.0
+    np.fill_diagonal(gram, 1.0)
+    gram.setflags(write=False)
+    n = len(gram)
+    w = np.linalg.eigvalsh(gram)
     wmin = float(w.min())
     if wmin < -tol:
         raise GramError(f"not positive semidefinite: least eigenvalue {wmin:.3g}")
     labels = np.zeros((n, n), dtype=int)
     off = ~np.eye(n, dtype=bool)
     if n > 1:
-        vals, _, lab = cluster_values(gram.a[off], tol)
+        vals, _, lab = cluster_values(gram[off], tol)
         if vals[0] >= 1.0 - tol:
             raise GramError(f"repeated points: off-diagonal inner product {vals[0]:.6g}")
         labels[off] = lab + 1
@@ -150,7 +159,7 @@ def schur_diameter(sph: SphericalSet, tol: float = DEFAULT_TOL, seeds=SCHUR_SEED
         if t == sph.s:
             trials.append(poly_from_roots(sph.values[1:]))
         for coeffs in trials:
-            if rank_tol(eval_matrix_poly(coeffs, sph.gram), tol, max_dense=None) == sph.n:
+            if rank_tol(eval_matrix_poly(coeffs, sph.gram), tol) == sph.n:
                 return t
     raise SchurDisconnectedError(sph.s)
 
@@ -208,7 +217,7 @@ def verify_sphere_theorem(
     failures = []
     for i in range(1, d + 1):
         ki = k_factor(sph.values, i)
-        ai = SymMatrix(sph.distance_class(i))
+        ai = sph.distance_class(i)
         spec_i = eigen_clusters(ai, tol, max_dense=None)
         mult = spec_i.multiplicity_of(-ki, 10 * tol)
         roots = [sph.values[j] for j in range(1, d + 1) if j != i]
@@ -216,8 +225,8 @@ def verify_sphere_theorem(
         for r in roots:
             denom *= sph.values[i] - r
         interp = eval_matrix_poly(poly_from_roots(roots, 1.0 / denom), sph.gram)
-        target = ki * np.eye(n) + ai.a
-        resid = float(np.max(np.abs(interp.a - target)))
+        target = ki * np.eye(n) + ai
+        resid = float(np.max(np.abs(interp - target)))
         checks.append({
             "class": i,
             "k_star": ki,
@@ -245,10 +254,11 @@ def verify_sphere_theorem(
 
 # --- Gram-matrix text format ----------------------------------------------
 # First line "n", then n rows of n reals.  Blank lines and "#" comments are
-# ignored.  Entries are symmetrized on load.
+# ignored.  A header n above the dense limit is refused before any row is
+# read.  The matrix is returned as read; from_gram symmetrizes it.
 
 
-def parse_gram_matrix(text: str) -> SymMatrix:
+def parse_gram_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> np.ndarray:
     n = None
     rows: list[list[float]] = []
     row_lines: list[int] = []
@@ -262,6 +272,7 @@ def parse_gram_matrix(text: str) -> SymMatrix:
                 raise ParseError(line_no, f"bad count {parts[0]!r}") from None
             if n < 1:
                 raise ParseError(line_no, f"count must be positive, got {n}")
+            check_dense_limit(n, max_dense)
             continue
         if len(rows) == n:
             raise ParseError(line_no, f"more than {n} rows")
@@ -281,11 +292,12 @@ def parse_gram_matrix(text: str) -> SymMatrix:
     bad_rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
     if bad_rows.size:
         raise ParseError(row_lines[bad_rows[0]], "entries must be finite")
-    return SymMatrix(a)
+    a.setflags(write=False)
+    return a
 
 
-def format_gram_matrix(m: SymMatrix) -> str:
-    lines = [str(m.n)]
-    for row in m.a:
+def format_gram_matrix(m) -> str:
+    lines = [str(len(m))]
+    for row in m:
         lines.append(" ".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from polyscheme.errors import (
     ToleranceAmbiguityError,
 )
 from polyscheme.generators import FamilySpec, build_graph, build_scheme
-from polyscheme.numerics import DEFAULT_TOL, SymMatrix, cluster_values
+from polyscheme.numerics import DEFAULT_TOL, cluster_values
 from polyscheme.schemes import DEFAULT_SEEDS, eigenmatrices, idempotents, validate_scheme
 from polyscheme.spherical import from_idempotent
 
@@ -47,11 +47,22 @@ AnalyzedScheme = namedtuple("AnalyzedScheme", "name rel p idems params")
 
 
 def max_abs_diff(x, y) -> float:
-    """Largest entrywise difference of two matrices, each an array or a
-    SymMatrix; neither is symmetrized, so a transpose does not pass."""
-    def entries(m):
-        return np.asarray(m.a if isinstance(m, SymMatrix) else m, dtype=float)
-    return float(np.max(np.abs(entries(x) - entries(y))))
+    """Largest entrywise difference of two matrices; neither is
+    symmetrized, so a transpose does not pass."""
+    return float(np.max(np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))))
+
+
+def fail_after_header(monkeypatch, module):
+    """Make the line reader of a parser module yield the header line and
+    then fail, so that reading any row after it raises AssertionError."""
+    read = module.content_lines
+
+    def header_only(text):
+        lines = read(text)
+        yield next(lines)
+        raise AssertionError("a row was read after the header")
+
+    monkeypatch.setattr(module, "content_lines", header_only)
 
 
 def projectors(idems):

@@ -5,6 +5,7 @@ stdout/stderr can be asserted without spawning interpreters.
 """
 
 import dataclasses
+import functools
 import importlib
 import io
 import json
@@ -14,9 +15,9 @@ import sys
 import numpy as np
 import pytest
 
-from polyscheme import graphs, numerics, schemes
+from conftest import fail_after_header
+from polyscheme import graphs, numerics, schemes, spherical
 from polyscheme.cli import main
-from polyscheme.numerics import SymMatrix
 from polyscheme.reports import reports_from_json
 from polyscheme.spherical import format_gram_matrix
 
@@ -55,15 +56,17 @@ def count_calls(monkeypatch, *qualnames):
 
 
 def count_dense_builds(monkeypatch):
-    """Count SymMatrix constructions; each dense adjacency build makes one."""
-    calls = {"SymMatrix": 0}
-    original = numerics.SymMatrix.__init__
+    """Count the dense adjacency matrices that Graph objects build."""
+    calls = {"adjacency": 0}
+    build = graphs.Graph._adjacency.func
 
-    def counted(self, entries):
-        calls["SymMatrix"] += 1
-        original(self, entries)
+    def counted(self):
+        calls["adjacency"] += 1
+        return build(self)
 
-    monkeypatch.setattr(numerics.SymMatrix, "__init__", counted)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(graphs.Graph, "_adjacency")
+    monkeypatch.setattr(graphs.Graph, "_adjacency", prop)
     return calls
 
 
@@ -117,7 +120,8 @@ def pentagon_gram(tmp_path):
     angles = 2 * math.pi * np.arange(5) / 5
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
     path = tmp_path / "pentagon.gram"
-    path.write_text(format_gram_matrix(SymMatrix(pts @ pts.T)))
+    gram = pts @ pts.T
+    path.write_text(format_gram_matrix((gram + gram.T) / 2))
     return path
 
 
@@ -196,7 +200,7 @@ class TestAnalyzeGraph:
         assert "[hypothesis-not-met]" in out
         # The spectrum of an irregular graph reads the adjacency that the
         # distances were computed from.
-        assert builds == {"SymMatrix": 1}
+        assert builds == {"adjacency": 1}
 
     def test_each_quantity_computed_once(self, petersen_edges, capsys, monkeypatch):
         calls = {"distance_data": 0, "spectral_projectors": 0, "girth": 0,
@@ -220,7 +224,7 @@ class TestAnalyzeGraph:
         # eigensolve.
         assert calls == {"distance_data": 1, "spectral_projectors": 1, "girth": 1,
                          "eigh": 1, "eigvalsh": 0}
-        assert builds == {"SymMatrix": 1}
+        assert builds == {"adjacency": 1}
 
     @pytest.mark.parametrize("header, argv, n, limit", [
         ("1000000000 0", (), 1000000000, numerics.DEFAULT_MAX_DENSE),
@@ -319,7 +323,7 @@ class TestAnalyzeScheme:
                             "spherical.from_gram", "spherical.schur_diameter",
                             "numerics.cluster_values")
         kernels = dict.fromkeys(("class matrix", "np.trace", "np.tensordot", "A_i @ E_j",
-                                 "U_j @ U_j^T", "SymMatrix(E_j)"), 0)
+                                 "U_j @ U_j^T"), 0)
 
         def tally(key, fn):
             def wrapper(*args, **kwargs):
@@ -355,13 +359,6 @@ class TestAnalyzeScheme:
             return dataclasses.replace(idems, blocks=tuple(u.view(Block) for u in idems.blocks))
 
         patch_everywhere(monkeypatch, counted_idempotents, block_idempotents)
-        sym_init = numerics.SymMatrix.__init__
-
-        def counted_init(self, entries):
-            kernels["SymMatrix(E_j)"] += is_projector(entries)
-            sym_init(self, entries)
-
-        monkeypatch.setattr(numerics.SymMatrix, "__init__", counted_init)
         code, _, _ = run(capsys, "analyze-scheme", str(petersen_rel), "--json")
         assert code == 0
         # One detector run per class (d = 2); the size condition reuses it.
@@ -378,10 +375,9 @@ class TestAnalyzeScheme:
         # matrix meets a dense projector; multiplicities are block widths,
         # not traces; the Krein numbers come from P and Q, with no trace
         # inner product; the only dense projectors are the d eigenspace
-        # Grams, each formed once from its block (E_0 never), and none is
-        # copied into a SymMatrix.
+        # Grams, each formed once from its block (E_0 never).
         assert kernels == {"class matrix": 3, "np.trace": 0, "np.tensordot": 0,
-                           "A_i @ E_j": 0, "U_j @ U_j^T": 2, "SymMatrix(E_j)": 0}
+                           "A_i @ E_j": 0, "U_j @ U_j^T": 2}
 
     def test_max_dense_reaches_every_stage(self, petersen_rel, capsys, monkeypatch):
         seen = record_dense_limits(monkeypatch)
@@ -411,6 +407,22 @@ class TestAnalyzeScheme:
         code, _, err = run(capsys, "analyze-scheme", str(petersen_rel), "--max-dense", "5")
         assert code == 2
         assert err.startswith("error: dense computation refused for n=10 > limit 5")
+
+    @pytest.mark.parametrize("text, argv, n, limit", [
+        ("6000 2\n", (), 6000, numerics.DEFAULT_MAX_DENSE),
+        ("4 1\n0 1 1 1\n1 0 x 1\n1 1 0 1\n1 1 1 0\n", ("--max-dense", "3"), 4, 3),
+    ])
+    def test_oversized_header_refused_before_rows(self, tmp_path, capsys, monkeypatch,
+                                                  text, argv, n, limit):
+        fail_after_header(monkeypatch, schemes)
+        seen = record_dense_limits(monkeypatch)
+        path = tmp_path / "big.rel"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze-scheme", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: dense computation refused for n={n} > limit {limit}; " \
+                      "raise the limit explicitly to proceed\n"
+        assert seen == [limit]
 
     def test_tensor_value_overflow_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "huge.tensor"
@@ -466,6 +478,23 @@ class TestAnalyzeGram:
         # read it never fall back to the default.
         assert [limit for limit in seen if limit is not None] == [7]
 
+    @pytest.mark.parametrize("text, argv, n, limit", [
+        ("6000\n", (), 6000, numerics.DEFAULT_MAX_DENSE),
+        ("4\n1 0 0 0\n0 1 zz 0\n0 0 1 0\n0 0 0 1\n", ("--max-dense", "3"), 4, 3),
+    ])
+    def test_oversized_header_refused_before_rows(self, tmp_path, capsys, monkeypatch,
+                                                  text, argv, n, limit):
+        fail_after_header(monkeypatch, spherical)
+        seen = record_dense_limits(monkeypatch)
+        path = tmp_path / "big.gram"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze-gram", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: dense computation refused for n={n} > limit {limit}; " \
+                      "raise the limit explicitly to proceed\n"
+        # The parser made the only check, against the given limit.
+        assert seen == [limit]
+
     @pytest.mark.parametrize("route", ["size", "schur"])
     def test_single_point_has_nothing_to_force(self, capsys, monkeypatch, route):
         monkeypatch.setattr(sys, "stdin", io.StringIO("1\n1.0\n"))
@@ -481,6 +510,24 @@ class TestAnalyzeGram:
         code, _, err = run(capsys, "analyze-gram", str(path))
         assert code == 2
         assert err.startswith("error: line 2:")
+
+
+@pytest.mark.parametrize("command, fixture", [
+    ("analyze-graph", "petersen_edges"),
+    ("analyze-scheme", "petersen_rel"),
+    ("analyze-gram", "pentagon_gram"),
+])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_tolerance_must_be_finite_and_positive(request, capsys, command, fixture, tol):
+    path = request.getfixturevalue(fixture)
+    with pytest.raises(SystemExit) as info:
+        main([command, f"--tol={tol}", str(path)])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: polyscheme " + command)
+    assert captured.err.endswith(
+        f"error: argument --tol: must be finite and positive, got {tol!r}\n")
 
 
 class TestBounds:

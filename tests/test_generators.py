@@ -70,7 +70,7 @@ def test_build_graph_shape(name, args, n, edges, degree):
 
 def test_paley13_srg_certificate():
     # SRG(13, 6, 2, 3): A^2 = 6I + 2A + 3(J - I - A), exactly.
-    a = catalog_graph("paley13").adjacency_matrix().a
+    a = catalog_graph("paley13").adjacency_matrix()
     j = np.ones((13, 13))
     eye = np.eye(13)
     assert max_abs_diff(a @ a, 6 * eye + 2 * a + 3 * (j - eye - a)) == 0.0
@@ -87,8 +87,8 @@ def test_paley13_spectrum():
 
 def test_petersen_triangular_complement():
     # Kneser(5,2) and the line graph of K_5 partition the same pair set.
-    pet = catalog_graph("petersen").adjacency_matrix().a
-    tri = catalog_graph("triangular5").adjacency_matrix().a
+    pet = catalog_graph("petersen").adjacency_matrix()
+    tri = catalog_graph("triangular5").adjacency_matrix()
     assert max_abs_diff(pet + tri + np.eye(10), np.ones((10, 10))) == 0.0
 
 

@@ -116,7 +116,7 @@ def test_hoffman_singleton_certificate():
     # parameters independently of any spectral code.
     g = catalog_graph("hoffman-singleton")
     assert g.n == 50 and g.regular_degree() == 7
-    a = g.adjacency_matrix().a
+    a = g.adjacency_matrix()
     assert np.trace(a @ a @ a) == 0.0
     lhs = a @ a + a - 6.0 * np.eye(50)
     assert max_abs_diff(lhs, np.ones((50, 50))) == 0.0
@@ -161,7 +161,7 @@ def test_projectors_match_eigenbasis_oracle(name):
     # Independent route: group eigh eigenvectors by cluster and form V V'.
     g = catalog_graph(name)
     family = spectral_projectors(g)
-    w, vecs = np.linalg.eigh(g.adjacency_matrix().a)
+    w, vecs = np.linalg.eigh(g.adjacency_matrix())
     for i, value in enumerate(family.spectrum.values):
         proj = family.projector(i)
         cols = vecs[:, np.abs(w - value) < 1e-6]
@@ -397,7 +397,7 @@ def test_default_cost_rule_gathers_on_a_long_cycle(monkeypatch):
         return real_zeros(shape, *args, **kwargs)
 
     g = cycle(201)
-    a = g.adjacency_matrix().a
+    a = g.adjacency_matrix()
     monkeypatch.setattr(np, "zeros", zeros)
     dd = graphs.adjacency_distances(a)
     assert dd.diameter == 100 and g.n ** 2 not in steps
@@ -427,7 +427,7 @@ def _mutated_distances(monkeypatch, mutate):
 
 
 def _walks(g, length):
-    return np.linalg.matrix_power(g.adjacency_matrix().a, length)
+    return np.linalg.matrix_power(g.adjacency_matrix(), length)
 
 
 # On C_5 the 3-walks between vertices at distance 2 happen to number 1, so

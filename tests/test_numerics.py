@@ -1,5 +1,5 @@
-"""Numerical kernel: clustering discipline, symmetric-matrix wrapper, and
-the entrywise polynomial calculus."""
+"""Numerical kernel: clustering discipline, numerical rank, and the
+entrywise polynomial calculus."""
 
 import math
 
@@ -12,7 +12,6 @@ from conftest import catalog_graph, cluster_values_reference, max_abs_diff
 from polyscheme.errors import DenseLimitError, ToleranceAmbiguityError
 from polyscheme.numerics import (
     EigenClusters,
-    SymMatrix,
     check_dense_limit,
     cluster_values,
     eigen_clusters,
@@ -21,24 +20,6 @@ from polyscheme.numerics import (
     rank_tol,
     snap_to_int,
 )
-
-
-def test_sym_matrix_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        SymMatrix([[1.0, 2.0, 3.0]])
-    with pytest.raises(ValueError):
-        SymMatrix(np.zeros((0, 0)))
-    with pytest.raises(ValueError):
-        SymMatrix([[0.0, np.inf], [np.inf, 0.0]])
-
-
-def test_sym_matrix_symmetrizes_and_freezes():
-    m = SymMatrix([[0.0, 2.0], [0.0, 0.0]])
-    assert m[0, 1] == 1.0 and m[1, 0] == 1.0
-    with pytest.raises(ValueError):
-        m.a[0, 0] = 5.0
-    assert SymMatrix(np.eye(3)).n == 3
-    assert np.all(SymMatrix(np.ones((2, 2))).a == 1.0)
 
 
 def test_snap_to_int():
@@ -54,6 +35,12 @@ def test_cluster_values_groups_and_labels():
     assert values[0] == 3.0 and values[2] == -2.0
     assert abs(values[1] - (1.0 + 2.5e-10)) < 1e-15
     assert list(labels) == [1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_cluster_values_refuses_a_tolerance_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        cluster_values([1.0, 2.0], tol)
 
 
 def test_cluster_values_ambiguous_gap():
@@ -189,15 +176,18 @@ def test_check_dense_limit():
 def test_eval_matrix_poly_hadamard():
     rng = np.random.default_rng(0xFACE)
     a = rng.standard_normal((5, 5))
-    m = SymMatrix(a + a.T)
+    m = a + a.T
     coeffs = [2.0, -1.0, 0.5]
-    direct = 2.0 * np.ones((5, 5)) - m.a + 0.5 * m.a * m.a
-    assert max_abs_diff(eval_matrix_poly(coeffs, m), direct) < 1e-12
+    direct = 2.0 * np.ones((5, 5)) - m + 0.5 * m * m
+    got = eval_matrix_poly(coeffs, m)
+    assert max_abs_diff(got, direct) < 1e-12
+    # Horner acts entrywise, so a symmetric input gives an exactly symmetric result.
+    assert np.array_equal(got, got.T)
 
 
 def test_eval_matrix_poly_rejects():
     with pytest.raises(ValueError):
-        eval_matrix_poly([], SymMatrix(np.eye(2)))
+        eval_matrix_poly([], np.eye(2))
 
 
 def test_poly_from_roots():

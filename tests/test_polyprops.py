@@ -7,7 +7,7 @@ import functools
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -391,4 +391,50 @@ def test_scheme_reports_ignore_point_labels(name, seed):
     assert [(r.subject, r.status) for r in got.reports] == \
         [(r.subject, r.status) for r in base.reports]
     for r, b in zip(got.reports, base.reports):
+        assert same_evidence(r.evidence, b.evidence)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(PERMUTATION_SPECS)), st.integers(0, 2**32 - 1))
+@example("johnson73", 0)  # sigma = tau^-1 = (0 3 1 2); the sphere reports move
+def test_scheme_reports_ignore_class_labels(name, seed):
+    """Renaming classes 1..d by sigma renames the columns of P, and through
+    the class-1 eigenvalues it may reorder the eigenspaces by some tau.
+    Degrees, multiplicities, verdicts, orderings and witnesses map through
+    sigma (classes) and tau (eigenspaces); each sphere report moves with
+    its eigenspace."""
+    rel, base = unpermuted_analysis(name)
+    d = rel.d
+    sigma = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(d)))
+    got = analyze_scheme(RelationPartition.from_matrix(sigma[rel.labels], d=d))
+    # Row tau[j] of the relabelled P, read in the old class order, is row j.
+    renamed = got.params.P[:, sigma]
+    tau = []
+    for row in base.params.P:
+        (match,) = np.flatnonzero(np.max(np.abs(renamed - row), axis=1) <= 1e-9)
+        tau.append(int(match))
+    assert sorted(tau) == list(range(d + 1)) and tau[0] == 0
+    for i in range(d + 1):
+        assert got.params.degrees[sigma[i]] == base.params.degrees[i]
+        assert got.params.multiplicities[tau[i]] == base.params.multiplicities[i]
+    for k in range(1, d + 1):
+        for offset in range(6):
+            rename = sigma if offset < 3 else tau
+            b = base.verdicts[6 * (k - 1) + offset]
+            v = got.verdicts[6 * (rename[k] - 1) + offset]
+            assert (v.kind, v.base_index, v.status) == (b.kind, rename[k], b.status)
+            if b.ordering is None:
+                assert v.ordering is None
+            else:
+                assert v.ordering == tuple(int(rename[t]) for t in b.ordering)
+            for key in ("witness_l", "candidate_ordering"):
+                assert (key in v.evidence) == (key in b.evidence)
+            if "witness_l" in b.evidence:
+                assert v.evidence["witness_l"] == rename[b.evidence["witness_l"]]
+            if "candidate_ordering" in b.evidence:
+                assert v.evidence["candidate_ordering"] == \
+                    [int(rename[t]) for t in b.evidence["candidate_ordering"]]
+        b, r = base.reports[k - 1], got.reports[tau[k] - 1]
+        assert r.status == b.status
+        assert r.subject == b.subject.replace(f"eigenspace={k})", f"eigenspace={tau[k]})")
         assert same_evidence(r.evidence, b.evidence)

@@ -11,6 +11,7 @@ from conftest import (
     SCHEME_SPECS,
     analyzed_scheme,
     catalog_graph,
+    fail_after_header,
     idempotents_reference,
     krein_trace_reference,
     max_abs_diff,
@@ -23,8 +24,10 @@ from polyscheme.errors import (
     ParseError,
     SchemeAxiomError,
 )
+from polyscheme import schemes
 from polyscheme.generators import FamilySpec, build_scheme
 from polyscheme.graphs import distance_data, spectral_projectors
+from polyscheme.numerics import DEFAULT_MAX_DENSE
 from polyscheme.schemes import (
     SEED_SETS,
     RelationPartition,
@@ -387,6 +390,24 @@ def test_relation_matrix_round_trip():
 def test_relation_matrix_comments_and_blanks_ignored():
     text = "# C_3\n3 1\n\n0 1 1  # row 0\n1 0 1\n1 1 0#last\n"
     assert parse_relation_matrix(text).labels.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("text, kwargs, n, limit", [
+    ("6000 2\n", {}, 6000, DEFAULT_MAX_DENSE),
+    ("4 1\n0 1 1 1\n1 0 x 1\n1 1 0 1\n1 1 1 0\n", {"max_dense": 3}, 4, 3),
+])
+def test_relation_matrix_header_refused_before_any_row(monkeypatch, text, kwargs, n, limit):
+    fail_after_header(monkeypatch, schemes)
+    with pytest.raises(DenseLimitError) as info:
+        parse_relation_matrix(text, **kwargs)
+    assert (info.value.n, info.value.limit) == (n, limit)
+
+
+def test_relation_matrix_bad_row_under_the_limit_and_lifted_limit():
+    with pytest.raises(ParseError) as err:
+        parse_relation_matrix("4 1\n0 1 1 1\n1 0 x 1\n1 1 0 1\n1 1 1 0\n", max_dense=4)
+    assert err.value.line_no == 3
+    assert parse_relation_matrix("2 1\n0 1\n1 0\n", max_dense=None).n == 2
 
 
 def test_relation_matrix_parse_errors():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCHEME_SPECS, analyzed_scheme, same_evidence
-from polyscheme.errors import GramError, ParseError, SchurDisconnectedError
-from polyscheme.numerics import SymMatrix, k_factor
+from conftest import SCHEME_SPECS, analyzed_scheme, fail_after_header, same_evidence
+from polyscheme import spherical
+from polyscheme.errors import DenseLimitError, GramError, ParseError, SchurDisconnectedError
+from polyscheme.numerics import DEFAULT_MAX_DENSE, k_factor
 from polyscheme.polyprops import POLYNOMIAL, q_polynomial_ordering
 from polyscheme.reports import HYPOTHESIS_NOT_MET, PASS
 from polyscheme.spherical import (
@@ -32,7 +33,9 @@ def regular_polygon(n):
 
 
 def gram_of(points):
-    return SymMatrix(points @ points.T)
+    """The exactly symmetric Gram matrix of the rows of points."""
+    g = points @ points.T
+    return (g + g.T) / 2
 
 
 PENTAGON = gram_of(regular_polygon(5))
@@ -48,7 +51,7 @@ def johnson2_sphere(v, seed):
     vecs[np.arange(len(pairs)), pairs[:, 0]] += 1.0
     vecs[np.arange(len(pairs)), pairs[:, 1]] += 1.0
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return SymMatrix(vecs @ vecs.T)
+    return gram_of(vecs)
 
 
 class TestAbsoluteBound:
@@ -76,7 +79,7 @@ class TestAbsoluteBound:
 
 class TestFromGram:
     def test_orthonormal_basis(self):
-        sph = from_gram(SymMatrix(np.eye(4)))
+        sph = from_gram(np.eye(4))
         assert sph.n == 4
         assert sph.s == 1
         assert sph.dimension == 4
@@ -102,16 +105,40 @@ class TestFromGram:
 
     def test_bad_diagonal(self):
         with pytest.raises(GramError, match="diagonal deviates from 1"):
-            from_gram(SymMatrix(np.diag([1.0, 2.0])))
+            from_gram(np.diag([1.0, 2.0]))
 
     def test_not_psd(self):
         g = np.array([[1.0, -2.0], [-2.0, 1.0]])
         with pytest.raises(GramError, match="not positive semidefinite"):
-            from_gram(SymMatrix(g))
+            from_gram(g)
 
     def test_repeated_points(self):
         with pytest.raises(GramError, match="repeated points"):
-            from_gram(SymMatrix(np.ones((3, 3))))
+            from_gram(np.ones((3, 3)))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            from_gram([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="at least one row"):
+            from_gram(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="must be finite"):
+            from_gram([[0.0, np.inf], [np.inf, 0.0]])
+
+    def test_shape_checks_come_before_the_limit(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            from_gram(np.ones((3, 2)), max_dense=2)
+        with pytest.raises(DenseLimitError):
+            from_gram([[0.0, np.inf], [np.inf, 0.0]], max_dense=1)
+
+    def test_symmetrizes_snaps_and_freezes(self):
+        src = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]])
+        sph = from_gram(src)
+        assert sph.gram[0, 1] == 0.5 and sph.gram[1, 0] == 0.5
+        assert sph.gram[1, 1] == 1.0
+        assert src[0, 1] == 1.0 and src[1, 1] == 1.0 + 1e-10
+        with pytest.raises(ValueError):
+            sph.gram[0, 0] = 5.0
+        assert from_gram(np.eye(3)).n == 3
 
 
     def test_johnson_28_2_at_scale(self):
@@ -184,7 +211,7 @@ class TestKStar:
 
 class TestSchurDiameter:
     def test_orthonormal_basis(self):
-        assert schur_diameter(from_gram(SymMatrix(np.eye(5)))) == 1
+        assert schur_diameter(from_gram(np.eye(5))) == 1
 
     def test_pentagon(self):
         assert schur_diameter(from_gram(PENTAGON)) == 2
@@ -337,7 +364,7 @@ INVARIANCE_GRAMS = {
 def test_sphere_reports_ignore_labels_and_coordinates(name, seed):
     """Relabelling the points, or rotating them and recomputing the Gram
     matrix, leaves both routes' reports unchanged."""
-    gram = INVARIANCE_GRAMS[name]().a
+    gram = INVARIANCE_GRAMS[name]()
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(gram))
     w, v = np.linalg.eigh(gram)
@@ -357,13 +384,36 @@ class TestGramIO:
         text = format_gram_matrix(PENTAGON)
         assert text.splitlines()[0] == "5"
         back = parse_gram_matrix(text)
-        assert np.array_equal(back.a, PENTAGON.a)
+        assert np.array_equal(back, PENTAGON)
         assert format_gram_matrix(back) == text
+
+    def test_parsed_matrix_is_read_only_and_unsymmetrized(self):
+        g = parse_gram_matrix("2\n1.0 0.5\n0.25 1.0\n")
+        assert g[0, 1] == 0.5 and g[1, 0] == 0.25
+        with pytest.raises(ValueError):
+            g[0, 0] = 2.0
+        assert from_gram(g).gram[1, 0] == 0.375
+
+    @pytest.mark.parametrize("text, kwargs, n, limit", [
+        ("6000\n", {}, 6000, DEFAULT_MAX_DENSE),
+        ("4\n1 0 0 0\n0 1 zz 0\n0 0 1 0\n0 0 0 1\n", {"max_dense": 3}, 4, 3),
+    ])
+    def test_header_refused_before_any_row(self, monkeypatch, text, kwargs, n, limit):
+        fail_after_header(monkeypatch, spherical)
+        with pytest.raises(DenseLimitError) as info:
+            parse_gram_matrix(text, **kwargs)
+        assert (info.value.n, info.value.limit) == (n, limit)
+
+    def test_bad_row_under_the_limit_and_lifted_limit(self):
+        with pytest.raises(ParseError) as info:
+            parse_gram_matrix("4\n1 0 0 0\n0 1 zz 0\n0 0 1 0\n0 0 0 1\n", max_dense=4)
+        assert info.value.line_no == 3
+        assert parse_gram_matrix("2\n1 0\n0 1\n", max_dense=None).shape == (2, 2)
 
     def test_comments_and_blanks_ignored(self):
         text = "# two orthonormal points\n2\n\n1.0 0.0  # first row\n0.0 1.0\n"
         g = parse_gram_matrix(text)
-        assert np.array_equal(g.a, np.eye(2))
+        assert np.array_equal(g, np.eye(2))
 
     @pytest.mark.parametrize(
         "text, line_no",

@@ -63,10 +63,28 @@ class ParseError(AnalysisError):
         super().__init__(f"line {line_no}: {message}")
 
 
+# Characters per block of text that the line reader splits at once.
+_BLOCK = 1 << 16
+
+
+def _split_lines(text: str):
+    """The lines of text.splitlines(), one at a time.  The text is split in
+    blocks of about _BLOCK characters, each ending just after a "\n",
+    which always ends a line, so no copy of the whole text is made unless
+    it has no "\n"."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK)
+        end = len(text) if end < 0 else end + 1
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def content_lines(text: str):
     """Yield (line_no, tokens) for each line that keeps a token once its
-    "#" comment is cut off; line numbers count from 1."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    "#" comment is cut off; lines are those of str.splitlines, read one at
+    a time, and their numbers count from 1."""
+    for line_no, raw in enumerate(_split_lines(text), start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield line_no, tokens

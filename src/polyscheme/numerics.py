@@ -160,16 +160,14 @@ def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
 
 def eval_matrix_poly(coeffs, m) -> np.ndarray:
     """Evaluate sum_t coeffs[t] * M^(t) by Horner's rule, where M^(t) is the
-    entrywise power (degree-0 term is the all-ones matrix).  Each step acts
-    entrywise, so a symmetric M gives a symmetric result."""
+    entrywise power of an array of any shape (degree-0 term all ones).
+    Each step acts entrywise, so a symmetric M gives a symmetric result."""
     cs = [float(c) for c in coeffs]
     if not cs:
         raise ValueError("coefficient list must be nonempty")
-    n = len(m)
-    acc = np.zeros((n, n))
-    ones = np.ones((n, n))
+    acc = np.zeros(np.shape(m))
     for c in reversed(cs):
-        acc = acc * m + c * ones
+        acc = acc * m + c
     return acc
 
 

@@ -407,7 +407,7 @@ def analyze_scheme(
         sph = None
         if idems is not None:
             try:
-                sph = from_idempotent(params, idems, j, tol)
+                sph = from_idempotent(rel, params, idems, j, tol)
             except GramError as exc:
                 reports.append(TheoremReport(
                     f"sphere(eigenspace={j})", "sphere-eigenvalue", HYPOTHESIS_NOT_MET, tol,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DegenerateElementError,
+    MethodsDisagreeError,
     ParseError,
     SchemeAxiomError,
     ToleranceAmbiguityError,
@@ -260,28 +261,39 @@ def eigenmatrices(
     """Assemble SchemeParameters from an explicit scheme.
 
     The first eigenmatrix holds the eigenvalue of each class on each block,
-    as idempotents found it, and the multiplicities are the block widths.
-    The second eigenmatrix reads each idempotent at the first pair (x, y)
-    of each class, Q[j, i] = n U_i[x] . U_i[y].  The two are cross-checked
-    by P Q = n I, and the Krein numbers follow from them.
+    as idempotents found it, with row 0 snapped to the degrees.  The second
+    is Q = n P^-1, as PQ = nI in every commutative scheme (Bannai-Ito
+    1984).  It is cross-checked against a second route, each idempotent
+    read at the first pair (x, y) of each class, n U_i[x] . U_i[y], and the
+    multiplicities are its row 0 and the block widths; a deviation above
+    100*tol*n in either is a MethodsDisagreeError.  The Krein numbers
+    follow from P and Q.
     """
     if p is None:
         p = validate_scheme(rel)
     n, d = rel.n, rel.d
     if [u.shape[0] for u in idems.blocks] != [n] * (d + 1):
         raise ValueError(f"idempotents of another scheme: {idems.multiplicities} on n = {n}")
+    allowance = 100 * tol * max(1.0, n)
     mults = idems.multiplicities
     pm = idems.eigenvalues.copy()
-    # The first pair of each class in row-major order.
-    xs, ys = np.unravel_index([np.argmax(rel.labels == j) for j in range(d + 1)], rel.labels.shape)
-    qm = n * np.column_stack([(u[xs] * u[ys]).sum(axis=1) for u in idems.blocks])
-    dev = float(np.max(np.abs(pm @ qm - n * np.eye(d + 1))))
-    if dev > 100 * tol * max(1.0, n):
-        raise ValueError(f"eigenmatrix product deviates from n*I by {dev:.3g}")
     degrees = tuple(int(p[i, i, 0]) for i in range(d + 1))
-    if float(np.max(np.abs(pm[0] - np.array(degrees)))) > 100 * tol * max(1.0, n):
+    if float(np.max(np.abs(pm[0] - np.array(degrees)))) > allowance:
         raise ValueError("first eigenmatrix row disagrees with the degrees")
     pm[0] = degrees
+    qm = n * np.linalg.inv(pm)
+    dev = float(np.max(np.abs(qm[0] - np.array(mults))))
+    if dev > allowance:
+        raise MethodsDisagreeError(
+            f"row 0 of n P^-1 deviates from the block widths {mults} by {dev:.3g}")
+    # The first pair of each class in row-major order.
+    xs, ys = np.unravel_index([np.argmax(rel.labels == j) for j in range(d + 1)], rel.labels.shape)
+    read = n * np.column_stack([(u[xs] * u[ys]).sum(axis=1) for u in idems.blocks])
+    dev = float(np.max(np.abs(qm - read)))
+    if dev > allowance:
+        raise MethodsDisagreeError(
+            f"second eigenmatrix n P^-1 deviates from the idempotents read at one pair "
+            f"per class by {dev:.3g}")
     qm[0] = mults
     return SchemeParameters(
         n=n, d=d, p=p, P=pm, Q=qm,

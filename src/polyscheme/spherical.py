@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GramError, ParseError, SchurDisconnectedError, content_lines
+from .errors import (
+    GramError,
+    MethodsDisagreeError,
+    ParseError,
+    SchurDisconnectedError,
+    content_lines,
+)
 from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
@@ -41,13 +47,43 @@ def absolute_bound(m: int, d: int) -> int:
 
 
 @dataclass(frozen=True)
+class SchemeAlgebra:
+    """The Bose-Mesner data of a sphere built from a scheme eigenspace.
+
+    The sphere's Gram matrix is sum_i class_values[i] A_i over the scheme
+    classes i = 0..d, and scheme class i lies in sphere class classes[i].
+    A_i acts on scheme eigenspace k, of multiplicity multiplicities[k], as
+    the scalar P[k, i] (Bannai-Ito 1984), so every entrywise polynomial of
+    the Gram and every sphere class graph has its spectrum read off P.
+    """
+
+    class_values: np.ndarray
+    classes: np.ndarray
+    P: np.ndarray
+    multiplicities: np.ndarray
+
+    def rank(self, coeffs, tol: float) -> int:
+        """Rank of sum_t coeffs[t] G^(t): it is sum_i f(v_i) A_i, whose
+        eigenvalue on eigenspace k is sum_i f(v_i) P[k, i], counted m_k times."""
+        lam = self.P @ eval_matrix_poly(coeffs, self.class_values)
+        return int(self.multiplicities[np.abs(lam) > tol].sum())
+
+    def class_multiplicity(self, c: int, value: float, tol: float) -> int:
+        """Multiplicity of value, within tol, in the spectrum of the sphere
+        class-c graph, the sum of the scheme classes in it."""
+        lam = self.P[:, self.classes == c].sum(axis=1)
+        return int(self.multiplicities[np.abs(lam - value) <= tol].sum())
+
+
+@dataclass(frozen=True)
 class SphericalSet:
     """Distinct unit vectors described by their Gram matrix.
 
     values[0] is the diagonal 1; values[1:] are the clustered distinct
     off-diagonal inner products in decreasing order, all below 1.
     labels[x, y] indexes values, with 0 exactly on the diagonal.  gram is
-    read-only and exactly symmetric.
+    read-only and exactly symmetric.  algebra is set on a sphere built
+    from a scheme eigenspace, and None on a standalone Gram.
     """
 
     gram: np.ndarray
@@ -55,6 +91,7 @@ class SphericalSet:
     values: tuple[float, ...]
     labels: np.ndarray
     tolerance: float
+    algebra: SchemeAlgebra | None = None
 
     @property
     def n(self) -> int:
@@ -127,31 +164,77 @@ def from_gram(
     )
 
 
-def from_idempotent(params, idems, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
-    """Unit-sphere embedding carried by idempotent j of a SchemeIdempotents:
-    Gram = (n/m_j) E_j = (n/m_j) U_j U_j^T, whose off-diagonal values are
-    the column-j second-eigenmatrix entries divided by m_j.  The Gram is
-    formed here from the eigenvector block, in one product scaled in place;
-    the scheme was admitted with its blocks, so no dense limit is checked."""
+def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
+    """Unit-sphere embedding carried by eigenspace j of the scheme rel,
+    whose SchemeParameters and SchemeIdempotents are params and idems.
+
+    Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j, so the
+    values are Q's column j clustered at tol (d numbers, not n^2), the
+    labels are one gather of that clustering through rel.labels, and the
+    dimension is m_j.  The Gram itself is formed from the eigenvector
+    block U_j, symmetrized and compared entrywise with v at rel.labels:
+    a deviation above tol is a MethodsDisagreeError.  A value within tol
+    of 1 (repeated points) is a GramError.  The scheme was admitted with
+    its blocks, so no dense limit is checked.
+    """
     if not 1 <= j <= params.d:
         raise ValueError(f"eigenspace {j} outside 1..{params.d}")
+    mj = params.multiplicities[j]
+    class_values = params.Q[:, j] / mj
+    vals, _, lab = cluster_values(class_values[1:], tol)
+    if vals[0] >= 1.0 - tol:
+        raise GramError(f"repeated points: off-diagonal inner product {vals[0]:.6g}")
+    classes = np.concatenate(([0], lab + 1))
     u = idems.blocks[j]
     gram = u @ u.T
-    gram *= params.n / params.multiplicities[j]
-    return from_gram(gram, tol, max_dense=None)
+    gram *= params.n / mj
+    gram += gram.T
+    gram /= 2.0
+    dev = class_values[rel.labels]
+    dev -= gram
+    worst = float(np.max(np.abs(dev, out=dev)))
+    del dev
+    if not worst <= tol:
+        raise MethodsDisagreeError(
+            f"the Gram of eigenspace {j} formed from its eigenvector block deviates from "
+            f"Q's column {j} by {worst:.3g} > tol")
+    np.fill_diagonal(gram, 1.0)
+    gram.setflags(write=False)
+    labels = classes[rel.labels]
+    labels.setflags(write=False)
+    algebra = SchemeAlgebra(class_values, classes, params.P, np.asarray(params.multiplicities))
+    return SphericalSet(gram, mj, (1.0, *vals), labels, tol, algebra)
+
+
+def schur_floor(sph: SphericalSet) -> int:
+    """Least degree t <= s with N(m, t) >= n, where m is the dimension.
+
+    A degree-t entrywise polynomial of a Gram of rank m has rank at most
+    N(m, t) (Delsarte-Goethals-Seidel 1977), so no lower degree reaches
+    full rank.  0 when m = 0, and s when no degree below s qualifies, so
+    that the search always reaches s.
+    """
+    if sph.dimension == 0:
+        return 0
+    return next((t for t in range(sph.s) if absolute_bound(sph.dimension, t) >= sph.n), sph.s)
 
 
 def schur_diameter(sph: SphericalSet, tol: float = DEFAULT_TOL, seeds=SCHUR_SEEDS) -> int:
     """Least t such that some degree-t entrywise polynomial of the set's
     Gram matrix has full rank, where degree 0 is the all-ones matrix.
 
-    Tries a few fixed-seed random combinations at each degree t <= s.  At
-    t = s it also tries the annihilator prod (x - v) of the off-diagonal
-    values v, which on the unit-diagonal Gram matrix is a positive multiple
-    of the identity (Delsarte-Goethals-Seidel), so no degree above s is
-    searched.
+    Tries a few fixed-seed random combinations at each degree t from
+    schur_floor(sph) to s.  At t = s it also tries the annihilator
+    prod (x - v) of the off-diagonal values v, which on the unit-diagonal
+    Gram matrix is a positive multiple of the identity (Delsarte-Goethals-
+    Seidel), so no degree above s is searched.
+
+    On a standalone Gram each trial's rank is an eigensolve.  On a scheme
+    sphere it is read off P (SchemeAlgebra.rank), and only the first
+    full-rank trial is solved densely, as the certificate: a dense rank
+    below n is a MethodsDisagreeError.
     """
-    for t in range(sph.s + 1):
+    for t in range(schur_floor(sph), sph.s + 1):
         trials = []
         for seed in seeds:
             coeffs = np.random.default_rng([seed, t]).standard_normal(t + 1)
@@ -159,8 +242,15 @@ def schur_diameter(sph: SphericalSet, tol: float = DEFAULT_TOL, seeds=SCHUR_SEED
         if t == sph.s:
             trials.append(poly_from_roots(sph.values[1:]))
         for coeffs in trials:
-            if rank_tol(eval_matrix_poly(coeffs, sph.gram), tol) == sph.n:
+            if sph.algebra is not None and sph.algebra.rank(coeffs, tol) < sph.n:
+                continue
+            rank = rank_tol(eval_matrix_poly(coeffs, sph.gram), tol)
+            if rank == sph.n:
                 return t
+            if sph.algebra is not None:
+                raise MethodsDisagreeError(
+                    f"P gives a degree-{t} entrywise polynomial full rank {sph.n}, "
+                    f"but its dense eigensolve gives rank {rank}")
     raise SchurDisconnectedError(sph.s)
 
 
@@ -178,8 +268,9 @@ def verify_sphere_theorem(
     checked for each class i: -K*_i is an eigenvalue of the class-i graph
     with multiplicity at least |X| - N(m, d-1), and the interpolating
     entrywise polynomial identity f*_i(M) = K*_i I + A_i holds to 100*tol.
-    A single point (s = 0) has no class to force, so neither route's
-    hypothesis holds.
+    On a scheme sphere each class spectrum is read off P, and class 1's is
+    also solved densely as a cross-check.  A single point (s = 0) has no
+    class to force, so neither route's hypothesis holds.
     """
     theorem = "sphere-eigenvalue"
     n, mdim, s = sph.n, sph.dimension, sph.s
@@ -218,8 +309,16 @@ def verify_sphere_theorem(
     for i in range(1, d + 1):
         ki = k_factor(sph.values, i)
         ai = sph.distance_class(i)
-        spec_i = eigen_clusters(ai, tol, max_dense=None)
-        mult = spec_i.multiplicity_of(-ki, 10 * tol)
+        if sph.algebra is None or i == 1:
+            mult = eigen_clusters(ai, tol, max_dense=None).multiplicity_of(-ki, 10 * tol)
+        if sph.algebra is not None:
+            # Read off P; class 1's dense spectrum above is the cross-check.
+            read = sph.algebra.class_multiplicity(i, -ki, 10 * tol)
+            if i == 1 and read != mult:
+                raise MethodsDisagreeError(
+                    f"class 1 has eigenvalue {-ki!r} with multiplicity {read} by P "
+                    f"but {mult} by its dense spectrum")
+            mult = read
         roots = [sph.values[j] for j in range(1, d + 1) if j != i]
         denom = 1.0
         for r in roots:

@@ -16,9 +16,15 @@ from polyscheme.errors import (
     ToleranceAmbiguityError,
 )
 from polyscheme.generators import FamilySpec, build_graph, build_scheme
-from polyscheme.numerics import DEFAULT_TOL, cluster_values
+from polyscheme.numerics import (
+    DEFAULT_TOL,
+    cluster_values,
+    eval_matrix_poly,
+    poly_from_roots,
+    rank_tol,
+)
 from polyscheme.schemes import DEFAULT_SEEDS, eigenmatrices, idempotents, validate_scheme
-from polyscheme.spherical import from_idempotent
+from polyscheme.spherical import SCHUR_SEEDS, from_idempotent
 
 GRAPH_SPECS = {
     "complete4": FamilySpec("complete", (4,)),
@@ -157,6 +163,21 @@ def cluster_values_reference(raw, tol):
     return values, counts, labels
 
 
+def schur_diameter_reference(sph, tol=DEFAULT_TOL, seeds=SCHUR_SEEDS):
+    """The dense Schur-diameter search from degree 0: every trial of every
+    degree t <= s is one eigensolve of its entrywise polynomial."""
+    for t in range(sph.s + 1):
+        trials = []
+        for seed in seeds:
+            coeffs = np.random.default_rng([seed, t]).standard_normal(t + 1)
+            trials.append(coeffs / np.linalg.norm(coeffs))
+        if t == sph.s:
+            trials.append(poly_from_roots(sph.values[1:]))
+        if any(rank_tol(eval_matrix_poly(c, sph.gram), tol) == sph.n for c in trials):
+            return t
+    return None
+
+
 def validate_scheme_axiom_4_reference(rel):
     """Oracle for the axiom-4 part of schemes.validate_scheme: int64 class
     matrices and one class mask per (i, j, k)."""
@@ -277,7 +298,7 @@ def sphere_of(scheme, j):
     """The eigenspace-j embedding that analyze_scheme hands to
     q_polynomial_ordering, or None when it is degenerate."""
     try:
-        return from_idempotent(scheme.params, scheme.idems, j)
+        return from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
     except GramError:
         return None
 

@@ -359,17 +359,42 @@ class TestAnalyzeScheme:
             return dataclasses.replace(idems, blocks=tuple(u.view(Block) for u in idems.blocks))
 
         patch_everywhere(monkeypatch, counted_idempotents, block_idempotents)
+        solves = {"eigvalsh": 0, "eigvalsh in schur_diameter": 0}
+        in_schur = [0]
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted_eigvalsh(*args, **kwargs):
+            solves["eigvalsh"] += 1
+            solves["eigvalsh in schur_diameter"] += in_schur[0]
+            return eigvalsh(*args, **kwargs)
+
+        schur = spherical.schur_diameter
+
+        def staged_schur(*args, **kwargs):
+            in_schur[0] += 1
+            try:
+                return schur(*args, **kwargs)
+            finally:
+                in_schur[0] -= 1
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        patch_everywhere(monkeypatch, schur, staged_schur)
         code, _, _ = run(capsys, "analyze-scheme", str(petersen_rel), "--json")
         assert code == 0
         # One detector run per class (d = 2); the size condition reuses it.
         # One sphere embedding per eigenspace feeds both its Schur-diameter
-        # cross-check and its sphere report; the Schur search clusters
-        # nothing, so the clusterings are one spectrum, two embeddings and
-        # the four distance-class spectra.
+        # cross-check and its sphere report, and it is built from P and Q,
+        # not admitted through from_gram.  The clusterings are one spectrum,
+        # the two embeddings' Q columns and the two class-1 spectra that
+        # cross-check the class spectra read off P.
         assert calls == {"polyprops.p_polynomial_ordering": 2, "graphs.distance_data": 0,
                          "schemes.validate_scheme": 1, "schemes.idempotents": 1,
-                         "spherical.from_gram": 2, "spherical.schur_diameter": 2,
-                         "numerics.cluster_values": 7}
+                         "spherical.from_gram": 0, "spherical.schur_diameter": 2,
+                         "numerics.cluster_values": 5}
+        # The Schur search reads its ranks off P and certifies only the rank
+        # it returns: one eigensolve for each of the two separated
+        # eigenspaces.  The other two are the class-1 cross-checks.
+        assert solves == {"eigvalsh": 4, "eigvalsh in schur_diameter": 2}
         # The three class matrices are built once and shared.  The
         # idempotents are checked on their eigenvector blocks, so no class
         # matrix meets a dense projector; multiplicities are block widths,

@@ -183,6 +183,9 @@ def test_eval_matrix_poly_hadamard():
     assert max_abs_diff(got, direct) < 1e-12
     # Horner acts entrywise, so a symmetric input gives an exactly symmetric result.
     assert np.array_equal(got, got.T)
+    # On an array of another shape it is the polynomial at each entry.
+    v = np.array([0.5, -1.0, 2.0])
+    assert np.array_equal(eval_matrix_poly(coeffs, v), 2.0 - v + 0.5 * v * v)
 
 
 def test_eval_matrix_poly_rejects():

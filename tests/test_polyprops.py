@@ -41,6 +41,7 @@ from polyscheme.polyprops import (
     p_polynomial_ordering,
     q_polynomial_ordering,
 )
+from polyscheme import polyprops
 from polyscheme.reports import HYPOTHESIS_NOT_MET
 from polyscheme.schemes import RelationPartition, idempotents
 
@@ -346,6 +347,41 @@ def test_johnson_12_4_routes_agree_at_scale():
     idems = idempotents(rel)
     trace_route = krein_trace_reference(projectors(idems), idems.multiplicities)
     assert float(np.max(np.abs(ex.krein - trace_route))) <= 1e-7
+
+
+def test_pair_read_error_does_not_reach_the_verdicts(monkeypatch):
+    """J(9,4) with the pair-read second eigenmatrix off by about 3e-9, the
+    error it has at J(18,4): row 0 of every eigenvector block is scaled by
+    1 + 1.6e-10.  Q = n P^-1 does not read the blocks, so Q, the Krein
+    numbers and every verdict still equal the parametric route's.  Read at
+    the pairs, the same Q crosses the Krein zero threshold and the product
+    formulas' tolerance."""
+    spec = FamilySpec("johnson", (9, 4))
+    rel = build_scheme(spec)
+    parametric = analyze_scheme(family_tensor(spec))
+    blocks = []
+
+    def skewed(*args, **kwargs):
+        idems = idempotents(*args, **kwargs)
+        for u in idems.blocks:
+            blocks.append(u.copy())
+            blocks[-1][0] *= 1 + 1.6e-10
+        return dataclasses.replace(idems, blocks=tuple(blocks))
+
+    monkeypatch.setattr(polyprops, "idempotents", skewed)
+    explicit = analyze_scheme(rel)
+    ex, par = explicit.params, parametric.params
+    # Every row contains every class, so each class's first pair is (0, y).
+    ys = [int(np.argmax(rel.labels[0] == i)) for i in range(ex.d + 1)]
+    read = ex.n * np.column_stack([u[0] @ u[ys].T for u in blocks])
+    assert float(np.max(np.abs(read[1:] - par.Q[1:]))) > 2.5e-9
+    assert float(np.max(np.abs(ex.Q - par.Q))) <= 1e-12
+    assert float(np.max(np.abs(ex.krein - par.krein))) <= 1e-12
+    # The size condition's ordering comes from the explicit detector only.
+    assert [(v.kind, v.base_index, v.status) for v in explicit.verdicts] == \
+        [(v.kind, v.base_index, v.status) for v in parametric.verdicts]
+    for e, q in zip(explicit.verdicts, parametric.verdicts):
+        assert q.ordering is None or e.ordering == q.ordering
 
 
 def test_analyze_scheme_refuses_before_the_axioms():

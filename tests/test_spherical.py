@@ -1,16 +1,37 @@
 """Tests for spherical few-distance sets and the forced-eigenvalue check."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCHEME_SPECS, analyzed_scheme, fail_after_header, same_evidence
-from polyscheme import spherical
-from polyscheme.errors import DenseLimitError, GramError, ParseError, SchurDisconnectedError
-from polyscheme.numerics import DEFAULT_MAX_DENSE, k_factor
+from conftest import (
+    SCHEME_SPECS,
+    analyzed_scheme,
+    fail_after_header,
+    same_evidence,
+    schur_diameter_reference,
+)
+from polyscheme import errors, spherical
+from polyscheme.errors import (
+    DenseLimitError,
+    GramError,
+    MethodsDisagreeError,
+    ParseError,
+    SchurDisconnectedError,
+    content_lines,
+)
+from polyscheme.numerics import (
+    DEFAULT_MAX_DENSE,
+    eigen_clusters,
+    eval_matrix_poly,
+    k_factor,
+    rank_tol,
+)
 from polyscheme.polyprops import POLYNOMIAL, q_polynomial_ordering
 from polyscheme.reports import HYPOTHESIS_NOT_MET, PASS
 from polyscheme.spherical import (
@@ -20,6 +41,7 @@ from polyscheme.spherical import (
     from_idempotent,
     parse_gram_matrix,
     schur_diameter,
+    schur_floor,
     verify_sphere_theorem,
 )
 
@@ -154,7 +176,7 @@ class TestFromGram:
 class TestFromIdempotent:
     def test_petersen_embedding(self):
         scheme = analyzed_scheme("petersen")
-        sph = from_idempotent(scheme.params, scheme.idems, 1)
+        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
         assert sph.n == 10
         assert sph.dimension == 5
         assert np.allclose(sph.values, (1.0, 1 / 3, -1 / 3))
@@ -166,18 +188,48 @@ class TestFromIdempotent:
         for j in range(1, params.d + 1):
             col = params.Q[:, j] / params.multiplicities[j]
             try:
-                sph = from_idempotent(params, scheme_case.idems, j)
+                sph = from_idempotent(scheme_case.rel, params, scheme_case.idems, j)
             except GramError:
                 # collapsed embeddings (repeated rows of E_j) are rejected
                 assert len(set(np.round(col, 9))) < params.d + 1
                 continue
             assert np.allclose(sorted(sph.values, reverse=True), sorted(col, reverse=True))
 
+    def test_read_from_the_algebra(self, scheme_case):
+        # Values from Q's column, labels gathered through the scheme's
+        # labels, dimension m_j; the Gram is the dense (n/m_j) E_j.
+        rel, params = scheme_case.rel, scheme_case.params
+        for j in range(1, params.d + 1):
+            try:
+                sph = from_idempotent(rel, params, scheme_case.idems, j)
+            except GramError:
+                continue
+            mj = params.multiplicities[j]
+            assert sph.dimension == mj
+            assert np.array_equal(sph.labels, sph.algebra.classes[rel.labels])
+            assert np.array_equal(sph.algebra.class_values, params.Q[:, j] / mj)
+            u = scheme_case.idems.blocks[j]
+            assert np.max(np.abs(sph.gram - params.n / mj * (u @ u.T))) <= 1e-12
+            assert np.array_equal(sph.gram, sph.gram.T)
+            assert np.all(np.diagonal(sph.gram) == 1.0)
+            assert not sph.gram.flags.writeable and not sph.labels.flags.writeable
+
+    def test_block_that_disagrees_with_q_is_an_error(self):
+        scheme = analyzed_scheme("petersen")
+        blocks = list(scheme.idems.blocks)
+        blocks[1] = blocks[1].copy()
+        blocks[1][3, 0] += 1e-6
+        idems = dataclasses.replace(scheme.idems, blocks=tuple(blocks))
+        with pytest.raises(MethodsDisagreeError, match="eigenspace 1 formed from its eigenvector"):
+            from_idempotent(scheme.rel, scheme.params, idems, 1)
+        # Eigenspace 2 reads its own block, which is untouched.
+        assert from_idempotent(scheme.rel, scheme.params, idems, 2).s == 2
+
     @pytest.mark.parametrize("j", [0, 4])
     def test_rejects_out_of_range_eigenspace(self, j):
         scheme = analyzed_scheme("petersen")
         with pytest.raises(ValueError, match="outside 1..2"):
-            from_idempotent(scheme.params, scheme.idems, j)
+            from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
 
 
 class TestKStar:
@@ -190,7 +242,7 @@ class TestKStar:
 
     def test_petersen_embedding(self):
         scheme = analyzed_scheme("petersen")
-        values = from_idempotent(scheme.params, scheme.idems, 1).values
+        values = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1).values
         assert k_factor(values, 1) == pytest.approx(2.0, abs=1e-9)
         assert k_factor(values, 2) == pytest.approx(-1.0, abs=1e-9)
 
@@ -218,7 +270,7 @@ class TestSchurDiameter:
 
     def test_petersen_embedding(self):
         scheme = analyzed_scheme("petersen")
-        sph = from_idempotent(scheme.params, scheme.idems, 1)
+        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
         assert schur_diameter(sph) == 2
 
     def test_tolerance_above_every_trial_disconnected(self):
@@ -227,6 +279,81 @@ class TestSchurDiameter:
         with pytest.raises(SchurDisconnectedError, match="up to degree 2") as info:
             schur_diameter(from_gram(SQUARE), tol=100.0)
         assert info.value.max_degree == 2
+        # The floor N(2, 2) = 5 >= 4 skips degrees 0 and 1; at dimension 0
+        # there is no floor, and the search still stops at degree 2.
+        assert schur_floor(from_gram(SQUARE)) == 2
+        sph = dataclasses.replace(from_gram(SQUARE), dimension=0)
+        assert schur_floor(sph) == 0
+        with pytest.raises(SchurDisconnectedError, match="up to degree 2") as info:
+            schur_diameter(sph, tol=100.0)
+        assert info.value.max_degree == 2
+
+    def test_floor_skips_degrees_without_an_eigensolve(self, monkeypatch):
+        # J(28,2) on the sphere of R^27: N(27, 1) = 28 < 378 <= N(27, 2),
+        # so degrees 0 and 1 are never tried.
+        sph = from_gram(johnson2_sphere(28, seed=3))
+        assert schur_floor(sph) == 2
+        tried = []
+        monkeypatch.setattr(spherical, "eval_matrix_poly",
+                            lambda c, m: tried.append(len(c) - 1) or eval_matrix_poly(c, m))
+        assert schur_diameter(sph) == 2
+        assert tried == [2]
+
+    def test_floor_stops_at_s(self):
+        # A rank below the true dimension (here a dimension that no degree
+        # up to s can serve) still lets the search reach s.
+        sph = dataclasses.replace(from_gram(PENTAGON), dimension=1)
+        assert schur_floor(sph) == sph.s == 2
+        assert schur_diameter(sph) == 2
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
+def test_algebra_schur_diameter_matches_dense_search(name):
+    """On every eigenspace sphere of the catalog, the search that reads
+    its ranks off P finds the Schur-diameter of the dense search from
+    degree 0, and so does the same Gram admitted as a standalone one."""
+    scheme = analyzed_scheme(name)
+    compared = 0
+    for j in range(1, scheme.params.d + 1):
+        try:
+            sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
+        except GramError:
+            continue
+        dense = schur_diameter_reference(sph)
+        assert schur_diameter(sph) == dense
+        assert schur_diameter(from_gram(sph.gram)) == dense
+        assert schur_floor(sph) <= dense
+        compared += 1
+    assert compared >= 1
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
+def test_algebra_rank_matches_dense_rank(name):
+    """The rank of every trial polynomial, read off P with the
+    multiplicities as weights, equals the rank of its dense matrix."""
+    scheme = analyzed_scheme(name)
+    rng = np.random.default_rng(11)
+    for j in range(1, scheme.params.d + 1):
+        try:
+            sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
+        except GramError:
+            continue
+        for t in range(sph.s + 1):
+            coeffs = rng.standard_normal(t + 1)
+            assert sph.algebra.rank(coeffs, 1e-9) == rank_tol(eval_matrix_poly(coeffs, sph.gram))
+
+
+def test_schur_certificate_disagreement_is_an_error():
+    # Multiplicities inflated to n make P claim full rank at the floor,
+    # degree 2, where the dense certificate of H(3,3) eigenspace 1 has
+    # rank below 27.
+    scheme = analyzed_scheme("hamming33")
+    sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+    assert (schur_floor(sph), schur_diameter(sph)) == (2, 3)
+    lying = dataclasses.replace(
+        sph, algebra=dataclasses.replace(sph.algebra, multiplicities=np.full(4, sph.n)))
+    with pytest.raises(MethodsDisagreeError, match="degree-2 .* rank"):
+        schur_diameter(lying)
 
 
 class TestVerifySphereTheorem:
@@ -253,7 +380,7 @@ class TestVerifySphereTheorem:
 
     def test_petersen_embedding_passes(self):
         scheme = analyzed_scheme("petersen")
-        sph = from_idempotent(scheme.params, scheme.idems, 1)
+        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
         report = verify_sphere_theorem(sph)
         assert report.status == PASS
         # n = 10 against N(5, 1) = 6 leaves a floor of 4, attained exactly
@@ -267,7 +394,7 @@ class TestVerifySphereTheorem:
 
     def test_simplex_passes(self):
         scheme = analyzed_scheme("complete4")
-        sph = from_idempotent(scheme.params, scheme.idems, 1)
+        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
         report = verify_sphere_theorem(sph)
         assert report.status == PASS
         check = report.evidence["checks"][0]
@@ -290,10 +417,35 @@ class TestVerifySphereTheorem:
 
     def test_schur_route_mismatch(self):
         scheme = analyzed_scheme("hamming33")
-        sph = from_idempotent(scheme.params, scheme.idems, 2)
+        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 2)
         report = verify_sphere_theorem(sph, route="schur")
         assert report.status == HYPOTHESIS_NOT_MET
         assert report.evidence["summary"] == "Schur-diameter 2 != distance count 3"
+
+    def test_class_spectra_read_off_p_match_dense(self, scheme_case):
+        # Every class of every eigenspace sphere: the multiplicity of -K*_i
+        # read off P equals its dense spectrum's.
+        rel, params = scheme_case.rel, scheme_case.params
+        for j in range(1, params.d + 1):
+            try:
+                sph = from_idempotent(rel, params, scheme_case.idems, j)
+            except GramError:
+                continue
+            for i in range(1, sph.s + 1):
+                ki = k_factor(sph.values, i)
+                dense = eigen_clusters(sph.distance_class(i), max_dense=None)
+                assert sph.algebra.class_multiplicity(i, -ki, 1e-8) == \
+                    dense.multiplicity_of(-ki, 1e-8)
+
+    def test_class_spectrum_cross_check_disagreement_is_an_error(self):
+        scheme = analyzed_scheme("petersen")
+        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+        assert verify_sphere_theorem(sph).status == PASS
+        tampered = sph.algebra.P.copy()
+        tampered[2, 1] += 0.5
+        lying = dataclasses.replace(sph, algebra=dataclasses.replace(sph.algebra, P=tampered))
+        with pytest.raises(MethodsDisagreeError, match="class 1 has eigenvalue"):
+            verify_sphere_theorem(lying)
 
     @pytest.mark.parametrize("route", ["size", "schur"])
     def test_single_point_has_nothing_to_force(self, route):
@@ -317,6 +469,23 @@ class TestVerifySphereTheorem:
             verify_sphere_theorem(from_gram(PENTAGON), route="schur", declared_d=declared_d)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["1", "x y", " ", "#", "\n", "\r", "\r\n", "\v", "\x0c", "\x1c",
+                                 "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]), max_size=12),
+       st.integers(0, 4))
+def test_content_lines_follow_splitlines(parts, block):
+    # Blocks of a few characters put block ends between every kind of break.
+    text = "".join(parts)
+    expected = [(no, line.split("#", 1)[0].split())
+                for no, line in enumerate(text.splitlines(), start=1)]
+    saved, errors._BLOCK = errors._BLOCK, block
+    try:
+        got = list(content_lines(text))
+    finally:
+        errors._BLOCK = saved
+    assert got == [(no, toks) for no, toks in expected if toks]
+
+
 @pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
 def test_schur_diameter_matches_krein_route(name):
     """The entrywise-power diameter and the Krein detector must agree.
@@ -332,7 +501,7 @@ def test_schur_diameter_matches_krein_route(name):
         col = params.Q[:, j]
         if np.min(np.diff(np.sort(col))) <= 1e-9:
             continue
-        sph = from_idempotent(params, scheme.idems, j)
+        sph = from_idempotent(scheme.rel, params, scheme.idems, j)
         sd = schur_diameter(sph)
         verdict = q_polynomial_ordering(params, j)
         assert (sd == params.d) == (verdict.status == POLYNOMIAL)
@@ -345,7 +514,7 @@ def test_schur_diameter_matches_krein_route(name):
 
 def _embedding(name, j):
     scheme = analyzed_scheme(name)
-    return from_idempotent(scheme.params, scheme.idems, j).gram
+    return from_idempotent(scheme.rel, scheme.params, scheme.idems, j).gram
 
 
 # Both routes pass on the pentagon and on J(8,3) eigenspace 1.  H(3,3)
@@ -371,6 +540,9 @@ def test_sphere_reports_ignore_labels_and_coordinates(name, seed):
     points = v[:, w > 1e-9] * np.sqrt(w[w > 1e-9])
     q, _ = np.linalg.qr(rng.standard_normal((points.shape[1], points.shape[1])))
     rotated = points @ q
+    # The absolute-bound floor never passes the Schur-diameter.
+    sph = from_gram(rotated @ rotated.T)
+    assert schur_floor(sph) <= schur_diameter_reference(sph)
     for route in ("size", "schur"):
         base = verify_sphere_theorem(from_gram(gram), route=route)
         for other in (gram[np.ix_(perm, perm)], rotated @ rotated.T):
@@ -409,6 +581,29 @@ class TestGramIO:
             parse_gram_matrix("4\n1 0 0 0\n0 1 zz 0\n0 0 1 0\n0 0 0 1\n", max_dense=4)
         assert info.value.line_no == 3
         assert parse_gram_matrix("2\n1 0\n0 1\n", max_dense=None).shape == (2, 2)
+
+    @pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0c"])
+    def test_line_numbers_follow_splitlines(self, sep):
+        # A "\x0c" before "\n" is a break of its own, so line 5 is blank.
+        text = sep.join(["# two points", "2", "", "1.0 0.0\x0c\n0.0 zz"]) + sep
+        with pytest.raises(ParseError) as info:
+            parse_gram_matrix(text)
+        assert info.value.line_no == 6
+        assert text.splitlines()[5] == "0.0 zz"
+
+    def test_header_refusal_reads_no_copy_of_the_text(self):
+        # A 1500-point Gram (9.0 MB of text) refused under a limit of 1000:
+        # the line reader splits off the header's block alone.
+        row = " ".join(["0.5"] * 1500)
+        text = "1500\n" + "\n".join([row] * 1500) + "\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError):
+                parse_gram_matrix(text, max_dense=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) // 10
 
     def test_comments_and_blanks_ignored(self):
         text = "# two orthonormal points\n2\n\n1.0 0.0  # first row\n0.0 1.0\n"

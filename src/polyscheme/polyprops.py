@@ -1,10 +1,10 @@
 """Detection of P- and Q-polynomial structure in association schemes.
 
-Three routes per side: a direct detector (distance partition of one
-relation graph, or the path shape of the Krein-number index graph), a
-size-based sufficient condition against the degree/diameter or dimension/
-distance bound, and the product-formula characterization that pins down
-the last class of the ordering.  analyze_scheme runs all of them, and the
+Three routes per side: a direct detector (the BFS levels of the index
+graph of the intersection numbers or of the Krein numbers), a size-based
+sufficient condition against the degree/diameter or dimension/distance
+bound, and the product-formula characterization that pins down the last
+class of the ordering.  analyze_scheme runs all of them, and the
 sphere check of each eigenspace, once per scheme.
 
 Verdicts are three-valued; the size conditions can only ever say
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GramError, MethodsDisagreeError
-from .graphs import adjacency_distances, moore_bound
+from .graphs import moore_bound
 from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL, check_dense_limit, k_factor
 from .reports import HYPOTHESIS_NOT_MET, TheoremReport
 from .schemes import (
@@ -90,39 +90,45 @@ def _mutually_distinct(col, tol: float) -> bool:
     return bool(np.all(np.diff(svals) > tol))
 
 
-def _walk_index_path(adjacency: list[set[int]], d: int, j: int) -> tuple[int, ...] | None:
-    """Ordering of 0..d if the index graph is a path starting 0, j."""
-    if adjacency[0] != {j}:
-        return None
-    order = [0, j]
-    seen = {0, j}
-    prev, cur = 0, j
-    while len(order) < d + 1:
-        fresh = adjacency[cur] - {prev}
-        if len(fresh) != 1:
-            return None
-        nxt = fresh.pop()
-        if nxt in seen:
-            return None
-        order.append(nxt)
-        seen.add(nxt)
-        prev, cur = cur, nxt
-    if adjacency[order[-1]] - {order[-2]}:
-        return None
-    return tuple(order)
+def _bfs_levels(size: int, linked) -> np.ndarray:
+    """BFS levels from node 0 of size nodes, -1 if unreached.  linked(rows,
+    cols) is the boolean block of links, read only at the frontier rows and
+    the unreached columns: O(size^2) in all, and no size x size block."""
+    levels = np.full(size, -1)
+    frontier, t = np.array([0]), 0
+    while frontier.size:
+        levels[frontier], t = t, t + 1
+        unreached = np.flatnonzero(levels < 0)
+        frontier = unreached[linked(frontier, unreached).any(axis=0)]
+    return levels
 
 
-def _tensor_index_adjacency(tensor: np.ndarray, j: int, threshold: float) -> list[set[int]]:
-    """Index graph of slice j: h and i linked when the (j, h)->i structure
-    constant is nonzero (in either orientation)."""
-    d = tensor.shape[0] - 1
-    adj: list[set[int]] = [set() for _ in range(d + 1)]
-    for h in range(d + 1):
-        for i in range(h + 1, d + 1):
-            if abs(tensor[j, h, i]) > threshold or abs(tensor[j, i, h]) > threshold:
-                adj[h].add(i)
-                adj[i].add(h)
-    return adj
+def _index_levels(tensor: np.ndarray, j: int, threshold: float) -> np.ndarray:
+    """BFS levels from index 0 in the index graph of slice j: h and i linked
+    when |tensor[j, h, i]| or |tensor[j, i, h]| exceeds threshold."""
+    link = np.abs(tensor[j]) > threshold
+    link |= link.T
+    return _bfs_levels(len(link), lambda rows, cols: link[np.ix_(rows, cols)])
+
+
+def _path_ordering(levels: np.ndarray, j: int) -> tuple[int, ...] | None:
+    """The indices sorted by level, if the index graph is a path starting
+    0, j: every index reached, top level d and level 1 = {j}, so that each
+    level holds one index."""
+    if levels.min() < 0 or levels.max() != len(levels) - 1 or levels[j] != 1:
+        return None
+    return tuple(np.argsort(levels).tolist())
+
+
+def _certify_point_levels(labels: np.ndarray, j: int, levels: np.ndarray) -> None:
+    """One BFS from point 0 over the class-j pairs: each point must lie at
+    the level of its class."""
+    dist = _bfs_levels(len(labels), lambda rows, cols: labels[np.ix_(rows, cols)] == j)
+    bad = np.flatnonzero(dist != levels[labels[0]])
+    if bad.size:
+        x, c = int(bad[0]), int(labels[0, bad[0]])
+        raise MethodsDisagreeError(f"class-{j} BFS from point 0 reaches point {x} at level "
+                                   f"{dist[x]}, but its class {c} has index level {levels[c]}")
 
 
 def p_polynomial_ordering(
@@ -133,11 +139,12 @@ def p_polynomial_ordering(
 ) -> PolyVerdict:
     """Is the scheme P-polynomial with respect to class j?
 
-    Explicit mode (rel given, a partition that passed validate_scheme): the
-    graph of class j must be connected with diameter d and distance classes
-    equal to relation classes, which then provides the ordering.  Parametric
-    mode: the intersection-number index graph of class j must be a path
-    from 0.
+    Both modes read the BFS levels, from class 0, of the index graph of p
+    for class j.  Explicit mode (rel given, a partition that passed
+    validate_scheme): a class's level is the class-j distance of its pairs,
+    so the graph must be connected with diameter d, and the levels order
+    the classes; one BFS from point 0 certifies them (MethodsDisagreeError
+    otherwise).  Parametric mode: the index graph must be a path from 0.
 
     A failed structural test refutes the ordering outright.  A passed test
     certifies it only under the separation hypothesis (degree distinct
@@ -148,9 +155,11 @@ def p_polynomial_ordering(
     if not 1 <= j <= d:
         raise ValueError(f"class {j} outside 1..{d}")
     separated = _head_separated(params.P[:, j], tol)
+    levels = _index_levels(params.p, j, 0.5)
+    order = _path_ordering(levels, j)
     if rel is not None:
-        dd = adjacency_distances(rel.labels == j)
-        diameter, connected = dd.diameter, dd.is_connected()
+        _certify_point_levels(rel.labels, j, levels)
+        connected, diameter = levels.min() >= 0, int(levels.max())
         evidence = {"mode": "explicit", "diameter": diameter if connected else None}
         if not connected:
             return PolyVerdict("P", j, NOT_POLYNOMIAL, reason="relation graph disconnected",
@@ -159,22 +168,7 @@ def p_polynomial_ordering(
             return PolyVerdict("P", j, NOT_POLYNOMIAL,
                                reason=f"relation graph has diameter {diameter}, not {d}",
                                evidence=evidence)
-        order = []
-        for t in range(d + 1):
-            found = np.unique(rel.labels[dd.relation(t)])
-            if found.size != 1:
-                return PolyVerdict("P", j, NOT_POLYNOMIAL,
-                                   reason=f"distance class {t} mixes relation classes {found.tolist()}",
-                                   evidence=evidence)
-            order.append(int(found[0]))
-        if sorted(order) != list(range(d + 1)):
-            return PolyVerdict("P", j, NOT_POLYNOMIAL,
-                               reason="distance classes do not exhaust the relation classes",
-                               evidence=evidence)
-        order = tuple(order)
     else:
-        adj = _tensor_index_adjacency(params.p.astype(float), j, 0.5)
-        order = _walk_index_path(adj, d, j)
         evidence = {"mode": "parametric"}
         if order is None:
             return PolyVerdict("P", j, NOT_POLYNOMIAL,
@@ -275,21 +269,20 @@ def q_polynomial_ordering(
 ) -> PolyVerdict:
     """Is the scheme Q-polynomial with respect to eigenspace j?
 
-    Primary route: the Krein-number index graph of eigenspace j must be a
-    path from 0 (nonzero threshold = tol).  A non-path refutes; a path
-    certifies only when the multiplicity is separated from the other
-    column values, else the verdict is inconclusive.  When sphere, the
-    eigenspace's embedding from from_idempotent, is given and the
-    separation hypothesis holds, its Schur-diameter is computed as a
-    cross-check and must agree with the Krein route; disagreement is a
-    hard error.
+    Primary route: the Krein-number index graph of eigenspace j, walked by
+    the P detector's BFS (nonzero threshold = tol), must be a path starting
+    0, j.  A non-path refutes; a path certifies only when the multiplicity
+    is separated from the other column values, else the verdict is
+    inconclusive.  When sphere, the eigenspace's embedding from
+    from_idempotent, is given and the separation hypothesis holds, its
+    Schur-diameter is computed as a cross-check and must agree with the
+    Krein route; disagreement is a hard error.
     """
     d = params.d
     if not 1 <= j <= d:
         raise ValueError(f"eigenspace {j} outside 1..{d}")
     separated = _head_separated(params.Q[:, j], tol)
-    adj = _tensor_index_adjacency(params.krein, j, tol)
-    order = _walk_index_path(adj, d, j)
+    order = _path_ordering(_index_levels(params.krein, j, tol), j)
     evidence: dict = {"mode": "krein"}
     if sphere is not None and separated:
         sd = schur_diameter(sphere, tol)

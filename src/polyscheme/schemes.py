@@ -36,6 +36,7 @@ DEFAULT_SEEDS = (20839, 61409, 92821)
 # produce a degenerate combination for some input.
 ALTERNATE_SEEDS = (15137, 48817, 76091)
 SEED_SETS = {"default": DEFAULT_SEEDS, "alternate": ALTERNATE_SEEDS}
+_INT64 = range(-2**63, 2**63)  # the values an int64 holds
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,13 @@ def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_
         raise SchemeAxiomError(
             3, f"pair ({x}, {y}) has label {int(lab[x, y])} but ({y}, {x}) has {int(lab[y, x])}",
             [(x, y), (y, x)])
+    # Labels lie in 0..d: the first gap in the sorted labels is the first empty class.
+    present = np.unique(lab)
+    k = int(np.count_nonzero(present == np.arange(present.size)))
+    if k <= d:
+        raise SchemeAxiomError(2, f"class {k} is empty", [])
     # rep[k]: the first pair of class k in row-major order.
-    rep = np.empty(d + 1, dtype=np.intp)
-    for k in range(d + 1):
-        rep[k] = np.argmax(lab.ravel() == k)
-        if lab.flat[rep[k]] != k:
-            raise SchemeAxiomError(2, f"class {k} is empty", [])
+    rep = np.array([np.argmax(lab.ravel() == k) for k in range(d + 1)])
     # Counts are at most n, so float64 products of 0/1 matrices are exact.
     adj = rel.class_matrices
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
@@ -408,6 +410,7 @@ def parametric_parameters(
 def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> RelationPartition:
     header = None
     rows: list[list[int]] = []
+    row_lines: list[int] = []
     for line_no, tokens in content_lines(text):
         try:
             nums = [int(tok) for tok in tokens]
@@ -422,6 +425,7 @@ def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) 
         if len(nums) != header[0]:
             raise ParseError(line_no, f"expected {header[0]} labels, got {len(nums)}")
         rows.append(nums)
+        row_lines.append(line_no)
     if header is None:
         raise ParseError(0, "empty relation-matrix file")
     n, d = header
@@ -429,6 +433,10 @@ def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) 
         raise ParseError(0, f"header declares {n} rows but {len(rows)} found")
     try:
         return RelationPartition.from_matrix(rows, d=d)
+    except OverflowError:
+        line_no, val = next((line_no, v) for line_no, row in zip(row_lines, rows)
+                            for v in row if v not in _INT64)
+        raise ParseError(line_no, f"value {val} outside the 64-bit integer range") from None
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
 
@@ -442,8 +450,6 @@ def format_relation_matrix(rel: RelationPartition) -> str:
 # --- intersection-tensor text format --------------------------------------
 # First line "n d", then one line "i j k value" per nonzero entry, each
 # triple at most once.  Blank lines and "#" comments are ignored.
-
-_INT64 = np.iinfo(np.int64)
 
 
 def parse_intersection_tensor(text: str):
@@ -468,7 +474,7 @@ def parse_intersection_tensor(text: str):
             raise ParseError(line_no, f"indices ({i}, {j}, {k}) outside 0..{header[1]}")
         if (i, j, k) in entries:
             raise ParseError(line_no, f"second entry for ({i}, {j}, {k})")
-        if not _INT64.min <= val <= _INT64.max:
+        if val not in _INT64:
             raise ParseError(line_no, f"value {val} outside the 64-bit integer range")
         entries[i, j, k] = val
     if header is None:

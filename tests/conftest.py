@@ -280,6 +280,44 @@ def krein_trace_reference(projs, mults):
     return q
 
 
+def tensor_index_adjacency_reference(tensor, j, threshold):
+    """Oracle for the index graph of polyprops._index_levels: h and i
+    linked when the (j, h)->i structure constant exceeds threshold in
+    absolute value (in either orientation), as adjacency sets."""
+    d = tensor.shape[0] - 1
+    adj = [set() for _ in range(d + 1)]
+    for h in range(d + 1):
+        for i in range(h + 1, d + 1):
+            if abs(tensor[j, h, i]) > threshold or abs(tensor[j, i, h]) > threshold:
+                adj[h].add(i)
+                adj[i].add(h)
+    return adj
+
+
+def walk_index_path_reference(adjacency, d, j):
+    """Oracle for polyprops._path_ordering: walk the index graph from 0
+    through j, one fresh neighbour at a time; the ordering of 0..d if the
+    graph is a path starting 0, j, else None."""
+    if adjacency[0] != {j}:
+        return None
+    order = [0, j]
+    seen = {0, j}
+    prev, cur = 0, j
+    while len(order) < d + 1:
+        fresh = adjacency[cur] - {prev}
+        if len(fresh) != 1:
+            return None
+        nxt = fresh.pop()
+        if nxt in seen:
+            return None
+        order.append(nxt)
+        seen.add(nxt)
+        prev, cur = cur, nxt
+    if adjacency[order[-1]] - {order[-2]}:
+        return None
+    return tuple(order)
+
+
 @functools.cache
 def catalog_graph(name):
     return build_graph(GRAPH_SPECS[name])

@@ -319,9 +319,9 @@ class TestAnalyzeScheme:
 
     def test_each_quantity_computed_once(self, petersen_rel, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "polyprops.p_polynomial_ordering", "graphs.distance_data",
-                            "schemes.validate_scheme", "schemes.idempotents",
-                            "spherical.from_gram", "spherical.schur_diameter",
-                            "numerics.cluster_values")
+                            "graphs.adjacency_distances", "schemes.validate_scheme",
+                            "schemes.idempotents", "spherical.from_gram",
+                            "spherical.schur_diameter", "numerics.cluster_values")
         kernels = dict.fromkeys(("class matrix", "np.trace", "np.tensordot", "A_i @ E_j",
                                  "U_j @ U_j^T"), 0)
 
@@ -381,16 +381,17 @@ class TestAnalyzeScheme:
         patch_everywhere(monkeypatch, schur, staged_schur)
         code, _, _ = run(capsys, "analyze-scheme", str(petersen_rel), "--json")
         assert code == 0
-        # One detector run per class (d = 2); the size condition reuses it.
+        # One detector run per class (d = 2); the size condition reuses it,
+        # and it reads its levels off p, with no all-pairs level loop.
         # One sphere embedding per eigenspace feeds both its Schur-diameter
         # cross-check and its sphere report, and it is built from P and Q,
         # not admitted through from_gram.  The clusterings are one spectrum,
         # the two embeddings' Q columns and the two class-1 spectra that
         # cross-check the class spectra read off P.
         assert calls == {"polyprops.p_polynomial_ordering": 2, "graphs.distance_data": 0,
-                         "schemes.validate_scheme": 1, "schemes.idempotents": 1,
-                         "spherical.from_gram": 0, "spherical.schur_diameter": 2,
-                         "numerics.cluster_values": 5}
+                         "graphs.adjacency_distances": 0, "schemes.validate_scheme": 1,
+                         "schemes.idempotents": 1, "spherical.from_gram": 0,
+                         "spherical.schur_diameter": 2, "numerics.cluster_values": 5}
         # The Schur search reads its ranks off P and certifies only the rank
         # it returns: one eigensolve for each of the two separated
         # eigenspaces.  The other two are the class-1 cross-checks.
@@ -455,6 +456,23 @@ class TestAnalyzeScheme:
         code, _, err = run(capsys, "analyze-scheme", str(path), "--parametric")
         assert code == 2
         assert err.startswith("error: line 2: value 99999999999999999999 outside")
+
+    @pytest.mark.parametrize("value", [10**23, 2**63, -2**63 - 1])
+    def test_label_overflow_is_a_parse_error(self, tmp_path, capsys, value):
+        path = tmp_path / "huge.rel"
+        path.write_text(f"3 2\n0 1 2\n# comment\n1 0 {value}\n2 1 0\n")
+        code, out, err = run(capsys, "analyze-scheme", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 4: value {value} outside the 64-bit integer range\n"
+
+    @pytest.mark.parametrize("d", [5, 10**12, 10**26])
+    def test_declared_class_count_beyond_the_labels(self, tmp_path, capsys, d):
+        # No work is sized by the declared count: the first empty class
+        # comes from the labels present.
+        path = tmp_path / "sparse.rel"
+        path.write_text(f"2 {d}\n0 1\n1 0\n")
+        code, out, err = run(capsys, "analyze-scheme", str(path))
+        assert (code, out, err) == (2, "", "error: axiom 2: class 2 is empty\n")
 
 
 class TestAnalyzeGram:

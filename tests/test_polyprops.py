@@ -3,6 +3,7 @@ formulas, plus the cross-route consistency errors."""
 
 import dataclasses
 import functools
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -17,6 +18,8 @@ from conftest import (
     projectors,
     same_evidence,
     sphere_of,
+    tensor_index_adjacency_reference,
+    walk_index_path_reference,
 )
 from polyscheme.errors import DenseLimitError, MethodsDisagreeError
 from polyscheme.generators import (
@@ -28,6 +31,7 @@ from polyscheme.generators import (
     hamming_intersection_numbers,
 )
 from polyscheme.graphs import adjacency_distances
+from polyscheme.numerics import DEFAULT_TOL
 from polyscheme.polyprops import (
     INCONCLUSIVE,
     NOT_POLYNOMIAL,
@@ -43,7 +47,7 @@ from polyscheme.polyprops import (
 )
 from polyscheme import polyprops
 from polyscheme.reports import HYPOTHESIS_NOT_MET
-from polyscheme.schemes import RelationPartition, idempotents
+from polyscheme.schemes import RelationPartition, eigenmatrices, idempotents, validate_scheme
 
 
 def test_verdict_validation():
@@ -290,6 +294,86 @@ def test_detector_diameter_matches_networkx(name):
         for t in range(dd.diameter + 1):
             assert np.array_equal(dd.relation(t), oracle == t)
         assert not np.any(oracle > dd.diameter)
+
+
+def index_path(tensor, j, threshold):
+    return polyprops._path_ordering(polyprops._index_levels(tensor, j, threshold), j)
+
+
+@st.composite
+def index_tensors(draw):
+    """A tensor with d = 1..6 whose slice j holds a planted path from 0,
+    each link in a random orientation and, half the time, j second; plus a
+    few stray entries that may break it: on the diagonal, in either
+    orientation, and on either side of both thresholds."""
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        tensor = np.zeros((d + 1,) * 3, dtype=np.int64)
+        link, stray = st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-3, 3)
+    else:
+        tensor = np.zeros((d + 1,) * 3)
+        link = st.floats(0.6, 2.0) | st.floats(-2.0, -0.6)
+        stray = st.floats(-2.0, 2.0) | st.sampled_from([0.5, -0.4, 1e-9, -2e-9, 5e-10, 0.0])
+    j = draw(st.integers(1, d))
+    order = [0, *draw(st.permutations(range(1, d + 1)))]
+    if draw(st.booleans()):
+        order.sort(key=lambda i: (i != 0, i != j))
+    for h, i in zip(order, order[1:]):
+        if draw(st.booleans()):
+            h, i = i, h
+        tensor[j, h, i] = draw(link)
+    index = st.integers(0, d)
+    for k, h, i, v in draw(st.lists(st.tuples(st.just(j) | index, index, index, stray),
+                                    max_size=3)):
+        tensor[k, h, i] = v
+    return tensor
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_tensors(), st.sampled_from([0.5, 1e-9]))
+def test_index_levels_path_matches_the_walk(tensor, threshold):
+    d = tensor.shape[0] - 1
+    for j in range(1, d + 1):
+        adj = tensor_index_adjacency_reference(tensor, j, threshold)
+        assert index_path(tensor, j, threshold) == walk_index_path_reference(adj, d, j)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
+def test_index_levels_path_matches_the_walk_on_the_catalog(name):
+    params = analyzed_scheme(name).params
+    for tensor, threshold in ((params.p, 0.5), (params.krein, DEFAULT_TOL)):
+        for j in range(1, params.d + 1):
+            adj = tensor_index_adjacency_reference(tensor, j, threshold)
+            assert index_path(tensor, j, threshold) == \
+                walk_index_path_reference(adj, params.d, j)
+
+
+def test_point_levels_certify_the_index_levels():
+    """J(8,3)'s intersection numbers against its partition with classes 2
+    and 3 swapped, itself a valid scheme: class 1 still has diameter 3,
+    but the BFS from point 0 meets the class-3 points at distance 2."""
+    scheme = analyzed_scheme("johnson83")
+    assert p_polynomial_ordering(scheme.params, 1, scheme.rel).ordering == (0, 1, 2, 3)
+    swapped = RelationPartition.from_matrix(np.array([0, 1, 3, 2])[scheme.rel.labels], d=3)
+    with pytest.raises(MethodsDisagreeError, match="class-1 BFS from point 0 reaches point"):
+        p_polynomial_ordering(scheme.params, 1, swapped)
+
+
+def test_explicit_detector_holds_no_dense_array():
+    """At J(12,4), n = 495, the explicit detector calls peak below 16 n^2
+    bytes, two n x n float64 arrays; an all-pairs level loop on each class
+    mask peaks near 68 n^2."""
+    rel = build_scheme(FamilySpec("johnson", (12, 4)))
+    params = eigenmatrices(rel, idempotents(rel), p=validate_scheme(rel))
+    tracemalloc.start()
+    try:
+        verdicts = [p_polynomial_ordering(params, j, rel) for j in range(1, params.d + 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [v.status for v in verdicts] == [POLYNOMIAL, NOT_POLYNOMIAL, NOT_POLYNOMIAL,
+                                            NOT_POLYNOMIAL]
+    assert peak < 16 * rel.n ** 2
 
 
 def test_check_p_large_rejects_a_verdict_for_another_class():

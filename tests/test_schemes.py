@@ -166,6 +166,15 @@ def test_axiom_two_empty_class():
     assert err.value.axiom == 2
 
 
+@pytest.mark.parametrize("d", [3, 4, 10**12])
+def test_axiom_two_first_gap_in_the_labels(d):
+    # Classes 0, 1 and 3 are present: class 2 is the first empty one.
+    lab = [[0, 1, 3, 3], [1, 0, 3, 3], [3, 3, 0, 1], [3, 3, 1, 0]]
+    with pytest.raises(SchemeAxiomError, match="class 2 is empty") as err:
+        validate_scheme(RelationPartition.from_matrix(lab, d=d))
+    assert err.value.axiom == 2
+
+
 def test_axiom_three_asymmetric():
     lab = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
     with pytest.raises(SchemeAxiomError) as err:

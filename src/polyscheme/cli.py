@@ -84,7 +84,7 @@ def cmd_analyze_graph(args) -> int:
     gi = analysis.girth
     facts = {
         "n": g.n,
-        "edges": g.edge_count,
+        "edges": len(g.edges),
         "degree": k,
         "spectrum": list(spectrum.values),
         "multiplicities": list(spectrum.multiplicities),
@@ -96,7 +96,7 @@ def cmd_analyze_graph(args) -> int:
         return 1 if any_failed(reports) else 0
     lines = [f"graph: {args.path}"]
     degree_txt = str(k) if k is not None else "not regular"
-    lines.append(f"vertices: {g.n}   edges: {g.edge_count}   degree: {degree_txt}")
+    lines.append(f"vertices: {g.n}   edges: {len(g.edges)}   degree: {degree_txt}")
     spec_txt = "  ".join(f"{_fmt(v)} (x{m})"
                          for v, m in zip(spectrum.values, spectrum.multiplicities))
     lines.append(f"spectrum: {spec_txt}")

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the line reader of the
-text formats, whose ParseErrors carry line numbers."""
+"""Exception types shared across the package, and the line and row
+readers of the text formats, whose ParseErrors carry line numbers."""
+
+import itertools
+
+import numpy as np
 
 
 class AnalysisError(Exception):
@@ -63,6 +67,14 @@ class ParseError(AnalysisError):
         super().__init__(f"line {line_no}: {message}")
 
 
+class IntRangeError(ParseError):
+    """A row of integers, values, holding big, which no 64-bit integer holds."""
+
+    def __init__(self, line_no: int, values: list[int], big: int):
+        self.values = values
+        super().__init__(line_no, f"value {big} outside the 64-bit integer range")
+
+
 # Characters per block of text that the line reader splits at once.
 _BLOCK = 1 << 16
 
@@ -88,3 +100,56 @@ def content_lines(text: str):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield line_no, tokens
+
+
+def read_header(lines, empty: str, width: int, bad_token: str, bad_width: str):
+    """The line number and width integers, of any size, of the first of
+    lines, an iterator of content_lines; an empty file is ParseError(0, empty)."""
+    line_no, tokens = next(lines, (0, None))
+    if tokens is None:
+        raise ParseError(0, empty)
+    return line_no, _row_values(line_no, tokens, int, width, bad_token, bad_width)
+
+
+def _row_values(line_no: int, tokens, convert, width: int, bad_token: str, bad_width: str):
+    """The tokens of one line through convert.  A token it refuses, then a
+    count other than width, raise bad_token or bad_width at the line,
+    formatted with the line as {row} and its token count as {count}."""
+    row, count = " ".join(tokens), len(tokens)
+    try:
+        values = [convert(tok) for tok in tokens]
+    except ValueError:
+        raise ParseError(line_no, bad_token.format(row=row, count=count)) from None
+    if count != width:
+        raise ParseError(line_no, bad_width.format(row=row, count=count))
+    return values
+
+
+# Tokens that read_rows converts in one numpy call.
+_BLOCK_TOKENS = 1 << 14
+
+
+def read_rows(lines, dtype, width: int, bad_token: str, bad_width: str):
+    """The lines left in lines, an iterator of content_lines, as one
+    (count, width) array of dtype (np.int64 or float) and the list of their
+    line numbers.  Tokens convert as int() or float() reads them, in numpy
+    calls over blocks of about _BLOCK_TOKENS.  A block that fails is read
+    again line by line: its first bad line raises the ParseError of
+    _row_values, or IntRangeError if it holds an integer beyond 64 bits."""
+    convert = int if dtype is np.int64 else float
+    blocks, numbers = [], []
+    while block := list(itertools.islice(lines, max(1, _BLOCK_TOKENS // max(width, 1)))):
+        block_numbers, token_rows = zip(*block)
+        numbers += block_numbers
+        try:
+            if set(map(len, token_rows)) == {width}:
+                flat = list(itertools.chain.from_iterable(token_rows))
+                blocks.append(np.array(flat, dtype=dtype).reshape(-1, width))
+                continue
+        except (ValueError, OverflowError):
+            pass
+        for line_no, tokens in block:
+            values = _row_values(line_no, tokens, convert, width, bad_token, bad_width)
+            if big := [v for v in values if convert is int and not -2**63 <= v < 2**63]:
+                raise IntRangeError(line_no, values, big[0])
+    return np.concatenate(blocks) if blocks else np.empty((0, max(width, 0)), dtype), numbers

@@ -160,7 +160,7 @@ def build_graph(spec: FamilySpec) -> Graph:
         return Graph.from_edges(args[0], _cycle_edges(args[0]))
     if name == "complete":
         n = args[0]
-        return Graph.from_edges(n, itertools.combinations(range(n), 2))
+        return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
     if name == "petersen":
         pairs = list(itertools.combinations(range(5), 2))
         edges = [(i, j) for i, j in itertools.combinations(range(10), 2)

@@ -12,7 +12,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphStructureError, MethodsDisagreeError, ParseError, content_lines
+from .errors import (
+    GraphStructureError,
+    IntRangeError,
+    MethodsDisagreeError,
+    ParseError,
+    content_lines,
+    read_header,
+    read_rows,
+)
 from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
@@ -27,41 +35,36 @@ from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, TheoremReport
 UNREACHABLE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph stored as sorted neighbor tuples."""
+    """Simple undirected graph on vertices 0..n-1, held as its read-only
+    (m, 2) int64 edge array: u < v in every row, rows sorted."""
 
-    neighbors: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.neighbors)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+    n: int
+    edges: np.ndarray
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """The graph of the (u, v) pairs in edges.  The first offending
+        pair in their order is named: one out of range, a self-loop, or a
+        repeat of an earlier pair in either orientation."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in sets[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            sets[u].add(v)
-            sets[v].add(u)
-        return Graph(tuple(tuple(sorted(s)) for s in sets))
-
-    def edges(self):
-        for u, nb in enumerate(self.neighbors):
-            for v in nb:
-                if u < v:
-                    yield (u, v)
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        # lo*n + hi is one to one on pairs in range; a pair out of range that
+        # shares a key is named as out of range, or before the pair it shares.
+        key, first = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1), return_index=True)
+        repeat = np.bincount(first, minlength=len(pairs)) == 0
+        bad = np.flatnonzero(outside | (pairs[:, 0] == pairs[:, 1]) | repeat)
+        if bad.size:
+            u, v = pairs[bad[0]].tolist()
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}" if outside[bad[0]]
+                             else f"self-loop at vertex {u}" if u == v
+                             else f"duplicate edge ({u}, {v})")
+        canonical = np.column_stack(np.divmod(key, n))
+        canonical.setflags(write=False)
+        return Graph(n, canonical)
 
     def adjacency_matrix(self, max_dense: int | None = DEFAULT_MAX_DENSE) -> np.ndarray:
         """The dense 0/1 adjacency matrix, built once and read-only; every
@@ -72,18 +75,14 @@ class Graph:
     @cached_property
     def _adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for u, nb in enumerate(self.neighbors):
-            a[u, list(nb)] = 1.0
+        a[self.edges, self.edges[:, ::-1]] = 1.0
         a.setflags(write=False)
         return a
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self.neighbors)
-
     def regular_degree(self) -> int | None:
         """Common degree if the graph is regular, else None."""
-        degs = set(self.degrees())
-        return degs.pop() if len(degs) == 1 else None
+        degrees = np.bincount(self.edges.ravel(), minlength=self.n)
+        return int(degrees[0]) if (degrees == degrees[0]).all() else None
 
 
 @dataclass(frozen=True)
@@ -476,28 +475,17 @@ def large_graph_report(
     return analyze_graph(g, tol, max_dense).reports[1]
 
 
-# --- edge-list text format ------------------------------------------------
-# First line "n m", then m lines "u v" (0-based).  Blank lines and "#"
-# comments are ignored.  A header n above the dense limit is refused before
-# any per-vertex work, since no analysis could admit the graph.
-
-
 def parse_edge_list(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> Graph:
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    for line_no, parts in content_lines(text):
-        try:
-            u, v = map(int, parts)
-        except ValueError:
-            raise ParseError(line_no, f"expected two integers, got {' '.join(parts)!r}") from None
-        if header is None:
-            check_dense_limit(u, max_dense)
-            header = (u, v)
-        else:
-            edges.append((u, v))
-    if header is None:
-        raise ParseError(0, "empty edge-list file")
-    n, m = header
+    """The graph of an edge list: a header "n m", then m lines "u v" of
+    0-based vertices.  n above max_dense is refused before any row is read."""
+    lines = content_lines(text)
+    bad = "expected two integers, got {row!r}"
+    _, (n, m) = read_header(lines, "empty edge-list file", 2, bad, bad)
+    check_dense_limit(n, max_dense)
+    try:
+        edges, _ = read_rows(lines, np.int64, 2, bad, bad)
+    except IntRangeError as exc:
+        raise ParseError(0, "edge ({}, {}) out of range for n={}".format(*exc.values, n)) from None
     if len(edges) != m:
         raise ParseError(0, f"header declares {m} edges but {len(edges)} found")
     try:
@@ -507,6 +495,6 @@ def parse_edge_list(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> Gra
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines = [f"{g.n} {len(g.edges)}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
     return "\n".join(lines) + "\n"

@@ -387,9 +387,6 @@ def analyze_scheme(
         check_dense_limit(rel.n, max_dense)
         p = validate_scheme(rel, max_dense)
         idems = idempotents(rel, tol, seeds, max_dense)
-        # No later stage reads the cached class matrices; drop them before
-        # the sphere checks so that their n x n work does not stack on them.
-        vars(rel).pop("class_matrices")
         params = eigenmatrices(rel, idems, tol, p=p)
     else:
         rel = idems = None

@@ -11,7 +11,6 @@ eigenmatrix lists the degrees and row 0 of the second the multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +21,8 @@ from .errors import (
     SchemeAxiomError,
     ToleranceAmbiguityError,
     content_lines,
+    read_header,
+    read_rows,
 )
 from .graphs import DistanceData
 from .numerics import (
@@ -36,7 +37,6 @@ DEFAULT_SEEDS = (20839, 61409, 92821)
 # produce a degenerate combination for some input.
 ALTERNATE_SEEDS = (15137, 48817, 76091)
 SEED_SETS = {"default": DEFAULT_SEEDS, "alternate": ALTERNATE_SEEDS}
-_INT64 = range(-2**63, 2**63)  # the values an int64 holds
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,6 @@ class RelationPartition:
         if not 0 <= i <= self.d:
             raise ValueError(f"class {i} outside 0..{self.d}")
         return (self.labels == i).astype(float)
-
-    @cached_property
-    def class_matrices(self) -> tuple[np.ndarray, ...]:
-        """The read-only indicator matrices of classes 0..d, built once and
-        shared by every stage that reads them."""
-        mats = tuple(self.adjacency(i) for i in range(self.d + 1))
-        for a in mats:
-            a.setflags(write=False)
-        return mats
 
 
 def from_distance_data(dd: DistanceData) -> RelationPartition:
@@ -136,7 +127,7 @@ def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_
     # rep[k]: the first pair of class k in row-major order.
     rep = np.array([np.argmax(lab.ravel() == k) for k in range(d + 1)])
     # Counts are at most n, so float64 products of 0/1 matrices are exact.
-    adj = rel.class_matrices
+    adj = [rel.adjacency(i) for i in range(d + 1)]
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
         for j in range(i, d + 1):
@@ -201,7 +192,7 @@ def idempotents(
     """
     check_dense_limit(rel.n, max_dense)
     n, d = rel.n, rel.d
-    adj = rel.class_matrices
+    adj = [rel.adjacency(i) for i in range(d + 1)]
     for seed in seeds:
         coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
         w, vecs = np.linalg.eigh(sum(c * a for c, a in zip(coeffs, adj)))
@@ -401,42 +392,19 @@ def parametric_parameters(
     )
 
 
-# --- relation-matrix text format ------------------------------------------
-# First line "n d", then n rows of n labels.  Blank lines and "#" comments
-# are ignored.  A header n above the dense limit is refused before any row
-# is read.
-
-
 def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> RelationPartition:
-    header = None
-    rows: list[list[int]] = []
-    row_lines: list[int] = []
-    for line_no, tokens in content_lines(text):
-        try:
-            nums = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ParseError(line_no, f"expected integers, got {' '.join(tokens)!r}") from None
-        if header is None:
-            if len(nums) != 2:
-                raise ParseError(line_no, "header must be 'n d'")
-            check_dense_limit(nums[0], max_dense)
-            header = (nums[0], nums[1])
-            continue
-        if len(nums) != header[0]:
-            raise ParseError(line_no, f"expected {header[0]} labels, got {len(nums)}")
-        rows.append(nums)
-        row_lines.append(line_no)
-    if header is None:
-        raise ParseError(0, "empty relation-matrix file")
-    n, d = header
-    if len(rows) != n:
-        raise ParseError(0, f"header declares {n} rows but {len(rows)} found")
+    """The partition of a relation matrix: a header "n d", then n rows of n
+    labels.  n above max_dense is refused before any row is read."""
+    lines = content_lines(text)
+    _, (n, d) = read_header(lines, "empty relation-matrix file", 2,
+                            "expected integers, got {row!r}", "header must be 'n d'")
+    check_dense_limit(n, max_dense)
+    labels, _ = read_rows(lines, np.int64, n, "expected integers, got {row!r}",
+                          f"expected {n} labels, got {{count}}")
+    if len(labels) != n:
+        raise ParseError(0, f"header declares {n} rows but {len(labels)} found")
     try:
-        return RelationPartition.from_matrix(rows, d=d)
-    except OverflowError:
-        line_no, val = next((line_no, v) for line_no, row in zip(row_lines, rows)
-                            for v in row if v not in _INT64)
-        raise ParseError(line_no, f"value {val} outside the 64-bit integer range") from None
+        return RelationPartition.from_matrix(labels, d=d)
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
 
@@ -447,54 +415,41 @@ def format_relation_matrix(rel: RelationPartition) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- intersection-tensor text format --------------------------------------
-# First line "n d", then one line "i j k value" per nonzero entry, each
-# triple at most once.  Blank lines and "#" comments are ignored.
-
-
 def parse_intersection_tensor(text: str):
-    header = None
-    entries: dict[tuple[int, int, int], int] = {}
-    for line_no, tokens in content_lines(text):
-        try:
-            nums = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ParseError(line_no, f"expected integers, got {' '.join(tokens)!r}") from None
-        if header is None:
-            if len(nums) != 2:
-                raise ParseError(line_no, "header must be 'n d'")
-            header, header_line = nums, line_no
-            if header[1] < 1:
-                raise ParseError(line_no, "schemes need at least one class besides the identity")
-            continue
-        if len(nums) != 4:
-            raise ParseError(line_no, "tensor entries are 'i j k value'")
-        i, j, k, val = nums
-        if not (0 <= i <= header[1] and 0 <= j <= header[1] and 0 <= k <= header[1]):
-            raise ParseError(line_no, f"indices ({i}, {j}, {k}) outside 0..{header[1]}")
-        if (i, j, k) in entries:
-            raise ParseError(line_no, f"second entry for ({i}, {j}, {k})")
-        if val not in _INT64:
-            raise ParseError(line_no, f"value {val} outside the 64-bit integer range")
-        entries[i, j, k] = val
-    if header is None:
-        raise ParseError(0, "empty tensor file")
-    n, d = header
-    if d + 1 > len(entries):
-        raise ParseError(header_line, f"header declares {d} classes, which need {d + 1} degree"
-                                      f" lines 'i i 0 k_i', but {len(entries)} entry lines follow")
+    """(p, n) from an intersection tensor: a header "n d", then one line
+    "i j k value" per nonzero p[i, j, k], each triple at most once."""
+    lines = content_lines(text)
+    header_line, (n, d) = read_header(lines, "empty tensor file", 2,
+                                      "expected integers, got {row!r}", "header must be 'n d'")
+    if d < 1:
+        raise ParseError(header_line, "schemes need at least one class besides the identity")
+    entries, entry_lines = read_rows(lines, np.int64, 4, "expected integers, got {row!r}",
+                                     "tensor entries are 'i j k value'")
+    ijk = entries[:, :3]
+    outside = ((ijk < 0) | (ijk > d)).any(axis=1)
+    # A stable sort keeps equal triples in file order: all but the first repeat.
+    order = np.lexsort(ijk.T[::-1])
+    repeat = np.zeros(len(ijk), dtype=bool)
+    repeat[order[1:][(ijk[order[1:]] == ijk[order[:-1]]).all(axis=1)]] = True
+    bad = np.flatnonzero(outside | repeat)
+    if bad.size:
+        i, j, k = ijk[bad[0]].tolist()
+        raise ParseError(entry_lines[bad[0]], f"indices ({i}, {j}, {k}) outside 0..{d}"
+                         if outside[bad[0]] else f"second entry for ({i}, {j}, {k})")
+    # sum_i p[i, j, k] = k_j >= 1 for every (j, k) (Bannai-Ito 1984), so a
+    # valid tensor has at least (d+1)^2 nonzero entries; fewer lines refuse
+    # the header before the (d+1)^3 array is allocated.
+    if len(entries) < (d + 1) ** 2:
+        raise ParseError(header_line, f"header declares {d} classes, which need at least "
+                                      f"(d+1)^2 = {(d + 1) ** 2} entry lines, "
+                                      f"but {len(entries)} follow")
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    for ijk, val in entries.items():
-        p[ijk] = val
+    p[tuple(ijk.T)] = entries[:, 3]
     return p, n
 
 
 def format_intersection_tensor(p: np.ndarray, n: int) -> str:
-    d = p.shape[0] - 1
-    lines = [f"{n} {d}"]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for k in range(d + 1):
-                if p[i, j, k]:
-                    lines.append(f"{i} {j} {k} {int(p[i, j, k])}")
+    lines = [f"{n} {p.shape[0] - 1}"]
+    lines.extend(f"{i} {j} {k} {v}" for (i, j, k), v in zip(np.argwhere(p).tolist(),
+                                                             p[p != 0].tolist()))
     return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ matrix reach full rank).
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,8 @@ from .errors import (
     ParseError,
     SchurDisconnectedError,
     content_lines,
+    read_header,
+    read_rows,
 )
 from .numerics import (
     DEFAULT_MAX_DENSE,
@@ -351,43 +355,22 @@ def verify_sphere_theorem(
     return TheoremReport(subject, theorem, PASS, tol, evidence)
 
 
-# --- Gram-matrix text format ----------------------------------------------
-# First line "n", then n rows of n reals.  Blank lines and "#" comments are
-# ignored.  A header n above the dense limit is refused before any row is
-# read.  The matrix is returned as read; from_gram symmetrizes it.
-
-
 def parse_gram_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> np.ndarray:
-    n = None
-    rows: list[list[float]] = []
-    row_lines: list[int] = []
-    for line_no, parts in content_lines(text):
-        if n is None:
-            if len(parts) != 1:
-                raise ParseError(line_no, f"expected a single count, got {' '.join(parts)!r}")
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise ParseError(line_no, f"bad count {parts[0]!r}") from None
-            if n < 1:
-                raise ParseError(line_no, f"count must be positive, got {n}")
-            check_dense_limit(n, max_dense)
-            continue
-        if len(rows) == n:
-            raise ParseError(line_no, f"more than {n} rows")
-        try:
-            row = [float(x) for x in parts]
-        except ValueError:
-            raise ParseError(line_no, f"bad entry in {' '.join(parts)!r}") from None
-        if len(row) != n:
-            raise ParseError(line_no, f"expected {n} entries, got {len(row)}")
-        rows.append(row)
-        row_lines.append(line_no)
-    if n is None:
-        raise ParseError(0, "empty input")
-    if len(rows) != n:
-        raise ParseError(0, f"expected {n} rows, got {len(rows)}")
-    a = np.array(rows, dtype=float)
+    """A Gram file's matrix as read (from_gram symmetrizes it): a header "n",
+    then n rows of n reals.  n above max_dense is refused before any row is read."""
+    lines = content_lines(text)
+    line_no, (n,) = read_header(lines, "empty input", 1, "bad count {row!r}",
+                                "expected a single count, got {row!r}")
+    if n < 1:
+        raise ParseError(line_no, f"count must be positive, got {n}")
+    check_dense_limit(n, max_dense)
+    # No text has more than sys.maxsize lines, the most islice counts.
+    a, row_lines = read_rows(itertools.islice(lines, min(n, sys.maxsize)), float, n,
+                             "bad entry in {row!r}", f"expected {n} entries, got {{count}}")
+    if (extra := next(lines, None)) is not None:
+        raise ParseError(extra[0], f"more than {n} rows")
+    if len(a) != n:
+        raise ParseError(0, f"expected {n} rows, got {len(a)}")
     bad_rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
     if bad_rows.size:
         raise ParseError(row_lines[bad_rows[0]], "entries must be finite")
@@ -397,6 +380,5 @@ def parse_gram_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> n
 
 def format_gram_matrix(m) -> str:
     lines = [str(len(m))]
-    for row in m:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines.extend(" ".join(map(repr, row)) for row in np.asarray(m, dtype=float).tolist())
     return "\n".join(lines) + "\n"

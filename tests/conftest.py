@@ -89,6 +89,15 @@ def same_evidence(a, b, key=""):
     return key == "witness" or a == b
 
 
+def neighbour_lists(g):
+    """Each vertex's neighbours, read off the graph's edge array."""
+    neighbors = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return neighbors
+
+
 def bfs_distances_reference(neighbors, root):
     """Oracle for one row of graphs.distance_data: a Python BFS from root,
     with -1 for unreachable vertices."""
@@ -108,7 +117,8 @@ def girth_reference(g):
     """Oracle for graphs.girth: per-edge BFS.  The shortest cycle through
     edge (u, v) is one longer than the shortest u-v path avoiding it."""
     best = None
-    for u, v in g.edges():
+    neighbors = neighbour_lists(g)
+    for u, v in g.edges.tolist():
         dist = {u: 0}
         queue = deque([u])
         found = None
@@ -116,7 +126,7 @@ def girth_reference(g):
             x = queue.popleft()
             if best is not None and dist[x] + 1 >= best:
                 break
-            for y in g.neighbors[x]:
+            for y in neighbors[x]:
                 if {x, y} == {u, v}:
                     continue
                 if y not in dist:

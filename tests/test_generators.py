@@ -64,7 +64,7 @@ def test_family_spec_label():
 def test_build_graph_shape(name, args, n, edges, degree):
     g = build_graph(FamilySpec(name, args))
     assert g.n == n
-    assert g.edge_count == edges
+    assert len(g.edges) == edges
     assert g.regular_degree() == degree
 
 

@@ -18,6 +18,7 @@ from conftest import (
     catalog_graph,
     girth_reference,
     max_abs_diff,
+    neighbour_lists,
     same_evidence,
 )
 from polyscheme import graphs
@@ -60,7 +61,7 @@ CATALOG_SHAPE = {
 def to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(g.edges.tolist())
     return h
 
 
@@ -73,6 +74,38 @@ def test_from_edges_validation():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
+
+
+def from_edges_reference(n, edges):
+    """Oracle for Graph.from_edges: the checks edge by edge, in order, with a
+    set of the pairs seen.  Returns the sorted pairs or the error message."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if (min(u, v), max(u, v)) in seen:
+            return f"duplicate edge ({u}, {v})"
+        seen.add((min(u, v), max(u, v)))
+    return sorted(seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=12))
+def test_from_edges_matches_the_per_edge_checks(n, edges):
+    want = from_edges_reference(n, edges)
+    try:
+        g = Graph.from_edges(n, edges)
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert [tuple(e) for e in g.edges.tolist()] == want
+        assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+        adj = np.zeros((n, n))
+        for u, v in want:
+            adj[u, v] = adj[v, u] = 1.0
+        assert np.array_equal(g.adjacency_matrix(), adj)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_SPECS))
@@ -271,12 +304,13 @@ def test_large_graph_report_small_cube():
 def test_edge_list_round_trip():
     for name in ("petersen", "cycle6"):
         g = catalog_graph(name)
-        assert parse_edge_list(format_edge_list(g)).neighbors == g.neighbors
+        back = parse_edge_list(format_edge_list(g))
+        assert back.n == g.n and np.array_equal(back.edges, g.edges)
 
 
 def test_edge_list_comments_and_blanks_ignored():
     text = "# a triangle\n3 3\n\n0 1  # first edge\n1 2\n0 2#last\n"
-    assert parse_edge_list(text).neighbors == ((1, 2), (0, 2), (0, 1))
+    assert parse_edge_list(text).edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_analyze_graph_refuses_before_distances(monkeypatch):
@@ -320,7 +354,7 @@ def test_edge_list_parse_errors():
 
 
 def from_networkx(h: nx.Graph) -> Graph:
-    return Graph.from_edges(h.number_of_nodes(), h.edges())
+    return Graph.from_edges(h.number_of_nodes(), list(h.edges()))
 
 
 def cycle(n: int) -> Graph:
@@ -363,7 +397,7 @@ def test_level_loop_matches_oracles(name, level_step):
     h = to_networkx(g)
     dd = distance_data(g)
     for root in range(g.n):
-        assert np.array_equal(dd.dist[root], bfs_distances_reference(g.neighbors, root))
+        assert np.array_equal(dd.dist[root], bfs_distances_reference(neighbour_lists(g), root))
     for x in range(g.n):
         for y in range(g.n):
             want = (len(list(nx.all_shortest_paths(h, x, y)))
@@ -509,7 +543,7 @@ def test_relabelling_leaves_the_reports_unchanged(name, rnd):
     g = INVARIANCE_GRAPHS[name]()
     perm = list(range(g.n))
     rnd.shuffle(perm)
-    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges.tolist()])
     a, b = analyze_graph(g), analyze_graph(h)
     assert a.girth == b.girth and a.distances.diameter == b.distances.diameter
     assert a.spectrum.multiplicities == b.spectrum.multiplicities

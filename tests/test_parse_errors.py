@@ -1,0 +1,181 @@
+"""Every refusal of the four text formats, with its full message and line,
+and the shared row reader against a token-by-token oracle.
+
+Each table row is (parser, text, keyword arguments, line, message).  Line
+None marks a header refused by the dense limit: the row after it is
+malformed, so reading any row before the refusal would raise a ParseError
+instead.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyscheme import errors
+from polyscheme.errors import DenseLimitError, IntRangeError, ParseError
+from polyscheme.graphs import parse_edge_list
+from polyscheme.schemes import parse_intersection_tensor, parse_relation_matrix
+from polyscheme.spherical import parse_gram_matrix
+
+DENSE = "dense computation refused for n={} > limit {}; raise the limit explicitly to proceed"
+
+EDGE_LIST = [
+    ("", {}, 0, "empty edge-list file"),
+    ("# only a comment\n\n", {}, 0, "empty edge-list file"),
+    ("3\n", {}, 1, "expected two integers, got '3'"),
+    ("3 x\n", {}, 1, "expected two integers, got '3 x'"),
+    ("3 1\n0 x\n", {}, 2, "expected two integers, got '0 x'"),
+    ("3 1\n0 1 2\n", {}, 2, "expected two integers, got '0 1 2'"),
+    ("3 1\n0 1.0\n", {}, 2, "expected two integers, got '0 1.0'"),
+    ("3 2\n0 1\n", {}, 0, "header declares 2 edges but 1 found"),
+    ("0 0\n", {}, 0, "graph needs at least one vertex"),
+    ("3 1\n0 3\n", {}, 0, "edge (0, 3) out of range for n=3"),
+    ("3 1\n-1 2\n", {}, 0, "edge (-1, 2) out of range for n=3"),
+    ("3 1\n0 99999999999999999999\n", {}, 0,
+     "edge (0, 99999999999999999999) out of range for n=3"),
+    ("3 1\n1 1\n", {}, 0, "self-loop at vertex 1"),
+    ("3 2\n0 1\n1 0\n", {}, 0, "duplicate edge (1, 0)"),
+    ("3 2\n0 1\n0 1\n", {}, 0, "duplicate edge (0, 1)"),
+    # The first offending edge in file order is named, whatever its kind.
+    ("4 2\n2 2\n0 9\n", {}, 0, "self-loop at vertex 2"),
+    ("4 2\n0 9\n2 2\n", {}, 0, "edge (0, 9) out of range for n=4"),
+    ("4 3\n0 1\n1 0\n2 2\n", {}, 0, "duplicate edge (1, 0)"),
+    ("4 3\n0 1\n3 3\n1 0\n", {}, 0, "self-loop at vertex 3"),
+    ("4 1\n5 5\n", {}, 0, "edge (5, 5) out of range for n=4"),
+    ("# a graph\r\n3 1\r\n\r\n0 x  # bad\r\n", {}, 4, "expected two integers, got '0 x'"),
+    ("3 1  # n m\n# c\n\n0 0\n", {}, 0, "self-loop at vertex 0"),
+    ("20 1\n0 x\n", {"max_dense": 12}, None, DENSE.format(20, 12)),
+    ("99999999999999999999 1\n0 x\n", {}, None, DENSE.format(99999999999999999999, 5000)),
+]
+
+RELATION_MATRIX = [
+    ("", {}, 0, "empty relation-matrix file"),
+    ("2\n0 1\n1 0\n", {}, 1, "header must be 'n d'"),
+    ("2 x\n", {}, 1, "expected integers, got '2 x'"),
+    ("2 1\n0 x\nx 0\n", {}, 2, "expected integers, got '0 x'"),
+    ("3 1\n0 x\n", {}, 2, "expected integers, got '0 x'"),
+    ("3 1\n0 1\n1 0 1\n1 1 0\n", {}, 2, "expected 3 labels, got 2"),
+    ("2 1\n0 1 0\n1 0\n", {}, 2, "expected 2 labels, got 3"),
+    ("2 1\n0 1\n", {}, 0, "header declares 2 rows but 1 found"),
+    ("2 1\n0 1\n1 0\n1 0\n", {}, 0, "header declares 2 rows but 3 found"),
+    ("2 1\n0 1\n1 100000000000000000000000\n", {}, 3,
+     "value 100000000000000000000000 outside the 64-bit integer range"),
+    ("2 1\n0 -9223372036854775809\n1 0\n", {}, 2,
+     "value -9223372036854775809 outside the 64-bit integer range"),
+    ("2 1\n0 -1\n1 0\n", {}, 0, "labels must be nonnegative"),
+    ("2 1\n0 5\n1 0\n", {}, 0, "label 5 exceeds declared class count 1"),
+    ("1 1\n0\n", {}, 0, "schemes need at least two points"),
+    ("2 0\n0 0\n0 0\n", {}, 0, "schemes need at least one class besides the identity"),
+    ("# C_3\r\n3 1\r\n0 1 1  # row 0\r\n\r\n1 0\r\n1 1 0\r\n", {}, 5, "expected 3 labels, got 2"),
+    ("4 1\n0 1 1 1\n1 0 x 1\n1 1 0 1\n1 1 1 0\n", {"max_dense": 3}, None, DENSE.format(4, 3)),
+    ("6000 2\n0 x\n", {}, None, DENSE.format(6000, 5000)),
+]
+
+INTERSECTION_TENSOR = [
+    ("# nothing\n", {}, 0, "empty tensor file"),
+    ("3\n", {}, 1, "header must be 'n d'"),
+    ("3 x\n", {}, 1, "expected integers, got '3 x'"),
+    ("3 -4\n", {}, 1, "schemes need at least one class besides the identity"),
+    ("6 2\n1 2 3\n", {}, 2, "tensor entries are 'i j k value'"),
+    ("6 2\n0 0 0 x\n", {}, 2, "expected integers, got '0 0 0 x'"),
+    ("6 2\n0 0 5 1\n", {}, 2, "indices (0, 0, 5) outside 0..2"),
+    ("6 2\n0 0 -1 1\n", {}, 2, "indices (0, 0, -1) outside 0..2"),
+    ("10 2\n0 0 0 8\n0 0 0 1\n", {}, 3, "second entry for (0, 0, 0)"),
+    ("3 1\n0 0 0 99999999999999999999\n", {}, 2,
+     "value 99999999999999999999 outside the 64-bit integer range"),
+    ("3 100000\n0 0 0 1\n", {}, 1,
+     "header declares 100000 classes, which need at least (d+1)^2 = 10000200001 "
+     "entry lines, but 1 follow"),
+    ("# K_3\r\n3 1\r\n\r\n0 0 0 1  # identity\r\n0 1 1 1\r\n0 1 1 1\r\n", {}, 6,
+     "second entry for (0, 1, 1)"),
+]
+
+GRAM_MATRIX = [
+    ("", {}, 0, "empty input"),
+    ("x\n", {}, 1, "bad count 'x'"),
+    ("2 2\n", {}, 1, "expected a single count, got '2 2'"),
+    ("0\n", {}, 1, "count must be positive, got 0"),
+    ("2\n1.0 zz\nzz 1.0\n", {}, 2, "bad entry in '1.0 zz'"),
+    ("3\n1.0 zz\n", {}, 2, "bad entry in '1.0 zz'"),
+    ("2\n1.0 0.0\n0.0 1.0 3.0\n", {}, 3, "expected 2 entries, got 3"),
+    ("3\n1.0 0.0 0.0\n", {}, 0, "expected 3 rows, got 1"),
+    ("2\n1.0 0.0\n0.0 1.0\n0.5 0.5\n", {}, 4, "more than 2 rows"),
+    ("2\n1.0 0.0\n0.0 1.0\nzz\n", {}, 4, "more than 2 rows"),
+    ("2\n1.0 0.0\n0.0 nan\n", {}, 3, "entries must be finite"),
+    ("2\n1.0 inf\ninf 1.0\n", {}, 2, "entries must be finite"),
+    ("2\n1 1e400\n1e400 1\n", {}, 2, "entries must be finite"),
+    ("# two points\r\n2\r\n\r\n1.0 0.5  # row\r\n0.5 -inf\r\n", {}, 5, "entries must be finite"),
+    ("99999999999999999999\n1\n", {"max_dense": None}, 2,
+     "expected 99999999999999999999 entries, got 1"),
+    ("4\n1 0 0 0\n0 1 zz 0\n0 0 1 0\n0 0 0 1\n", {"max_dense": 3}, None, DENSE.format(4, 3)),
+    ("6000\n1 zz\n", {}, None, DENSE.format(6000, 5000)),
+]
+
+TABLE = [
+    pytest.param(parse, text, kwargs, line, message, id=f"{parse.__name__}-{i}")
+    for parse, rows in ((parse_edge_list, EDGE_LIST),
+                        (parse_relation_matrix, RELATION_MATRIX),
+                        (parse_intersection_tensor, INTERSECTION_TENSOR),
+                        (parse_gram_matrix, GRAM_MATRIX))
+    for i, (text, kwargs, line, message) in enumerate(rows)
+]
+
+
+@pytest.mark.parametrize("parse, text, kwargs, line, message", TABLE)
+def test_parse_error_table(parse, text, kwargs, line, message):
+    with pytest.raises(DenseLimitError if line is None else ParseError) as info:
+        parse(text, **kwargs)
+    if line is None:
+        assert str(info.value) == message
+    else:
+        assert (info.value.line_no, str(info.value)) == (line, f"line {line}: {message}")
+
+
+def read_rows_reference(rows, dtype, width):
+    """Oracle for errors.read_rows: each row parsed token by token.  Returns
+    the values as lists, or the (kind, line) of the first offending row."""
+    convert = float if dtype is float else int
+    out = []
+    for line_no, tokens in rows:
+        try:
+            values = [convert(tok) for tok in tokens]
+        except ValueError:
+            return "token", line_no
+        if len(tokens) != width:
+            return "width", line_no
+        if any(not -2**63 <= v < 2**63 for v in values if convert is int):
+            return "range", line_no
+        out.append(values)
+    return out
+
+
+TOKENS = ["0", "7", "-3", "+12", "1_0", "x", "1.5", "nan", "-inf", "1e400",
+          "9223372036854775807", "9223372036854775808", "-99999999999999999999"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4), max_size=10),
+       st.sampled_from([np.int64, float]), st.integers(1, 3), st.integers(1, 5))
+def test_read_rows_matches_a_per_token_parse(token_rows, dtype, width, block):
+    # Blocks of a few tokens put block ends between every pair of rows.
+    rows = [(2 * i + 3, tokens) for i, tokens in enumerate(token_rows)]
+    want = read_rows_reference(rows, dtype, width)
+    saved, errors._BLOCK_TOKENS = errors._BLOCK_TOKENS, block
+    try:
+        values, numbers = errors.read_rows(iter(rows), dtype, width, "token {row!r}",
+                                           "width {count}")
+        got = values.tolist()
+        assert numbers == [no for no, _ in rows]
+        assert values.shape == (len(rows), width) and values.dtype == dtype
+    except IntRangeError as exc:
+        got = "range", exc.line_no
+    except ParseError as exc:
+        got = str(exc).split(": ", 1)[1].split()[0], exc.line_no
+    finally:
+        errors._BLOCK_TOKENS = saved
+    if dtype is float and isinstance(want, list):
+        assert np.array_equal(np.array(got, dtype=float).reshape(-1, width),
+                              np.array(want, dtype=float).reshape(-1, width), equal_nan=True)
+    else:
+        assert got == want

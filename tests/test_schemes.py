@@ -3,6 +3,7 @@ counting oracle, idempotents against the graph-side projectors, and the
 two eigenmatrix routes against each other."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,11 +464,28 @@ def test_intersection_tensor_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_intersection_tensor("3 1\n0 0 0 99999999999999999999\n")
     assert err.value.line_no == 2
-    # The header is refused before the (d+1)^3 tensor is allocated: too few
-    # entry lines for d + 1 degree lines, or fewer than one class.
+    # The header is refused before the (d+1)^3 tensor is allocated: fewer
+    # entry lines than the (d+1)^2 nonzero entries of any valid tensor, or
+    # fewer than one class.
     with pytest.raises(ParseError) as err:
         parse_intersection_tensor("3 100000\n0 0 0 1\n")
     assert err.value.line_no == 1
     with pytest.raises(ParseError) as err:
         parse_intersection_tensor("3 -4\n")
     assert err.value.line_no == 1
+
+
+def test_intersection_tensor_allocation_is_bounded_by_the_line_count():
+    # 300 degree lines for 299 classes (3.4 KB) would allocate a 300^3
+    # int64 tensor (216 MB); a valid one needs 300^2 entry lines.
+    text = "300 299\n" + "".join(f"{i} {i} 0 1\n" for i in range(300))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_intersection_tensor(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("line 1: header declares 299 classes, which need at least "
+                              "(d+1)^2 = 90000 entry lines, but 300 follow")
+    assert peak < 1_000_000

@@ -127,14 +127,31 @@ def _row_values(line_no: int, tokens, convert, width: int, bad_token: str, bad_w
 
 # Tokens that read_rows converts in one numpy call.
 _BLOCK_TOKENS = 1 << 14
+# A block whose first _SAMPLE tokens hold at most one distinct token in
+# _REPEATS converts each distinct token once.  Measured on 16k-token blocks
+# (numpy 2.4, 2 vCPU) against the direct call: a few-distance Gram block (3
+# distinct 17-digit floats) converts 3.2-3.8x faster, a relation-matrix
+# block (d + 1 distinct labels) as fast, and a block of all-distinct floats
+# would take 1.6-1.8x as long.  An edge list's first 256 tokens hold about
+# 130 distinct vertices and a computed Gram's about 180: both keep the
+# direct call.
+_SAMPLE, _REPEATS = 256, 8
+
+
+def _convert_distinct(tokens: list, dtype) -> np.ndarray:
+    """np.array(tokens, dtype), with each distinct token converted once."""
+    codes = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
+    values = np.array(list(codes), dtype=dtype)
+    return values[np.fromiter(map(codes.__getitem__, tokens), np.intp, len(tokens))]
 
 
 def read_rows(lines, dtype, width: int, bad_token: str, bad_width: str):
     """The lines left in lines, an iterator of content_lines, as one
     (count, width) array of dtype (np.int64 or float) and the list of their
     line numbers.  Tokens convert as int() or float() reads them, in numpy
-    calls over blocks of about _BLOCK_TOKENS.  A block that fails is read
-    again line by line: its first bad line raises the ParseError of
+    calls over blocks of about _BLOCK_TOKENS; a block whose tokens repeat
+    (see _SAMPLE) converts each distinct token once.  A block that fails is
+    read again line by line: its first bad line raises the ParseError of
     _row_values, or IntRangeError if it holds an integer beyond 64 bits."""
     convert = int if dtype is np.int64 else float
     blocks, numbers = [], []
@@ -144,7 +161,12 @@ def read_rows(lines, dtype, width: int, bad_token: str, bad_width: str):
         try:
             if set(map(len, token_rows)) == {width}:
                 flat = list(itertools.chain.from_iterable(token_rows))
-                blocks.append(np.array(flat, dtype=dtype).reshape(-1, width))
+                sample = flat[:_SAMPLE]
+                if len(set(sample)) * _REPEATS <= len(sample):
+                    values = _convert_distinct(flat, dtype)
+                else:
+                    values = np.array(flat, dtype=dtype)
+                blocks.append(values.reshape(-1, width))
                 continue
         except (ValueError, OverflowError):
             pass

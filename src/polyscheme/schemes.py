@@ -119,9 +119,12 @@ def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_
         raise SchemeAxiomError(
             3, f"pair ({x}, {y}) has label {int(lab[x, y])} but ({y}, {x}) has {int(lab[y, x])}",
             [(x, y), (y, x)])
-    # Labels lie in 0..d: the first gap in the sorted labels is the first empty class.
-    present = np.unique(lab)
-    k = int(np.count_nonzero(present == np.arange(present.size)))
+    # Labels lie in 0..d, and n^2 labels leave some class in 0..n^2 empty,
+    # so the first empty class is at most top; a count of the labels
+    # clipped to top finds it.
+    top = min(d + 1, n * n)
+    present = np.bincount(np.minimum(lab, top).ravel(), minlength=top + 1) > 0
+    k = int(present.argmin())
     if k <= d:
         raise SchemeAxiomError(2, f"class {k} is empty", [])
     # rep[k]: the first pair of class k in row-major order.

@@ -1,7 +1,8 @@
 """End-to-end tests for the command line interface.
 
 Everything runs in process through cli.main so that exit codes and
-stdout/stderr can be asserted without spawning interpreters.
+stdout/stderr can be asserted without spawning interpreters; only the
+check of what a fresh process imports starts one.
 """
 
 import dataclasses
@@ -10,6 +11,8 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -475,6 +478,21 @@ class TestAnalyzeScheme:
         path.write_text(f"2 {d}\n0 1\n1 0\n")
         code, out, err = run(capsys, "analyze-scheme", str(path))
         assert (code, out, err) == (2, "", "error: axiom 2: class 2 is empty\n")
+
+    def test_explicit_route_does_not_import_numpy_ma(self, tmp_path, capsys):
+        # A first plain np.unique call imports numpy.ma (about 13 ms); the
+        # explicit route avoids it, so a fresh process never pays for it.
+        path = tmp_path / "j62.rel"
+        assert main(["gen", "johnson", "6", "2", "--as", "scheme", "-o", str(path)]) == 0
+        script = ("import contextlib, io, sys\n"
+                  "from polyscheme.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = main(['analyze-scheme', {str(path)!r}])\n"
+                  "print(code, 'numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout == "0 False\n"
 
 
 class TestAnalyzeGram:

@@ -1,5 +1,6 @@
 """Every refusal of the four text formats, with its full message and line,
-and the shared row reader against a token-by-token oracle.
+and the shared row reader against a token-by-token oracle, on mixed and on
+heavily repeated tokens.
 
 Each table row is (parser, text, keyword arguments, line, message).  Line
 None marks a header refused by the dense limit: the row after it is
@@ -14,11 +15,32 @@ from hypothesis import strategies as st
 
 from polyscheme import errors
 from polyscheme.errors import DenseLimitError, IntRangeError, ParseError
+from polyscheme.generators import FamilySpec, build_scheme
 from polyscheme.graphs import parse_edge_list
-from polyscheme.schemes import parse_intersection_tensor, parse_relation_matrix
-from polyscheme.spherical import parse_gram_matrix
+from polyscheme.schemes import (
+    eigenmatrices,
+    idempotents,
+    parse_intersection_tensor,
+    parse_relation_matrix,
+    validate_scheme,
+)
+from polyscheme.spherical import format_gram_matrix, from_idempotent, parse_gram_matrix
 
 DENSE = "dense computation refused for n={} > limit {}; raise the limit explicitly to proceed"
+
+
+def few_distance_rows(n, tokens=("1.0", "0.5")):
+    """The n rows of a two-distance matrix, tokens[0] on the diagonal and
+    tokens[1] elsewhere: blocks of them take read_rows' distinct-token path."""
+    return [" ".join(tokens[i != j] for j in range(n)) for i in range(n)]
+
+
+# Faults on line 30 of 40-row files whose tokens repeat, so that the block
+# holding the fault is one that read_rows converts by distinct tokens.
+GRAM_40 = few_distance_rows(40)
+GRAM_40_BAD = GRAM_40[28].replace("0.5", "x", 1)
+RELATION_40 = few_distance_rows(40, ("0", "1"))
+RELATION_40_BIG = RELATION_40[28].replace("1", "100000000000000000000000", 1)
 
 EDGE_LIST = [
     ("", {}, 0, "empty edge-list file"),
@@ -70,6 +92,8 @@ RELATION_MATRIX = [
     ("# C_3\r\n3 1\r\n0 1 1  # row 0\r\n\r\n1 0\r\n1 1 0\r\n", {}, 5, "expected 3 labels, got 2"),
     ("4 1\n0 1 1 1\n1 0 x 1\n1 1 0 1\n1 1 1 0\n", {"max_dense": 3}, None, DENSE.format(4, 3)),
     ("6000 2\n0 x\n", {}, None, DENSE.format(6000, 5000)),
+    ("40 1\n" + "\n".join(RELATION_40[:28] + [RELATION_40_BIG] + RELATION_40[29:]) + "\n", {},
+     30, "value 100000000000000000000000 outside the 64-bit integer range"),
 ]
 
 INTERSECTION_TENSOR = [
@@ -110,6 +134,10 @@ GRAM_MATRIX = [
      "expected 99999999999999999999 entries, got 1"),
     ("4\n1 0 0 0\n0 1 zz 0\n0 0 1 0\n0 0 0 1\n", {"max_dense": 3}, None, DENSE.format(4, 3)),
     ("6000\n1 zz\n", {}, None, DENSE.format(6000, 5000)),
+    ("40\n" + "\n".join(GRAM_40[:28] + [GRAM_40_BAD] + GRAM_40[29:]) + "\n", {},
+     30, f"bad entry in {GRAM_40_BAD!r}"),
+    ("40\n" + "\n".join(GRAM_40[:28] + [GRAM_40[28] + " 0.5"] + GRAM_40[29:]) + "\n", {},
+     30, "expected 40 entries, got 41"),
 ]
 
 TABLE = [
@@ -154,28 +182,75 @@ TOKENS = ["0", "7", "-3", "+12", "1_0", "x", "1.5", "nan", "-inf", "1e400",
           "9223372036854775807", "9223372036854775808", "-99999999999999999999"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4), max_size=10),
-       st.sampled_from([np.int64, float]), st.integers(1, 3), st.integers(1, 5))
-def test_read_rows_matches_a_per_token_parse(token_rows, dtype, width, block):
-    # Blocks of a few tokens put block ends between every pair of rows.
+def check_read_rows(token_rows, dtype, width, block):
+    """errors.read_rows, in blocks of about block tokens, against the oracle:
+    the same values bit for bit (so -0.0 is not 0.0), or the same first
+    fault on the same line."""
     rows = [(2 * i + 3, tokens) for i, tokens in enumerate(token_rows)]
     want = read_rows_reference(rows, dtype, width)
+    if isinstance(want, list):
+        want = np.array(want, dtype=dtype).reshape(-1, width).view(np.int64).tolist()
     saved, errors._BLOCK_TOKENS = errors._BLOCK_TOKENS, block
     try:
         values, numbers = errors.read_rows(iter(rows), dtype, width, "token {row!r}",
                                            "width {count}")
-        got = values.tolist()
         assert numbers == [no for no, _ in rows]
         assert values.shape == (len(rows), width) and values.dtype == dtype
+        got = values.view(np.int64).tolist()
     except IntRangeError as exc:
         got = "range", exc.line_no
     except ParseError as exc:
         got = str(exc).split(": ", 1)[1].split()[0], exc.line_no
     finally:
         errors._BLOCK_TOKENS = saved
-    if dtype is float and isinstance(want, list):
-        assert np.array_equal(np.array(got, dtype=float).reshape(-1, width),
-                              np.array(want, dtype=float).reshape(-1, width), equal_nan=True)
-    else:
-        assert got == want
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4), max_size=10),
+       st.sampled_from([np.int64, float]), st.integers(1, 3), st.integers(1, 5))
+def test_read_rows_matches_a_per_token_parse(token_rows, dtype, width, block):
+    # Blocks of a few tokens put block ends between every pair of rows.
+    check_read_rows(token_rows, dtype, width, block)
+
+
+# Small pools of these give blocks whose tokens repeat, which read_rows
+# converts through its distinct-token path.
+REPEATED_TOKENS = {
+    float: ["1.0", "0.5", "-0.0", "0.0", "1_0", "inf", "-inf", "nan", "1e-320",
+            "0.3999999999999998", "1e400", "x"],
+    np.int64: ["0", "1", "-3", "+12", "1_0", "9223372036854775807", "-9223372036854775808",
+               "9223372036854775808", "-9223372036854775809", "1.5", "x"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([np.int64, float]), st.integers(1, 40),
+       st.sampled_from([16, 64, 1 << 14]))
+def test_read_rows_on_repeated_tokens_matches_a_per_token_parse(data, dtype, width, block):
+    pool = data.draw(st.lists(st.sampled_from(REPEATED_TOKENS[dtype]), min_size=1, max_size=3,
+                              unique=True))
+    row_length = st.sampled_from([width] * 8 + [max(1, width - 1), width + 1])
+    token_rows = data.draw(st.lists(row_length.flatmap(
+        lambda k: st.lists(st.sampled_from(pool), min_size=k, max_size=k)), max_size=12))
+    check_read_rows(token_rows, dtype, width, block)
+
+
+def test_distinct_tokens_take_the_direct_conversion(monkeypatch):
+    # The J(12,2) eigenspace Gram's entries are computed, so its first
+    # tokens are mostly distinct; a two-distance Gram's repeat.
+    rel = build_scheme(FamilySpec("johnson", (12, 2)))
+    idems = idempotents(rel)
+    params = eigenmatrices(rel, idems, p=validate_scheme(rel))
+    computed = format_gram_matrix(from_idempotent(rel, params, idems, 1).gram)
+    few_distance = "40\n" + "\n".join(GRAM_40) + "\n"
+    calls = []
+    distinct = errors._convert_distinct
+    monkeypatch.setattr(errors, "_convert_distinct",
+                        lambda tokens, dtype: calls.append(len(tokens)) or distinct(tokens, dtype))
+    direct = parse_gram_matrix(computed)
+    assert calls == []
+    assert np.array_equal(direct, [[float(t) for t in line.split()]
+                                   for line in computed.splitlines()[1:]])
+    assert np.array_equal(parse_gram_matrix(few_distance), 0.5 + 0.5 * np.eye(40))
+    assert calls == [40 * 40]

@@ -176,6 +176,15 @@ def test_axiom_two_first_gap_in_the_labels(d):
     assert err.value.axiom == 2
 
 
+@pytest.mark.parametrize("d", [5, 10**12, 2**63 - 1])
+def test_axiom_two_label_beyond_the_point_pairs(d):
+    # The label d exceeds n^2 = 4, so it is counted as a clipped one: class 1 is empty.
+    lab = [[0, d], [d, 0]]
+    with pytest.raises(SchemeAxiomError, match="class 1 is empty") as err:
+        validate_scheme(RelationPartition.from_matrix(lab, d=d))
+    assert err.value.axiom == 2
+
+
 def test_axiom_three_asymmetric():
     lab = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
     with pytest.raises(SchemeAxiomError) as err:

@@ -178,8 +178,7 @@ def cmd_analyze_scheme(args) -> int:
 def cmd_analyze_gram(args) -> int:
     m = spherical.parse_gram_matrix(_read(args.path), args.max_dense)
     sph = spherical.from_gram(m, args.tol, max_dense=None)
-    rep = spherical.verify_sphere_theorem(
-        sph, args.tol, route=args.route, declared_d=args.declared_d)
+    rep = spherical.verify_sphere_theorem(sph, route=args.route, declared_d=args.declared_d)
     if args.json:
         _write(reports_to_json([rep], subject=args.path, tolerance=args.tol), args.output)
         return 1 if rep.status == "fail" else 0

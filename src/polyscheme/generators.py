@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MethodsDisagreeError
 from .graphs import Graph, distance_data
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, integrality_allowance
 from .schemes import (
     RelationPartition,
     SchemeParameters,
@@ -307,7 +307,7 @@ def family_parameters(spec: FamilySpec, tol: float = DEFAULT_TOL) -> SchemeParam
         raise MethodsDisagreeError(
             f"{spec.label()}: multiplicities {list(params.multiplicities)} != closed form {mults}")
     dev = float(np.max(np.abs(params.P[:, 1] - np.array(col1, dtype=float))))
-    if dev > 1e-6 * max(1.0, max(abs(v) for v in col1)):
+    if dev > integrality_allowance(max(abs(v) for v in col1)):
         raise MethodsDisagreeError(
             f"{spec.label()}: second eigenmatrix column off closed form by {dev}")
     return params

@@ -1,10 +1,50 @@
 """Dense symmetric-matrix kernel: eigenvalue clustering, numerical rank,
-and the entrywise polynomial calculus used by the rest of the package.
-The kernels take and return plain ndarrays and trust their callers to
-pass symmetric ones; spherical.from_gram admits a caller's matrix.
+the entrywise polynomial calculus used by the rest of the package, and the
+tolerance policy.  The kernels take and return plain ndarrays and trust
+their callers to pass symmetric ones; spherical.from_gram admits a
+caller's matrix.
 
-All tolerances are absolute.  The default of 1e-9 suits matrices whose
-entries are O(1)..O(1e3), which covers every catalog object here.
+Tolerance policy.  One tolerance tol (default 1e-9, suited to matrices
+whose entries are O(1)..O(1e3), which covers every catalog object) decides
+every numeric comparison.  Each allowance is defined below, once; the other
+modules call it and never scale tol by a literal.
+
+  allowance                bounds                                        value
+  tol                      cluster spread, integer snap, rank, PSD and   tol
+                           unit diagonal, Krein link, separation of a
+                           column's head, projector entries
+  cluster_gap              the gap that splits two clusters              2 tol
+  residual_allowance       eigen residuals on the n x n class matrices:  100 tol max(1, n)
+                           rows of A_i U_j - lam U_j, P's row 0 against
+                           the degrees, n P^-1 against the block widths
+                           and the pair-read Q
+  gram_allowance           a scheme eigenspace's Gram, formed from its   max(tol, 100 n eps)
+                           block, against Q's column: an n-term sum
+  scaled_allowance         a computed value x against an exact one:      tol max(1, |x|)
+                           the imaginary parts of the intersection-
+                           matrix eigenvalues (their gaps must exceed
+                           cluster_gap of it), the product-formula match
+  integrality_allowance    parametric integers and closed forms, fixed   1e-6 max(1, |x|)
+                           whatever tol: multiplicities, the degree
+                           row, the off-diagonal of the diagonalized
+                           intersection matrices, Q's row 0, the
+                           closed-form column of P
+  lookup_allowance         a forced eigenvalue looked up in a clustered  10 tol
+                           spectrum or read off P
+  interpolation_allowance  the entrywise interpolation identity          100 tol
+  order_quantum            the grid on which eigenspaces are sorted by   max(tol, 1e-12)
+                           their class-1 eigenvalue
+
+Intersection numbers are integers and are compared exactly.  A set
+clustered at a tolerance is checked at that tolerance: EigenClusters and
+SphericalSet carry theirs, and the checks that read them take no other.
+A tol below what float arithmetic resolves is refused: the clustering
+raises ToleranceAmbiguityError, a generic element that no seed separates
+raises DegenerateElementError, and a Gram whose least eigenvalue rounds
+below -tol raises GramError.  The parametric route has no clusters to
+split, and its Krein link is plain tol, so at a tol near 1e-14 the
+rounding of a zero Krein number can link two indices and change a Q
+verdict instead.
 """
 
 from __future__ import annotations
@@ -17,6 +57,49 @@ from .errors import DenseLimitError, ToleranceAmbiguityError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DENSE = 5000
+
+
+def cluster_gap(tol: float) -> float:
+    """Least gap that separates two clusters of spread tol."""
+    return 2 * tol
+
+
+def residual_allowance(tol: float, n: int) -> float:
+    """Eigen residual allowed on products with n x n class matrices."""
+    return 100 * tol * max(1.0, n)
+
+
+def gram_allowance(tol: float, n: int) -> float:
+    """Deviation allowed between an n-term sum and its exact value: tol,
+    but never below the rounding error of the sum."""
+    return max(tol, 100 * n * np.finfo(float).eps)
+
+
+def scaled_allowance(tol: float, magnitude: float) -> float:
+    """Deviation allowed on a computed value of the given magnitude."""
+    return tol * max(1.0, magnitude)
+
+
+def integrality_allowance(magnitude: float) -> float:
+    """Deviation of a parametric integer or closed form from its exact
+    value, fixed whatever tol."""
+    return 1e-6 * max(1.0, magnitude)
+
+
+def lookup_allowance(tol: float) -> float:
+    """Distance at which a forced eigenvalue finds its cluster."""
+    return 10 * tol
+
+
+def interpolation_allowance(tol: float) -> float:
+    """Residual allowed on the entrywise interpolation identity."""
+    return 100 * tol
+
+
+def order_quantum(tol: float) -> float:
+    """Grid on which eigenvalues are rounded to sort eigenspaces; its floor
+    keeps the quotients finite."""
+    return max(tol, 1e-12)
 
 
 def check_dense_limit(n: int, max_dense: int | None = DEFAULT_MAX_DENSE) -> None:
@@ -52,15 +135,16 @@ def cluster_values(raw, tol: float = DEFAULT_TOL):
     order = np.argsort(-arr, kind="stable")
     svals = arr[order]
     gaps = svals[:-1] - svals[1:]
-    ambiguous = np.flatnonzero((gaps > tol) & (gaps <= 2 * tol))
+    gap = cluster_gap(tol)
+    ambiguous = np.flatnonzero((gaps > tol) & (gaps <= gap))
     if ambiguous.size:
         pos = ambiguous[0] + 1
         raise ToleranceAmbiguityError(
             f"values {float(svals[pos])!r} and {float(svals[pos - 1])!r} are separated by "
-            f"{float(gaps[pos - 1])!r}, inside ({tol!r}, {2 * tol!r}]; adjust the tolerance"
+            f"{float(gaps[pos - 1])!r}, inside ({tol!r}, {gap!r}]; adjust the tolerance"
         )
     # A NaN gap compares false both ways, so it splits rather than joins.
-    split = ~(gaps <= 2 * tol)
+    split = ~(gaps <= gap)
     starts = np.concatenate(([0], np.flatnonzero(split) + 1))
     ends = np.append(starts[1:], arr.size)
     spreads = svals[starts] - svals[ends - 1]
@@ -111,9 +195,10 @@ class EigenClusters:
         """Number of distinct eigenvalues minus one."""
         return len(self.values) - 1
 
-    def multiplicity_of(self, value: float, tol: float | None = None) -> int:
-        """Multiplicity of the cluster within tol of value, 0 if none."""
-        t = self.tolerance if tol is None else tol
+    def multiplicity_of(self, value: float) -> int:
+        """Multiplicity of the cluster within lookup_allowance(tolerance) of
+        value, 0 if none."""
+        t = lookup_allowance(self.tolerance)
         for v, m in zip(self.values, self.multiplicities):
             if abs(v - value) <= t:
                 return m

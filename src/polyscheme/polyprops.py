@@ -19,7 +19,14 @@ import numpy as np
 
 from .errors import GramError, MethodsDisagreeError
 from .graphs import moore_bound
-from .numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL, check_dense_limit, k_factor
+from .numerics import (
+    DEFAULT_MAX_DENSE,
+    DEFAULT_TOL,
+    check_dense_limit,
+    integrality_allowance,
+    k_factor,
+    scaled_allowance,
+)
 from .reports import HYPOTHESIS_NOT_MET, TheoremReport
 from .schemes import (
     DEFAULT_SEEDS,
@@ -155,7 +162,8 @@ def p_polynomial_ordering(
     if not 1 <= j <= d:
         raise ValueError(f"class {j} outside 1..{d}")
     separated = _head_separated(params.P[:, j], tol)
-    levels = _index_levels(params.p, j, 0.5)
+    # Intersection numbers are integers: a link is a nonzero one.
+    levels = _index_levels(params.p, j, 0)
     order = _path_ordering(levels, j)
     if rel is not None:
         _certify_point_levels(rel.labels, j, levels)
@@ -227,12 +235,14 @@ def _product_formula(side_values: np.ndarray, other_matrix: np.ndarray, d: int, 
     """Shared product-formula engine.
 
     side_values is the length-(d+1) value column of the base index; a
-    witness l must satisfy lhs(h) = -other_matrix[l, h] for all h >= 1.
+    witness l must satisfy lhs(h) = -other_matrix[l, h] for all h >= 1,
+    each to scaled_allowance(tol, |lhs(h)|).
     """
     lhs = [k_factor(side_values, h) for h in range(1, d + 1)]
     matches = []
     for cand in range(d + 1):
-        if all(abs(lhs[h - 1] + other_matrix[cand, h]) <= tol for h in range(1, d + 1)):
+        if all(abs(x + other_matrix[cand, h]) <= scaled_allowance(tol, abs(x))
+               for h, x in enumerate(lhs, 1)):
             matches.append(cand)
     return lhs, matches
 
@@ -285,7 +295,7 @@ def q_polynomial_ordering(
     order = _path_ordering(_index_levels(params.krein, j, tol), j)
     evidence: dict = {"mode": "krein"}
     if sphere is not None and separated:
-        sd = schur_diameter(sphere, tol)
+        sd = schur_diameter(sphere)
         evidence["schur_diameter"] = sd
         if (sd == d) != (order is not None):
             raise MethodsDisagreeError(
@@ -315,7 +325,7 @@ def check_q_large(params: SchemeParameters, j: int, tol: float = DEFAULT_TOL) ->
         return PolyVerdict("Q", j, INCONCLUSIVE,
                            reason="multiplicity not separated from the other column values")
     mj = params.multiplicities[j]
-    if abs(col[0] - mj) > 1e-6 * max(1.0, mj):
+    if abs(col[0] - mj) > integrality_allowance(mj):
         raise ValueError(f"non-integral multiplicity {col[0]} for eigenspace {j}")
     bound = absolute_bound(mj, d - 1)
     evidence = {"n": params.n, "multiplicity": mj, "bound": bound}
@@ -412,5 +422,5 @@ def analyze_scheme(
             check_product_formula_Q(params, j, tol),
         ]
         if sph is not None:
-            reports.append(verify_sphere_theorem(sph, tol, route="size"))
+            reports.append(verify_sphere_theorem(sph, route="size"))
     return SchemeAnalysis(params, verdicts, reports)

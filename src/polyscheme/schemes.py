@@ -29,7 +29,12 @@ from .numerics import (
     DEFAULT_MAX_DENSE,
     DEFAULT_TOL,
     check_dense_limit,
+    cluster_gap,
     cluster_values,
+    integrality_allowance,
+    order_quantum,
+    residual_allowance,
+    scaled_allowance,
 )
 
 DEFAULT_SEEDS = (20839, 61409, 92821)
@@ -156,11 +161,12 @@ def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_
 def _eigenspace_order(P: np.ndarray, mults, tol: float) -> list[int]:
     """Canonical order of eigenspaces given their rows of the first
     eigenmatrix: the trivial eigenspace first (its row sums to n, every
-    other row to 0), then decreasing class-1 eigenvalue rounded at tol,
-    ties to the smaller multiplicity."""
+    other row to 0), then decreasing class-1 eigenvalue rounded to
+    order_quantum(tol), ties to the smaller multiplicity."""
     j0 = int(np.argmax(P.sum(axis=1)))
+    quantum = order_quantum(tol)
     return [j0] + sorted((j for j in range(len(P)) if j != j0),
-                         key=lambda j: (-round(P[j, 1] / max(tol, 1e-12)), mults[j]))
+                         key=lambda j: (-round(P[j, 1] / quantum), mults[j]))
 
 
 @dataclass(frozen=True)
@@ -190,15 +196,17 @@ def idempotents(
     clustering) is degenerate and triggers the next seed; running out of
     seeds raises DegenerateElementError.  Each block is verified to be an
     eigenspace of every class matrix: with lam = <A_i, E_j>/m_j, every row
-    of A_i U_j - lam U_j has 2-norm within 100*tol*n, which bounds every
-    entry of A_i E_j - lam E_j by the same amount.
+    of A_i U_j - lam U_j has 2-norm within residual_allowance(tol, n),
+    which bounds every entry of A_i E_j - lam E_j by the same amount.  The
+    combination is one gather of its coefficients through the labels, and
+    each class matrix is built in turn for its check, so no list of them
+    is held.
     """
     check_dense_limit(rel.n, max_dense)
     n, d = rel.n, rel.d
-    adj = [rel.adjacency(i) for i in range(d + 1)]
     for seed in seeds:
         coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
-        w, vecs = np.linalg.eigh(sum(c * a for c, a in zip(coeffs, adj)))
+        w, vecs = np.linalg.eigh(coeffs[rel.labels])
         try:
             _, counts, labels = cluster_values(w, tol)
         except ToleranceAmbiguityError:
@@ -208,12 +216,12 @@ def idempotents(
         member = (labels[:, None] == np.arange(d + 1)).astype(float)
         lam = np.empty((d + 1, d + 1))
         resid = 0.0
-        for i, a in enumerate(adj):
-            av = a @ vecs
+        for i in range(d + 1):
+            av = rel.adjacency(i) @ vecs
             lam[:, i] = np.einsum("xc,xc->c", vecs, av) @ member / counts
             r = av - vecs * lam[labels, i]
             resid = max(resid, float(np.sqrt((r * r) @ member).max()))
-        if resid <= 100 * tol * max(1.0, n):
+        if resid <= residual_allowance(tol, n):
             order = _eigenspace_order(lam, counts, tol)
             return SchemeIdempotents(tuple(vecs[:, labels == j] for j in order), lam[order])
     raise DegenerateElementError(
@@ -262,15 +270,15 @@ def eigenmatrices(
     1984).  It is cross-checked against a second route, each idempotent
     read at the first pair (x, y) of each class, n U_i[x] . U_i[y], and the
     multiplicities are its row 0 and the block widths; a deviation above
-    100*tol*n in either is a MethodsDisagreeError.  The Krein numbers
-    follow from P and Q.
+    residual_allowance(tol, n) in either is a MethodsDisagreeError.  The
+    Krein numbers follow from P and Q.
     """
     if p is None:
         p = validate_scheme(rel)
     n, d = rel.n, rel.d
     if [u.shape[0] for u in idems.blocks] != [n] * (d + 1):
         raise ValueError(f"idempotents of another scheme: {idems.multiplicities} on n = {n}")
-    allowance = 100 * tol * max(1.0, n)
+    allowance = residual_allowance(tol, n)
     mults = idems.multiplicities
     pm = idems.eigenvalues.copy()
     degrees = tuple(int(p[i, i, 0]) for i in range(d + 1))
@@ -351,18 +359,18 @@ def parametric_parameters(
         coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
         combo = sum(c * b for c, b in zip(coeffs, bt))
         vals, vecs = np.linalg.eig(combo)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if np.max(np.abs(vals.imag)) > tol * scale:
+        allowance = scaled_allowance(tol, float(np.max(np.abs(vals))))
+        if np.max(np.abs(vals.imag)) > allowance:
             continue
         sv = np.sort(vals.real)
-        if d >= 1 and np.min(np.diff(sv)) <= 2 * tol * scale:
+        if d >= 1 and np.min(np.diff(sv)) <= cluster_gap(allowance):
             continue
         cand = np.empty((d + 1, d + 1))
         ok = True
         for i in range(d + 1):
             di = np.linalg.solve(vecs, bt[i] @ vecs)
             off = di - np.diag(np.diag(di))
-            if np.max(np.abs(off)) > 1e-6 * max(1.0, np.max(np.abs(di))):
+            if np.max(np.abs(off)) > integrality_allowance(np.max(np.abs(di))):
                 ok = False
                 break
             cand[:, i] = np.diag(di).real
@@ -373,13 +381,13 @@ def parametric_parameters(
         raise DegenerateElementError(
             f"no seed in {tuple(seeds)} separated the intersection-matrix eigenvalues")
     deg_vec = np.array(degrees, dtype=float)
-    if np.abs(rows - deg_vec).max(axis=1).min() > 1e-6 * max(1.0, deg_vec.max()):
+    if np.abs(rows - deg_vec).max(axis=1).min() > integrality_allowance(deg_vec.max()):
         raise ValueError("no eigenvalue row matches the degree vector")
     mult_raw = [n / float((rows[j] ** 2 / deg_vec).sum()) for j in range(d + 1)]
     mults = []
     for mv in mult_raw:
         m = int(round(mv))
-        if abs(mv - m) > 1e-6 * max(1.0, abs(mv)):
+        if abs(mv - m) > integrality_allowance(abs(mv)):
             raise ValueError(f"non-integral multiplicity {mv}")
         mults.append(m)
     if sum(mults) != n:

@@ -29,7 +29,10 @@ from .numerics import (
     cluster_values,
     eigen_clusters,
     eval_matrix_poly,
+    gram_allowance,
+    interpolation_allowance,
     k_factor,
+    lookup_allowance,
     poly_from_roots,
     rank_tol,
 )
@@ -177,9 +180,9 @@ def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> Sph
     labels are one gather of that clustering through rel.labels, and the
     dimension is m_j.  The Gram itself is formed from the eigenvector
     block U_j, symmetrized and compared entrywise with v at rel.labels:
-    a deviation above tol is a MethodsDisagreeError.  A value within tol
-    of 1 (repeated points) is a GramError.  The scheme was admitted with
-    its blocks, so no dense limit is checked.
+    a deviation above gram_allowance(tol, n) is a MethodsDisagreeError.
+    A value within tol of 1 (repeated points) is a GramError.  The scheme
+    was admitted with its blocks, so no dense limit is checked.
     """
     if not 1 <= j <= params.d:
         raise ValueError(f"eigenspace {j} outside 1..{params.d}")
@@ -198,10 +201,11 @@ def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> Sph
     dev -= gram
     worst = float(np.max(np.abs(dev, out=dev)))
     del dev
-    if not worst <= tol:
+    allowance = gram_allowance(tol, params.n)
+    if not worst <= allowance:
         raise MethodsDisagreeError(
             f"the Gram of eigenspace {j} formed from its eigenvector block deviates from "
-            f"Q's column {j} by {worst:.3g} > tol")
+            f"Q's column {j} by {worst:.3g} > {allowance:.3g}")
     np.fill_diagonal(gram, 1.0)
     gram.setflags(write=False)
     labels = classes[rel.labels]
@@ -223,9 +227,10 @@ def schur_floor(sph: SphericalSet) -> int:
     return next((t for t in range(sph.s) if absolute_bound(sph.dimension, t) >= sph.n), sph.s)
 
 
-def schur_diameter(sph: SphericalSet, tol: float = DEFAULT_TOL, seeds=SCHUR_SEEDS) -> int:
+def schur_diameter(sph: SphericalSet, seeds=SCHUR_SEEDS) -> int:
     """Least t such that some degree-t entrywise polynomial of the set's
     Gram matrix has full rank, where degree 0 is the all-ones matrix.
+    Ranks count eigenvalues above the set's own tolerance.
 
     Tries a few fixed-seed random combinations at each degree t from
     schur_floor(sph) to s.  At t = s it also tries the annihilator
@@ -238,6 +243,7 @@ def schur_diameter(sph: SphericalSet, tol: float = DEFAULT_TOL, seeds=SCHUR_SEED
     full-rank trial is solved densely, as the certificate: a dense rank
     below n is a MethodsDisagreeError.
     """
+    tol = sph.tolerance
     for t in range(schur_floor(sph), sph.s + 1):
         trials = []
         for seed in seeds:
@@ -260,7 +266,6 @@ def schur_diameter(sph: SphericalSet, tol: float = DEFAULT_TOL, seeds=SCHUR_SEED
 
 def verify_sphere_theorem(
     sph: SphericalSet,
-    tol: float = DEFAULT_TOL,
     route: str = "size",
     declared_d: int | None = None,
 ) -> TheoremReport:
@@ -270,13 +275,16 @@ def verify_sphere_theorem(
     the observed distance count); route "schur" instead requires the
     computed Schur-diameter to equal the distance count.  Conclusions
     checked for each class i: -K*_i is an eigenvalue of the class-i graph
-    with multiplicity at least |X| - N(m, d-1), and the interpolating
-    entrywise polynomial identity f*_i(M) = K*_i I + A_i holds to 100*tol.
-    On a scheme sphere each class spectrum is read off P, and class 1's is
-    also solved densely as a cross-check.  A single point (s = 0) has no
-    class to force, so neither route's hypothesis holds.
+    with multiplicity at least |X| - N(m, d-1), found within
+    lookup_allowance, and the interpolating entrywise polynomial identity
+    f*_i(M) = K*_i I + A_i holds to interpolation_allowance, both of the
+    set's own tolerance.  On a scheme sphere each class spectrum is read
+    off P, and class 1's is also solved densely as a cross-check.  A single
+    point (s = 0) has no class to force, so neither route's hypothesis
+    holds.
     """
     theorem = "sphere-eigenvalue"
+    tol = sph.tolerance
     n, mdim, s = sph.n, sph.dimension, sph.s
     if route not in ("size", "schur"):
         raise ValueError(f"unknown route {route!r}; expected 'size' or 'schur'")
@@ -291,7 +299,7 @@ def verify_sphere_theorem(
         evidence["summary"] = "a single point has no distance class to force an eigenvalue"
         return TheoremReport(subject, theorem, HYPOTHESIS_NOT_MET, tol, evidence)
     if route == "schur":
-        sd = schur_diameter(sph, tol)
+        sd = schur_diameter(sph)
         evidence["schur_diameter"] = sd
         if sd != s:
             evidence["summary"] = f"Schur-diameter {sd} != distance count {s}"
@@ -314,10 +322,10 @@ def verify_sphere_theorem(
         ki = k_factor(sph.values, i)
         ai = sph.distance_class(i)
         if sph.algebra is None or i == 1:
-            mult = eigen_clusters(ai, tol, max_dense=None).multiplicity_of(-ki, 10 * tol)
+            mult = eigen_clusters(ai, tol, max_dense=None).multiplicity_of(-ki)
         if sph.algebra is not None:
             # Read off P; class 1's dense spectrum above is the cross-check.
-            read = sph.algebra.class_multiplicity(i, -ki, 10 * tol)
+            read = sph.algebra.class_multiplicity(i, -ki, lookup_allowance(tol))
             if i == 1 and read != mult:
                 raise MethodsDisagreeError(
                     f"class 1 has eigenvalue {-ki!r} with multiplicity {read} by P "
@@ -342,7 +350,7 @@ def verify_sphere_theorem(
             failures.append(["eigenvalue-missing", i])
         elif mult < floor:
             failures.append(["multiplicity", i, mult, floor])
-        if resid > 100 * tol:
+        if resid > interpolation_allowance(tol):
             failures.append(["interpolation", i, resid])
     evidence["checks"] = checks
     if failures:

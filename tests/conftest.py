@@ -173,9 +173,10 @@ def cluster_values_reference(raw, tol):
     return values, counts, labels
 
 
-def schur_diameter_reference(sph, tol=DEFAULT_TOL, seeds=SCHUR_SEEDS):
+def schur_diameter_reference(sph, seeds=SCHUR_SEEDS):
     """The dense Schur-diameter search from degree 0: every trial of every
-    degree t <= s is one eigensolve of its entrywise polynomial."""
+    degree t <= s is one eigensolve of its entrywise polynomial, with ranks
+    at the set's tolerance."""
     for t in range(sph.s + 1):
         trials = []
         for seed in seeds:
@@ -183,7 +184,7 @@ def schur_diameter_reference(sph, tol=DEFAULT_TOL, seeds=SCHUR_SEEDS):
             trials.append(coeffs / np.linalg.norm(coeffs))
         if t == sph.s:
             trials.append(poly_from_roots(sph.values[1:]))
-        if any(rank_tol(eval_matrix_poly(c, sph.gram), tol) == sph.n for c in trials):
+        if any(rank_tol(eval_matrix_poly(c, sph.gram), sph.tolerance) == sph.n for c in trials):
             return t
     return None
 

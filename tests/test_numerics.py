@@ -137,7 +137,10 @@ def test_eigen_clusters_properties():
     assert spec.s == 2
     assert spec.multiplicity_of(1.0) == 5
     assert spec.multiplicity_of(0.5) == 0
-    assert spec.multiplicity_of(0.99, tol=0.05) == 5
+    # The lookup reaches lookup_allowance(tolerance) = 10 tol.
+    assert spec.multiplicity_of(1.0 + 9e-9) == 5
+    assert spec.multiplicity_of(1.0 + 11e-9) == 0
+    assert EigenClusters((3.0, 1.0, -2.0), (1, 5, 4), 0.005).multiplicity_of(0.99) == 5
 
 
 def test_eigen_clusters_cycle6_trig_oracle():

@@ -30,6 +30,7 @@ from polyscheme.numerics import (
     eigen_clusters,
     eval_matrix_poly,
     k_factor,
+    lookup_allowance,
     rank_tol,
 )
 from polyscheme.polyprops import POLYNOMIAL, q_polynomial_ordering
@@ -277,7 +278,7 @@ class TestSchurDiameter:
         # With every eigenvalue below tol no trial reaches full rank, and
         # the search stops at the square's distance count 2.
         with pytest.raises(SchurDisconnectedError, match="up to degree 2") as info:
-            schur_diameter(from_gram(SQUARE), tol=100.0)
+            schur_diameter(dataclasses.replace(from_gram(SQUARE), tolerance=100.0))
         assert info.value.max_degree == 2
         # The floor N(2, 2) = 5 >= 4 skips degrees 0 and 1; at dimension 0
         # there is no floor, and the search still stops at degree 2.
@@ -285,7 +286,7 @@ class TestSchurDiameter:
         sph = dataclasses.replace(from_gram(SQUARE), dimension=0)
         assert schur_floor(sph) == 0
         with pytest.raises(SchurDisconnectedError, match="up to degree 2") as info:
-            schur_diameter(sph, tol=100.0)
+            schur_diameter(dataclasses.replace(sph, tolerance=100.0))
         assert info.value.max_degree == 2
 
     def test_floor_skips_degrees_without_an_eigensolve(self, monkeypatch):
@@ -434,8 +435,8 @@ class TestVerifySphereTheorem:
             for i in range(1, sph.s + 1):
                 ki = k_factor(sph.values, i)
                 dense = eigen_clusters(sph.distance_class(i), max_dense=None)
-                assert sph.algebra.class_multiplicity(i, -ki, 1e-8) == \
-                    dense.multiplicity_of(-ki, 1e-8)
+                assert sph.algebra.class_multiplicity(i, -ki, lookup_allowance(sph.tolerance)) == \
+                    dense.multiplicity_of(-ki)
 
     def test_class_spectrum_cross_check_disagreement_is_an_error(self):
         scheme = analyzed_scheme("petersen")

@@ -1,0 +1,193 @@
+"""The tolerance policy of numerics: every allowance is read at the sites
+the policy names, a set is checked at the tolerance it was clustered at,
+and a small --tol does not turn rounding into a different verdict."""
+
+import dataclasses
+import sys
+
+import numpy as np
+import pytest
+
+from conftest import analyzed_scheme
+from polyscheme import generators, numerics, polyprops, schemes, spherical
+from polyscheme.errors import DegenerateElementError, MethodsDisagreeError, ToleranceAmbiguityError
+from polyscheme.generators import FamilySpec, build_scheme, family_parameters, family_tensor
+from polyscheme.numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL, EigenClusters, cluster_values
+from polyscheme.polyprops import analyze_scheme, check_product_formula_Q, check_q_large
+from polyscheme.reports import PASS
+from polyscheme.spherical import from_gram, from_idempotent, verify_sphere_theorem
+
+PENTAGON = np.cos(2 * np.pi * np.subtract.outer(np.arange(5), np.arange(5)) / 5)
+
+# Each allowance and the functions that read it.
+SITES = {
+    "cluster_gap": {"cluster_values", "parametric_parameters"},
+    "residual_allowance": {"idempotents", "eigenmatrices"},
+    "gram_allowance": {"from_idempotent"},
+    "scaled_allowance": {"parametric_parameters", "_product_formula"},
+    "integrality_allowance": {"parametric_parameters", "check_q_large", "family_parameters"},
+    "lookup_allowance": {"multiplicity_of", "verify_sphere_theorem"},
+    "interpolation_allowance": {"verify_sphere_theorem"},
+    "order_quantum": {"_eigenspace_order"},
+}
+MODULES = (numerics, schemes, polyprops, spherical, generators)
+
+
+def verdicts(analysis):
+    return [(v.kind, v.base_index, v.status, v.evidence.get("witness_l"))
+            for v in analysis.verdicts]
+
+
+def test_every_allowance_is_read_at_its_sites(monkeypatch):
+    seen = {name: set() for name in SITES}
+    real = {name: getattr(numerics, name) for name in SITES}
+
+    def recorder(name):
+        def record(*args):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a generator expression
+                caller = caller.f_back
+            seen[name].add(caller.f_code.co_name)
+            return real[name](*args)
+        return record
+
+    for module in MODULES:
+        for name in SITES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorder(name))
+    johnson = FamilySpec("johnson", (6, 2))
+    analyze_scheme(build_scheme(johnson))
+    analyze_scheme(family_tensor(johnson))
+    family_parameters(johnson)
+    verify_sphere_theorem(from_gram(PENTAGON))
+    assert seen == SITES
+
+
+def test_default_tol_values():
+    # The rounding floor of gram_allowance stays below the default tol up
+    # to the default dense limit, so default-tol runs see plain tol.
+    assert numerics.gram_allowance(DEFAULT_TOL, DEFAULT_MAX_DENSE) == DEFAULT_TOL
+    assert numerics.gram_allowance(1e-13, 125) > 1e-13
+    assert numerics.order_quantum(DEFAULT_TOL) == DEFAULT_TOL
+    assert numerics.residual_allowance(DEFAULT_TOL, 729) == 100 * DEFAULT_TOL * 729
+    assert numerics.scaled_allowance(DEFAULT_TOL, 0.5) == DEFAULT_TOL
+    assert numerics.scaled_allowance(DEFAULT_TOL, 20.0) == 20 * DEFAULT_TOL
+
+
+# Each site with its allowance set to a value that refuses (-1.0 is below
+# any deviation; inf is above any gap, so no two values separate) and to
+# one that accepts.
+def _idempotents():
+    return schemes.idempotents(analyzed_scheme("petersen").rel)
+
+
+def _eigenmatrices():
+    s = analyzed_scheme("petersen")
+    return schemes.eigenmatrices(s.rel, s.idems, p=s.p)
+
+
+def _from_idempotent():
+    s = analyzed_scheme("johnson83")
+    return from_idempotent(s.rel, s.params, s.idems, 1)
+
+
+def _parametric():
+    return schemes.parametric_parameters(*family_tensor(FamilySpec("hamming", (6, 3))))
+
+
+def _product_formula():
+    params = _parametric()
+    return check_product_formula_Q(params, 1).evidence["matches"] == [6]
+
+
+def _q_large():
+    params = analyzed_scheme("petersen").params
+    Q = params.Q.copy()
+    Q[0, 1] += 1e-3
+    return check_q_large(dataclasses.replace(params, Q=Q), 1)
+
+
+def _family():
+    return family_parameters(FamilySpec("johnson", (6, 2)))
+
+
+def _scheme_sphere():
+    s = analyzed_scheme("johnson83")
+    return verify_sphere_theorem(from_idempotent(s.rel, s.params, s.idems, 1)).status == PASS
+
+
+def _gram_sphere():
+    return verify_sphere_theorem(from_gram(PENTAGON)).status == PASS
+
+
+def _cluster():
+    return cluster_values([0.0, 1.5e-9], 1e-9)[1] == [1, 1]
+
+
+def _multiplicity():
+    return EigenClusters((3.0, 1.0, -2.0), (1, 5, 4), 1e-9).multiplicity_of(1.0) == 5
+
+
+def _order():
+    return _idempotents().multiplicities == (1, 5, 4)
+
+
+REFUSE_ACCEPT = [
+    # module, allowance, value that refuses, value that accepts, call, refusal
+    (schemes, "residual_allowance", -1.0, np.inf, _idempotents, DegenerateElementError),
+    (schemes, "residual_allowance", -1.0, np.inf, _eigenmatrices, ValueError),
+    (spherical, "gram_allowance", -1.0, np.inf, _from_idempotent, MethodsDisagreeError),
+    (schemes, "scaled_allowance", np.inf, 1e-9, _parametric, DegenerateElementError),
+    (schemes, "cluster_gap", np.inf, 2e-9, _parametric, DegenerateElementError),
+    (schemes, "integrality_allowance", -1.0, np.inf, _parametric, DegenerateElementError),
+    (polyprops, "scaled_allowance", -1.0, 1e-9, _product_formula, False),
+    (polyprops, "integrality_allowance", -1.0, np.inf, _q_large, ValueError),
+    (generators, "integrality_allowance", -1.0, np.inf, _family, MethodsDisagreeError),
+    (spherical, "lookup_allowance", -1.0, 1e-8, _scheme_sphere, MethodsDisagreeError),
+    (numerics, "lookup_allowance", -1.0, 1e-8, _gram_sphere, False),
+    (numerics, "lookup_allowance", -1.0, 1e-8, _multiplicity, False),
+    (spherical, "interpolation_allowance", -1.0, np.inf, _gram_sphere, False),
+    (numerics, "cluster_gap", 2e-9, 1e-9, _cluster, ToleranceAmbiguityError),
+    (schemes, "order_quantum", np.inf, 1e-9, _order, False),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, refusing, accepting, call, refusal", REFUSE_ACCEPT,
+    ids=[f"{row[0].__name__.rsplit('.', 1)[1]}.{row[1]}-{row[4].__name__[1:]}" for row in REFUSE_ACCEPT])
+def test_site_refuses_and_accepts_with_its_allowance(monkeypatch, module, name, refusing,
+                                                      accepting, call, refusal):
+    monkeypatch.setattr(module, name, lambda *args: refusing)
+    if refusal is False:
+        assert call() is False
+    else:
+        with pytest.raises(refusal):
+            call()
+    monkeypatch.setattr(module, name, lambda *args: accepting)
+    assert call() is not False
+
+
+def test_sphere_checks_read_the_set_tolerance():
+    # Built at 1e-9, checked at 1e-9: the report carries the set's own
+    # tolerance, and one built at another tolerance reports that one.
+    sph = from_gram(PENTAGON)
+    assert verify_sphere_theorem(sph).tolerance == sph.tolerance == 1e-9
+    coarse = dataclasses.replace(sph, tolerance=1e-6)
+    assert verify_sphere_theorem(coarse, route="schur").tolerance == 1e-6
+
+
+def test_parametric_q_product_formula_at_1e_12():
+    # lhs = 19.999999999998444 on H(6,3) eigenspace 1: 1.6e-12 from 20,
+    # beyond an absolute 1e-12 but within 1e-12 scaled by |lhs|.
+    scheme = family_tensor(FamilySpec("hamming", (6, 3)))
+    small = analyze_scheme(scheme, 1e-12)
+    assert verdicts(small) == verdicts(analyze_scheme(scheme))
+    q1 = small.verdicts[5]
+    assert (q1.kind, q1.base_index, q1.status, q1.evidence["witness_l"]) == ("Q", 1, "polynomial", 6)
+
+
+def test_explicit_gram_check_at_1e_13():
+    # The Gram of H(3,5)'s eigenspace 1 deviates from Q's column by about
+    # 2.8e-13, the rounding of a 125-term sum, not a disagreement.
+    rel = build_scheme(FamilySpec("hamming", (3, 5)))
+    assert verdicts(analyze_scheme(rel, 1e-13)) == verdicts(analyze_scheme(rel))

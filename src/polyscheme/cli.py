@@ -139,8 +139,7 @@ def cmd_analyze_scheme(args) -> int:
     text = _read(args.path)
     scheme = (schemes.parse_intersection_tensor(text) if args.parametric
               else schemes.parse_relation_matrix(text, args.max_dense))
-    analysis = polyprops.analyze_scheme(
-        scheme, args.tol, schemes.SEED_SETS[args.seed_set], args.max_dense)
+    analysis = polyprops.analyze_scheme(scheme, args.tol, max_dense=args.max_dense)
     params, verdicts, reports = analysis.params, analysis.verdicts, analysis.reports
     d = params.d
     if args.json:
@@ -301,16 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "schemes, and spherical point sets.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, seeds=False):
+    def common(p):
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="numerical tolerance, finite and positive (default 1e-9)")
         p.add_argument("--max-dense", type=int, default=DEFAULT_MAX_DENSE,
                        help="largest dense matrix side accepted")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("-o", "--output", help="output file (default stdout)")
-        if seeds:
-            p.add_argument("--seed-set", choices=sorted(schemes.SEED_SETS), default="default",
-                           help="seed set for generic-element draws")
 
     g = sub.add_parser("gen", help="emit a catalog object as text")
     g.add_argument("family", help="cycle, complete, petersen, hoffman-singleton, "
@@ -330,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     as_.add_argument("path", help="relation-matrix file (or tensor with --parametric)")
     as_.add_argument("--parametric", action="store_true",
                      help="input is an intersection-number tensor")
-    common(as_, seeds=True)
+    common(as_)
     as_.set_defaults(func=cmd_analyze_scheme)
 
     agr = sub.add_parser("analyze-gram", help="sphere theorem checks on a Gram matrix")

@@ -28,7 +28,8 @@ from .numerics import (
     check_dense_limit,
     cluster_spectrum,
     eigen_clusters,
-    k_factor,
+    k_factors,
+    lagrange_denominators,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, TheoremReport
 
@@ -254,19 +255,16 @@ def spectral_projectors(
 
 
 def k_factor_fraction(spectrum: EigenClusters, i: int) -> Fraction | None:
-    """Exact value of k_factor(spectrum.values, i) when every eigenvalue
-    snapped to an integer."""
-    v = spectrum.values
-    if not all(float(x).is_integer() for x in v):
+    """Exact K_i = -L_0/L_i (see numerics.k_factors) on the integer
+    Lagrange denominators, when every eigenvalue snapped to an integer."""
+    if not all(float(x).is_integer() for x in spectrum.values):
         return None
     s = spectrum.s
     if not 1 <= i <= s:
         raise ValueError(f"index {i} outside 1..{s}")
-    out = Fraction(1)
-    for j in range(1, s + 1):
-        if j != i:
-            out *= Fraction(int(v[0]) - int(v[j]), int(v[i]) - int(v[j]))
-    return out
+    v = [int(x) for x in spectrum.values]
+    l0, li = (math.prod(v[h] - x for j, x in enumerate(v) if j != h) for h in (0, i))
+    return Fraction(-l0, li)
 
 
 def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
@@ -275,19 +273,21 @@ def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
 
     With exactly d + 1 eigenvalues the same entries are also checked against
     the geodesic counts: on a distance-d pair every A^t with t < d vanishes,
-    so the Lagrange form of E_i gives E_i[x, y] * prod_{j != i} (v_i - v_j)
-    = (A^d)[x, y], the number of x-y geodesics.  The count route's entry
-    differing from the projector's by more than tol is a
-    MethodsDisagreeError.  The comparison is on the entry scale, like the
-    forced-entry check: the product multiplies d eigenvalue gaps, some
-    small, so relative to the counts it carries errors near 1e-9 at n = 1001.
+    so the Lagrange form of E_i gives E_i[x, y] * L_i = (A^d)[x, y], the
+    number of x-y geodesics.  K_i and L_i are read off one vector of
+    lagrange_denominators.  The count route's entry differing from the
+    projector's by more than tol is a MethodsDisagreeError.  The comparison
+    is on the entry scale, like the forced-entry check: L_i multiplies d
+    eigenvalue gaps, some small, so relative to the counts it carries
+    errors near 1e-9 at n = 1001.
 
     Returns per-index expectations, the worst deviation with its witness,
     per-row counts of matching entries, and the worst identity deviation
     (None when the identity does not apply).
     """
     spectrum = family.spectrum
-    n, d, v = family.n, dd.diameter, spectrum.values
+    n, d = family.n, dd.diameter
+    sign, log = lagrange = lagrange_denominators(spectrum.values)
     far = np.flatnonzero(dd.relation(d))
     paths = dd.geodesics.reshape(-1)[far] if spectrum.s == d else None
     expected = []
@@ -295,8 +295,8 @@ def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
     witness = None
     row_counts = []
     identity = None if paths is None else 0.0
-    for i in range(1, spectrum.s + 1):
-        want = -k_factor(spectrum.values, i) / n
+    for i, ki in enumerate(k_factors(lagrange), 1):
+        want = -ki / n
         frac = k_factor_fraction(spectrum, i)
         expected.append({
             "projector": i,
@@ -313,7 +313,7 @@ def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
         dev = np.abs(np.subtract(ei, want, out=ei), out=ei)
         row_counts.append(int((dev <= tol).sum(axis=1).min()))
         if paths is not None:
-            counted = paths / math.prod(v[i] - vj for j, vj in enumerate(v) if j != i)
+            counted = paths / (sign[i] * math.exp(log[i]))
             gaps = np.abs(entries - counted)
             at = int(np.argmax(gaps))
             identity = max(identity, float(gaps[at]))

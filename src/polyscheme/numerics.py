@@ -10,16 +10,16 @@ every numeric comparison.  Each allowance is defined below, once; the other
 modules call it and never scale tol by a literal.
 
   allowance                bounds                                        value
-  tol                      cluster spread, integer snap, rank, PSD and   tol
-                           unit diagonal, Krein link, separation of a
+  tol                      cluster spread, integer snap, rank, unit      tol
+                           diagonal, Krein link, separation of a
                            column's head, projector entries
   cluster_gap              the gap that splits two clusters              2 tol
   residual_allowance       eigen residuals on the n x n class matrices:  100 tol max(1, n)
                            rows of A_i U_j - lam U_j, P's row 0 against
                            the degrees, n P^-1 against the block widths
                            and the pair-read Q
-  gram_allowance           a scheme eigenspace's Gram, formed from its   max(tol, 100 n eps)
-                           block, against Q's column: an n-term sum
+  gram_allowance           an n x n Gram's least and zero eigenvalues,   max(tol, 100 n eps)
+                           and an eigenspace's Gram against Q's column
   scaled_allowance         a computed value x against an exact one:      tol max(1, |x|)
                            the imaginary parts of the intersection-
                            matrix eigenvalues (their gaps must exceed
@@ -39,16 +39,17 @@ Intersection numbers are integers and are compared exactly.  A set
 clustered at a tolerance is checked at that tolerance: EigenClusters and
 SphericalSet carry theirs, and the checks that read them take no other.
 A tol below what float arithmetic resolves is refused: the clustering
-raises ToleranceAmbiguityError, a generic element that no seed separates
-raises DegenerateElementError, and a Gram whose least eigenvalue rounds
-below -tol raises GramError.  The parametric route has no clusters to
-split, and its Krein link is plain tol, so at a tol near 1e-14 the
-rounding of a zero Krein number can link two indices and change a Q
-verdict instead.
+raises ToleranceAmbiguityError, and a generic element that no seed
+separates raises DegenerateElementError.  A Gram's PSD test reads
+gram_allowance, so the rounding of its eigensolve does not blame a good
+Gram.  The parametric route has no clusters to split, and its Krein link
+is plain tol, so at a tol near 1e-14 the rounding of a zero Krein number
+can link two indices and change a Q verdict instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,18 +225,22 @@ def cluster_spectrum(w, tol: float = DEFAULT_TOL):
     return EigenClusters(tuple(values), tuple(counts), tol), labels
 
 
-def k_factor(values, i: int) -> float:
-    """prod over j != i, 1 <= j <= s, of (values[0] - values[j]) /
-    (values[i] - values[j]), where values[0] heads a list of s + 1 distinct
-    values; the empty product (s = 1) is 1."""
-    s = len(values) - 1
-    if not 1 <= i <= s:
-        raise ValueError(f"index {i} outside 1..{s}")
-    out = 1.0
-    for j in range(1, s + 1):
-        if j != i:
-            out *= (values[0] - values[j]) / (values[i] - values[j])
-    return out
+def lagrange_denominators(values) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log|L_i| of every Lagrange denominator L_i = prod over
+    j != i of (values[i] - values[j]), for a list of distinct values.  Each
+    log is the math.fsum of its factors' logs, so no partial product can
+    leave the float range, whatever the number of values."""
+    diffs = np.subtract.outer(values, values) + np.eye(len(values))
+    sign = np.where(np.count_nonzero(diffs < 0, axis=1) % 2, -1.0, 1.0)
+    return sign, np.array([math.fsum(row.tolist()) for row in np.log(np.abs(diffs))])
+
+
+def k_factors(denominators) -> list[float]:
+    """K_i = -L_0/L_i, for i = 1..s, from the lagrange_denominators of s + 1
+    distinct values v: the product over j != i, 1 <= j <= s, of
+    (v_0 - v_j) / (v_i - v_j), which is 1 when s = 1."""
+    sign, log = denominators
+    return (-sign[0] * sign[1:] * np.exp(log[0] - log[1:])).tolist()
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:

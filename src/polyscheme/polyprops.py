@@ -24,7 +24,8 @@ from .numerics import (
     DEFAULT_TOL,
     check_dense_limit,
     integrality_allowance,
-    k_factor,
+    k_factors,
+    lagrange_denominators,
     scaled_allowance,
 )
 from .reports import HYPOTHESIS_NOT_MET, TheoremReport
@@ -238,7 +239,7 @@ def _product_formula(side_values: np.ndarray, other_matrix: np.ndarray, d: int, 
     witness l must satisfy lhs(h) = -other_matrix[l, h] for all h >= 1,
     each to scaled_allowance(tol, |lhs(h)|).
     """
-    lhs = [k_factor(side_values, h) for h in range(1, d + 1)]
+    lhs = k_factors(lagrange_denominators(side_values))
     matches = []
     for cand in range(d + 1):
         if all(abs(x + other_matrix[cand, h]) <= scaled_allowance(tol, abs(x))

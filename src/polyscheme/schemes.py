@@ -37,11 +37,8 @@ from .numerics import (
     scaled_allowance,
 )
 
-DEFAULT_SEEDS = (20839, 61409, 92821)
-# Alternate generic-element seeds, selectable when the defaults happen to
-# produce a degenerate combination for some input.
-ALTERNATE_SEEDS = (15137, 48817, 76091)
-SEED_SETS = {"default": DEFAULT_SEEDS, "alternate": ALTERNATE_SEEDS}
+# Generic-element seeds, tried in turn until one draw is not degenerate.
+DEFAULT_SEEDS = (20839, 61409, 92821, 15137, 48817, 76091)
 
 
 @dataclass(frozen=True)

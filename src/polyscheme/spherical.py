@@ -31,7 +31,8 @@ from .numerics import (
     eval_matrix_poly,
     gram_allowance,
     interpolation_allowance,
-    k_factor,
+    k_factors,
+    lagrange_denominators,
     lookup_allowance,
     poly_from_roots,
     rank_tol,
@@ -127,9 +128,10 @@ def from_gram(
     most max_dense rows, and have unit diagonal within tol.  It is then
     symmetrized once, as (A + A^T)/2, into the set's own read-only copy,
     with the diagonal snapped to exactly 1; the checks that read the set
-    trust it and check no limit again.  Requires positive semidefiniteness
-    within tol and no off-diagonal value at 1 (repeated points).  The
-    number of distinct inner products is decided by clustering at tol.
+    trust it and check no limit again.  Requires no eigenvalue below
+    -gram_allowance(tol, n), which also bounds those the dimension counts
+    as zero, and no off-diagonal value at 1 (repeated points).  The number
+    of distinct inner products is decided by clustering at tol.
     """
     src = np.asarray(m, dtype=float)
     if src.ndim != 2 or src.shape[0] != src.shape[1]:
@@ -149,8 +151,9 @@ def from_gram(
     n = len(gram)
     w = np.linalg.eigvalsh(gram)
     wmin = float(w.min())
-    if wmin < -tol:
-        raise GramError(f"not positive semidefinite: least eigenvalue {wmin:.3g}")
+    allowance = gram_allowance(tol, n)
+    if wmin < -allowance:
+        raise GramError(f"not positive semidefinite: least eigenvalue {wmin:.3g} < -{allowance:.3g}")
     labels = np.zeros((n, n), dtype=int)
     off = ~np.eye(n, dtype=bool)
     if n > 1:
@@ -164,7 +167,7 @@ def from_gram(
     labels.setflags(write=False)
     return SphericalSet(
         gram=gram,
-        dimension=int(np.count_nonzero(np.abs(w) > tol)),
+        dimension=int(np.count_nonzero(np.abs(w) > allowance)),
         values=values,
         labels=labels,
         tolerance=tol,
@@ -318,8 +321,8 @@ def verify_sphere_theorem(
     floor = n - bound
     checks = []
     failures = []
-    for i in range(1, d + 1):
-        ki = k_factor(sph.values, i)
+    sign, log = lagrange = lagrange_denominators(sph.values)
+    for i, ki in enumerate(k_factors(lagrange), 1):
         ai = sph.distance_class(i)
         if sph.algebra is None or i == 1:
             mult = eigen_clusters(ai, tol, max_dense=None).multiplicity_of(-ki)
@@ -331,11 +334,10 @@ def verify_sphere_theorem(
                     f"class 1 has eigenvalue {-ki!r} with multiplicity {read} by P "
                     f"but {mult} by its dense spectrum")
             mult = read
+        # prod_{j >= 1, j != i} (v_i - v_j) = L_i / (v_i - 1).
+        scale = (sph.values[i] - 1.0) / (sign[i] * math.exp(log[i]))
         roots = [sph.values[j] for j in range(1, d + 1) if j != i]
-        denom = 1.0
-        for r in roots:
-            denom *= sph.values[i] - r
-        interp = eval_matrix_poly(poly_from_roots(roots, 1.0 / denom), sph.gram)
+        interp = eval_matrix_poly(poly_from_roots(roots, scale), sph.gram)
         target = ki * np.eye(n) + ai
         resid = float(np.max(np.abs(interp - target)))
         checks.append({

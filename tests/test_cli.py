@@ -288,17 +288,6 @@ class TestAnalyzeScheme:
         # no point data, so no spherical embeddings are attempted
         assert "sphere-eigenvalue" not in out
 
-    def test_alternate_seed_set_agrees(self, petersen_rel, capsys):
-        code, out, _ = run(
-            capsys, "analyze-scheme", str(petersen_rel), "--seed-set", "alternate")
-        assert code == 0
-        assert "P class 1 product formula: polynomial; witness l = 2" in out
-
-    def test_bad_seed_set_is_usage_error(self, petersen_rel, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["analyze-scheme", str(petersen_rel), "--seed-set", "bogus"])
-        assert info.value.code == 2
-
     def test_axiom_violation(self, tmp_path, capsys):
         path = tmp_path / "bad.rel"
         path.write_text("4 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 1\n")

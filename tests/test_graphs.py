@@ -43,7 +43,7 @@ from polyscheme.graphs import (
     spectral_projectors,
     verify_projector_entries,
 )
-from polyscheme.numerics import k_factor
+from polyscheme.numerics import k_factors, lagrange_denominators
 
 # name -> (diameter, girth), hand-checked small cases
 CATALOG_SHAPE = {
@@ -219,14 +219,11 @@ def test_projector_family_identities(name):
 
 def test_k_factor_petersen():
     spec = spectral_projectors(catalog_graph("petersen")).spectrum
-    assert abs(k_factor(spec.values, 1) - 5.0 / 3.0) < 1e-12
-    assert abs(k_factor(spec.values, 2) + 2.0 / 3.0) < 1e-12
+    k1, k2 = k_factors(lagrange_denominators(spec.values))
+    assert abs(k1 - 5.0 / 3.0) < 1e-12
+    assert abs(k2 + 2.0 / 3.0) < 1e-12
     assert k_factor_fraction(spec, 1) == Fraction(5, 3)
     assert k_factor_fraction(spec, 2) == Fraction(-2, 3)
-    with pytest.raises(ValueError):
-        k_factor(spec.values, 0)
-    with pytest.raises(ValueError):
-        k_factor(spec.values, 3)
 
 
 def test_k_factor_fraction_irrational_spectrum():
@@ -523,6 +520,18 @@ def test_analyze_graph_cycle_201_at_scale():
     assert entries.evidence["geodesic_deviation"] <= 1e-9
     assert large.evidence["moore_bound"] == 199
     assert large.evidence["min_forced_per_row"] == large.evidence["row_floor"] == 2
+
+
+def test_analyze_graph_cycle_1273_past_the_linear_product():
+    # From about C_1273 on, a left-to-right product of the d eigenvalue
+    # ratios underflows; each forced entry must still be the closed form.
+    n, d = 1273, 636
+    entries, large = analyze_graph(cycle(n)).reports
+    assert entries.status == large.status == "pass"
+    got = [e["value"] for e in entries.evidence["expected_entries"]]
+    want = [2 / n * math.cos(2 * math.pi * j * d / n) for j in range(1, d + 1)]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert entries.evidence["geodesic_deviation"] <= entries.tolerance
 
 
 INVARIANCE_GRAPHS = {

@@ -16,6 +16,8 @@ from polyscheme.numerics import (
     cluster_values,
     eigen_clusters,
     eval_matrix_poly,
+    k_factors,
+    lagrange_denominators,
     poly_from_roots,
     rank_tol,
     snap_to_int,
@@ -194,6 +196,47 @@ def test_eval_matrix_poly_hadamard():
 def test_eval_matrix_poly_rejects():
     with pytest.raises(ValueError):
         eval_matrix_poly([], np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1401, 2201, 4001])
+def test_lagrange_denominators_on_an_odd_cycle_spectrum(n):
+    # C_n has the distinct eigenvalues 2 cos(2 pi t / n), t = 0..d with
+    # d = (n - 1)/2, and the cosine sequence (Brouwer-Cohen-Neumaier 1989)
+    # gives L_0 = n and L_i = n / (2 cos(2 pi i d / n)), so that
+    # K_i = -2 cos(2 pi i d / n).  At each of these n, a left-to-right
+    # product of the d ratios that make K_i leaves the float range.
+    d = (n - 1) // 2
+    values = [2 * math.cos(2 * math.pi * t / n) for t in range(d + 1)]
+    sign, log = lagrange = lagrange_denominators(values)
+    cosines = np.array([2 * math.cos(2 * math.pi * i * d / n) for i in range(1, d + 1)])
+    assert np.allclose(sign * np.exp(log), [n, *(n / cosines)], rtol=1e-8, atol=0)
+    assert np.allclose(k_factors(lagrange), -cosines, rtol=0, atol=1e-9)
+
+
+def k_factors_reference(values):
+    """The per-index loop, left to right: for i = 1..s, the product over
+    j != i, 1 <= j <= s, of (v_0 - v_j) / (v_i - v_j)."""
+    s = len(values) - 1
+    out = []
+    for i in range(1, s + 1):
+        k = 1.0
+        for j in range(1, s + 1):
+            if j != i:
+                k *= (values[0] - values[j]) / (values[i] - values[j])
+        out.append(k)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-800, 800), min_size=2, max_size=10, unique=True))
+def test_k_factors_match_the_per_index_loop(points):
+    # Few values in any order, so the plain products stay in the float
+    # range and serve as the reference; the log form differs in rounding only.
+    values = [p / 16 for p in points]
+    sign, log = lagrange = lagrange_denominators(values)
+    exact = [math.prod(x - y for j, y in enumerate(values) if j != i) for i, x in enumerate(values)]
+    assert list(sign * np.exp(log)) == pytest.approx(exact, rel=1e-12)
+    assert k_factors(lagrange) == pytest.approx(k_factors_reference(values), rel=1e-12)
 
 
 def test_poly_from_roots():

@@ -30,7 +30,7 @@ from polyscheme.generators import FamilySpec, build_scheme
 from polyscheme.graphs import distance_data, spectral_projectors
 from polyscheme.numerics import DEFAULT_MAX_DENSE
 from polyscheme.schemes import (
-    SEED_SETS,
+    DEFAULT_SEEDS,
     RelationPartition,
     SchemeParameters,
     eigenmatrices,
@@ -233,11 +233,12 @@ def oracle_scheme(name):
     return build_scheme(ORACLE_SPECS[name])
 
 
-@pytest.mark.parametrize("seed_set", sorted(SEED_SETS))
+# The first three seeds, and the last three, which a degenerate draw falls
+# through to: both halves are checked against the reference.
+@pytest.mark.parametrize("seeds", [DEFAULT_SEEDS[:3], DEFAULT_SEEDS[3:]], ids=["default", "alternate"])
 @pytest.mark.parametrize("name", sorted([*ORACLE_SPECS, "cube-antipodal-first"]))
-def test_idempotents_match_dense_reference(name, seed_set):
+def test_idempotents_match_dense_reference(name, seeds):
     rel = oracle_scheme(name)
-    seeds = SEED_SETS[seed_set]
     ref = idempotents_reference(rel, seeds=seeds)
     idems = idempotents(rel, seeds=seeds)
     params = eigenmatrices(rel, idems, p=validate_scheme(rel))

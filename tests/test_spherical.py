@@ -29,7 +29,8 @@ from polyscheme.numerics import (
     DEFAULT_MAX_DENSE,
     eigen_clusters,
     eval_matrix_poly,
-    k_factor,
+    k_factors,
+    lagrange_denominators,
     lookup_allowance,
     rank_tol,
 )
@@ -233,33 +234,26 @@ class TestFromIdempotent:
             from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
 
 
+def k_stars(values):
+    return k_factors(lagrange_denominators(values))
+
+
 class TestKStar:
-    """K*_i of the sphere theorem is numerics.k_factor over the set's values."""
+    """K*_i of the sphere theorem is numerics.k_factors over the set's values."""
 
     def test_pentagon_golden_ratio(self):
-        values = from_gram(PENTAGON).values
-        assert k_factor(values, 1) == pytest.approx(GOLDEN, abs=1e-12)
-        assert k_factor(values, 2) == pytest.approx(1 - GOLDEN, abs=1e-12)
+        assert k_stars(from_gram(PENTAGON).values) == pytest.approx([GOLDEN, 1 - GOLDEN], abs=1e-12)
 
     def test_petersen_embedding(self):
         scheme = analyzed_scheme("petersen")
         values = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1).values
-        assert k_factor(values, 1) == pytest.approx(2.0, abs=1e-9)
-        assert k_factor(values, 2) == pytest.approx(-1.0, abs=1e-9)
+        assert k_stars(values) == pytest.approx([2.0, -1.0], abs=1e-9)
 
     def test_square(self):
-        values = from_gram(SQUARE).values
-        assert k_factor(values, 1) == pytest.approx(2.0, abs=1e-12)
-        assert k_factor(values, 2) == pytest.approx(-1.0, abs=1e-12)
+        assert k_stars(from_gram(SQUARE).values) == pytest.approx([2.0, -1.0], abs=1e-12)
 
     def test_single_class_is_empty_product(self):
-        assert k_factor((1.0, -1 / 3), 1) == 1.0
-
-    @pytest.mark.parametrize("i", [0, 3])
-    def test_rejects_out_of_range_index(self, i):
-        values = from_gram(PENTAGON).values
-        with pytest.raises(ValueError, match="outside 1..2"):
-            k_factor(values, i)
+        assert k_stars((1.0, -1 / 3)) == [1.0]
 
 
 class TestSchurDiameter:
@@ -432,8 +426,7 @@ class TestVerifySphereTheorem:
                 sph = from_idempotent(rel, params, scheme_case.idems, j)
             except GramError:
                 continue
-            for i in range(1, sph.s + 1):
-                ki = k_factor(sph.values, i)
+            for i, ki in enumerate(k_stars(sph.values), 1):
                 dense = eigen_clusters(sph.distance_class(i), max_dense=None)
                 assert sph.algebra.class_multiplicity(i, -ki, lookup_allowance(sph.tolerance)) == \
                     dense.multiplicity_of(-ki)

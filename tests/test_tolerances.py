@@ -10,7 +10,12 @@ import pytest
 
 from conftest import analyzed_scheme
 from polyscheme import generators, numerics, polyprops, schemes, spherical
-from polyscheme.errors import DegenerateElementError, MethodsDisagreeError, ToleranceAmbiguityError
+from polyscheme.errors import (
+    DegenerateElementError,
+    GramError,
+    MethodsDisagreeError,
+    ToleranceAmbiguityError,
+)
 from polyscheme.generators import FamilySpec, build_scheme, family_parameters, family_tensor
 from polyscheme.numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL, EigenClusters, cluster_values
 from polyscheme.polyprops import analyze_scheme, check_product_formula_Q, check_q_large
@@ -23,7 +28,7 @@ PENTAGON = np.cos(2 * np.pi * np.subtract.outer(np.arange(5), np.arange(5)) / 5)
 SITES = {
     "cluster_gap": {"cluster_values", "parametric_parameters"},
     "residual_allowance": {"idempotents", "eigenmatrices"},
-    "gram_allowance": {"from_idempotent"},
+    "gram_allowance": {"from_idempotent", "from_gram"},
     "scaled_allowance": {"parametric_parameters", "_product_formula"},
     "integrality_allowance": {"parametric_parameters", "check_q_large", "family_parameters"},
     "lookup_allowance": {"multiplicity_of", "verify_sphere_theorem"},
@@ -91,6 +96,10 @@ def _from_idempotent():
     return from_idempotent(s.rel, s.params, s.idems, 1)
 
 
+def _from_gram():
+    return from_gram(PENTAGON)
+
+
 def _parametric():
     return schemes.parametric_parameters(*family_tensor(FamilySpec("hamming", (6, 3))))
 
@@ -137,6 +146,7 @@ REFUSE_ACCEPT = [
     (schemes, "residual_allowance", -1.0, np.inf, _idempotents, DegenerateElementError),
     (schemes, "residual_allowance", -1.0, np.inf, _eigenmatrices, ValueError),
     (spherical, "gram_allowance", -1.0, np.inf, _from_idempotent, MethodsDisagreeError),
+    (spherical, "gram_allowance", -1.0, np.inf, _from_gram, GramError),
     (schemes, "scaled_allowance", np.inf, 1e-9, _parametric, DegenerateElementError),
     (schemes, "cluster_gap", np.inf, 2e-9, _parametric, DegenerateElementError),
     (schemes, "integrality_allowance", -1.0, np.inf, _parametric, DegenerateElementError),
@@ -191,3 +201,16 @@ def test_explicit_gram_check_at_1e_13():
     # 2.8e-13, the rounding of a 125-term sum, not a disagreement.
     rel = build_scheme(FamilySpec("hamming", (3, 5)))
     assert verdicts(analyze_scheme(rel, 1e-13)) == verdicts(analyze_scheme(rel))
+
+
+def test_from_gram_blames_the_tolerance_at_1e_14():
+    # The J(14,3) first-eigenspace Gram is positive semidefinite, but its
+    # eigensolve rounds the least eigenvalue to about -1.6e-14: below -tol,
+    # within gram_allowance.  The clustering then refuses the tolerance.
+    rel = build_scheme(FamilySpec("johnson", (14, 3)))
+    idems = schemes.idempotents(rel)
+    params = schemes.eigenmatrices(rel, idems, p=schemes.validate_scheme(rel))
+    gram = from_idempotent(rel, params, idems, 1).gram
+    assert from_gram(gram).dimension == 13
+    with pytest.raises(ToleranceAmbiguityError):
+        from_gram(gram, 1e-14)

@@ -2,6 +2,7 @@
 readers of the text formats, whose ParseErrors carry line numbers."""
 
 import itertools
+import warnings
 
 import numpy as np
 
@@ -92,11 +93,12 @@ def _split_lines(text: str):
         start = end
 
 
-def content_lines(text: str):
-    """Yield (line_no, tokens) for each line that keeps a token once its
-    "#" comment is cut off; lines are those of str.splitlines, read one at
-    a time, and their numbers count from 1."""
-    for line_no, raw in enumerate(_split_lines(text), start=1):
+def content_lines(text: str, after: int = 0):
+    """Yield (line_no, tokens) for each line after the first `after` that
+    keeps a token once its "#" comment is cut off; lines are those of
+    str.splitlines, read one at a time, and their numbers count from 1."""
+    lines = itertools.islice(_split_lines(text), after, None)
+    for line_no, raw in enumerate(lines, start=after + 1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield line_no, tokens
@@ -125,35 +127,64 @@ def _row_values(line_no: int, tokens, convert, width: int, bad_token: str, bad_w
     return values
 
 
-# Tokens that read_rows converts in one numpy call.
+# Tokens per numpy array that the line-by-line readers convert at once.
 _BLOCK_TOKENS = 1 << 14
+
+
+def read_int_rows(text: str, after: int, width: int, bad_token: str, bad_width: str):
+    """The content lines of text after line `after` as one (count, width)
+    int64 array, each token the value int() reads.  numpy's C row reader
+    parses the raw lines of _split_lines, so the line breaks are those of
+    content_lines.  Whatever it refuses or warns of (numpy 1.24-1.26 reads
+    "1.0" as 1 with only a DeprecationWarning), an empty body and a width
+    other than width are read again line by line: the first bad line raises
+    the ParseError of _row_values, or IntRangeError if it holds an integer
+    beyond 64 bits, and tokens that only int() accepts ("1_0") keep their value."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(itertools.islice(_split_lines(text), after, None),
+                              dtype=np.int64, comments="#", ndmin=2)
+        if rows.shape[1] == width:
+            return rows
+    except Exception:
+        pass  # The re-read below accepts or refuses every text numpy does not.
+    lines = content_lines(text, after)
+    blocks = [np.empty((0, max(width, 0)), np.int64)]
+    while block := list(itertools.islice(lines, max(1, _BLOCK_TOKENS // max(width, 1)))):
+        rows = []
+        for line_no, tokens in block:
+            row = _row_values(line_no, tokens, int, width, bad_token, bad_width)
+            if big := [v for v in row if not -2**63 <= v < 2**63]:
+                raise IntRangeError(line_no, row, big[0])
+            rows.append(row)
+        blocks.append(np.array(rows, dtype=np.int64))
+    return np.concatenate(blocks)
+
+
 # A block whose first _SAMPLE tokens hold at most one distinct token in
 # _REPEATS converts each distinct token once.  Measured on 16k-token blocks
 # (numpy 2.4, 2 vCPU) against the direct call: a few-distance Gram block (3
-# distinct 17-digit floats) converts 3.2-3.8x faster, a relation-matrix
-# block (d + 1 distinct labels) as fast, and a block of all-distinct floats
-# would take 1.6-1.8x as long.  An edge list's first 256 tokens hold about
-# 130 distinct vertices and a computed Gram's about 180: both keep the
-# direct call.
+# distinct 17-digit floats) converts 3.2-3.8x faster, and a block of
+# all-distinct floats would take 1.6-1.8x as long.  A computed Gram's first
+# 256 tokens hold about 180 distinct entries, so it keeps the direct call.
 _SAMPLE, _REPEATS = 256, 8
 
 
-def _convert_distinct(tokens: list, dtype) -> np.ndarray:
-    """np.array(tokens, dtype), with each distinct token converted once."""
+def _convert_distinct(tokens: list) -> np.ndarray:
+    """np.array(tokens, float), with each distinct token converted once."""
     codes = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
-    values = np.array(list(codes), dtype=dtype)
+    values = np.array(list(codes), dtype=float)
     return values[np.fromiter(map(codes.__getitem__, tokens), np.intp, len(tokens))]
 
 
-def read_rows(lines, dtype, width: int, bad_token: str, bad_width: str):
+def read_rows(lines, width: int, bad_token: str, bad_width: str):
     """The lines left in lines, an iterator of content_lines, as one
-    (count, width) array of dtype (np.int64 or float) and the list of their
-    line numbers.  Tokens convert as int() or float() reads them, in numpy
-    calls over blocks of about _BLOCK_TOKENS; a block whose tokens repeat
-    (see _SAMPLE) converts each distinct token once.  A block that fails is
-    read again line by line: its first bad line raises the ParseError of
-    _row_values, or IntRangeError if it holds an integer beyond 64 bits."""
-    convert = int if dtype is np.int64 else float
+    (count, width) float array and the list of their line numbers.  Tokens
+    convert as float() reads them, in numpy calls over blocks of about
+    _BLOCK_TOKENS; a block whose tokens repeat (see _SAMPLE) converts each
+    distinct token once.  A block that fails is read again line by line:
+    its first bad line raises the ParseError of _row_values."""
     blocks, numbers = [], []
     while block := list(itertools.islice(lines, max(1, _BLOCK_TOKENS // max(width, 1)))):
         block_numbers, token_rows = zip(*block)
@@ -163,15 +194,13 @@ def read_rows(lines, dtype, width: int, bad_token: str, bad_width: str):
                 flat = list(itertools.chain.from_iterable(token_rows))
                 sample = flat[:_SAMPLE]
                 if len(set(sample)) * _REPEATS <= len(sample):
-                    values = _convert_distinct(flat, dtype)
+                    values = _convert_distinct(flat)
                 else:
-                    values = np.array(flat, dtype=dtype)
+                    values = np.array(flat, dtype=float)
                 blocks.append(values.reshape(-1, width))
                 continue
-        except (ValueError, OverflowError):
+        except ValueError:
             pass
         for line_no, tokens in block:
-            values = _row_values(line_no, tokens, convert, width, bad_token, bad_width)
-            if big := [v for v in values if convert is int and not -2**63 <= v < 2**63]:
-                raise IntRangeError(line_no, values, big[0])
-    return np.concatenate(blocks) if blocks else np.empty((0, max(width, 0)), dtype), numbers
+            _row_values(line_no, tokens, float, width, bad_token, bad_width)
+    return np.concatenate(blocks) if blocks else np.empty((0, max(width, 0))), numbers

@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     content_lines,
     read_header,
-    read_rows,
+    read_int_rows,
 )
 from .numerics import (
     DEFAULT_MAX_DENSE,
@@ -320,8 +320,8 @@ def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
             if identity > tol:
                 x, y = divmod(int(far[at]), n)
                 raise MethodsDisagreeError(
-                    f"entry ({x}, {y}) of projector {i} is {entries[at]!r}, but its "
-                    f"{paths[at]:.17g} geodesics give {counted[at]!r}")
+                    f"entry ({x}, {y}) of projector {i} is {float(entries[at])!r}, but its "
+                    f"{paths[at]:.17g} geodesics give {float(counted[at])!r}")
     return expected, worst, witness, row_counts, identity
 
 
@@ -478,12 +478,11 @@ def large_graph_report(
 def parse_edge_list(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> Graph:
     """The graph of an edge list: a header "n m", then m lines "u v" of
     0-based vertices.  n above max_dense is refused before any row is read."""
-    lines = content_lines(text)
     bad = "expected two integers, got {row!r}"
-    _, (n, m) = read_header(lines, "empty edge-list file", 2, bad, bad)
+    header_line, (n, m) = read_header(content_lines(text), "empty edge-list file", 2, bad, bad)
     check_dense_limit(n, max_dense)
     try:
-        edges, _ = read_rows(lines, np.int64, 2, bad, bad)
+        edges = read_int_rows(text, header_line, 2, bad, bad)
     except IntRangeError as exc:
         raise ParseError(0, "edge ({}, {}) out of range for n={}".format(*exc.values, n)) from None
     if len(edges) != m:

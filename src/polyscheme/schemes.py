@@ -10,6 +10,7 @@ eigenmatrix lists the degrees and row 0 of the second the multiplicities.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     ToleranceAmbiguityError,
     content_lines,
     read_header,
-    read_rows,
+    read_int_rows,
 )
 from .graphs import DistanceData
 from .numerics import (
@@ -403,12 +404,11 @@ def parametric_parameters(
 def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> RelationPartition:
     """The partition of a relation matrix: a header "n d", then n rows of n
     labels.  n above max_dense is refused before any row is read."""
-    lines = content_lines(text)
-    _, (n, d) = read_header(lines, "empty relation-matrix file", 2,
-                            "expected integers, got {row!r}", "header must be 'n d'")
+    header_line, (n, d) = read_header(content_lines(text), "empty relation-matrix file", 2,
+                                      "expected integers, got {row!r}", "header must be 'n d'")
     check_dense_limit(n, max_dense)
-    labels, _ = read_rows(lines, np.int64, n, "expected integers, got {row!r}",
-                          f"expected {n} labels, got {{count}}")
+    labels = read_int_rows(text, header_line, n, "expected integers, got {row!r}",
+                           f"expected {n} labels, got {{count}}")
     if len(labels) != n:
         raise ParseError(0, f"header declares {n} rows but {len(labels)} found")
     try:
@@ -426,13 +426,12 @@ def format_relation_matrix(rel: RelationPartition) -> str:
 def parse_intersection_tensor(text: str):
     """(p, n) from an intersection tensor: a header "n d", then one line
     "i j k value" per nonzero p[i, j, k], each triple at most once."""
-    lines = content_lines(text)
-    header_line, (n, d) = read_header(lines, "empty tensor file", 2,
+    header_line, (n, d) = read_header(content_lines(text), "empty tensor file", 2,
                                       "expected integers, got {row!r}", "header must be 'n d'")
     if d < 1:
         raise ParseError(header_line, "schemes need at least one class besides the identity")
-    entries, entry_lines = read_rows(lines, np.int64, 4, "expected integers, got {row!r}",
-                                     "tensor entries are 'i j k value'")
+    entries = read_int_rows(text, header_line, 4, "expected integers, got {row!r}",
+                            "tensor entries are 'i j k value'")
     ijk = entries[:, :3]
     outside = ((ijk < 0) | (ijk > d)).any(axis=1)
     # A stable sort keeps equal triples in file order: all but the first repeat.
@@ -442,7 +441,9 @@ def parse_intersection_tensor(text: str):
     bad = np.flatnonzero(outside | repeat)
     if bad.size:
         i, j, k = ijk[bad[0]].tolist()
-        raise ParseError(entry_lines[bad[0]], f"indices ({i}, {j}, {k}) outside 0..{d}"
+        # Entry lines are numbered only here, on refusal.
+        line_no, _ = next(itertools.islice(content_lines(text, header_line), bad[0], None))
+        raise ParseError(line_no, f"indices ({i}, {j}, {k}) outside 0..{d}"
                          if outside[bad[0]] else f"second entry for ({i}, {j}, {k})")
     # sum_i p[i, j, k] = k_j >= 1 for every (j, k) (Bannai-Ito 1984), so a
     # valid tensor has at least (d+1)^2 nonzero entries; fewer lines refuse

@@ -375,7 +375,7 @@ def parse_gram_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> n
         raise ParseError(line_no, f"count must be positive, got {n}")
     check_dense_limit(n, max_dense)
     # No text has more than sys.maxsize lines, the most islice counts.
-    a, row_lines = read_rows(itertools.islice(lines, min(n, sys.maxsize)), float, n,
+    a, row_lines = read_rows(itertools.islice(lines, min(n, sys.maxsize)), n,
                              "bad entry in {row!r}", f"expected {n} entries, got {{count}}")
     if (extra := next(lines, None)) is not None:
         raise ParseError(extra[0], f"more than {n} rows")

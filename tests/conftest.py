@@ -9,6 +9,7 @@ from collections import deque, namedtuple
 import numpy as np
 import pytest
 
+from polyscheme import errors
 from polyscheme.errors import (
     DegenerateElementError,
     GramError,
@@ -58,17 +59,19 @@ def max_abs_diff(x, y) -> float:
     return float(np.max(np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))))
 
 
-def fail_after_header(monkeypatch, module):
-    """Make the line reader of a parser module yield the header line and
-    then fail, so that reading any row after it raises AssertionError."""
-    read = module.content_lines
+def fail_after_header(monkeypatch):
+    """Make the line reader that every parser reads through yield the lines
+    up to the header, the first that keeps a token, and then fail, so that
+    reading any row after it raises AssertionError."""
+    split = errors._split_lines
 
     def header_only(text):
-        lines = read(text)
-        yield next(lines)
-        raise AssertionError("a row was read after the header")
+        for raw in split(text):
+            yield raw
+            if raw.split("#", 1)[0].split():
+                raise AssertionError("a row was read after the header")
 
-    monkeypatch.setattr(module, "content_lines", header_only)
+    monkeypatch.setattr(errors, "_split_lines", header_only)
 
 
 def projectors(idems):

@@ -434,7 +434,7 @@ class TestAnalyzeScheme:
     ])
     def test_oversized_header_refused_before_rows(self, tmp_path, capsys, monkeypatch,
                                                   text, argv, n, limit):
-        fail_after_header(monkeypatch, schemes)
+        fail_after_header(monkeypatch)
         seen = record_dense_limits(monkeypatch)
         path = tmp_path / "big.rel"
         path.write_text(text)
@@ -536,7 +536,7 @@ class TestAnalyzeGram:
     ])
     def test_oversized_header_refused_before_rows(self, tmp_path, capsys, monkeypatch,
                                                   text, argv, n, limit):
-        fail_after_header(monkeypatch, spherical)
+        fail_after_header(monkeypatch)
         seen = record_dense_limits(monkeypatch)
         path = tmp_path / "big.gram"
         path.write_text(text)

@@ -4,6 +4,7 @@ the geodesic identity as the second route, and the two theorem reports."""
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -481,6 +482,29 @@ def test_geodesic_count_mutations_raise(name, mutation, monkeypatch):
     _mutated_distances(monkeypatch, mutate)
     with pytest.raises(MethodsDisagreeError, match="geodesics give"):
         analyze_graph(g)
+
+
+def test_geodesic_identity_refusal_names_plain_floats(monkeypatch):
+    # A zeroed eigenvector block makes E_1 vanish, so on Petersen the first
+    # distance-2 pair, which has one geodesic, disagrees with 1/L_1 = -1/6.
+    real = graphs.spectral_projectors
+
+    def perturbed(g, tol, max_dense):
+        family = real(g, tol, max_dense)
+        blocks = list(family.blocks)
+        blocks[1] = np.zeros_like(blocks[1])
+        return dataclasses.replace(family, blocks=tuple(blocks))
+
+    monkeypatch.setattr(graphs, "spectral_projectors", perturbed)
+    g = catalog_graph("petersen")
+    y = int(np.flatnonzero(distance_data(g).relation(2)[0])[0])
+    with pytest.raises(MethodsDisagreeError) as info:
+        analyze_graph(g)
+    message = str(info.value)
+    match = re.fullmatch(rf"entry \(0, {y}\) of projector 1 is 0\.0, but its 1 geodesics "
+                         r"give (-0\.1666666666666\d*)", message)
+    assert match, message
+    assert abs(float(match[1]) + 1 / 6) <= 1e-12
 
 
 def test_analyze_graph_paley_401_at_scale():

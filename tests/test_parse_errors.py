@@ -1,6 +1,7 @@
-"""Every refusal of the four text formats, with its full message and line,
-and the shared row reader against a token-by-token oracle, on mixed and on
-heavily repeated tokens.
+"""Every refusal of the four text formats, with its full message and line;
+the row readers against a token-by-token oracle, on mixed and on heavily
+repeated tokens; and each integer format's numpy rows against its line
+reader, on hostile text.
 
 Each table row is (parser, text, keyword arguments, line, message).  Line
 None marks a header refused by the dense limit: the row after it is
@@ -31,12 +32,13 @@ DENSE = "dense computation refused for n={} > limit {}; raise the limit explicit
 
 def few_distance_rows(n, tokens=("1.0", "0.5")):
     """The n rows of a two-distance matrix, tokens[0] on the diagonal and
-    tokens[1] elsewhere: blocks of them take read_rows' distinct-token path."""
+    tokens[1] elsewhere: blocks of such Gram rows take read_rows'
+    distinct-token path."""
     return [" ".join(tokens[i != j] for j in range(n)) for i in range(n)]
 
 
-# Faults on line 30 of 40-row files whose tokens repeat, so that the block
-# holding the fault is one that read_rows converts by distinct tokens.
+# Faults on line 30 of 40-row files whose tokens repeat: in the Gram, the
+# block holding the fault is one that read_rows converts by distinct tokens.
 GRAM_40 = few_distance_rows(40)
 GRAM_40_BAD = GRAM_40[28].replace("0.5", "x", 1)
 RELATION_40 = few_distance_rows(40, ("0", "1"))
@@ -113,6 +115,17 @@ INTERSECTION_TENSOR = [
      "entry lines, but 1 follow"),
     ("# K_3\r\n3 1\r\n\r\n0 0 0 1  # identity\r\n0 1 1 1\r\n0 1 1 1\r\n", {}, 6,
      "second entry for (0, 1, 1)"),
+    # Entry lines are numbered past comments, blank lines and every break
+    # of str.splitlines, though the rows are read without their numbers.
+    ("# K_3\n3 1\n# entries\n\n0 0 0 1\n  # none\n0 1 1 2\n\n0 1 2 1\n", {}, 9,
+     "indices (0, 1, 2) outside 0..1"),
+    ("3 1\v0 0 0 1\f# c\x1c\x1d0 1 1 2\x1e\x85\u20280 0 0 1  # again\n", {}, 8,
+     "second entry for (0, 0, 0)"),
+    ("3 1  # n d\r\n\r\n0 0 0 1\r0 -1 1 2 # below\r\n", {}, 4,
+     "indices (0, -1, 1) outside 0..1"),
+    ("3 1\n\n# c\n0 1 1 2\n# c\n\n0 1 1 2\n", {}, 7, "second entry for (0, 1, 1)"),
+    ("3 1\n\n0 0 0 1\n\n0 0 0 x\n", {}, 5, "expected integers, got '0 0 0 x'"),
+    ("3 1\n# c\n0 0 0 1\n# c\n0 0 1\n", {}, 5, "tensor entries are 'i j k value'"),
 ]
 
 GRAM_MATRIX = [
@@ -161,7 +174,7 @@ def test_parse_error_table(parse, text, kwargs, line, message):
 
 
 def read_rows_reference(rows, dtype, width):
-    """Oracle for errors.read_rows: each row parsed token by token.  Returns
+    """Oracle for the row readers: each row parsed token by token.  Returns
     the values as lists, or the (kind, line) of the first offending row."""
     convert = float if dtype is float else int
     out = []
@@ -183,18 +196,23 @@ TOKENS = ["0", "7", "-3", "+12", "1_0", "x", "1.5", "nan", "-inf", "1e400",
 
 
 def check_read_rows(token_rows, dtype, width, block):
-    """errors.read_rows, in blocks of about block tokens, against the oracle:
-    the same values bit for bit (so -0.0 is not 0.0), or the same first
-    fault on the same line."""
+    """The row reader of dtype against the oracle: errors.read_rows (float)
+    in blocks of about block tokens, or errors.read_int_rows (int64) on a
+    text of the rows with a blank line before each.  The same values bit
+    for bit (so -0.0 is not 0.0), or the same first fault on the same line."""
     rows = [(2 * i + 3, tokens) for i, tokens in enumerate(token_rows)]
     want = read_rows_reference(rows, dtype, width)
     if isinstance(want, list):
         want = np.array(want, dtype=dtype).reshape(-1, width).view(np.int64).tolist()
     saved, errors._BLOCK_TOKENS = errors._BLOCK_TOKENS, block
     try:
-        values, numbers = errors.read_rows(iter(rows), dtype, width, "token {row!r}",
-                                           "width {count}")
-        assert numbers == [no for no, _ in rows]
+        if dtype is float:
+            values, numbers = errors.read_rows(iter(rows), width, "token {row!r}",
+                                               "width {count}")
+            assert numbers == [no for no, _ in rows]
+        else:
+            text = "header\n" + "".join(f"\n{' '.join(tokens)}\n" for _, tokens in rows)
+            values = errors.read_int_rows(text, 1, width, "token {row!r}", "width {count}")
         assert values.shape == (len(rows), width) and values.dtype == dtype
         got = values.view(np.int64).tolist()
     except IntRangeError as exc:
@@ -215,7 +233,7 @@ def test_read_rows_matches_a_per_token_parse(token_rows, dtype, width, block):
 
 
 # Small pools of these give blocks whose tokens repeat, which read_rows
-# converts through its distinct-token path.
+# converts through its distinct-token path; int64 rows go through numpy.
 REPEATED_TOKENS = {
     float: ["1.0", "0.5", "-0.0", "0.0", "1_0", "inf", "-inf", "nan", "1e-320",
             "0.3999999999999998", "1e400", "x"],
@@ -247,10 +265,103 @@ def test_distinct_tokens_take_the_direct_conversion(monkeypatch):
     calls = []
     distinct = errors._convert_distinct
     monkeypatch.setattr(errors, "_convert_distinct",
-                        lambda tokens, dtype: calls.append(len(tokens)) or distinct(tokens, dtype))
+                        lambda tokens: calls.append(len(tokens)) or distinct(tokens))
     direct = parse_gram_matrix(computed)
     assert calls == []
     assert np.array_equal(direct, [[float(t) for t in line.split()]
                                    for line in computed.splitlines()[1:]])
     assert np.array_equal(parse_gram_matrix(few_distance), 0.5 + 0.5 * np.eye(40))
     assert calls == [40 * 40]
+
+
+# Hostile pieces of integer rows: signs, "_", ".", "e", Arabic-Indic digits
+# and values past int64 among the tokens; the in-line whitespace of
+# str.split; and every line break of str.splitlines, several of which
+# numpy would read as in-line whitespace in a whole text.
+SMALL_TOKENS = ["0", "1", "2", "3"]
+HOSTILE_TOKENS = SMALL_TOKENS + [
+    "+1", "-1", "-0", "007", "1_0", "1.0", "1e1", ".", "e", "_", "-", "+", "+-1",
+    "\u0661", "\u0662\u0660", "9223372036854775807", "-9223372036854775808",
+    "9223372036854775808", "-9223372036854775809", "99999999999999999999"]
+SPACES = [" ", "  ", "\t", "\x1f", "\xa0"]
+BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+
+@st.composite
+def hostile_body(draw, width):
+    """Lines after a header: rows of about width tokens, from small
+    integers only or from the hostile tokens, with blank and comment lines
+    among them, joined by any line break; possibly no line at all."""
+    tokens = st.sampled_from(draw(st.sampled_from([SMALL_TOKENS, HOSTILE_TOKENS])))
+    space = st.sampled_from(SPACES)
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["row"] * 4 + ["blank", "comment"]), max_size=6)):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t\xa0"])))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# 1 2", " #x"])))
+        else:
+            count = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
+            row = draw(st.lists(tokens, min_size=count, max_size=count))
+            line = "".join(draw(space) + tok for tok in row)
+            lines.append(line + draw(st.sampled_from(["", "", " # note", "#1 2"])))
+    return "".join(draw(st.sampled_from(BREAKS)) + line for line in lines) + \
+        draw(st.sampled_from(["", "\n"]))
+
+
+def parse_outcome(parse, text):
+    """What parse makes of text: its value as lists, or its refusal."""
+    try:
+        out = parse(text)
+    except errors.AnalysisError as exc:
+        return type(exc).__name__, str(exc)
+    if parse is parse_edge_list:
+        return out.n, out.edges.tolist()
+    if parse is parse_relation_matrix:
+        return out.d, out.labels.tolist()
+    p, n = out
+    return n, p.tolist()
+
+
+def line_reader_outcome(parse, text):
+    """parse_outcome with numpy's row reader refusing every text, so that
+    all rows take the line-by-line re-read."""
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", refuse)
+        return parse_outcome(parse, text)
+
+
+INTEGER_FORMATS = {
+    "edge list": (parse_edge_list, ["3 0", "3 1", "3 2", "4 3"], 2),
+    "relation matrix": (parse_relation_matrix, ["2 1", "3 1", "3 2"], None),
+    "tensor": (parse_intersection_tensor, ["3 1", "6 2"], 4),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(INTEGER_FORMATS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_rows_match_the_line_reader(fmt, data):
+    parse, headers, width = INTEGER_FORMATS[fmt]
+    header = data.draw(st.sampled_from(headers))
+    text = header + data.draw(hostile_body(width or int(header.split()[0])))
+    assert parse_outcome(parse, text) == line_reader_outcome(parse, text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_edge_list, "3 2\x850\x1f1\xa0# a\v\f1\t2 # b\u2028"),
+    (parse_relation_matrix, "2 1 # n d\x1c0 1\r\n\r\n# row 1\x1d+1 -0\x1e"),
+    (parse_intersection_tensor, "3 1\r0 0 0 1\n\n0 1 1 1 #\v1 0 1 1\f1\x1f1 0 2\x851 1 1 1\u2028"),
+])
+def test_hostile_whitespace_stays_on_numpy_rows(monkeypatch, parse, text):
+    # Rows that numpy reads are never re-read line by line.
+    def no_reread(text, after=0):
+        raise AssertionError("rows were re-read line by line")
+
+    want = line_reader_outcome(parse, text)
+    assert not isinstance(want[0], str)
+    monkeypatch.setattr(errors, "content_lines", no_reread)
+    assert parse_outcome(parse, text) == want

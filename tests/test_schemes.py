@@ -417,7 +417,7 @@ def test_relation_matrix_comments_and_blanks_ignored():
     ("4 1\n0 1 1 1\n1 0 x 1\n1 1 0 1\n1 1 1 0\n", {"max_dense": 3}, 4, 3),
 ])
 def test_relation_matrix_header_refused_before_any_row(monkeypatch, text, kwargs, n, limit):
-    fail_after_header(monkeypatch, schemes)
+    fail_after_header(monkeypatch)
     with pytest.raises(DenseLimitError) as info:
         parse_relation_matrix(text, **kwargs)
     assert (info.value.n, info.value.limit) == (n, limit)

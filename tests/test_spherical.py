@@ -565,7 +565,7 @@ class TestGramIO:
         ("4\n1 0 0 0\n0 1 zz 0\n0 0 1 0\n0 0 0 1\n", {"max_dense": 3}, 4, 3),
     ])
     def test_header_refused_before_any_row(self, monkeypatch, text, kwargs, n, limit):
-        fail_after_header(monkeypatch, spherical)
+        fail_after_header(monkeypatch)
         with pytest.raises(DenseLimitError) as info:
             parse_gram_matrix(text, **kwargs)
         assert (info.value.n, info.value.limit) == (n, limit)

@@ -34,6 +34,8 @@ modules call it and never scale tol by a literal.
   interpolation_allowance  the entrywise interpolation identity          100 tol
   order_quantum            the grid on which eigenspaces are sorted by   max(tol, 1e-12)
                            their class-1 eigenvalue
+  krein_allowance          the rounding of a Krein number q_ij^k whose   1e4 eps scale
+                           scale is (1/n) sum_u |P[k,u] Q[u,i] Q[u,j]|
 
 Intersection numbers are integers and are compared exactly.  A set
 clustered at a tolerance is checked at that tolerance: EigenClusters and
@@ -42,9 +44,8 @@ A tol below what float arithmetic resolves is refused: the clustering
 raises ToleranceAmbiguityError, and a generic element that no seed
 separates raises DegenerateElementError.  A Gram's PSD test reads
 gram_allowance, so the rounding of its eigensolve does not blame a good
-Gram.  The parametric route has no clusters to split, and its Krein link
-is plain tol, so at a tol near 1e-14 the rounding of a zero Krein number
-can link two indices and change a Q verdict instead.
+Gram.  A Krein number above tol but within krein_allowance may be a
+rounded zero, and the Q detector raises ToleranceAmbiguityError for it.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ def order_quantum(tol: float) -> float:
     """Grid on which eigenvalues are rounded to sort eigenspaces; its floor
     keeps the quotients finite."""
     return max(tol, 1e-12)
+
+
+def krein_allowance(scale):
+    """Rounding of a Krein number whose terms sum to scale in magnitude.
+    On 28 Johnson and Hamming schemes up to n = 16807, the zero ones reach
+    1714 eps scale (J(20,5)) and the nonzero ones are at least 5.8e13 eps
+    scale."""
+    return 1e4 * np.finfo(float).eps * scale
 
 
 def check_dense_limit(n: int, max_dense: int | None = DEFAULT_MAX_DENSE) -> None:

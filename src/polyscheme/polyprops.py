@@ -13,11 +13,12 @@ Verdicts are three-valued; the size conditions can only ever say
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GramError, MethodsDisagreeError
+from .errors import GramError, MethodsDisagreeError, ToleranceAmbiguityError
 from .graphs import moore_bound
 from .numerics import (
     DEFAULT_MAX_DENSE,
@@ -25,6 +26,7 @@ from .numerics import (
     check_dense_limit,
     integrality_allowance,
     k_factors,
+    krein_allowance,
     lagrange_denominators,
     scaled_allowance,
 )
@@ -89,13 +91,29 @@ class PolyVerdict:
         }
 
 
+# The words of each side of the P/Q duality (Bannai-Ito 1984); the entry
+# points pass each shared step the side's data: the column of P or Q, the
+# other eigenmatrix, the tensor and the bound.
+_Side = namedtuple("_Side", "kind index size bound not_path unseparated not_distinct no_match")
+_P = _Side("P", "class", "degree", "M", "intersection-number index graph is not a path from 0",
+           "degree not separated from the other eigenvalues",
+           "eigenvalues of the class are not mutually distinct",
+           "no eigenspace index matches the product formula")
+_Q = _Side("Q", "eigenspace", "multiplicity", "N", "Krein-number index graph is not a path from 0",
+           "multiplicity not separated from the other column values",
+           "column values of the eigenspace are not mutually distinct",
+           "no class index matches the product formula")
+
+
+def _column(side: _Side, params: SchemeParameters, j: int) -> np.ndarray:
+    """Column j of the side's eigenmatrix, P or Q."""
+    if not 1 <= j <= params.d:
+        raise ValueError(f"{side.index} {j} outside 1..{params.d}")
+    return getattr(params, side.kind)[:, j]
+
+
 def _head_separated(col, tol: float) -> bool:
     return bool(np.all(np.abs(col[1:] - col[0]) > tol))
-
-
-def _mutually_distinct(col, tol: float) -> bool:
-    svals = np.sort(col)
-    return bool(np.all(np.diff(svals) > tol))
 
 
 def _bfs_levels(size: int, linked) -> np.ndarray:
@@ -139,6 +157,17 @@ def _certify_point_levels(labels: np.ndarray, j: int, levels: np.ndarray) -> Non
                                    f"{dist[x]}, but its class {c} has index level {levels[c]}")
 
 
+def _detector(side: _Side, j: int, order, separated: bool, evidence: dict) -> PolyVerdict:
+    """A detector's verdict: no path refutes; a path certifies its ordering
+    when the column head is separated, else is the candidate ordering."""
+    if order is None:
+        return PolyVerdict(side.kind, j, NOT_POLYNOMIAL, reason=side.not_path, evidence=evidence)
+    if not separated:
+        evidence["candidate_ordering"] = list(order)
+        return PolyVerdict(side.kind, j, INCONCLUSIVE, reason=side.unseparated, evidence=evidence)
+    return PolyVerdict(side.kind, j, POLYNOMIAL, ordering=order, evidence=evidence)
+
+
 def p_polynomial_ordering(
     params: SchemeParameters,
     j: int,
@@ -159,36 +188,75 @@ def p_polynomial_ordering(
     from the other eigenvalues of the class); otherwise the verdict is
     inconclusive with the candidate ordering recorded.
     """
-    d = params.d
-    if not 1 <= j <= d:
-        raise ValueError(f"class {j} outside 1..{d}")
-    separated = _head_separated(params.P[:, j], tol)
+    separated = _head_separated(_column(_P, params, j), tol)
     # Intersection numbers are integers: a link is a nonzero one.
     levels = _index_levels(params.p, j, 0)
-    order = _path_ordering(levels, j)
+    evidence = {"mode": "parametric"}
     if rel is not None:
         _certify_point_levels(rel.labels, j, levels)
         connected, diameter = levels.min() >= 0, int(levels.max())
         evidence = {"mode": "explicit", "diameter": diameter if connected else None}
-        if not connected:
-            return PolyVerdict("P", j, NOT_POLYNOMIAL, reason="relation graph disconnected",
-                               evidence=evidence)
-        if diameter != d:
-            return PolyVerdict("P", j, NOT_POLYNOMIAL,
-                               reason=f"relation graph has diameter {diameter}, not {d}",
-                               evidence=evidence)
-    else:
-        evidence = {"mode": "parametric"}
-        if order is None:
-            return PolyVerdict("P", j, NOT_POLYNOMIAL,
-                               reason="intersection-number index graph is not a path from 0",
-                               evidence=evidence)
-    if not separated:
-        evidence["candidate_ordering"] = list(order)
-        return PolyVerdict("P", j, INCONCLUSIVE,
-                           reason="degree not separated from the other eigenvalues",
-                           evidence=evidence)
-    return PolyVerdict("P", j, POLYNOMIAL, ordering=order, evidence=evidence)
+        if not connected or diameter != params.d:
+            reason = (f"relation graph has diameter {diameter}, not {params.d}" if connected
+                      else "relation graph disconnected")
+            return PolyVerdict("P", j, NOT_POLYNOMIAL, reason=reason, evidence=evidence)
+    return _detector(_P, j, _path_ordering(levels, j), separated, evidence)
+
+
+def q_polynomial_ordering(
+    params: SchemeParameters,
+    j: int,
+    tol: float = DEFAULT_TOL,
+    sphere: SphericalSet | None = None,
+) -> PolyVerdict:
+    """Is the scheme Q-polynomial with respect to eigenspace j?
+
+    Primary route: the Krein-number index graph of eigenspace j, walked by
+    the P detector's BFS (nonzero threshold = tol), must be a path starting
+    0, j; a Krein number above tol but within its krein_allowance may be
+    a rounded zero, and raises ToleranceAmbiguityError.  A non-path
+    refutes; a path certifies only when the multiplicity is separated from
+    the other column values, else the verdict is inconclusive.  When
+    sphere, the eigenspace's embedding from from_idempotent, is given and
+    the separation hypothesis holds, its Schur-diameter is computed as a
+    cross-check and must agree with the Krein route; disagreement is a
+    hard error.
+    """
+    separated = _head_separated(_column(_Q, params, j), tol)
+    # The scale of q[h, k] = q_jh^k is (1/n) sum_u |P[k, u] Q[u, j] Q[u, h]|.
+    q, Q = params.krein[j], params.Q
+    allowance = krein_allowance((np.abs(params.P * Q[:, j]) @ np.abs(Q)).T / params.n)
+    band = (np.abs(q) > tol) & (np.abs(q) <= allowance)
+    if band.any():
+        h, k = np.argwhere(band)[0].tolist()
+        raise ToleranceAmbiguityError(
+            f"Krein number q_{{{j},{h}}}^{{{k}}} = {float(q[h, k])!r} is above tol {tol!r} but "
+            f"within its rounding allowance {float(allowance[h, k])!r}; adjust the tolerance")
+    order = _path_ordering(_index_levels(params.krein, j, tol), j)
+    evidence: dict = {"mode": "krein"}
+    if sphere is not None and separated:
+        sd = schur_diameter(sphere)
+        evidence["schur_diameter"] = sd
+        if (sd == params.d) != (order is not None):
+            raise MethodsDisagreeError(
+                f"Krein route says {NOT_POLYNOMIAL if order is None else POLYNOMIAL} "
+                f"for eigenspace {j} but the Schur-diameter is {sd} with d = {params.d}")
+    return _detector(_Q, j, order, separated, evidence)
+
+
+def _size_condition(side: _Side, params, j: int, sizes, bound, tol: float) -> PolyVerdict:
+    """n against bound(sizes[j], d - 1), in exact integers, once column j
+    is separated and its head is sizes[j] within integrality_allowance."""
+    col = _column(side, params, j)
+    if not _head_separated(col, tol):
+        return PolyVerdict(side.kind, j, INCONCLUSIVE, reason=side.unseparated)
+    size, n, t = sizes[j], params.n, params.d - 1
+    if abs(col[0] - size) > integrality_allowance(size):
+        raise ValueError(f"non-integral {side.size} {col[0]} for {side.index} {j}")
+    b = bound(size, t)
+    status, relation = (POLYNOMIAL, ">") if n > b else (INCONCLUSIVE, "<=")
+    return PolyVerdict(side.kind, j, status, evidence={"n": n, side.size: size, "bound": b},
+                       reason=f"n = {n} {relation} {side.bound}({size}, {t}) = {b}")
 
 
 def check_p_large(
@@ -205,47 +273,45 @@ def check_p_large(
     holds, the detector must agree, and its ordering is attached;
     disagreement is a hard error.
     """
-    d = params.d
-    if not 1 <= j <= d:
-        raise ValueError(f"class {j} outside 1..{d}")
-    if not _head_separated(params.P[:, j], tol):
-        return PolyVerdict("P", j, INCONCLUSIVE, reason="degree not separated from the other eigenvalues")
-    kj = params.degrees[j]
-    bound = moore_bound(kj, d - 1)
-    evidence = {"n": params.n, "degree": kj, "bound": bound}
-    if params.n <= bound:
-        return PolyVerdict("P", j, INCONCLUSIVE,
-                           reason=f"n = {params.n} <= M({kj}, {d - 1}) = {bound}",
-                           evidence=evidence)
-    ordering = None
-    if direct is not None:
-        if (direct.kind, direct.base_index) != ("P", j):
-            raise ValueError(f"detector verdict for {direct.kind} {direct.base_index}, not P {j}")
-        if direct.status != POLYNOMIAL:
-            raise MethodsDisagreeError(
-                f"size condition n = {params.n} > {bound} holds for class {j} but the "
-                f"direct detector says {direct.status}: {direct.reason}")
-        ordering = direct.ordering
-        evidence["confirmed_by"] = direct.evidence["mode"]
-    return PolyVerdict("P", j, POLYNOMIAL, ordering=ordering,
-                       reason=f"n = {params.n} > M({kj}, {d - 1}) = {bound}",
-                       evidence=evidence)
+    verdict = _size_condition(_P, params, j, params.degrees, moore_bound, tol)
+    if direct is None or verdict.status != POLYNOMIAL:
+        return verdict
+    if (direct.kind, direct.base_index) != ("P", j):
+        raise ValueError(f"detector verdict for {direct.kind} {direct.base_index}, not P {j}")
+    if direct.status != POLYNOMIAL:
+        raise MethodsDisagreeError(
+            f"size condition n = {params.n} > {verdict.evidence['bound']} holds for class {j} "
+            f"but the direct detector says {direct.status}: {direct.reason}")
+    verdict.ordering = direct.ordering
+    verdict.evidence["confirmed_by"] = direct.evidence["mode"]
+    return verdict
 
 
-def _product_formula(side_values: np.ndarray, other_matrix: np.ndarray, d: int, tol: float):
-    """Shared product-formula engine.
+def check_q_large(params: SchemeParameters, j: int, tol: float = DEFAULT_TOL) -> PolyVerdict:
+    """Size-based sufficient condition: n beyond the dimension/distance
+    bound N(m_j, d-1) forces Q-polynomiality with respect to eigenspace j.
+    Exact integer comparison."""
+    return _size_condition(_Q, params, j, params.multiplicities, absolute_bound, tol)
 
-    side_values is the length-(d+1) value column of the base index; a
-    witness l must satisfy lhs(h) = -other_matrix[l, h] for all h >= 1,
-    each to scaled_allowance(tol, |lhs(h)|).
-    """
-    lhs = k_factors(lagrange_denominators(side_values))
-    matches = []
-    for cand in range(d + 1):
-        if all(abs(x + other_matrix[cand, h]) <= scaled_allowance(tol, abs(x))
-               for h, x in enumerate(lhs, 1)):
-            matches.append(cand)
-    return lhs, matches
+
+def _product_formula(side: _Side, params, j: int, other, tol: float) -> PolyVerdict:
+    """Product formula for index j against the other eigenmatrix: column
+    j mutually distinct, and a witness l with lhs(h) = -other[l, h] for all
+    h >= 1, each to scaled_allowance(tol, |lhs(h)|)."""
+    col = _column(side, params, j)
+    if not np.all(np.diff(np.sort(col)) > tol):
+        return PolyVerdict(side.kind, j, INCONCLUSIVE, reason=side.not_distinct)
+    lhs = k_factors(lagrange_denominators(col))
+    matches = [l for l in range(params.d + 1)
+               if all(abs(x + other[l, h]) <= scaled_allowance(tol, abs(x))
+                      for h, x in enumerate(lhs, 1))]
+    evidence = {"lhs": lhs, "matches": matches}
+    if not matches:
+        return PolyVerdict(side.kind, j, NOT_POLYNOMIAL, reason=side.no_match, evidence=evidence)
+    evidence["witness_l"] = matches[0]
+    if len(matches) > 1:
+        evidence["anomaly"] = "multiple matching indices"
+    return PolyVerdict(side.kind, j, POLYNOMIAL, evidence=evidence)
 
 
 def check_product_formula_P(params: SchemeParameters, j: int, tol: float = DEFAULT_TOL) -> PolyVerdict:
@@ -255,110 +321,14 @@ def check_product_formula_P(params: SchemeParameters, j: int, tol: float = DEFAU
     P-polynomial with respect to class j exactly when some eigenspace index
     l matches, and class l is last in the ordering.
     """
-    d = params.d
-    if not 1 <= j <= d:
-        raise ValueError(f"class {j} outside 1..{d}")
-    col = params.P[:, j]
-    if not _mutually_distinct(col, tol):
-        return PolyVerdict("P", j, INCONCLUSIVE, reason="eigenvalues of the class are not mutually distinct")
-    lhs, matches = _product_formula(col, params.Q, d, tol)
-    evidence = {"lhs": lhs, "matches": matches}
-    if not matches:
-        return PolyVerdict("P", j, NOT_POLYNOMIAL, reason="no eigenspace index matches the product formula",
-                           evidence=evidence)
-    evidence["witness_l"] = matches[0]
-    if len(matches) > 1:
-        evidence["anomaly"] = "multiple matching indices"
-    return PolyVerdict("P", j, POLYNOMIAL, evidence=evidence)
-
-
-def q_polynomial_ordering(
-    params: SchemeParameters,
-    j: int,
-    tol: float = DEFAULT_TOL,
-    sphere: SphericalSet | None = None,
-) -> PolyVerdict:
-    """Is the scheme Q-polynomial with respect to eigenspace j?
-
-    Primary route: the Krein-number index graph of eigenspace j, walked by
-    the P detector's BFS (nonzero threshold = tol), must be a path starting
-    0, j.  A non-path refutes; a path certifies only when the multiplicity
-    is separated from the other column values, else the verdict is
-    inconclusive.  When sphere, the eigenspace's embedding from
-    from_idempotent, is given and the separation hypothesis holds, its
-    Schur-diameter is computed as a cross-check and must agree with the
-    Krein route; disagreement is a hard error.
-    """
-    d = params.d
-    if not 1 <= j <= d:
-        raise ValueError(f"eigenspace {j} outside 1..{d}")
-    separated = _head_separated(params.Q[:, j], tol)
-    order = _path_ordering(_index_levels(params.krein, j, tol), j)
-    evidence: dict = {"mode": "krein"}
-    if sphere is not None and separated:
-        sd = schur_diameter(sphere)
-        evidence["schur_diameter"] = sd
-        if (sd == d) != (order is not None):
-            raise MethodsDisagreeError(
-                f"Krein route says {NOT_POLYNOMIAL if order is None else POLYNOMIAL} "
-                f"for eigenspace {j} but the Schur-diameter is {sd} with d = {d}")
-    if order is None:
-        return PolyVerdict("Q", j, NOT_POLYNOMIAL,
-                           reason="Krein-number index graph is not a path from 0",
-                           evidence=evidence)
-    if not separated:
-        evidence["candidate_ordering"] = list(order)
-        return PolyVerdict("Q", j, INCONCLUSIVE,
-                           reason="multiplicity not separated from the other column values",
-                           evidence=evidence)
-    return PolyVerdict("Q", j, POLYNOMIAL, ordering=order, evidence=evidence)
-
-
-def check_q_large(params: SchemeParameters, j: int, tol: float = DEFAULT_TOL) -> PolyVerdict:
-    """Size-based sufficient condition: n beyond the dimension/distance
-    bound N(m_j, d-1) forces Q-polynomiality with respect to eigenspace j.
-    Exact integer comparison."""
-    d = params.d
-    if not 1 <= j <= d:
-        raise ValueError(f"eigenspace {j} outside 1..{d}")
-    col = params.Q[:, j]
-    if not _head_separated(col, tol):
-        return PolyVerdict("Q", j, INCONCLUSIVE,
-                           reason="multiplicity not separated from the other column values")
-    mj = params.multiplicities[j]
-    if abs(col[0] - mj) > integrality_allowance(mj):
-        raise ValueError(f"non-integral multiplicity {col[0]} for eigenspace {j}")
-    bound = absolute_bound(mj, d - 1)
-    evidence = {"n": params.n, "multiplicity": mj, "bound": bound}
-    if params.n <= bound:
-        return PolyVerdict("Q", j, INCONCLUSIVE,
-                           reason=f"n = {params.n} <= N({mj}, {d - 1}) = {bound}",
-                           evidence=evidence)
-    return PolyVerdict("Q", j, POLYNOMIAL,
-                       reason=f"n = {params.n} > N({mj}, {d - 1}) = {bound}",
-                       evidence=evidence)
+    return _product_formula(_P, params, j, params.Q, tol)
 
 
 def check_product_formula_Q(params: SchemeParameters, j: int, tol: float = DEFAULT_TOL) -> PolyVerdict:
     """Dual product formula: eigenspace j is Q-polynomial exactly when some
     class index l matches against the first eigenmatrix, and eigenspace l
     is last in the ordering."""
-    d = params.d
-    if not 1 <= j <= d:
-        raise ValueError(f"eigenspace {j} outside 1..{d}")
-    col = params.Q[:, j]
-    if not _mutually_distinct(col, tol):
-        return PolyVerdict("Q", j, INCONCLUSIVE,
-                           reason="column values of the eigenspace are not mutually distinct")
-    lhs, matches = _product_formula(col, params.P, d, tol)
-    evidence = {"lhs": lhs, "matches": matches}
-    if not matches:
-        return PolyVerdict("Q", j, NOT_POLYNOMIAL, reason="no class index matches the product formula",
-                           evidence=evidence)
-    evidence["witness_l"] = matches[0]
-    if len(matches) > 1:
-        evidence["anomaly"] = "multiple matching indices"
-    return PolyVerdict("Q", j, POLYNOMIAL, evidence=evidence)
+    return _product_formula(_Q, params, j, params.P, tol)
 
 
 @dataclass(frozen=True)

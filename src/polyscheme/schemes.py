@@ -258,9 +258,11 @@ def eigenmatrices(
     rel: RelationPartition,
     idems: SchemeIdempotents,
     tol: float = DEFAULT_TOL,
-    p: np.ndarray | None = None,
+    *,
+    p: np.ndarray,
 ) -> SchemeParameters:
-    """Assemble SchemeParameters from an explicit scheme.
+    """Assemble SchemeParameters from an explicit scheme and its
+    intersection numbers p, as validate_scheme returns them.
 
     The first eigenmatrix holds the eigenvalue of each class on each block,
     as idempotents found it, with row 0 snapped to the degrees.  The second
@@ -271,8 +273,6 @@ def eigenmatrices(
     residual_allowance(tol, n) in either is a MethodsDisagreeError.  The
     Krein numbers follow from P and Q.
     """
-    if p is None:
-        p = validate_scheme(rel)
     n, d = rel.n, rel.d
     if [u.shape[0] for u in idems.blocks] != [n] * (d + 1):
         raise ValueError(f"idempotents of another scheme: {idems.multiplicities} on n = {n}")

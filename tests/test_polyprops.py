@@ -74,6 +74,176 @@ def test_index_range_checks():
             fn(params, 3)
 
 
+def _petersen_with(matrix, index, value):
+    """Petersen's parameters with P or Q (matrix) set to value(copy) at
+    index: parameters no scheme has, for the branches the catalog misses."""
+    params = analyzed_scheme("petersen").params
+    m = getattr(params, matrix).copy()
+    m[index] = value(m)
+    return dataclasses.replace(params, **{matrix: m})
+
+
+def _pet():
+    return analyzed_scheme("petersen")
+
+
+def _cube():
+    return analyzed_scheme("cube")
+
+
+def _j83():
+    return analyzed_scheme("johnson83")
+
+
+# Every verdict and refusal of the six checks: (status, reason, ordering,
+# evidence without the lhs floats) or (error type, message).
+NOT_SEPARATED = "degree not separated from the other eigenvalues"
+Q_NOT_SEPARATED = "multiplicity not separated from the other column values"
+PINNED = [
+    ("P detector class 0", lambda: p_polynomial_ordering(_pet().params, 0),
+     (ValueError, "class 0 outside 1..2")),
+    ("P detector class d+1", lambda: p_polynomial_ordering(_pet().params, 3, _pet().rel),
+     (ValueError, "class 3 outside 1..2")),
+    ("P detector explicit", lambda: p_polynomial_ordering(_pet().params, 2, _pet().rel),
+     ("polynomial", None, (0, 2, 1), {"mode": "explicit", "diameter": 2})),
+    ("P detector parametric", lambda: p_polynomial_ordering(_cube().params, 1),
+     ("polynomial", None, (0, 1, 2, 3), {"mode": "parametric"})),
+    ("P detector disconnected", lambda: p_polynomial_ordering(_cube().params, 2, _cube().rel),
+     ("not_polynomial", "relation graph disconnected", None,
+      {"mode": "explicit", "diameter": None})),
+    ("P detector diameter", lambda: p_polynomial_ordering(_j83().params, 2, _j83().rel),
+     ("not_polynomial", "relation graph has diameter 2, not 3", None,
+      {"mode": "explicit", "diameter": 2})),
+    ("P detector not a path", lambda: p_polynomial_ordering(_cube().params, 3),
+     ("not_polynomial", "intersection-number index graph is not a path from 0", None,
+      {"mode": "parametric"})),
+    ("P detector unseparated explicit",
+     lambda: p_polynomial_ordering(_petersen_with("P", 2, lambda m: m[0]), 1, _pet().rel),
+     ("inconclusive", NOT_SEPARATED, None,
+      {"mode": "explicit", "diameter": 2, "candidate_ordering": [0, 1, 2]})),
+    ("P detector unseparated parametric",
+     lambda: p_polynomial_ordering(_petersen_with("P", 2, lambda m: m[0]), 1),
+     ("inconclusive", NOT_SEPARATED, None,
+      {"mode": "parametric", "candidate_ordering": [0, 1, 2]})),
+    ("P detector point levels",
+     lambda: p_polynomial_ordering(_j83().params, 1, RelationPartition.from_matrix(
+         np.array([0, 1, 3, 2])[_j83().rel.labels], d=3)),
+     (MethodsDisagreeError,
+      "class-1 BFS from point 0 reaches point 11 at level 2, but its class 3 has index level 3")),
+    ("P size class 0", lambda: check_p_large(_pet().params, 0),
+     (ValueError, "class 0 outside 1..2")),
+    ("P size class d+1", lambda: check_p_large(_pet().params, 3),
+     (ValueError, "class 3 outside 1..2")),
+    ("P size unseparated", lambda: check_p_large(_cube().params, 2),
+     ("inconclusive", NOT_SEPARATED, None, {})),
+    ("P size below the bound", lambda: check_p_large(_cube().params, 1),
+     ("inconclusive", "n = 8 <= M(3, 2) = 10", None, {"n": 8, "degree": 3, "bound": 10})),
+    ("P size above the bound", lambda: check_p_large(_pet().params, 1),
+     ("polynomial", "n = 10 > M(3, 1) = 4", None, {"n": 10, "degree": 3, "bound": 4})),
+    ("P size confirmed explicit",
+     lambda: check_p_large(_pet().params, 1, p_polynomial_ordering(_pet().params, 1, _pet().rel)),
+     ("polynomial", "n = 10 > M(3, 1) = 4", (0, 1, 2),
+      {"n": 10, "degree": 3, "bound": 4, "confirmed_by": "explicit"})),
+    ("P size confirmed parametric",
+     lambda: check_p_large(_pet().params, 2, p_polynomial_ordering(_pet().params, 2)),
+     ("polynomial", "n = 10 > M(6, 1) = 7", (0, 2, 1),
+      {"n": 10, "degree": 6, "bound": 7, "confirmed_by": "parametric"})),
+    ("P size detector of another class",
+     lambda: check_p_large(_pet().params, 1, p_polynomial_ordering(_pet().params, 2, _pet().rel)),
+     (ValueError, "detector verdict for P 2, not P 1")),
+    ("P size detector of another kind",
+     lambda: check_p_large(_pet().params, 1, q_polynomial_ordering(_pet().params, 1)),
+     (ValueError, "detector verdict for Q 1, not P 1")),
+    ("P size disagreement",
+     lambda: check_p_large(_pet().params, 1, PolyVerdict("P", 1, NOT_POLYNOMIAL,
+                                                         reason="relation graph disconnected")),
+     (MethodsDisagreeError, "size condition n = 10 > 4 holds for class 1 but the direct "
+                            "detector says not_polynomial: relation graph disconnected")),
+    ("P formula class 0", lambda: check_product_formula_P(_pet().params, 0),
+     (ValueError, "class 0 outside 1..2")),
+    ("P formula class d+1", lambda: check_product_formula_P(_pet().params, 3),
+     (ValueError, "class 3 outside 1..2")),
+    ("P formula not distinct", lambda: check_product_formula_P(_cube().params, 2),
+     ("inconclusive", "eigenvalues of the class are not mutually distinct", None, {})),
+    ("P formula no match", lambda: check_product_formula_P(_j83().params, 2),
+     ("not_polynomial", "no eigenspace index matches the product formula", None,
+      {"matches": []})),
+    ("P formula match", lambda: check_product_formula_P(_pet().params, 1),
+     ("polynomial", None, None, {"matches": [2], "witness_l": 2})),
+    ("P formula several matches",
+     lambda: check_product_formula_P(_petersen_with("Q", 1, lambda m: m[2]), 1),
+     ("polynomial", None, None,
+      {"matches": [1, 2], "witness_l": 1, "anomaly": "multiple matching indices"})),
+    ("Q detector eigenspace 0", lambda: q_polynomial_ordering(_pet().params, 0),
+     (ValueError, "eigenspace 0 outside 1..2")),
+    ("Q detector eigenspace d+1", lambda: q_polynomial_ordering(_pet().params, 3),
+     (ValueError, "eigenspace 3 outside 1..2")),
+    ("Q detector with sphere",
+     lambda: q_polynomial_ordering(_pet().params, 2, sphere=sphere_of(_pet(), 2)),
+     ("polynomial", None, (0, 2, 1), {"mode": "krein", "schur_diameter": 2})),
+    ("Q detector without sphere", lambda: q_polynomial_ordering(_cube().params, 1),
+     ("polynomial", None, (0, 1, 2, 3), {"mode": "krein"})),
+    ("Q detector not a path", lambda: q_polynomial_ordering(_cube().params, 2),
+     ("not_polynomial", "Krein-number index graph is not a path from 0", None,
+      {"mode": "krein"})),
+    ("Q detector not a path with sphere",
+     lambda: q_polynomial_ordering(_j83().params, 3, sphere=sphere_of(_j83(), 3)),
+     ("not_polynomial", "Krein-number index graph is not a path from 0", None,
+      {"mode": "krein", "schur_diameter": 2})),
+    ("Q detector unseparated",
+     lambda: q_polynomial_ordering(_petersen_with("Q", 2, lambda m: m[0]), 1,
+                                   sphere=sphere_of(_pet(), 1)),
+     ("inconclusive", Q_NOT_SEPARATED, None, {"mode": "krein", "candidate_ordering": [0, 1, 2]})),
+    ("Q detector disagreement",
+     lambda: q_polynomial_ordering(dataclasses.replace(_pet().params, krein=np.where(
+         np.arange(3)[:, None, None] == 1, 0.0, _pet().params.krein)), 1,
+         sphere=sphere_of(_pet(), 1)),
+     (MethodsDisagreeError,
+      "Krein route says not_polynomial for eigenspace 1 but the Schur-diameter is 2 with d = 2")),
+    ("Q size eigenspace 0", lambda: check_q_large(_pet().params, 0),
+     (ValueError, "eigenspace 0 outside 1..2")),
+    ("Q size eigenspace d+1", lambda: check_q_large(_pet().params, 3),
+     (ValueError, "eigenspace 3 outside 1..2")),
+    ("Q size unseparated", lambda: check_q_large(_cube().params, 2),
+     ("inconclusive", Q_NOT_SEPARATED, None, {})),
+    ("Q size non-integral multiplicity",
+     lambda: check_q_large(_petersen_with("Q", (0, 1), lambda m: m[0, 1] + 1e-3), 1),
+     (ValueError, "non-integral multiplicity 5.001 for eigenspace 1")),
+    ("Q size below the bound", lambda: check_q_large(_j83().params, 2),
+     ("inconclusive", "n = 56 <= N(20, 2) = 230", None,
+      {"n": 56, "multiplicity": 20, "bound": 230})),
+    ("Q size above the bound", lambda: check_q_large(_j83().params, 1),
+     ("polynomial", "n = 56 > N(7, 2) = 35", None, {"n": 56, "multiplicity": 7, "bound": 35})),
+    ("Q formula eigenspace 0", lambda: check_product_formula_Q(_pet().params, 0),
+     (ValueError, "eigenspace 0 outside 1..2")),
+    ("Q formula eigenspace d+1", lambda: check_product_formula_Q(_pet().params, 3),
+     (ValueError, "eigenspace 3 outside 1..2")),
+    ("Q formula not distinct", lambda: check_product_formula_Q(_cube().params, 2),
+     ("inconclusive", "column values of the eigenspace are not mutually distinct", None, {})),
+    ("Q formula no match", lambda: check_product_formula_Q(_j83().params, 2),
+     ("not_polynomial", "no class index matches the product formula", None, {"matches": []})),
+    ("Q formula match", lambda: check_product_formula_Q(_pet().params, 2),
+     ("polynomial", None, None, {"matches": [1], "witness_l": 1})),
+    ("Q formula several matches",
+     lambda: check_product_formula_Q(_petersen_with("P", 1, lambda m: m[2]), 1),
+     ("polynomial", None, None,
+      {"matches": [1, 2], "witness_l": 1, "anomaly": "multiple matching indices"})),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in PINNED],
+                         ids=[row[0] for row in PINNED])
+def test_pinned_verdicts_and_refusals(call, expected):
+    if isinstance(expected[0], type):
+        with pytest.raises(Exception) as info:
+            call()
+        assert (type(info.value), str(info.value)) == expected
+    else:
+        v = call()
+        assert (v.status, v.reason, v.ordering,
+                {k: x for k, x in v.evidence.items() if k != "lhs"}) == expected
+
+
 def test_petersen_class1():
     scheme = analyzed_scheme("petersen")
     explicit = p_polynomial_ordering(scheme.params, 1, scheme.rel)

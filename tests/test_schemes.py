@@ -254,7 +254,7 @@ def test_idempotents_match_dense_reference(name, seeds):
 
 def test_eigenspace_ties_go_to_the_smaller_multiplicity():
     rel = oracle_scheme("cube-antipodal-first")
-    params = eigenmatrices(rel, idempotents(rel))
+    params = eigenmatrices(rel, idempotents(rel), p=validate_scheme(rel))
     assert float(np.max(np.abs(params.P[:, 1] - [1.0, 1.0, -1.0, -1.0]))) < 1e-9
     assert params.multiplicities == (1, 3, 1, 3)
 
@@ -329,7 +329,7 @@ def test_eigenmatrices_rejects_foreign_idempotents():
     petersen = analyzed_scheme("petersen")
     cycle5 = analyzed_scheme("cycle5")
     with pytest.raises(ValueError):
-        eigenmatrices(cycle5.rel, petersen.idems)
+        eigenmatrices(cycle5.rel, petersen.idems, p=cycle5.p)
 
 
 def test_krein_two_routes_agree(scheme_case):

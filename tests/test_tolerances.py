@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import analyzed_scheme
-from polyscheme import generators, numerics, polyprops, schemes, spherical
+from polyscheme import cli, generators, numerics, polyprops, schemes, spherical
 from polyscheme.errors import (
     DegenerateElementError,
     GramError,
@@ -30,10 +30,11 @@ SITES = {
     "residual_allowance": {"idempotents", "eigenmatrices"},
     "gram_allowance": {"from_idempotent", "from_gram"},
     "scaled_allowance": {"parametric_parameters", "_product_formula"},
-    "integrality_allowance": {"parametric_parameters", "check_q_large", "family_parameters"},
+    "integrality_allowance": {"parametric_parameters", "_size_condition", "family_parameters"},
     "lookup_allowance": {"multiplicity_of", "verify_sphere_theorem"},
     "interpolation_allowance": {"verify_sphere_theorem"},
     "order_quantum": {"_eigenspace_order"},
+    "krein_allowance": {"q_polynomial_ordering"},
 }
 MODULES = (numerics, schemes, polyprops, spherical, generators)
 
@@ -116,6 +117,10 @@ def _q_large():
     return check_q_large(dataclasses.replace(params, Q=Q), 1)
 
 
+def _krein():
+    return polyprops.q_polynomial_ordering(analyzed_scheme("petersen").params, 1)
+
+
 def _family():
     return family_parameters(FamilySpec("johnson", (6, 2)))
 
@@ -152,6 +157,7 @@ REFUSE_ACCEPT = [
     (schemes, "integrality_allowance", -1.0, np.inf, _parametric, DegenerateElementError),
     (polyprops, "scaled_allowance", -1.0, 1e-9, _product_formula, False),
     (polyprops, "integrality_allowance", -1.0, np.inf, _q_large, ValueError),
+    (polyprops, "krein_allowance", np.full((3, 3), np.inf), 0.0, _krein, ToleranceAmbiguityError),
     (generators, "integrality_allowance", -1.0, np.inf, _family, MethodsDisagreeError),
     (spherical, "lookup_allowance", -1.0, 1e-8, _scheme_sphere, MethodsDisagreeError),
     (numerics, "lookup_allowance", -1.0, 1e-8, _gram_sphere, False),
@@ -194,6 +200,21 @@ def test_parametric_q_product_formula_at_1e_12():
     assert verdicts(small) == verdicts(analyze_scheme(scheme))
     q1 = small.verdicts[5]
     assert (q1.kind, q1.base_index, q1.status, q1.evidence["witness_l"]) == ("Q", 1, "polynomial", 6)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("hamming", (3, 5)), FamilySpec("johnson", (9, 4)),
+                                  FamilySpec("hamming", (6, 3)), FamilySpec("johnson", (12, 4))],
+                         ids=lambda spec: spec.label())
+def test_parametric_krein_rounding_is_refused_at_1e_14(tmp_path, capsys, spec):
+    # The zero Krein number q_{1,3}^0 of each, computed from P and Q, rounds
+    # to about 1.2e-14..2e-14: above tol, where it would link two indices
+    # and call eigenspace 1 not Q-polynomial, but within krein_allowance.
+    scheme = family_tensor(spec)
+    assert analyze_scheme(scheme).verdicts[3].status == "polynomial"
+    path = tmp_path / "scheme.tensor"
+    path.write_text(schemes.format_intersection_tensor(*scheme))
+    assert cli.main(["analyze-scheme", "--parametric", "--tol", "1e-14", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: Krein number q_{1,3}^{0} = ")
 
 
 def test_explicit_gram_check_at_1e_13():

@@ -13,17 +13,17 @@ modules call it and never scale tol by a literal.
   tol                      cluster spread, integer snap, rank, unit      tol
                            diagonal, Krein link, separation of a
                            column's head, projector entries
-  cluster_gap              the gap that splits two clusters              2 tol
-  residual_allowance       eigen residuals on the n x n class matrices:  100 tol max(1, n)
-                           rows of A_i U_j - lam U_j, P's row 0 against
-                           the degrees, n P^-1 against the block widths
-                           and the pair-read Q
+  cluster_gap              the gap that splits two clusters, and the     2 tol
+                           least gap between a generic element's
+                           eigenvalues on the intersection matrices
+                           and between its values P c on the scheme
+  residual_allowance       a generic element's eigenvalue clusters on    100 tol max(1, n)
+                           the n points against its values P c
   gram_allowance           an n x n Gram's least and zero eigenvalues,   max(tol, 100 n eps)
                            and an eigenspace's Gram against Q's column
   scaled_allowance         a computed value x against an exact one:      tol max(1, |x|)
                            the imaginary parts of the intersection-
-                           matrix eigenvalues (their gaps must exceed
-                           cluster_gap of it), the product-formula match
+                           matrix eigenvalues, the product-formula match
   integrality_allowance    parametric integers and closed forms, fixed   1e-6 max(1, |x|)
                            whatever tol: multiplicities, the degree
                            row, the off-diagonal of the diagonalized

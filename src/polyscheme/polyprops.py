@@ -355,10 +355,11 @@ def analyze_scheme(
     """Run each check on one scheme, computing each quantity once.
 
     scheme is a RelationPartition (explicit route: the dense limit is
-    checked before any n x n work, then the axioms, idempotents and
-    eigenmatrices; each eigenspace's sphere embedding is built once from
-    its eigenvector block, one at a time, and feeds both the Schur-diameter
-    cross-check and the sphere report) or
+    checked before any n x n work, then the axioms, the eigenmatrices of
+    their intersection numbers, as on the parametric route, and the
+    idempotents; each eigenspace's sphere embedding is built once from its
+    eigenvector block, one at a time, checks it against Q and feeds both
+    the Schur-diameter cross-check and the sphere report) or
     the (p, n) pair returned by parse_intersection_tensor (parametric
     route).  The P size condition is confirmed against the explicit
     detector's verdict, which runs once per class.
@@ -366,9 +367,8 @@ def analyze_scheme(
     if isinstance(scheme, RelationPartition):
         rel = scheme
         check_dense_limit(rel.n, max_dense)
-        p = validate_scheme(rel, max_dense)
-        idems = idempotents(rel, tol, seeds, max_dense)
-        params = eigenmatrices(rel, idems, tol, p=p)
+        params = eigenmatrices(validate_scheme(rel, max_dense), rel.n, tol, seeds)
+        idems = idempotents(rel, params, tol, seeds, max_dense)
     else:
         rel = idems = None
         params = parametric_parameters(*scheme, tol, seeds)

@@ -170,11 +170,9 @@ def _eigenspace_order(P: np.ndarray, mults, tol: float) -> list[int]:
 @dataclass(frozen=True)
 class SchemeIdempotents:
     """The primitive idempotents E_j = U_j U_j^T of a scheme, held as their
-    orthonormal eigenvector blocks U_j (n x m_j) in canonical order, and
-    the eigenvalue eigenvalues[j, i] of class i on eigenspace j."""
+    orthonormal eigenvector blocks U_j (n x m_j) in canonical order."""
 
     blocks: tuple[np.ndarray, ...]
-    eigenvalues: np.ndarray
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -183,45 +181,53 @@ class SchemeIdempotents:
 
 def idempotents(
     rel: RelationPartition,
+    params: SchemeParameters,
     tol: float = DEFAULT_TOL,
     seeds=DEFAULT_SEEDS,
     max_dense: int | None = DEFAULT_MAX_DENSE,
 ) -> SchemeIdempotents:
-    """Primitive idempotents of the adjacency algebra, canonically ordered.
+    """Primitive idempotents of the adjacency algebra of rel, in the
+    eigenspace order of its SchemeParameters params.
 
-    Diagonalizes a random fixed-seed combination of the class matrices.  A
-    combination with fewer than d+1 distinct eigenvalues (or an ambiguous
-    clustering) is degenerate and triggers the next seed; running out of
-    seeds raises DegenerateElementError.  Each block is verified to be an
-    eigenspace of every class matrix: with lam = <A_i, E_j>/m_j, every row
-    of A_i U_j - lam U_j has 2-norm within residual_allowance(tol, n),
-    which bounds every entry of A_i E_j - lam E_j by the same amount.  The
-    combination is one gather of its coefficients through the labels, and
-    each class matrix is built in turn for its check, so no list of them
-    is held.
+    Diagonalizes a random fixed-seed combination sum_i c_i A_i of the class
+    matrices, one gather of c through the labels, whose eigenvalue on
+    eigenspace j is (P c)[j].  A draw whose values P c lie within
+    cluster_gap(tol) of each other, or whose spectrum clusters ambiguously
+    at tol, is degenerate and triggers the next seed; running out of seeds
+    raises DegenerateElementError.  The clusters must have the sizes of
+    the multiplicities and lie within residual_allowance(tol, n) of P c, or
+    the two computations disagree (MethodsDisagreeError).
+    spherical.from_idempotent checks the blocks entrywise against Q.
     """
     check_dense_limit(rel.n, max_dense)
     n, d = rel.n, rel.d
+    if (params.n, params.d) != (n, d):
+        raise ValueError(f"parameters of a scheme with n = {params.n}, d = {params.d} "
+                         f"given for one with n = {n}, d = {d}")
     for seed in seeds:
         coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
+        expected = params.P @ coeffs
+        # rank[c]: the eigenspace of the c-th cluster in decreasing order.
+        rank = np.argsort(-expected)
+        if np.min(-np.diff(expected[rank])) <= cluster_gap(tol):
+            continue
         w, vecs = np.linalg.eigh(coeffs[rel.labels])
         try:
-            _, counts, labels = cluster_values(w, tol)
+            values, counts, labels = cluster_values(w, tol)
         except ToleranceAmbiguityError:
             continue
-        if len(counts) != d + 1:
-            continue
-        member = (labels[:, None] == np.arange(d + 1)).astype(float)
-        lam = np.empty((d + 1, d + 1))
-        resid = 0.0
-        for i in range(d + 1):
-            av = rel.adjacency(i) @ vecs
-            lam[:, i] = np.einsum("xc,xc->c", vecs, av) @ member / counts
-            r = av - vecs * lam[labels, i]
-            resid = max(resid, float(np.sqrt((r * r) @ member).max()))
-        if resid <= residual_allowance(tol, n):
-            order = _eigenspace_order(lam, counts, tol)
-            return SchemeIdempotents(tuple(vecs[:, labels == j] for j in order), lam[order])
+        mults = [params.multiplicities[j] for j in rank]
+        if counts != mults:
+            raise MethodsDisagreeError(
+                f"the generic element's eigenvalue clusters have sizes {counts}, but P's "
+                f"eigenspaces, in the same order, have multiplicities {mults}")
+        dev = float(np.max(np.abs(np.subtract(values, expected[rank]))))
+        allowance = residual_allowance(tol, n)
+        if not dev <= allowance:
+            raise MethodsDisagreeError(
+                f"the generic element's eigenvalue clusters deviate from P's values "
+                f"by {dev:.3g} > {allowance:.3g}")
+        return SchemeIdempotents(tuple(vecs[:, labels == c] for c in np.argsort(rank)))
     raise DegenerateElementError(
         f"generic element degenerate for every seed in {tuple(seeds)}"
     )
@@ -255,127 +261,45 @@ class SchemeParameters:
 
 
 def eigenmatrices(
-    rel: RelationPartition,
-    idems: SchemeIdempotents,
-    tol: float = DEFAULT_TOL,
-    *,
     p: np.ndarray,
-) -> SchemeParameters:
-    """Assemble SchemeParameters from an explicit scheme and its
-    intersection numbers p, as validate_scheme returns them.
-
-    The first eigenmatrix holds the eigenvalue of each class on each block,
-    as idempotents found it, with row 0 snapped to the degrees.  The second
-    is Q = n P^-1, as PQ = nI in every commutative scheme (Bannai-Ito
-    1984).  It is cross-checked against a second route, each idempotent
-    read at the first pair (x, y) of each class, n U_i[x] . U_i[y], and the
-    multiplicities are its row 0 and the block widths; a deviation above
-    residual_allowance(tol, n) in either is a MethodsDisagreeError.  The
-    Krein numbers follow from P and Q.
-    """
-    n, d = rel.n, rel.d
-    if [u.shape[0] for u in idems.blocks] != [n] * (d + 1):
-        raise ValueError(f"idempotents of another scheme: {idems.multiplicities} on n = {n}")
-    allowance = residual_allowance(tol, n)
-    mults = idems.multiplicities
-    pm = idems.eigenvalues.copy()
-    degrees = tuple(int(p[i, i, 0]) for i in range(d + 1))
-    if float(np.max(np.abs(pm[0] - np.array(degrees)))) > allowance:
-        raise ValueError("first eigenmatrix row disagrees with the degrees")
-    pm[0] = degrees
-    qm = n * np.linalg.inv(pm)
-    dev = float(np.max(np.abs(qm[0] - np.array(mults))))
-    if dev > allowance:
-        raise MethodsDisagreeError(
-            f"row 0 of n P^-1 deviates from the block widths {mults} by {dev:.3g}")
-    # The first pair of each class in row-major order.
-    xs, ys = np.unravel_index([np.argmax(rel.labels == j) for j in range(d + 1)], rel.labels.shape)
-    read = n * np.column_stack([(u[xs] * u[ys]).sum(axis=1) for u in idems.blocks])
-    dev = float(np.max(np.abs(qm - read)))
-    if dev > allowance:
-        raise MethodsDisagreeError(
-            f"second eigenmatrix n P^-1 deviates from the idempotents read at one pair "
-            f"per class by {dev:.3g}")
-    qm[0] = mults
-    return SchemeParameters(
-        n=n, d=d, p=p, P=pm, Q=qm,
-        degrees=degrees, multiplicities=mults,
-        krein=krein_parameters(pm, qm, n),
-    )
-
-
-def _check_tensor(p: np.ndarray, n: int) -> tuple[int, ...]:
-    """Integrity checks on an intersection tensor; returns the degrees."""
-    if p.ndim != 3 or len(set(p.shape)) != 1:
-        raise ValueError("intersection tensor must be cubic")
-    d = p.shape[0] - 1
-    if d < 1:
-        raise ValueError("schemes need at least one class besides the identity")
-    if p.min() < 0:
-        raise ValueError("intersection numbers must be nonnegative")
-    if not np.array_equal(p, p.transpose(1, 0, 2)):
-        raise ValueError("inconsistent tensor: p[i, j, k] != p[j, i, k]")
-    degrees = tuple(int(p[i, i, 0]) for i in range(d + 1))
-    if degrees[0] != 1 or any(k < 1 for k in degrees):
-        raise ValueError(f"degrees {degrees} must be positive with degree 1 for class 0")
-    if sum(degrees) != n:
-        raise ValueError(f"degrees {degrees} do not sum to n = {n}")
-    sums = p.sum(axis=0)
-    for j in range(d + 1):
-        for k in range(d + 1):
-            if int(sums[j, k]) != degrees[j]:
-                raise ValueError(
-                    f"inconsistent tensor: sum_i p[i, {j}, {k}] = {int(sums[j, k])}"
-                    f" != degree {degrees[j]}")
-    return degrees
-
-
-def parametric_parameters(
-    p,
     n: int,
     tol: float = DEFAULT_TOL,
     seeds=DEFAULT_SEEDS,
 ) -> SchemeParameters:
-    """Eigenmatrices from intersection numbers alone.
+    """SchemeParameters from the intersection numbers p[i, j, k] of a
+    scheme on n points alone, as validate_scheme returns them or
+    parametric_parameters admits them.
 
     The transposed intersection matrices commute (checked exactly); their
     simultaneous diagonalization yields the rows of the first eigenmatrix,
     multiplicities come from degree-weighted row norms, the second
-    eigenmatrix is n times the inverse of the first, and the Krein numbers
-    follow from the two as on the explicit route.
+    eigenmatrix is n times the inverse of the first, since PQ = nI in every
+    commutative scheme, and the Krein numbers follow from the two
+    (Bannai-Ito 1984).  A seed whose combination of the matrices has
+    eigenvalues within cluster_gap(tol) of each other is skipped.
     """
-    p = np.array(p, dtype=np.int64)
-    degrees = _check_tensor(p, n)
     d = p.shape[0] - 1
+    degrees = tuple(int(p[i, i, 0]) for i in range(d + 1))
     bt = [p[i].astype(float) for i in range(d + 1)]
     for i in range(d + 1):
         for j in range(i + 1, d + 1):
             if not np.array_equal(p[i] @ p[j], p[j] @ p[i]):
                 raise ValueError(f"intersection matrices {i} and {j} do not commute")
-    rows = None
     for seed in seeds:
         coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
         combo = sum(c * b for c, b in zip(coeffs, bt))
         vals, vecs = np.linalg.eig(combo)
-        allowance = scaled_allowance(tol, float(np.max(np.abs(vals))))
-        if np.max(np.abs(vals.imag)) > allowance:
+        if np.max(np.abs(vals.imag)) > scaled_allowance(tol, float(np.max(np.abs(vals)))):
             continue
-        sv = np.sort(vals.real)
-        if d >= 1 and np.min(np.diff(sv)) <= cluster_gap(allowance):
+        if np.min(np.diff(np.sort(vals.real))) <= cluster_gap(tol):
             continue
-        cand = np.empty((d + 1, d + 1))
-        ok = True
-        for i in range(d + 1):
-            di = np.linalg.solve(vecs, bt[i] @ vecs)
-            off = di - np.diag(np.diag(di))
-            if np.max(np.abs(off)) > integrality_allowance(np.max(np.abs(di))):
-                ok = False
-                break
-            cand[:, i] = np.diag(di).real
-        if ok:
-            rows = cand
+        # Each intersection matrix in the combination's eigenbasis.
+        diag = [np.linalg.solve(vecs, b @ vecs) for b in bt]
+        if all(np.max(np.abs(di - np.diag(np.diag(di)))) <= integrality_allowance(np.max(np.abs(di)))
+               for di in diag):
+            rows = np.column_stack([np.diag(di).real for di in diag])
             break
-    if rows is None:
+    else:
         raise DegenerateElementError(
             f"no seed in {tuple(seeds)} separated the intersection-matrix eigenvalues")
     deg_vec = np.array(degrees, dtype=float)
@@ -399,6 +323,44 @@ def parametric_parameters(
         n=n, d=d, p=p, P=pm, Q=qm,
         degrees=degrees, multiplicities=tuple(mults), krein=krein_parameters(pm, qm, n),
     )
+
+
+def _check_tensor(p: np.ndarray, n: int) -> None:
+    """Integrity checks on an intersection tensor."""
+    if p.ndim != 3 or len(set(p.shape)) != 1:
+        raise ValueError("intersection tensor must be cubic")
+    d = p.shape[0] - 1
+    if d < 1:
+        raise ValueError("schemes need at least one class besides the identity")
+    if p.min() < 0:
+        raise ValueError("intersection numbers must be nonnegative")
+    if not np.array_equal(p, p.transpose(1, 0, 2)):
+        raise ValueError("inconsistent tensor: p[i, j, k] != p[j, i, k]")
+    degrees = tuple(int(p[i, i, 0]) for i in range(d + 1))
+    if degrees[0] != 1 or any(k < 1 for k in degrees):
+        raise ValueError(f"degrees {degrees} must be positive with degree 1 for class 0")
+    if sum(degrees) != n:
+        raise ValueError(f"degrees {degrees} do not sum to n = {n}")
+    sums = p.sum(axis=0)
+    for j in range(d + 1):
+        for k in range(d + 1):
+            if int(sums[j, k]) != degrees[j]:
+                raise ValueError(
+                    f"inconsistent tensor: sum_i p[i, {j}, {k}] = {int(sums[j, k])}"
+                    f" != degree {degrees[j]}")
+
+
+def parametric_parameters(
+    p,
+    n: int,
+    tol: float = DEFAULT_TOL,
+    seeds=DEFAULT_SEEDS,
+) -> SchemeParameters:
+    """Eigenmatrices from an intersection tensor alone: its integrity
+    checks, then eigenmatrices."""
+    p = np.array(p, dtype=np.int64)
+    _check_tensor(p, n)
+    return eigenmatrices(p, n, tol, seeds)
 
 
 def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> RelationPartition:

@@ -178,23 +178,21 @@ def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> Sph
     """Unit-sphere embedding carried by eigenspace j of the scheme rel,
     whose SchemeParameters and SchemeIdempotents are params and idems.
 
-    Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j, so the
-    values are Q's column j clustered at tol (d numbers, not n^2), the
-    labels are one gather of that clustering through rel.labels, and the
-    dimension is m_j.  The Gram itself is formed from the eigenvector
-    block U_j, symmetrized and compared entrywise with v at rel.labels:
-    a deviation above gram_allowance(tol, n) is a MethodsDisagreeError.
-    A value within tol of 1 (repeated points) is a GramError.  The scheme
-    was admitted with its blocks, so no dense limit is checked.
+    Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j.  The
+    Gram is formed from the eigenvector block U_j, symmetrized and compared
+    entrywise with v at rel.labels: a deviation above gram_allowance(tol, n)
+    is a MethodsDisagreeError.  This runs first, so every block j >= 1 is
+    checked on all n^2 entries, and E_0 = I - sum_{j>=1} E_j follows from
+    the orthonormal basis.  The values are then Q's column j clustered at
+    tol (d numbers, not n^2), the labels are one gather of that clustering
+    through rel.labels, and the dimension is m_j.  A value within tol of 1
+    (repeated points) is a GramError.  The scheme was admitted with its
+    blocks, so no dense limit is checked.
     """
     if not 1 <= j <= params.d:
         raise ValueError(f"eigenspace {j} outside 1..{params.d}")
     mj = params.multiplicities[j]
     class_values = params.Q[:, j] / mj
-    vals, _, lab = cluster_values(class_values[1:], tol)
-    if vals[0] >= 1.0 - tol:
-        raise GramError(f"repeated points: off-diagonal inner product {vals[0]:.6g}")
-    classes = np.concatenate(([0], lab + 1))
     u = idems.blocks[j]
     gram = u @ u.T
     gram *= params.n / mj
@@ -209,6 +207,10 @@ def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> Sph
         raise MethodsDisagreeError(
             f"the Gram of eigenspace {j} formed from its eigenvector block deviates from "
             f"Q's column {j} by {worst:.3g} > {allowance:.3g}")
+    vals, _, lab = cluster_values(class_values[1:], tol)
+    if vals[0] >= 1.0 - tol:
+        raise GramError(f"repeated points: off-diagonal inner product {vals[0]:.6g}")
+    classes = np.concatenate(([0], lab + 1))
     np.fill_diagonal(gram, 1.0)
     gram.setflags(write=False)
     labels = classes[rel.labels]

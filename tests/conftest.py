@@ -341,8 +341,8 @@ def catalog_graph(name):
 def analyzed_scheme(name):
     rel = build_scheme(SCHEME_SPECS[name])
     p = validate_scheme(rel)
-    idems = idempotents(rel)
-    params = eigenmatrices(rel, idems, p=p)
+    params = eigenmatrices(p, rel.n)
+    idems = idempotents(rel, params)
     return AnalyzedScheme(name, rel, p, idems, params)
 
 

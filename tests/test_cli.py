@@ -388,15 +388,15 @@ class TestAnalyzeScheme:
         # it returns: one eigensolve for each of the two separated
         # eigenspaces.  The other two are the class-1 cross-checks.
         assert solves == {"eigvalsh": 4, "eigvalsh in schur_diameter": 2}
-        # The three class matrices are built twice: validate_scheme and
-        # idempotents each build the ones they multiply and drop them on
-        # return, so none outlives its stage.  The
-        # idempotents are checked on their eigenvector blocks, so no class
-        # matrix meets a dense projector; multiplicities are block widths,
-        # not traces; the Krein numbers come from P and Q, with no trace
-        # inner product; the only dense projectors are the d eigenspace
-        # Grams, each formed once from its block (E_0 never).
-        assert kernels == {"class matrix": 6, "np.trace": 0, "np.tensordot": 0,
+        # The three class matrices are built once, by validate_scheme, and
+        # dropped on its return; P, Q and the Krein numbers come from the
+        # intersection numbers it returns.  The idempotents are checked on
+        # their eigenvector blocks, so no class matrix meets a dense
+        # projector; multiplicities are block widths, not traces; the Krein
+        # numbers come from P and Q, with no trace inner product; the only
+        # dense projectors are the d eigenspace Grams, each formed once from
+        # its block (E_0 never).
+        assert kernels == {"class matrix": 3, "np.trace": 0, "np.tensordot": 0,
                            "A_i @ E_j": 0, "U_j @ U_j^T": 2}
 
     def test_max_dense_reaches_every_stage(self, petersen_rel, capsys, monkeypatch):

@@ -258,8 +258,8 @@ def test_distinct_tokens_take_the_direct_conversion(monkeypatch):
     # The J(12,2) eigenspace Gram's entries are computed, so its first
     # tokens are mostly distinct; a two-distance Gram's repeat.
     rel = build_scheme(FamilySpec("johnson", (12, 2)))
-    idems = idempotents(rel)
-    params = eigenmatrices(rel, idems, p=validate_scheme(rel))
+    params = eigenmatrices(validate_scheme(rel), rel.n)
+    idems = idempotents(rel, params)
     computed = format_gram_matrix(from_idempotent(rel, params, idems, 1).gram)
     few_distance = "40\n" + "\n".join(GRAM_40) + "\n"
     calls = []

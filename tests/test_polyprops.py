@@ -207,7 +207,7 @@ PINNED = [
     ("Q size unseparated", lambda: check_q_large(_cube().params, 2),
      ("inconclusive", Q_NOT_SEPARATED, None, {})),
     ("Q size non-integral multiplicity",
-     lambda: check_q_large(_petersen_with("Q", (0, 1), lambda m: m[0, 1] + 1e-3), 1),
+     lambda: check_q_large(_petersen_with("Q", (0, 1), lambda m: 5.001), 1),
      (ValueError, "non-integral multiplicity 5.001 for eigenspace 1")),
     ("Q size below the bound", lambda: check_q_large(_j83().params, 2),
      ("inconclusive", "n = 56 <= N(20, 2) = 230", None,
@@ -534,7 +534,7 @@ def test_explicit_detector_holds_no_dense_array():
     bytes, two n x n float64 arrays; an all-pairs level loop on each class
     mask peaks near 68 n^2."""
     rel = build_scheme(FamilySpec("johnson", (12, 4)))
-    params = eigenmatrices(rel, idempotents(rel), p=validate_scheme(rel))
+    params = eigenmatrices(validate_scheme(rel), rel.n)
     tracemalloc.start()
     try:
         verdicts = [p_polynomial_ordering(params, j, rel) for j in range(1, params.d + 1)]
@@ -570,6 +570,17 @@ def test_analyze_scheme_explicit_matches_the_single_checks():
     assert {r.status for r in analysis.reports} == {HYPOTHESIS_NOT_MET}
 
 
+def test_both_routes_share_one_computation_of_the_parameters(scheme_case):
+    # The explicit route reads its parameters off the validated
+    # intersection numbers, as the parametric route reads them off the
+    # tensor: the same floats, not two computations that agree.
+    explicit = analyze_scheme(scheme_case.rel).params
+    parametric = analyze_scheme((scheme_case.p, scheme_case.rel.n)).params
+    assert explicit.multiplicities == parametric.multiplicities
+    for name in ("P", "Q", "krein"):
+        assert np.array_equal(getattr(explicit, name), getattr(parametric, name))
+
+
 def test_analyze_scheme_parametric_has_no_point_reports():
     analysis = analyze_scheme((hamming_intersection_numbers(3, 2), 8))
     assert len(analysis.verdicts) == 6 * 3
@@ -598,7 +609,7 @@ def test_johnson_12_4_routes_agree_at_scale():
     assert [(v.kind, v.base_index, v.status, v.ordering) for v in explicit.verdicts] == \
         [(v.kind, v.base_index, v.status, v.ordering) for v in parametric.verdicts]
     assert explicit.verdicts[3].ordering == (0, 1, 2, 3, 4)
-    idems = idempotents(rel)
+    idems = idempotents(rel, ex)
     trace_route = krein_trace_reference(projectors(idems), idems.multiplicities)
     assert float(np.max(np.abs(ex.krein - trace_route))) <= 1e-7
 
@@ -606,10 +617,10 @@ def test_johnson_12_4_routes_agree_at_scale():
 def test_pair_read_error_does_not_reach_the_verdicts(monkeypatch):
     """J(9,4) with the pair-read second eigenmatrix off by about 3e-9, the
     error it has at J(18,4): row 0 of every eigenvector block is scaled by
-    1 + 1.6e-10.  Q = n P^-1 does not read the blocks, so Q, the Krein
-    numbers and every verdict still equal the parametric route's.  Read at
-    the pairs, the same Q crosses the Krein zero threshold and the product
-    formulas' tolerance."""
+    1 + 1.6e-10.  P and Q come from the intersection numbers, not the
+    blocks, so Q, the Krein numbers and every verdict still equal the
+    parametric route's.  Read at the pairs, the same Q crosses the Krein
+    zero threshold and the product formulas' tolerance."""
     spec = FamilySpec("johnson", (9, 4))
     rel = build_scheme(spec)
     parametric = analyze_scheme(family_tensor(spec))

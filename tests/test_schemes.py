@@ -2,6 +2,7 @@
 counting oracle, idempotents against the graph-side projectors, and the
 two eigenmatrix routes against each other."""
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -22,6 +23,8 @@ from conftest import (
 from polyscheme.errors import (
     DegenerateElementError,
     DenseLimitError,
+    GramError,
+    MethodsDisagreeError,
     ParseError,
     SchemeAxiomError,
 )
@@ -43,6 +46,7 @@ from polyscheme.schemes import (
     parse_relation_matrix,
     validate_scheme,
 )
+from polyscheme.spherical import from_idempotent
 
 PETERSEN_P = np.array([
     [1.0, 3.0, 6.0],
@@ -240,21 +244,20 @@ def oracle_scheme(name):
 def test_idempotents_match_dense_reference(name, seeds):
     rel = oracle_scheme(name)
     ref = idempotents_reference(rel, seeds=seeds)
-    idems = idempotents(rel, seeds=seeds)
-    params = eigenmatrices(rel, idems, p=validate_scheme(rel))
+    params = eigenmatrices(validate_scheme(rel), rel.n, seeds=seeds)
+    idems = idempotents(rel, params, seeds=seeds)
     assert idems.multiplicities == params.multiplicities == tuple(ref.multiplicities)
     # Projector by projector, so the eigenspace order is compared too.
     assert len(idems.blocks) == len(ref.projectors)
     for e, e_ref in zip(projectors(idems), ref.projectors):
         assert float(np.max(np.abs(e - e_ref))) < 1e-9
-    for got in (idems.eigenvalues, params.P):
-        assert float(np.max(np.abs(got - ref.P))) < 1e-9
+    assert float(np.max(np.abs(params.P - ref.P))) < 1e-9
     assert float(np.max(np.abs(params.Q - ref.Q))) < 1e-9
 
 
 def test_eigenspace_ties_go_to_the_smaller_multiplicity():
     rel = oracle_scheme("cube-antipodal-first")
-    params = eigenmatrices(rel, idempotents(rel), p=validate_scheme(rel))
+    params = eigenmatrices(validate_scheme(rel), rel.n)
     assert float(np.max(np.abs(params.P[:, 1] - [1.0, 1.0, -1.0, -1.0]))) < 1e-9
     assert params.multiplicities == (1, 3, 1, 3)
 
@@ -271,9 +274,34 @@ def test_validate_scheme_refuses_before_allocating(monkeypatch):
 
 
 def test_idempotents_exhaust_seeds():
-    rel = analyzed_scheme("cycle5").rel
+    scheme = analyzed_scheme("cycle5")
     with pytest.raises(DegenerateElementError):
-        idempotents(rel, seeds=())
+        idempotents(scheme.rel, scheme.params, seeds=())
+
+
+def test_idempotents_refuse_swapped_multiplicities():
+    # Petersen's eigenspaces 1 and 2 have multiplicities 5 and 4; the
+    # generic element's clusters have the true sizes.
+    scheme = analyzed_scheme("petersen")
+    swapped = dataclasses.replace(scheme.params, multiplicities=(1, 4, 5))
+    with pytest.raises(MethodsDisagreeError, match="multiplicities"):
+        idempotents(scheme.rel, swapped)
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_corrupted_block_of_a_degenerate_embedding_is_refused(j):
+    # The cube's eigenspaces 2 and 3 embed it with repeated points, so no
+    # sphere is built from them, but their blocks are still checked against
+    # Q on every entry.  A zeroed row is no automorphism of the points.
+    scheme = analyzed_scheme("cube")
+    blocks = list(scheme.idems.blocks)
+    blocks[j] = blocks[j].copy()
+    blocks[j][0] = 0.0
+    idems = dataclasses.replace(scheme.idems, blocks=tuple(blocks))
+    with pytest.raises(MethodsDisagreeError, match=f"eigenspace {j}"):
+        from_idempotent(scheme.rel, scheme.params, idems, j)
+    with pytest.raises(GramError):
+        from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
 
 
 def test_idempotent_family_properties(scheme_case):
@@ -325,11 +353,14 @@ def test_eigenmatrix_identities(scheme_case):
     assert float(np.max(np.abs(m[:, None] * params.P - k[None, :] * params.Q.T))) < 1e-8
 
 
-def test_eigenmatrices_rejects_foreign_idempotents():
+def test_idempotents_rejects_foreign_parameters():
     petersen = analyzed_scheme("petersen")
-    cycle5 = analyzed_scheme("cycle5")
-    with pytest.raises(ValueError):
-        eigenmatrices(cycle5.rel, petersen.idems, p=cycle5.p)
+    # n = 5 against 10, then n = 10 with d = 5 against 2.
+    with pytest.raises(ValueError, match="n = 5, d = 2"):
+        idempotents(petersen.rel, analyzed_scheme("cycle5").params)
+    cycle10 = build_scheme(FamilySpec("cycle", (10,)))
+    with pytest.raises(ValueError, match="n = 10, d = 5"):
+        idempotents(petersen.rel, eigenmatrices(validate_scheme(cycle10), 10))
 
 
 def test_krein_two_routes_agree(scheme_case):

@@ -26,11 +26,11 @@ PENTAGON = np.cos(2 * np.pi * np.subtract.outer(np.arange(5), np.arange(5)) / 5)
 
 # Each allowance and the functions that read it.
 SITES = {
-    "cluster_gap": {"cluster_values", "parametric_parameters"},
-    "residual_allowance": {"idempotents", "eigenmatrices"},
+    "cluster_gap": {"cluster_values", "eigenmatrices", "idempotents"},
+    "residual_allowance": {"idempotents"},
     "gram_allowance": {"from_idempotent", "from_gram"},
-    "scaled_allowance": {"parametric_parameters", "_product_formula"},
-    "integrality_allowance": {"parametric_parameters", "_size_condition", "family_parameters"},
+    "scaled_allowance": {"eigenmatrices", "_product_formula"},
+    "integrality_allowance": {"eigenmatrices", "_size_condition", "family_parameters"},
     "lookup_allowance": {"multiplicity_of", "verify_sphere_theorem"},
     "interpolation_allowance": {"verify_sphere_theorem"},
     "order_quantum": {"_eigenspace_order"},
@@ -84,12 +84,8 @@ def test_default_tol_values():
 # any deviation; inf is above any gap, so no two values separate) and to
 # one that accepts.
 def _idempotents():
-    return schemes.idempotents(analyzed_scheme("petersen").rel)
-
-
-def _eigenmatrices():
     s = analyzed_scheme("petersen")
-    return schemes.eigenmatrices(s.rel, s.idems, p=s.p)
+    return schemes.idempotents(s.rel, s.params)
 
 
 def _from_idempotent():
@@ -143,16 +139,17 @@ def _multiplicity():
 
 
 def _order():
-    return _idempotents().multiplicities == (1, 5, 4)
+    s = analyzed_scheme("petersen")
+    return schemes.eigenmatrices(s.p, s.rel.n).multiplicities == (1, 5, 4)
 
 
 REFUSE_ACCEPT = [
     # module, allowance, value that refuses, value that accepts, call, refusal
-    (schemes, "residual_allowance", -1.0, np.inf, _idempotents, DegenerateElementError),
-    (schemes, "residual_allowance", -1.0, np.inf, _eigenmatrices, ValueError),
+    (schemes, "residual_allowance", -1.0, np.inf, _idempotents, MethodsDisagreeError),
+    (schemes, "cluster_gap", np.inf, 2e-9, _idempotents, DegenerateElementError),
     (spherical, "gram_allowance", -1.0, np.inf, _from_idempotent, MethodsDisagreeError),
     (spherical, "gram_allowance", -1.0, np.inf, _from_gram, GramError),
-    (schemes, "scaled_allowance", np.inf, 1e-9, _parametric, DegenerateElementError),
+    (schemes, "scaled_allowance", -1.0, 1e-9, _parametric, DegenerateElementError),
     (schemes, "cluster_gap", np.inf, 2e-9, _parametric, DegenerateElementError),
     (schemes, "integrality_allowance", -1.0, np.inf, _parametric, DegenerateElementError),
     (polyprops, "scaled_allowance", -1.0, 1e-9, _product_formula, False),
@@ -217,6 +214,21 @@ def test_parametric_krein_rounding_is_refused_at_1e_14(tmp_path, capsys, spec):
     assert capsys.readouterr().err.startswith("error: Krein number q_{1,3}^{0} = ")
 
 
+@pytest.mark.parametrize("scheme", [family_tensor(FamilySpec("johnson", (10, 5))),
+                                    family_tensor(FamilySpec("hamming", (7, 3))),
+                                    build_scheme(FamilySpec("johnson", (10, 5)))],
+                         ids=["J(10,5)-parametric", "H(7,3)-parametric", "J(10,5)-explicit"])
+def test_scheme_routes_separate_at_1e_3(scheme):
+    # The generic element's intersection-matrix eigenvalues need gaps above
+    # cluster_gap(tol), as its clusters on the points do.  Gaps above
+    # 2 tol max|lambda| refused both tensors at 1e-3: 0.63..0.90 against
+    # least gaps of 0.18..0.70 at J(10,5).  The explicit route reads the
+    # same eigenvalues.
+    coarse = analyze_scheme(scheme, 1e-3)
+    assert [(v.kind, v.status, v.ordering) for v in coarse.verdicts] == \
+        [(v.kind, v.status, v.ordering) for v in analyze_scheme(scheme).verdicts]
+
+
 def test_explicit_gram_check_at_1e_13():
     # The Gram of H(3,5)'s eigenspace 1 deviates from Q's column by about
     # 2.8e-13, the rounding of a 125-term sum, not a disagreement.
@@ -229,8 +241,8 @@ def test_from_gram_blames_the_tolerance_at_1e_14():
     # eigensolve rounds the least eigenvalue to about -1.6e-14: below -tol,
     # within gram_allowance.  The clustering then refuses the tolerance.
     rel = build_scheme(FamilySpec("johnson", (14, 3)))
-    idems = schemes.idempotents(rel)
-    params = schemes.eigenmatrices(rel, idems, p=schemes.validate_scheme(rel))
+    params = schemes.eigenmatrices(schemes.validate_scheme(rel), rel.n)
+    idems = schemes.idempotents(rel, params)
     gram = from_idempotent(rel, params, idems, 1).gram
     assert from_gram(gram).dimension == 13
     with pytest.raises(ToleranceAmbiguityError):

@@ -1,10 +1,11 @@
 """Constructions for the worked families.
 
 Graphs: cycles, complete graphs, Petersen, Hoffman-Singleton, Paley,
-Johnson, Hamming.  The Johnson and Hamming families also come with
-closed-form intersection numbers, which is what makes threshold scans
-over large members affordable: the eigenmatrices follow from a tensor of
-side d + 1 without ever materializing the point set.
+Johnson, Hamming.  The Johnson and Hamming families have classical
+parameters, from which their intersection numbers follow; that is what
+makes threshold scans over large members affordable: the eigenmatrices
+follow from a tensor of side d + 1 without ever materializing the point
+set.
 """
 
 from __future__ import annotations
@@ -111,44 +112,6 @@ def _hoffman_singleton_edges():
     return edges
 
 
-def _johnson_vertices(n: int, k: int):
-    return list(itertools.combinations(range(n), k))
-
-
-def _johnson_edges(n: int, k: int):
-    # Neighbors differ by one swapped element; generating them directly
-    # avoids the quadratic all-pairs scan.
-    subsets = _johnson_vertices(n, k)
-    index = {s: i for i, s in enumerate(subsets)}
-    edges = set()
-    for i, s in enumerate(subsets):
-        inside = set(s)
-        for u in s:
-            kept = inside - {u}
-            for v in range(n):
-                if v in inside:
-                    continue
-                t = tuple(sorted(kept | {v}))
-                other = index[t]
-                edges.add((i, other) if i < other else (other, i))
-    return len(subsets), sorted(edges)
-
-
-def _hamming_vertices(d: int, q: int):
-    return list(itertools.product(range(q), repeat=d))
-
-
-def _hamming_edges(d: int, q: int):
-    points = _hamming_vertices(d, q)
-    index = {pt: i for i, pt in enumerate(points)}
-    edges = []
-    for i, pt in enumerate(points):
-        for pos in range(d):
-            for v in range(pt[pos] + 1, q):
-                edges.append((i, index[pt[:pos] + (v,) + pt[pos + 1:]]))
-    return len(points), edges
-
-
 def _paley_edges(q: int):
     squares = {x * x % q for x in range(1, q)}
     return [(x, y) for x in range(q) for y in range(x + 1, q) if (y - x) % q in squares]
@@ -171,12 +134,9 @@ def build_graph(spec: FamilySpec) -> Graph:
     if name == "paley":
         q = args[0]
         return Graph.from_edges(q, _paley_edges(q))
-    if name == "johnson":
-        n_vertices, edges = _johnson_edges(*args)
-        return Graph.from_edges(n_vertices, edges)
-    if name == "hamming":
-        n_vertices, edges = _hamming_edges(*args)
-        return Graph.from_edges(n_vertices, edges)
+    if name in ("johnson", "hamming"):
+        labels = build_scheme(spec).labels
+        return Graph.from_edges(len(labels), np.argwhere(np.triu(labels == 1)))
     raise AssertionError(name)
 
 
@@ -190,105 +150,96 @@ def build_scheme(spec: FamilySpec) -> RelationPartition:
     name, args = spec.name, spec.args
     if name == "johnson":
         n, k = args
-        subsets = _johnson_vertices(n, k)
+        subsets = np.array(list(itertools.combinations(range(n), k)))
         onehot = np.zeros((len(subsets), n), dtype=np.int64)
-        for i, s in enumerate(subsets):
-            onehot[i, list(s)] = 1
+        np.put_along_axis(onehot, subsets, 1, axis=1)
         labels = k - onehot @ onehot.T
         return RelationPartition.from_matrix(labels, d=min(k, n - k))
     if name == "hamming":
-        points = np.array(_hamming_vertices(*args), dtype=np.int64)
+        d, q = args
+        points = np.array(list(itertools.product(range(q), repeat=d)))
         labels = (points[:, None, :] != points[None, :, :]).sum(axis=2)
-        return RelationPartition.from_matrix(labels, d=args[0])
+        return RelationPartition.from_matrix(labels, d=d)
     rel = from_distance_data(distance_data(build_graph(spec)))
     validate_scheme(rel)
     return rel
 
 
-def _comb0(m: int, t: int) -> int:
-    return math.comb(m, t) if 0 <= t <= m else 0
+def _brackets(b: int, d: int) -> list[int]:
+    """[0], ..., [d] with [i] = 1 + b + ... + b^(i-1)."""
+    return [sum(b ** t for t in range(i)) for i in range(d + 1)]
 
 
-def johnson_intersection_numbers(n: int, k: int) -> np.ndarray:
-    """Intersection tensor of the Johnson scheme, classes by k - overlap.
+def classical_intersection_numbers(d: int, b: int, alpha: int, beta: int) -> np.ndarray:
+    """Intersection tensor p[i, j, k] = p_ij^k, classes by distance, of a
+    distance-regular graph with classical parameters (d, b, alpha, beta)
+    (Brouwer-Cohen-Neumaier 1989, section 6.1).
 
-    Given points x, y with overlap k - h, a third point z is split over
-    the four regions cut out by x and y; summing over the size a of the
-    piece inside both gives the count in closed form.
+    Its intersection array is b_i = ([d] - [i])(beta - alpha [i]) and
+    c_i = [i](1 + alpha [i-1]), with [i] = 1 + b + ... + b^(i-1), and
+    a_i = b_0 - b_i - c_i.  L_1 is the tridiagonal matrix of
+    A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1), the three-term
+    recurrence (section 4.1) gives L_(i+1) = (L_1 L_i - b_(i-1) L_(i-1)
+    - a_i L_i) / c_(i+1), and p[i, j, k] = L_i[k, j].  The arithmetic is
+    in exact integers; a count beyond int64 raises OverflowError.
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got n = {n}, k = {k}")
-    d = min(k, n - k)
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    for h in range(d + 1):
-        for i in range(d + 1):
-            for j in range(d + 1):
-                total = 0
-                for a in range(k - h + 1):
-                    total += (_comb0(k - h, a)
-                              * _comb0(h, k - i - a)
-                              * _comb0(h, k - j - a)
-                              * _comb0(n - k - h, i + j + a - k))
-                p[i, j, h] = total
-    return p
+    box = _brackets(b, d)
+    bs = [(box[d] - box[i]) * (beta - alpha * box[i]) for i in range(d + 1)]
+    cs = [box[i] * (1 + alpha * box[i - 1]) if i else 0 for i in range(d + 1)]
+    name = f"classical parameters ({d}, {b}, {alpha}, {beta})"
+    if d < 1 or min(bs[:d] + cs[1:]) < 1:
+        raise ValueError(f"{name}: need d >= 1 and a positive array, got {{{bs[:d]}; {cs[1:]}}}")
+    a1 = np.diag(np.array([bs[0] - bi - ci for bi, ci in zip(bs, cs)], dtype=object))
+    a1[range(d), range(1, d + 1)] = bs[:d]
+    a1[range(1, d + 1), range(d)] = cs[1:]
+    mats = [np.identity(d + 1, dtype=object), a1]
+    for i in range(1, d):
+        top = a1 @ mats[i] - bs[i - 1] * mats[i - 1] - a1[i, i] * mats[i]
+        if (top % cs[i + 1]).any():
+            raise ValueError(f"{name} give non-integral intersection numbers")
+        mats.append(top // cs[i + 1])
+    return np.array([m.T for m in mats], dtype=np.int64)
 
 
-def hamming_intersection_numbers(d: int, q: int) -> np.ndarray:
-    """Intersection tensor of the Hamming scheme, classes by distance.
-
-    With x, y differing in h coordinates, a word z is classified by r
-    (disagreements inside the h-complement), and inside the h block by
-    how many coordinates follow x, follow y, or neither.
-    """
-    if d < 1 or q < 2:
-        raise ValueError(f"need d >= 1 and q >= 2, got d = {d}, q = {q}")
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    for h in range(d + 1):
-        for i in range(d + 1):
-            for j in range(d + 1):
-                total = 0
-                for r in range(d - h + 1):
-                    u = i + j - 2 * r - h
-                    s = h + r - i
-                    t = h + r - j
-                    if u < 0 or s < 0 or t < 0:
-                        continue
-                    total += (math.comb(d - h, r) * (q - 1) ** r
-                              * math.comb(h, s) * math.comb(h - s, t) * (q - 2) ** u)
-                p[i, j, h] = total
-    return p
+def _classical_parameters(spec: FamilySpec) -> tuple[int, int, int, int]:
+    """(d, b, alpha, beta) of a Johnson or Hamming member (BCN Table 6.1)."""
+    if spec.name == "johnson":
+        n, k = spec.args
+        d = min(k, n - k)
+        return d, 1, 1, n - d
+    if spec.name == "hamming":
+        d, q = spec.args
+        return d, 1, 0, q - 1
+    raise ValueError(f"no classical parameters for family {spec.name!r}")
 
 
 def family_tensor(spec: FamilySpec) -> tuple[np.ndarray, int]:
     """(p, n): the intersection tensor of a family member and its number of
-    points.  Johnson and Hamming members take the closed forms without
-    building any point; the others count on their validated scheme."""
-    if spec.name == "johnson":
-        n, k = spec.args
-        return johnson_intersection_numbers(n, k), math.comb(n, k)
-    if spec.name == "hamming":
-        d, q = spec.args
-        return hamming_intersection_numbers(d, q), q ** d
+    points.  Johnson and Hamming members take it from their classical
+    parameters without building any point; the others count on their
+    validated scheme."""
+    if spec.name in ("johnson", "hamming"):
+        n = math.comb(*spec.args) if spec.name == "johnson" else spec.args[1] ** spec.args[0]
+        return classical_intersection_numbers(*_classical_parameters(spec)), n
     rel = build_scheme(spec)
     return validate_scheme(rel), rel.n
 
 
 def _expected_closed_forms(spec: FamilySpec):
-    """(degrees, multiplicities, second column of P) for johnson/hamming."""
+    """(degrees, multiplicities, second column of P) for johnson/hamming.
+    The column holds theta_j = [d-j](beta - alpha [j]) - [j] of the
+    classical parameters (BCN Corollary 8.4.2)."""
+    d, b, alpha, beta = _classical_parameters(spec)
+    box = _brackets(b, d)
+    col1 = [box[d - j] * (beta - alpha * box[j]) - box[j] for j in range(d + 1)]
     if spec.name == "johnson":
         n, k = spec.args
-        d = min(k, n - k)
         degrees = [math.comb(k, i) * math.comb(n - k, i) for i in range(d + 1)]
-        mults = [_comb0(n, j) - _comb0(n, j - 1) for j in range(d + 1)]
-        col1 = [(k - j) * (n - k - j) - j for j in range(d + 1)]
+        mults = [math.comb(n, j) - (math.comb(n, j - 1) if j else 0) for j in range(d + 1)]
         return degrees, mults, col1
-    if spec.name == "hamming":
-        d, q = spec.args
-        degrees = [math.comb(d, i) * (q - 1) ** i for i in range(d + 1)]
-        mults = [math.comb(d, j) * (q - 1) ** j for j in range(d + 1)]
-        col1 = [d * (q - 1) - q * j for j in range(d + 1)]
-        return degrees, mults, col1
-    raise ValueError(f"no closed forms for family {spec.name!r}")
+    q = spec.args[1]
+    degrees = [math.comb(d, i) * (q - 1) ** i for i in range(d + 1)]
+    return degrees, degrees, col1  # H(d,q) is self-dual: m_j = k_j
 
 
 def family_parameters(spec: FamilySpec, tol: float = DEFAULT_TOL) -> SchemeParameters:

@@ -21,6 +21,8 @@ modules call it and never scale tol by a literal.
                            the n points against its values P c
   gram_allowance           an n x n Gram's least and zero eigenvalues,   max(tol, 100 n eps)
                            and an eigenspace's Gram against Q's column
+  eigensolve_rounding      the tol below which a generic element's       eps max |w|
+                           ambiguous spectrum w is refused, not redrawn
   scaled_allowance         a computed value x against an exact one:      tol max(1, |x|)
                            the imaginary parts of the intersection-
                            matrix eigenvalues, the product-formula match
@@ -42,10 +44,13 @@ clustered at a tolerance is checked at that tolerance: EigenClusters and
 SphericalSet carry theirs, and the checks that read them take no other.
 A tol below what float arithmetic resolves is refused: the clustering
 raises ToleranceAmbiguityError, and a generic element that no seed
-separates raises DegenerateElementError.  A Gram's PSD test reads
-gram_allowance, so the rounding of its eigensolve does not blame a good
-Gram.  A Krein number above tol but within krein_allowance may be a
-rounded zero, and the Q detector raises ToleranceAmbiguityError for it.
+separates raises DegenerateElementError; an ambiguous clustering at a tol
+below eigensolve_rounding raises at the first draw, since each draw
+rounds at about that scale and a redraw, one n x n eigensolve per seed,
+seldom clusters.  A Gram's PSD test reads gram_allowance, so the rounding
+of its eigensolve does not blame a good Gram.  A Krein number above tol
+but within krein_allowance may be a rounded zero, and the Q detector
+raises ToleranceAmbiguityError for it.
 """
 
 from __future__ import annotations
@@ -75,6 +80,11 @@ def gram_allowance(tol: float, n: int) -> float:
     """Deviation allowed between an n-term sum and its exact value: tol,
     but never below the rounding error of the sum."""
     return max(tol, 100 * n * np.finfo(float).eps)
+
+
+def eigensolve_rounding(values) -> float:
+    """Rounding scale of a symmetric eigensolve: eps times its largest |eigenvalue|."""
+    return np.finfo(float).eps * float(np.max(np.abs(values)))
 
 
 def scaled_allowance(tol: float, magnitude: float) -> float:

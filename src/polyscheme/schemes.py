@@ -32,6 +32,7 @@ from .numerics import (
     check_dense_limit,
     cluster_gap,
     cluster_values,
+    eigensolve_rounding,
     integrality_allowance,
     order_quantum,
     residual_allowance,
@@ -194,9 +195,12 @@ def idempotents(
     eigenspace j is (P c)[j].  A draw whose values P c lie within
     cluster_gap(tol) of each other, or whose spectrum clusters ambiguously
     at tol, is degenerate and triggers the next seed; running out of seeds
-    raises DegenerateElementError.  The clusters must have the sizes of
-    the multiplicities and lie within residual_allowance(tol, n) of P c, or
-    the two computations disagree (MethodsDisagreeError).
+    raises DegenerateElementError.  An ambiguous clustering at a tol below
+    eigensolve_rounding of the spectrum raises ToleranceAmbiguityError at
+    once, since each draw rounds at about that scale.  The clusters must
+    have the sizes of the multiplicities and lie within
+    residual_allowance(tol, n) of P c, or the two computations disagree
+    (MethodsDisagreeError).
     spherical.from_idempotent checks the blocks entrywise against Q.
     """
     check_dense_limit(rel.n, max_dense)
@@ -215,6 +219,8 @@ def idempotents(
         try:
             values, counts, labels = cluster_values(w, tol)
         except ToleranceAmbiguityError:
+            if tol < eigensolve_rounding(w):
+                raise
             continue
         mults = [params.multiplicities[j] for j in rank]
         if counts != mults:

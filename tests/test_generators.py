@@ -1,7 +1,8 @@
 """Family constructions: vertex/edge counts, certificates for the two
-strongly regular members, and the closed-form intersection tensors
-against the counting route."""
+strongly regular members, and the classical-parameters intersection
+tensors against the counting route and two hand-derived oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,15 +12,71 @@ from conftest import SCHEME_SPECS, analyzed_scheme, catalog_graph, max_abs_diff
 from polyscheme.errors import MethodsDisagreeError
 from polyscheme.generators import (
     FamilySpec,
+    _expected_closed_forms,
     build_graph,
     build_scheme,
+    classical_intersection_numbers,
     family_parameters,
-    hamming_intersection_numbers,
-    johnson_intersection_numbers,
+    family_tensor,
 )
 from polyscheme.graphs import distance_data
 from polyscheme.numerics import eigen_clusters
 from polyscheme.schemes import validate_scheme
+
+
+def _comb0(m: int, t: int) -> int:
+    return math.comb(m, t) if 0 <= t <= m else 0
+
+
+def johnson_tensor_oracle(n: int, k: int) -> np.ndarray:
+    """Intersection tensor of the Johnson scheme, classes by k - overlap.
+
+    Given points x, y with overlap k - h, a third point z is split over
+    the four regions cut out by x and y; summing over the size a of the
+    piece inside both gives the count in closed form.
+    """
+    d = min(k, n - k)
+    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    for h in range(d + 1):
+        for i in range(d + 1):
+            for j in range(d + 1):
+                total = 0
+                for a in range(k - h + 1):
+                    total += (_comb0(k - h, a)
+                              * _comb0(h, k - i - a)
+                              * _comb0(h, k - j - a)
+                              * _comb0(n - k - h, i + j + a - k))
+                p[i, j, h] = total
+    return p
+
+
+def hamming_tensor_oracle(d: int, q: int) -> np.ndarray:
+    """Intersection tensor of the Hamming scheme, classes by distance.
+
+    With x, y differing in h coordinates, a word z is classified by r
+    (disagreements inside the h-complement), and inside the h block by
+    how many coordinates follow x, follow y, or neither.
+    """
+    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    for h in range(d + 1):
+        for i in range(d + 1):
+            for j in range(d + 1):
+                total = 0
+                for r in range(d - h + 1):
+                    u = i + j - 2 * r - h
+                    s = h + r - i
+                    t = h + r - j
+                    if u < 0 or s < 0 or t < 0:
+                        continue
+                    total += (math.comb(d - h, r) * (q - 1) ** r
+                              * math.comb(h, s) * math.comb(h - s, t) * (q - 2) ** u)
+                p[i, j, h] = total
+    return p
+
+
+ORACLE_MEMBERS = ([FamilySpec("johnson", (n, k)) for n in range(2, 40) for k in range(1, n)]
+                  + [FamilySpec("hamming", (d, q)) for d in range(1, 9) for q in range(2, 12)])
+
 
 JOHNSON83_P = np.array([
     [1.0, 15.0, 30.0, 10.0],
@@ -107,17 +164,78 @@ def test_scheme_labels_are_distances(name):
     ("hamming", (3, 3)),
 ])
 def test_closed_form_tensor_matches_counting(family, args):
-    if family == "johnson":
-        closed = johnson_intersection_numbers(*args)
-    else:
-        closed = hamming_intersection_numbers(*args)
-    counted = validate_scheme(build_scheme(FamilySpec(family, args)))
-    assert np.array_equal(closed, counted)
+    closed, n = family_tensor(FamilySpec(family, args))
+    rel = build_scheme(FamilySpec(family, args))
+    assert n == rel.n
+    assert np.array_equal(closed, validate_scheme(rel))
+
+
+def test_classical_tensor_matches_the_hand_derived_oracles():
+    # All 821 members: J(n, k) with 2 <= n < 40, H(d, q) with d <= 8, q <= 11.
+    assert len(ORACLE_MEMBERS) == 821
+    for spec in ORACLE_MEMBERS:
+        oracle = johnson_tensor_oracle if spec.name == "johnson" else hamming_tensor_oracle
+        p, _ = family_tensor(spec)
+        assert p.dtype == np.int64
+        assert np.array_equal(p, oracle(*spec.args)), spec.label()
+
+
+def test_closed_form_theta_column_matches_the_family_forms():
+    # BCN Corollary 8.4.2 against the per-family eigenvalues of A:
+    # (k - j)(n - k - j) - j for J(n, k) and d(q - 1) - qj for H(d, q).
+    for spec in ORACLE_MEMBERS:
+        _, _, col1 = _expected_closed_forms(spec)
+        x, y = spec.args
+        d = len(col1) - 1
+        family = ([(y - j) * (x - y - j) - j for j in range(d + 1)] if spec.name == "johnson"
+                  else [x * (y - 1) - y * j for j in range(d + 1)])
+        assert col1 == family, spec.label()
+
+
+def test_classical_tensor_of_the_parameters():
+    # J(8, 3) is (3, 1, 1, 5).  Row j of p[1] lists p_1j^k, which is
+    # tridiagonal with b = (15, 8, 3), a = (0, 6, 8, 6) and c = (1, 4, 9).
+    p = classical_intersection_numbers(3, 1, 1, 5)
+    assert p.tolist()[1] == [[0, 1, 0, 0], [15, 6, 4, 0], [0, 8, 8, 9], [0, 0, 3, 6]]
+    assert np.array_equal(p, family_tensor(FamilySpec("johnson", (8, 5)))[0])
+
+
+@pytest.mark.parametrize("args", [
+    (0, 1, 0, 2),   # no class besides the identity
+    (2, 1, 0, 0),   # b_0 = 0
+    (2, 1, -1, 3),  # c_2 = 0
+    (2, 1, 2, 4),   # {8, 2; 1, 6}: k_2 = 16/6
+])
+def test_classical_tensor_refuses_parameters_of_no_graph(args):
+    with pytest.raises(ValueError):
+        classical_intersection_numbers(*args)
+
+
+def test_classical_tensor_beyond_int64_raises():
+    # J(70, 35) has C(70, 35) > 2**63 points, so its degree row overflows.
+    with pytest.raises(OverflowError):
+        family_tensor(FamilySpec("johnson", (70, 35)))
+
+
+@pytest.mark.parametrize("spec, points, adjacent", [
+    # k-subsets in lexicographic order, adjacent when they share k - 1 points.
+    (FamilySpec("johnson", (7, 4)), list(itertools.combinations(range(7), 4)),
+     lambda x, y: len(set(x) & set(y)) == 3),
+    # Words in lexicographic order, adjacent when they differ in one coordinate.
+    (FamilySpec("hamming", (3, 4)), list(itertools.product(range(4), repeat=3)),
+     lambda x, y: sum(a != b for a, b in zip(x, y)) == 1),
+])
+def test_johnson_and_hamming_graphs_by_definition(spec, points, adjacent):
+    want = [[i, j] for i, j in itertools.combinations(range(len(points)), 2)
+            if adjacent(points[i], points[j])]
+    g = build_graph(spec)
+    assert g.n == len(points)
+    assert g.edges.tolist() == want
 
 
 def test_johnson_tensor_margins():
     for n, k in [(6, 3), (7, 3), (9, 4), (10, 2)]:
-        p = johnson_intersection_numbers(n, k)
+        p, _ = family_tensor(FamilySpec("johnson", (n, k)))
         degrees = [int(p[i, i, 0]) for i in range(p.shape[0])]
         assert sum(degrees) == math.comb(n, k)
         assert p.min() >= 0

@@ -292,6 +292,19 @@ def test_large_graph_report_passes(name):
     assert rep.evidence["n"] - rep.evidence["moore_bound"] == LARGE_GRAPH_FLOORS[name]
 
 
+def test_min_forced_per_row_counts_the_distance_d_pairs():
+    # The field is the least number of distance-d pairs in a row.  At a
+    # coarse tol the projector entries elsewhere in a row may also match
+    # the forced value; they are not counted.  Paley(101) at tol 0.1 has
+    # n - 1 - k = 50 non-neighbours per row (100 matching entries).
+    g = build_graph(FamilySpec("paley", (101,)))
+    large = analyze_graph(g, 0.1).reports[1]
+    assert large.status == "pass"
+    assert large.evidence["min_forced_per_row"] == large.evidence["row_floor"] == 50
+    dist = analyze_graph(g).distances.dist
+    assert large.evidence["min_forced_per_row"] == int((dist == 2).sum(axis=1).min())
+
+
 def test_large_graph_report_small_cube():
     # 8 vertices is within M(3, 2) = 10, so the size hypothesis fails.
     rep = large_graph_report(catalog_graph("cube"))

@@ -28,7 +28,6 @@ from polyscheme.generators import (
     build_scheme,
     family_parameters,
     family_tensor,
-    hamming_intersection_numbers,
 )
 from polyscheme.graphs import adjacency_distances
 from polyscheme.numerics import DEFAULT_TOL
@@ -582,7 +581,7 @@ def test_both_routes_share_one_computation_of_the_parameters(scheme_case):
 
 
 def test_analyze_scheme_parametric_has_no_point_reports():
-    analysis = analyze_scheme((hamming_intersection_numbers(3, 2), 8))
+    analysis = analyze_scheme(family_tensor(FamilySpec("hamming", (3, 2))))
     assert len(analysis.verdicts) == 6 * 3
     assert analysis.verdicts[0].evidence["mode"] == "parametric"
     assert "confirmed_by" not in analysis.verdicts[1].evidence

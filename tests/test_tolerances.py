@@ -28,6 +28,7 @@ PENTAGON = np.cos(2 * np.pi * np.subtract.outer(np.arange(5), np.arange(5)) / 5)
 SITES = {
     "cluster_gap": {"cluster_values", "eigenmatrices", "idempotents"},
     "residual_allowance": {"idempotents"},
+    "eigensolve_rounding": {"idempotents"},
     "gram_allowance": {"from_idempotent", "from_gram"},
     "scaled_allowance": {"eigenmatrices", "_product_formula"},
     "integrality_allowance": {"eigenmatrices", "_size_condition", "family_parameters"},
@@ -64,6 +65,7 @@ def test_every_allowance_is_read_at_its_sites(monkeypatch):
     johnson = FamilySpec("johnson", (6, 2))
     analyze_scheme(build_scheme(johnson))
     analyze_scheme(family_tensor(johnson))
+    _idempotents_at_1e_14()
     family_parameters(johnson)
     verify_sphere_theorem(from_gram(PENTAGON))
     assert seen == SITES
@@ -86,6 +88,12 @@ def test_default_tol_values():
 def _idempotents():
     s = analyzed_scheme("petersen")
     return schemes.idempotents(s.rel, s.params)
+
+
+def _idempotents_at_1e_14():
+    # The first seed clusters H(3,3) ambiguously at 1e-14, the second not.
+    s = analyzed_scheme("hamming33")
+    return schemes.idempotents(s.rel, s.params, 1e-14)
 
 
 def _from_idempotent():
@@ -147,6 +155,8 @@ REFUSE_ACCEPT = [
     # module, allowance, value that refuses, value that accepts, call, refusal
     (schemes, "residual_allowance", -1.0, np.inf, _idempotents, MethodsDisagreeError),
     (schemes, "cluster_gap", np.inf, 2e-9, _idempotents, DegenerateElementError),
+    (schemes, "eigensolve_rounding", np.inf, 0.0, _idempotents_at_1e_14,
+     ToleranceAmbiguityError),
     (spherical, "gram_allowance", -1.0, np.inf, _from_idempotent, MethodsDisagreeError),
     (spherical, "gram_allowance", -1.0, np.inf, _from_gram, GramError),
     (schemes, "scaled_allowance", -1.0, 1e-9, _parametric, DegenerateElementError),
@@ -234,6 +244,28 @@ def test_explicit_gram_check_at_1e_13():
     # 2.8e-13, the rounding of a 125-term sum, not a disagreement.
     rel = build_scheme(FamilySpec("hamming", (3, 5)))
     assert verdicts(analyze_scheme(rel, 1e-13)) == verdicts(analyze_scheme(rel))
+
+
+def test_sub_resolution_tol_refused_after_one_eigensolve(monkeypatch):
+    # On H(6,3) every draw's spectrum rounds at about 2.4e-13, eps times
+    # its largest eigenvalue, so at 1e-13 the first ambiguous clustering
+    # is refused with its own message; no further seed is drawn.
+    rel = build_scheme(FamilySpec("hamming", (6, 3)))
+    params = schemes.eigenmatrices(schemes.validate_scheme(rel), rel.n)
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    with pytest.raises(ToleranceAmbiguityError, match="; adjust the tolerance$"):
+        schemes.idempotents(rel, params, 1e-13)
+    assert shapes == [(729, 729)]
+
+
+def test_ambiguous_draw_above_the_rounding_takes_the_next_seed():
+    # H(3,3) at 1e-14: the first seed's spectrum spreads over 1.1e-14, above
+    # tol, but eps times its largest eigenvalue is below tol, and the second
+    # seed clusters within it.
+    rel = build_scheme(FamilySpec("hamming", (3, 3)))
+    assert verdicts(analyze_scheme(rel, 1e-14)) == verdicts(analyze_scheme(rel))
 
 
 def test_from_gram_blames_the_tolerance_at_1e_14():

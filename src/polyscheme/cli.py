@@ -12,6 +12,7 @@ Exit codes: 0 when no check failed, 1 when some check reports failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -293,7 +294,11 @@ def cmd_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later one: parse_args keeps no state between calls, and the cmd_*
+    functions it dispatches to look up everything else at call time."""
     ap = argparse.ArgumentParser(
         prog="polyscheme",
         description="Spectral verification for regular graphs, association "

@@ -97,7 +97,11 @@ def content_lines(text: str, after: int = 0):
     """Yield (line_no, tokens) for each line after the first `after` that
     keeps a token once its "#" comment is cut off; lines are those of
     str.splitlines, read one at a time, and their numbers count from 1."""
-    lines = itertools.islice(_split_lines(text), after, None)
+    return _numbered(itertools.islice(_split_lines(text), after, None), after)
+
+
+def _numbered(lines, after: int):
+    """content_lines of the raw lines that follow line `after`."""
     for line_no, raw in enumerate(lines, start=after + 1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
@@ -111,6 +115,13 @@ def read_header(lines, empty: str, width: int, bad_token: str, bad_width: str):
     if tokens is None:
         raise ParseError(0, empty)
     return line_no, _row_values(line_no, tokens, int, width, bad_token, bad_width)
+
+
+def read_int_header(text: str, empty: str, width: int, bad_token: str, bad_width: str):
+    """read_header of the content lines of text, and the raw lines after
+    the header line, not yet read, for read_int_rows."""
+    lines = _split_lines(text)
+    return (*read_header(_numbered(lines, 0), empty, width, bad_token, bad_width), lines)
 
 
 def _row_values(line_no: int, tokens, convert, width: int, bad_token: str, bad_width: str):
@@ -131,20 +142,20 @@ def _row_values(line_no: int, tokens, convert, width: int, bad_token: str, bad_w
 _BLOCK_TOKENS = 1 << 14
 
 
-def read_int_rows(text: str, after: int, width: int, bad_token: str, bad_width: str):
+def read_int_rows(text: str, after: int, width: int, bad_token: str, bad_width: str, lines):
     """The content lines of text after line `after` as one (count, width)
     int64 array, each token the value int() reads.  numpy's C row reader
-    parses the raw lines of _split_lines, so the line breaks are those of
-    content_lines.  Whatever it refuses or warns of (numpy 1.24-1.26 reads
-    "1.0" as 1 with only a DeprecationWarning), an empty body and a width
-    other than width are read again line by line: the first bad line raises
+    parses lines, the raw lines of _split_lines after line `after` not yet
+    read (read_int_header's), so the line breaks are those of content_lines.
+    Whatever it refuses or warns of (numpy 1.24-1.26 reads "1.0" as 1 with
+    only a DeprecationWarning), an empty body and a width other than width
+    are read again line by line from text: the first bad line raises
     the ParseError of _row_values, or IntRangeError if it holds an integer
     beyond 64 bits, and tokens that only int() accepts ("1_0") keep their value."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(itertools.islice(_split_lines(text), after, None),
-                              dtype=np.int64, comments="#", ndmin=2)
+            rows = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
         if rows.shape[1] == width:
             return rows
     except Exception:

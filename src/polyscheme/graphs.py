@@ -17,8 +17,7 @@ from .errors import (
     IntRangeError,
     MethodsDisagreeError,
     ParseError,
-    content_lines,
-    read_header,
+    read_int_header,
     read_int_rows,
 )
 from .numerics import (
@@ -48,21 +47,39 @@ class Graph:
     def from_edges(n: int, edges) -> "Graph":
         """The graph of the (u, v) pairs in edges.  The first offending
         pair in their order is named: one out of range, a self-loop, or a
-        repeat of an earlier pair in either orientation."""
+        repeat of an earlier pair in either orientation.
+
+        When every pair is in range and no self-loop, and n^2 <= 16 m (so a
+        bool per key is no larger than the m pairs as int64), the keys
+        lo*n + hi are marked in a table of all n^2; m marks mean no repeat,
+        and the marked keys in order are the sorted edges.  Any other input
+        is sorted to find the first offender."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
         # lo*n + hi is one to one on pairs in range; a pair out of range that
         # shares a key is named as out of range, or before the pair it shares.
-        key, first = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1), return_index=True)
+        key = lo * n + hi
+        if n * n <= 16 * len(pairs) and lo.min() >= 0 and hi.max() < n and (lo < hi).all():
+            seen = np.zeros(n * n, dtype=bool)
+            seen[key] = True
+            if np.count_nonzero(seen) == len(pairs):
+                return Graph._canonical(n, np.flatnonzero(seen))
+        outside = (lo < 0) | (hi >= n)
+        key, first = np.unique(key, return_index=True)
         repeat = np.bincount(first, minlength=len(pairs)) == 0
-        bad = np.flatnonzero(outside | (pairs[:, 0] == pairs[:, 1]) | repeat)
+        bad = np.flatnonzero(outside | (lo == hi) | repeat)
         if bad.size:
             u, v = pairs[bad[0]].tolist()
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}" if outside[bad[0]]
                              else f"self-loop at vertex {u}" if u == v
                              else f"duplicate edge ({u}, {v})")
+        return Graph._canonical(n, key)
+
+    @staticmethod
+    def _canonical(n: int, key: np.ndarray) -> "Graph":
+        """The graph of the sorted distinct keys lo*n + hi."""
         canonical = np.column_stack(np.divmod(key, n))
         canonical.setflags(write=False)
         return Graph(n, canonical)
@@ -267,57 +284,112 @@ def k_factor_fraction(spectrum: EigenClusters, i: int) -> Fraction | None:
     return Fraction(-l0, li)
 
 
+# Floats per temporary of the one-pass far read (8 MB).
+_FAR_FLOATS = 1 << 20
+
+
+def _far_entries(family: ProjectorFamily, far: np.ndarray):
+    """Yield (i, rows): rows[j] holds E_(i+j) at every pair x*n + y of far,
+    for the nontrivial projectors in order.
+
+    Cost rule: forming the s projectors makes s*n^2 memory passes, while
+    reading every far pair off the eigenvector blocks takes |far|*n
+    multiply-adds, since U_1..U_s hold n - 1 columns together.  So when
+    |far|*n < s*n^2 the blocks are read in one pass: with V the blocks
+    side by side, E_i[x, y] = U_i[x].U_i[y] for every i at once is
+    np.add.reduceat of V[x]*V[y] at the blocks' first columns.  Projectors
+    go in groups whose far entries fill about _FAR_FLOATS floats, and far
+    pairs in chunks whose products do.  Otherwise each E_i is formed with
+    one product and read at far."""
+    n, s = family.n, family.spectrum.s
+    if len(far) >= s * n:
+        for i in range(1, s + 1):
+            yield i, family.projector(i).reshape(1, -1)[:, far]
+        return
+    x, y = np.divmod(far, n)
+    group = max(1, _FAR_FLOATS // len(far))
+    for i in range(1, s + 1, group):
+        blocks = family.blocks[i:i + group]
+        v = np.concatenate(blocks, axis=1)
+        starts = np.cumsum([0] + [u.shape[1] for u in blocks[:-1]])
+        rows = np.empty((len(blocks), len(far)))
+        step = max(1, _FAR_FLOATS // v.shape[1])
+        for a in range(0, len(far), step):
+            part = slice(a, a + step)
+            rows[:, part] = np.add.reduceat(v[x[part]] * v[y[part]], starts, axis=1).T
+        yield i, rows
+
+
 def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
     """Compare every distance-d entry of each nontrivial projector with the
-    forced value -K_i/n, forming one projector at a time.
+    forced value -K_i/n, reading the entries with _far_entries.
 
     With exactly d + 1 eigenvalues the same entries are also checked against
     the geodesic counts: on a distance-d pair every A^t with t < d vanishes,
     so the Lagrange form of E_i gives E_i[x, y] * L_i = (A^d)[x, y], the
     number of x-y geodesics.  K_i and L_i are read off one vector of
-    lagrange_denominators.  The count route's entry differing from the
-    projector's by more than tol is a MethodsDisagreeError.  The comparison
-    is on the entry scale, like the forced-entry check: L_i multiplies d
-    eigenvalue gaps, some small, so relative to the counts it carries
-    errors near 1e-9 at n = 1001.
+    lagrange_denominators.  At i = 0, E_0 = J/n makes every distance-d
+    pair have exactly L_0/n geodesics (Hoffman 1963); L_0/n is rounded to
+    an integer and compared exactly, before any projector is read.  For
+    i >= 1, the count route's entry differing from the projector's by more
+    than tol is a MethodsDisagreeError.  The comparison is on the entry
+    scale, like the forced-entry check: L_i multiplies d eigenvalue gaps,
+    some small, so relative to the counts it carries errors near 1e-9 at
+    n = 1001.
 
-    Returns per-index expectations, the worst deviation with its witness,
-    the least number of distance-d pairs in a row, and the worst identity
-    deviation (None when the identity does not apply).
+    Returns per-index expectations, the worst deviation with its witness
+    (the first projector with it, at its first far pair), the least number
+    of distance-d pairs in a row, and the worst identity deviation (None
+    when the identity does not apply).
     """
     spectrum = family.spectrum
     n, d = family.n, dd.diameter
     sign, log = lagrange = lagrange_denominators(spectrum.values)
     far = np.flatnonzero(dd.relation(d))
     paths = dd.geodesics.reshape(-1)[far] if spectrum.s == d else None
+    identity = None
+    if paths is not None:
+        l0 = sign[0] * math.exp(log[0])
+        hoffman = round(l0 / n)
+        if (wrong := np.flatnonzero(paths != hoffman)).size:
+            x, y = divmod(int(far[wrong[0]]), n)
+            count = float(paths[wrong[0]])
+            raise MethodsDisagreeError(
+                f"entry ({x}, {y}) of projector 0 is 1/{n}, but its {count:.17g} geodesics "
+                f"give {count / l0!r}; every distance-{d} pair needs L_0/n = {hoffman}")
+        identity = 0.0
+        scale = np.array([sign[i] * math.exp(log[i]) for i in range(1, spectrum.s + 1)])
     expected = []
-    worst = 0.0
-    witness = None
-    identity = None if paths is None else 0.0
     for i, ki in enumerate(k_factors(lagrange), 1):
-        want = -ki / n
         frac = k_factor_fraction(spectrum, i)
         expected.append({
             "projector": i,
-            "value": want,
+            "value": -ki / n,
             "exact": str(-frac / n) if frac is not None else None,
         })
-        entries = family.projector(i).reshape(-1)[far]
-        gaps = np.abs(entries - want)
-        local = float(gaps.max())
-        if local > worst:
-            worst = local
-            witness = [*divmod(int(far[np.argmax(gaps >= local)]), n), i]
+    want = np.array([e["value"] for e in expected])
+    worst = 0.0
+    witness = None
+    for i, rows in _far_entries(family, far):
+        span = slice(i - 1, i - 1 + len(rows))
+        gaps = np.abs(rows - want[span, None])
+        local = gaps.max(axis=1)
+        j = int(np.argmax(local))
+        if local[j] > worst:
+            worst = float(local[j])
+            witness = [*divmod(int(far[np.argmax(gaps[j])]), n), i + j]
         if paths is not None:
-            counted = paths / (sign[i] * math.exp(log[i]))
-            gaps = np.abs(entries - counted)
-            at = int(np.argmax(gaps))
-            identity = max(identity, float(gaps[at]))
+            counted = paths / scale[span, None]
+            gaps = np.abs(rows - counted)
+            local = gaps.max(axis=1)
+            identity = max(identity, float(local.max()))
             if identity > tol:
+                j = int(np.argmax(local > tol))
+                at = int(np.argmax(gaps[j]))
                 x, y = divmod(int(far[at]), n)
                 raise MethodsDisagreeError(
-                    f"entry ({x}, {y}) of projector {i} is {float(entries[at])!r}, but its "
-                    f"{paths[at]:.17g} geodesics give {float(counted[at])!r}")
+                    f"entry ({x}, {y}) of projector {i + j} is {float(rows[j, at])!r}, but its "
+                    f"{paths[at]:.17g} geodesics give {float(counted[j, at])!r}")
     return expected, worst, witness, int(np.bincount(far // n, minlength=n).min()), identity
 
 
@@ -472,10 +544,10 @@ def parse_edge_list(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> Gra
     """The graph of an edge list: a header "n m", then m lines "u v" of
     0-based vertices.  n above max_dense is refused before any row is read."""
     bad = "expected two integers, got {row!r}"
-    header_line, (n, m) = read_header(content_lines(text), "empty edge-list file", 2, bad, bad)
+    header_line, (n, m), lines = read_int_header(text, "empty edge-list file", 2, bad, bad)
     check_dense_limit(n, max_dense)
     try:
-        edges = read_int_rows(text, header_line, 2, bad, bad)
+        edges = read_int_rows(text, header_line, 2, bad, bad, lines)
     except IntRangeError as exc:
         raise ParseError(0, "edge ({}, {}) out of range for n={}".format(*exc.values, n)) from None
     if len(edges) != m:

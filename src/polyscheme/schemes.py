@@ -22,7 +22,7 @@ from .errors import (
     SchemeAxiomError,
     ToleranceAmbiguityError,
     content_lines,
-    read_header,
+    read_int_header,
     read_int_rows,
 )
 from .graphs import DistanceData
@@ -372,11 +372,12 @@ def parametric_parameters(
 def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> RelationPartition:
     """The partition of a relation matrix: a header "n d", then n rows of n
     labels.  n above max_dense is refused before any row is read."""
-    header_line, (n, d) = read_header(content_lines(text), "empty relation-matrix file", 2,
-                                      "expected integers, got {row!r}", "header must be 'n d'")
+    header_line, (n, d), lines = read_int_header(
+        text, "empty relation-matrix file", 2, "expected integers, got {row!r}",
+        "header must be 'n d'")
     check_dense_limit(n, max_dense)
     labels = read_int_rows(text, header_line, n, "expected integers, got {row!r}",
-                           f"expected {n} labels, got {{count}}")
+                           f"expected {n} labels, got {{count}}", lines)
     if len(labels) != n:
         raise ParseError(0, f"header declares {n} rows but {len(labels)} found")
     try:
@@ -394,12 +395,12 @@ def format_relation_matrix(rel: RelationPartition) -> str:
 def parse_intersection_tensor(text: str):
     """(p, n) from an intersection tensor: a header "n d", then one line
     "i j k value" per nonzero p[i, j, k], each triple at most once."""
-    header_line, (n, d) = read_header(content_lines(text), "empty tensor file", 2,
-                                      "expected integers, got {row!r}", "header must be 'n d'")
+    header_line, (n, d), lines = read_int_header(
+        text, "empty tensor file", 2, "expected integers, got {row!r}", "header must be 'n d'")
     if d < 1:
         raise ParseError(header_line, "schemes need at least one class besides the identity")
     entries = read_int_rows(text, header_line, 4, "expected integers, got {row!r}",
-                            "tensor entries are 'i j k value'")
+                            "tensor entries are 'i j k value'", lines)
     ijk = entries[:, :3]
     outside = ((ijk < 0) | (ijk > d)).any(axis=1)
     # A stable sort keeps equal triples in file order: all but the first repeat.

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import fail_after_header
-from polyscheme import graphs, numerics, schemes, spherical
+from polyscheme import cli, graphs, numerics, schemes, spherical
 from polyscheme.cli import main
 from polyscheme.reports import reports_from_json
 from polyscheme.spherical import format_gram_matrix
@@ -642,3 +642,51 @@ class TestScan:
         code, _, err = run(capsys, "scan", "cycle9", "3..5")
         assert code == 2
         assert err.startswith("error: unknown scan family")
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one main call; argparse's own exits
+    (usage errors, --help) give ("exit", code)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_a_mixed_sequence_of_calls(capsys, petersen_edges, petersen_rel,
+                                                     pentagon_gram):
+    calls = [
+        ["analyze-graph", "--tol", "1e-6", "--json", str(petersen_edges)],
+        ["analyze-scheme", "--max-dense", "100", str(petersen_rel)],
+        ["analyze-gram", "--route", "schur", "--json", str(pentagon_gram)],
+        ["analyze-graph", "--json", str(petersen_edges)],
+        ["analyze-gram", str(pentagon_gram)],
+        ["analyze-graph"],
+        ["analyze-scheme", "--help"],
+    ]
+    parser = cli.build_parser()
+    reused = [outcome(capsys, argv) for argv in calls]
+    assert cli.build_parser() is parser
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert reused == fresh
+    # The omitted --tol is the default again, not the earlier call's.
+    assert json.loads(reused[3][1])["tolerance"] == numerics.DEFAULT_TOL
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, ("exit", 2), ("exit", 0)]
+    assert reused[6][1].startswith("usage: polyscheme analyze-scheme")
+
+
+def test_a_fresh_process_builds_the_parser_once(petersen_edges):
+    script = ("import sys; from polyscheme import cli\n"
+              "for argv in (['bounds', 'moore', '3', '2'], ['analyze-graph', sys.argv[1]],\n"
+              "             ['bounds', 'absolute', '3', '1..2']):\n"
+              "    cli.main(argv)\n"
+              "print(cli.build_parser.cache_info().misses)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script, str(petersen_edges)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "1"

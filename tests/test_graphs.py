@@ -10,7 +10,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -107,6 +107,84 @@ def test_from_edges_matches_the_per_edge_checks(n, edges):
         for u, v in want:
             adj[u, v] = adj[v, u] = 1.0
         assert np.array_equal(g.adjacency_matrix(), adj)
+
+
+def from_edges_by_sort(n, edges):
+    """Oracle for Graph.from_edges: its sort path alone, which finds the
+    first offender among sorted keys.  Returns the sorted pairs or the
+    error message."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    key, first = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1), return_index=True)
+    repeat = np.bincount(first, minlength=len(pairs)) == 0
+    bad = np.flatnonzero(outside | (pairs[:, 0] == pairs[:, 1]) | repeat)
+    if bad.size:
+        u, v = pairs[bad[0]].tolist()
+        return (f"edge ({u}, {v}) out of range for n={n}" if outside[bad[0]]
+                else f"self-loop at vertex {u}" if u == v else f"duplicate edge ({u}, {v})")
+    return [tuple(e) for e in np.column_stack(np.divmod(key, n)).tolist()]
+
+
+@st.composite
+def edge_lists(draw):
+    """n and a list of distinct pairs, each in either orientation, with up
+    to two faults inserted anywhere: a repeat in either orientation, a
+    self-loop, or a vertex out of range.  The edge counts straddle
+    n^2 = 16 m, where Graph.from_edges switches to its table."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    vertex = st.integers(0, n - 1)
+    for fault in draw(st.lists(st.sampled_from(["repeat", "self-loop", "below", "above"]),
+                               max_size=2)):
+        if fault == "repeat" and edges:
+            u, v = edges[draw(st.integers(0, len(edges) - 1))]
+            pair = (v, u) if draw(st.booleans()) else (u, v)
+        elif fault == "self-loop":
+            w = draw(vertex)
+            pair = (w, w)
+        else:
+            pair = (draw(vertex), -1 if fault == "below" else n + draw(st.integers(0, 2)))
+            pair = pair[::-1] if draw(st.booleans()) else pair
+        edges.insert(draw(st.integers(0, len(edges))), pair)
+    return n, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_lists())
+@example((4, [(1, 0)]))
+@example((8, [(0, 1), (3, 2), (4, 5), (7, 6)]))
+@example((8, [(0, 1), (3, 2), (4, 5), (1, 0)]))
+@example((8, [(0, 1), (3, 2), (5, 5), (7, 6)]))
+@example((8, [(0, 1), (3, 2), (4, 8), (7, 6)]))
+@example((8, [(0, 1), (3, 2), (4, 5)]))
+@example((12, [(u, u + 1) for u in range(0, 12, 2)] + [(1, 2), (5, 6), (9, 10)]))
+def test_from_edges_table_matches_the_sort(case):
+    n, edges = case
+    want = from_edges_by_sort(n, edges)
+    assert want == from_edges_reference(n, edges)
+    try:
+        g = Graph.from_edges(n, edges)
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert [tuple(e) for e in g.edges.tolist()] == want
+        assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+
+
+def test_from_edges_marks_a_table_from_n_squared_equal_16_m(monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the keys were sorted")
+
+    monkeypatch.setattr(np, "unique", no_sort)
+    g = Graph.from_edges(8, [(0, 1), (3, 2), (4, 5), (7, 6)])
+    assert g.edges.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    # Above the bound, and on any fault, the keys are sorted.
+    for edges in ([(0, 1), (3, 2), (4, 5)], [(0, 1), (3, 2), (4, 5), (1, 0)],
+                  [(0, 1), (3, 2), (4, 4), (7, 6)], [(0, 1), (3, 2), (4, 8), (7, 6)]):
+        with pytest.raises(AssertionError, match="sorted"):
+            Graph.from_edges(8, edges)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_SPECS))
@@ -597,3 +675,175 @@ def test_relabelling_leaves_the_reports_unchanged(name, rnd):
     for ra, rb in zip(a.reports, b.reports):
         assert (ra.theorem, ra.status) == (rb.theorem, rb.status)
         assert same_evidence(ra.evidence, rb.evidence)
+
+
+def far_pairs(g: Graph) -> np.ndarray:
+    dd = distance_data(g)
+    return np.flatnonzero(dd.relation(dd.diameter))
+
+
+def far_read_matches_oracle(read, family, far) -> bool:
+    """Whether read(family, far), yielding (i, rows) as graphs._far_entries
+    does, gives every nontrivial projector's entry at every far pair within
+    1e-15 of the dense projector U_i U_i^T read there, and nothing else."""
+    oracle = np.array([(u @ u.T).reshape(-1)[far] for u in family.blocks[1:]])
+    got = np.full_like(oracle, np.nan)
+    for i, rows in read(family, far):
+        block = got[i - 1:i - 1 + len(rows)]
+        if rows.shape != block.shape or not np.isnan(block).all():
+            return False
+        block[...] = rows
+    return bool(np.all(np.abs(got - oracle) <= 1e-15))
+
+
+# Graphs whose far pairs take the one-pass read: |far| < s n.
+FAR_READ_GRAPHS = {"cube", "cycle6"}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_SPECS))
+@pytest.mark.parametrize("floats", [None, 7])
+def test_far_read_matches_the_dense_projectors(name, floats, monkeypatch):
+    # floats = 7 reads in groups of one projector and chunks of a few pairs.
+    if floats is not None:
+        monkeypatch.setattr(graphs, "_FAR_FLOATS", floats)
+    g = catalog_graph(name)
+    family, far = spectral_projectors(g), far_pairs(g)
+    formed = []
+    monkeypatch.setattr(graphs.ProjectorFamily, "projector",
+                        lambda self, i: formed.append(i) or (self.blocks[i] @ self.blocks[i].T))
+    assert far_read_matches_oracle(graphs._far_entries, family, far)
+    s = family.spectrum.s
+    assert formed == ([] if name in FAR_READ_GRAPHS else list(range(1, s + 1)))
+    assert (len(far) < s * g.n) == (name in FAR_READ_GRAPHS)
+
+
+@st.composite
+def connected_regular_graphs(draw):
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k + 1, 40).filter(lambda n: n * k % 2 == 0))
+    h = nx.random_regular_graph(k, n, seed=draw(st.integers(0, 2 ** 16)))
+    assume(nx.is_connected(h))
+    return from_networkx(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_regular_graphs(), st.sampled_from([None, 5, 300]))
+def test_far_read_matches_the_dense_projectors_on_random_regular_graphs(g, floats):
+    family, far = spectral_projectors(g), far_pairs(g)
+    saved = graphs._FAR_FLOATS
+    if floats is not None:
+        graphs._FAR_FLOATS = floats
+    try:
+        assert far_read_matches_oracle(graphs._far_entries, family, far)
+    finally:
+        graphs._FAR_FLOATS = saved
+
+
+@pytest.mark.parametrize("k, n, seed", [(3, 20, 2), (4, 30, 4), (5, 24, 5)])
+def test_far_read_oracle_catches_a_dropped_pair(k, n, seed):
+    g = from_networkx(nx.random_regular_graph(k, n, seed=seed))
+    family, far = spectral_projectors(g), far_pairs(g)
+    assert len(far) < family.spectrum.s * g.n
+    assert far_read_matches_oracle(graphs._far_entries, family, far)
+
+    def dropped(family, far):
+        return graphs._far_entries(family, far[1:])
+
+    def replaced(family, far):
+        # Pair 0 is left out of the read; its slot reads pair 1 again.
+        return graphs._far_entries(family, np.concatenate([far[1:2], far[1:]]))
+
+    assert not far_read_matches_oracle(dropped, family, far)
+    assert not far_read_matches_oracle(replaced, family, far)
+
+
+def test_far_read_on_long_cycles_reports_as_the_dense_read(monkeypatch):
+    # The one-pass read and the projector-by-projector read give the same
+    # reports, up to the rounding of the two deviations.
+    g = cycle(101)
+    fast = analyze_graph(g).reports
+    monkeypatch.setattr(graphs, "_far_entries", lambda family, far: (
+        (i, family.projector(i).reshape(1, -1)[:, far])
+        for i in range(1, family.spectrum.s + 1)))
+    dense = analyze_graph(g).reports
+    for a, b in zip(fast, dense):
+        assert (a.status, a.evidence.keys()) == (b.status, b.evidence.keys())
+        for key, value in a.evidence.items():
+            if key in ("max_deviation", "geodesic_deviation"):
+                assert abs(value - b.evidence[key]) <= 1e-15
+            elif key != "summary":
+                assert value == b.evidence[key], key
+
+
+# Geodesics between two vertices at distance d, where s = d.
+HOFFMAN_COUNTS = {"complete4": 1, "cube": 6, "cycle5": 1, "cycle6": 2, "hoffman-singleton": 1,
+                  "paley13": 3, "petersen": 1, "triangular5": 4}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_SPECS))
+def test_hoffman_count_of_the_catalog(name):
+    # Every distance-d pair has L_0/n geodesics (Hoffman 1963).
+    g = catalog_graph(name)
+    dd = distance_data(g)
+    spectrum = spectral_projectors(g).spectrum
+    assert spectrum.s == dd.diameter
+    sign, log = lagrange_denominators(spectrum.values)
+    assert round(sign[0] * math.exp(log[0]) / g.n) == HOFFMAN_COUNTS[name]
+    assert set(dd.geodesics[dd.relation(dd.diameter)].tolist()) == {HOFFMAN_COUNTS[name]}
+    assert analyze_graph(g).reports[0].status == "pass"
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_SPECS))
+def test_one_wrong_geodesic_count_is_refused_by_hoffmans_count(name, monkeypatch):
+    g = catalog_graph(name)
+    dd = distance_data(g)
+    x, y = np.argwhere(dd.relation(dd.diameter))[-1].tolist()
+
+    def one_more(g, dd):
+        paths = dd.geodesics.copy()
+        paths[x, y] += 1
+        return paths
+
+    _mutated_distances(monkeypatch, one_more)
+    count = HOFFMAN_COUNTS[name]
+    with pytest.raises(MethodsDisagreeError) as info:
+        analyze_graph(g)
+    assert re.fullmatch(rf"entry \({x}, {y}\) of projector 0 is 1/{g.n}, but its {count + 1} "
+                        rf"geodesics give \S+; every distance-{dd.diameter} pair needs "
+                        rf"L_0/n = {count}", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_scan_witness_is_the_first_projector_and_pair_with_the_worst_gap(split, monkeypatch):
+    # Synthetic entries: gap 1 at projector 1, pair 3 and at projector 2,
+    # pairs 3 and 5.  The identity does not apply (s > d), so only the
+    # forced check reads them, in one block or split after projector 1.
+    g = from_networkx(nx.random_regular_graph(3, 20, seed=2))
+    family, far = spectral_projectors(g), far_pairs(g)
+    dd = distance_data(g)
+    assert family.spectrum.s > dd.diameter
+    want = -np.array(k_factors(lagrange_denominators(family.spectrum.values))) / g.n
+    rows = np.repeat(want[:, None], len(far), axis=1)
+    rows[0, 3] += 1.0
+    rows[1, [3, 5]] -= 1.0
+    blocks = [(1, rows[:1]), (2, rows[1:])] if split else [(1, rows)]
+    monkeypatch.setattr(graphs, "_far_entries", lambda family, far: iter(blocks))
+    _, worst, witness, _, identity = graphs._forced_entry_scan(family, dd, 1e-9)
+    assert worst == 1.0 and identity is None
+    assert witness == [*divmod(int(far[3]), g.n), 1]
+
+
+def test_identity_refusal_names_the_first_failing_projector(monkeypatch):
+    # Entries from the counts, off by 1e-3 at projector 3, pair 4 and by
+    # 1e-2 at projector 5, pair 2: projector 3 is named, at pair 4.
+    g = cycle(15)
+    family, far = spectral_projectors(g), far_pairs(g)
+    dd = distance_data(g)
+    sign, log = lagrange_denominators(family.spectrum.values)
+    rows = dd.geodesics.reshape(-1)[far] / (sign[1:, None] * np.exp(log[1:, None]))
+    rows[2, 4] += 1e-3
+    rows[4, 2] += 1e-2
+    monkeypatch.setattr(graphs, "_far_entries", lambda family, far: iter([(1, rows)]))
+    x, y = divmod(int(far[4]), g.n)
+    with pytest.raises(MethodsDisagreeError, match=rf"^entry \({x}, {y}\) of projector 3 is "):
+        graphs._forced_entry_scan(family, dd, 1e-9)

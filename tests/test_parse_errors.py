@@ -9,6 +9,8 @@ malformed, so reading any row before the refusal would raise a ParseError
 instead.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,7 +214,8 @@ def check_read_rows(token_rows, dtype, width, block):
             assert numbers == [no for no, _ in rows]
         else:
             text = "header\n" + "".join(f"\n{' '.join(tokens)}\n" for _, tokens in rows)
-            values = errors.read_int_rows(text, 1, width, "token {row!r}", "width {count}")
+            values = errors.read_int_rows(text, 1, width, "token {row!r}", "width {count}",
+                                          itertools.islice(errors._split_lines(text), 1, None))
         assert values.shape == (len(rows), width) and values.dtype == dtype
         got = values.view(np.int64).tolist()
     except IntRangeError as exc:
@@ -365,3 +368,24 @@ def test_hostile_whitespace_stays_on_numpy_rows(monkeypatch, parse, text):
     assert not isinstance(want[0], str)
     monkeypatch.setattr(errors, "content_lines", no_reread)
     assert parse_outcome(parse, text) == want
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_edge_list, "# a triangle\n3 3\n0 1\n1 2\n2 0\n"),
+    (parse_relation_matrix, "2 1\n0 1\n1 0\n"),
+    (parse_intersection_tensor, "2 1\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n"),
+])
+def test_accepted_integer_text_is_split_once(monkeypatch, parse, text):
+    # The header and the rows come from one pass of the line splitter.
+    calls = []
+    split = errors._split_lines
+
+    def counted(text):
+        calls.append(text)
+        return split(text)
+
+    want = parse_outcome(parse, text)
+    assert not isinstance(want[0], str)
+    monkeypatch.setattr(errors, "_split_lines", counted)
+    assert parse_outcome(parse, text) == want
+    assert len(calls) == 1

@@ -176,8 +176,8 @@ def cmd_analyze_scheme(args) -> int:
 
 
 def cmd_analyze_gram(args) -> int:
-    m = spherical.parse_gram_matrix(_read(args.path), args.max_dense)
-    sph = spherical.from_gram(m, args.tol, max_dense=None)
+    sph = spherical.from_gram(spherical.parse_gram_matrix(_read(args.path), args.max_dense),
+                              args.tol, max_dense=None)
     rep = spherical.verify_sphere_theorem(sph, route=args.route, declared_d=args.declared_d)
     if args.json:
         _write(reports_to_json([rep], subject=args.path, tolerance=args.tol), args.output)

@@ -144,16 +144,21 @@ def cluster_values(raw, tol: float = DEFAULT_TOL):
     tolerance and raises ToleranceAmbiguityError, as does a chain of
     close values whose total spread exceeds tol.
 
-    Cost: one stable sort plus O(n) array passes, and a Python step per
-    cluster, not per value.
+    Cost: one sort plus O(n) array passes, and a Python step per cluster,
+    not per value.  The order among tied values does not change the sorted
+    sequence, so the sort need not be stable; the NaNs, each its own
+    cluster, are numbered in input order.
     """
     arr = np.asarray(raw, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("cannot cluster an empty value list")
     if not 0 < tol < np.inf:
         raise ValueError("tolerance must be finite and positive")
-    order = np.argsort(-arr, kind="stable")
+    order = np.argsort(-arr)
     svals = arr[order]
+    if np.isnan(svals[-1]):
+        nans = np.count_nonzero(np.isnan(svals))
+        order[-nans:] = np.sort(order[-nans:])
     gaps = svals[:-1] - svals[1:]
     gap = cluster_gap(tol)
     ambiguous = np.flatnonzero((gaps > tol) & (gaps <= gap))
@@ -177,6 +182,7 @@ def cluster_values(raw, tol: float = DEFAULT_TOL):
         )
     values = [float(np.mean(svals[a:b])) for a, b in zip(starts, ends)]
     counts = [int(c) for c in ends - starts]
+    del gaps, svals
     labels = np.empty(arr.size, dtype=int)
     labels[order] = np.concatenate(([0], np.cumsum(split)))
     return values, counts, labels
@@ -268,25 +274,29 @@ def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
 
 
 def eval_matrix_poly(coeffs, m) -> np.ndarray:
-    """Evaluate sum_t coeffs[t] * M^(t) by Horner's rule, where M^(t) is the
-    entrywise power of an array of any shape (degree-0 term all ones).
-    Each step acts entrywise, so a symmetric M gives a symmetric result."""
+    """Evaluate sum_t coeffs[t] * M^(t) by Horner's rule, in place in one
+    buffer, where M^(t) is the entrywise power of an array of any shape
+    (degree-0 term all ones).  Each step acts entrywise, so a symmetric M
+    gives a symmetric result."""
     cs = [float(c) for c in coeffs]
     if not cs:
         raise ValueError("coefficient list must be nonempty")
     acc = np.zeros(np.shape(m))
     for c in reversed(cs):
-        acc = acc * m + c
+        acc *= m
+        acc += c
     return acc
 
 
-def poly_from_roots(roots, scale: float = 1.0) -> list[float]:
-    """Coefficients, constant term first, of scale * prod (x - r)."""
-    coeffs = [1.0]
+def eval_root_product(roots, scale: float, m, out=None, scratch=None) -> np.ndarray:
+    """Evaluate scale * prod_r (M - r) entrywise, for an array M of any
+    shape, into out with one scratch array (each new when None).  The
+    product keeps each factor's rounding, where the expanded coefficients
+    of a high-degree polynomial cancel catastrophically."""
+    out = np.empty(np.shape(m)) if out is None else out
+    scratch = np.empty_like(out) if scratch is None else scratch
+    out.fill(scale)
     for r in roots:
-        nxt = [0.0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] -= r * c
-            nxt[i + 1] += c
-        coeffs = nxt
-    return [scale * c for c in coeffs]
+        np.subtract(m, r, out=scratch)
+        out *= scratch
+    return out

@@ -6,6 +6,7 @@ matrix reach full rank).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -29,12 +30,12 @@ from .numerics import (
     cluster_values,
     eigen_clusters,
     eval_matrix_poly,
+    eval_root_product,
     gram_allowance,
     interpolation_allowance,
     k_factors,
     lagrange_denominators,
     lookup_allowance,
-    poly_from_roots,
     rank_tol,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, TheoremReport
@@ -70,10 +71,11 @@ class SchemeAlgebra:
     P: np.ndarray
     multiplicities: np.ndarray
 
-    def rank(self, coeffs, tol: float) -> int:
-        """Rank of sum_t coeffs[t] G^(t): it is sum_i f(v_i) A_i, whose
-        eigenvalue on eigenspace k is sum_i f(v_i) P[k, i], counted m_k times."""
-        lam = self.P @ eval_matrix_poly(coeffs, self.class_values)
+    def rank(self, values, tol: float) -> int:
+        """Rank of the entrywise polynomial f(G) whose values at
+        class_values are values: it is sum_i f(v_i) A_i, whose eigenvalue
+        on eigenspace k is sum_i f(v_i) P[k, i], counted m_k times."""
+        lam = self.P @ values
         return int(self.multiplicities[np.abs(lam) > tol].sum())
 
     def class_multiplicity(self, c: int, value: float, tol: float) -> int:
@@ -89,9 +91,10 @@ class SphericalSet:
 
     values[0] is the diagonal 1; values[1:] are the clustered distinct
     off-diagonal inner products in decreasing order, all below 1.
-    labels[x, y] indexes values, with 0 exactly on the diagonal.  gram is
-    read-only and exactly symmetric.  algebra is set on a sphere built
-    from a scheme eigenspace, and None on a standalone Gram.
+    labels[x, y] indexes values, with 0 exactly on the diagonal, in the
+    smallest unsigned dtype that holds s.  gram and labels are read-only
+    and exactly symmetric.  algebra is set on a sphere built from a scheme
+    eigenspace, and None on a standalone Gram.
     """
 
     gram: np.ndarray
@@ -110,11 +113,12 @@ class SphericalSet:
         """Number of distinct off-diagonal inner products."""
         return len(self.values) - 1
 
-    def distance_class(self, i: int) -> np.ndarray:
-        """0/1 adjacency matrix of the pairs with inner product values[i]."""
+    def distance_class(self, i: int, out=None) -> np.ndarray:
+        """0/1 adjacency matrix of the pairs with inner product values[i],
+        as floats, written into out when given."""
         if not 1 <= i <= self.s:
             raise ValueError(f"class {i} outside 1..{self.s}")
-        return (self.labels == i).astype(float)
+        return np.equal(self.labels, i, out=np.empty(self.labels.shape) if out is None else out)
 
 
 def from_gram(
@@ -131,7 +135,8 @@ def from_gram(
     trust it and check no limit again.  Requires no eigenvalue below
     -gram_allowance(tol, n), which also bounds those the dimension counts
     as zero, and no off-diagonal value at 1 (repeated points).  The number
-    of distinct inner products is decided by clustering at tol.
+    of distinct inner products is decided by clustering the strict upper
+    triangle at tol; the lower one mirrors it.
     """
     src = np.asarray(m, dtype=float)
     if src.ndim != 2 or src.shape[0] != src.shape[1]:
@@ -154,15 +159,18 @@ def from_gram(
     allowance = gram_allowance(tol, n)
     if wmin < -allowance:
         raise GramError(f"not positive semidefinite: least eigenvalue {wmin:.3g} < -{allowance:.3g}")
-    labels = np.zeros((n, n), dtype=int)
-    off = ~np.eye(n, dtype=bool)
     if n > 1:
-        vals, _, lab = cluster_values(gram[off], tol)
+        upper = ~np.tri(n, dtype=bool)
+        vals, _, lab = cluster_values(gram[upper], tol)
         if vals[0] >= 1.0 - tol:
             raise GramError(f"repeated points: off-diagonal inner product {vals[0]:.6g}")
-        labels[off] = lab + 1
+        labels = np.zeros((n, n), dtype=np.min_scalar_type(len(vals)))
+        lab += 1
+        labels[upper] = lab
+        labels += labels.T
         values = (1.0, *vals)
     else:
+        labels = np.zeros((1, 1), dtype=np.uint8)
         values = (1.0,)
     labels.setflags(write=False)
     return SphericalSet(
@@ -210,7 +218,7 @@ def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> Sph
     vals, _, lab = cluster_values(class_values[1:], tol)
     if vals[0] >= 1.0 - tol:
         raise GramError(f"repeated points: off-diagonal inner product {vals[0]:.6g}")
-    classes = np.concatenate(([0], lab + 1))
+    classes = np.concatenate(([0], lab + 1)).astype(np.min_scalar_type(len(vals)))
     np.fill_diagonal(gram, 1.0)
     gram.setflags(write=False)
     labels = classes[rel.labels]
@@ -238,31 +246,34 @@ def schur_diameter(sph: SphericalSet, seeds=SCHUR_SEEDS) -> int:
     Ranks count eigenvalues above the set's own tolerance.
 
     Tries a few fixed-seed random combinations at each degree t from
-    schur_floor(sph) to s.  At t = s it also tries the annihilator
-    prod (x - v) of the off-diagonal values v, which on the unit-diagonal
-    Gram matrix is a positive multiple of the identity (Delsarte-Goethals-
-    Seidel), so no degree above s is searched.
+    schur_floor(sph) to s.  At t = s it also tries the normalized
+    annihilator prod (x - v)/(1 - v) of the off-diagonal values v, in
+    product form, which on the unit-diagonal Gram matrix is the identity
+    (Delsarte-Goethals-Seidel), so no degree above s is searched.
 
     On a standalone Gram each trial's rank is an eigensolve.  On a scheme
-    sphere it is read off P (SchemeAlgebra.rank), and only the first
-    full-rank trial is solved densely, as the certificate: a dense rank
-    below n is a MethodsDisagreeError.
+    sphere it is read off P (SchemeAlgebra.rank) from the trial's values
+    at the class values, and only the first full-rank trial is solved
+    densely, as the certificate: a dense rank below n is a
+    MethodsDisagreeError.
     """
-    tol = sph.tolerance
+    tol, algebra = sph.tolerance, sph.algebra
     for t in range(schur_floor(sph), sph.s + 1):
         trials = []
         for seed in seeds:
             coeffs = np.random.default_rng([seed, t]).standard_normal(t + 1)
-            trials.append(coeffs / np.linalg.norm(coeffs))
+            trials.append(functools.partial(eval_matrix_poly, coeffs / np.linalg.norm(coeffs)))
         if t == sph.s:
-            trials.append(poly_from_roots(sph.values[1:]))
-        for coeffs in trials:
-            if sph.algebra is not None and sph.algebra.rank(coeffs, tol) < sph.n:
+            # 1 / prod (1 - v) = 1 / L_0, positive since every v < 1.
+            scale = math.exp(-lagrange_denominators(sph.values)[1][0])
+            trials.append(functools.partial(eval_root_product, sph.values[1:], scale))
+        for poly in trials:
+            if algebra is not None and algebra.rank(poly(algebra.class_values), tol) < sph.n:
                 continue
-            rank = rank_tol(eval_matrix_poly(coeffs, sph.gram), tol)
+            rank = rank_tol(poly(sph.gram), tol)
             if rank == sph.n:
                 return t
-            if sph.algebra is not None:
+            if algebra is not None:
                 raise MethodsDisagreeError(
                     f"P gives a degree-{t} entrywise polynomial full rank {sph.n}, "
                     f"but its dense eigensolve gives rank {rank}")
@@ -283,10 +294,12 @@ def verify_sphere_theorem(
     with multiplicity at least |X| - N(m, d-1), found within
     lookup_allowance, and the interpolating entrywise polynomial identity
     f*_i(M) = K*_i I + A_i holds to interpolation_allowance, both of the
-    set's own tolerance.  On a scheme sphere each class spectrum is read
-    off P, and class 1's is also solved densely as a cross-check.  A single
-    point (s = 0) has no class to force, so neither route's hypothesis
-    holds.
+    set's own tolerance.  f*_i(x) = prod_{j >= 1, j != i} (x - v_j)/(v_i - v_j)
+    is evaluated in product form into one n x n buffer, from which A_i and
+    K*_i I are subtracted in place.  On a scheme sphere each class spectrum
+    is read off P, and class 1's is also solved densely as a cross-check.
+    A single point (s = 0) has no class to force, so neither route's
+    hypothesis holds.
     """
     theorem = "sphere-eigenvalue"
     tol = sph.tolerance
@@ -324,8 +337,16 @@ def verify_sphere_theorem(
     checks = []
     failures = []
     sign, log = lagrange = lagrange_denominators(sph.values)
+    interp, ai = np.empty((n, n)), np.empty((n, n))
     for i, ki in enumerate(k_factors(lagrange), 1):
-        ai = sph.distance_class(i)
+        # prod_{j >= 1, j != i} (v_i - v_j) = L_i / (v_i - 1).
+        scale = (sph.values[i] - 1.0) / (sign[i] * math.exp(log[i]))
+        roots = [sph.values[j] for j in range(1, d + 1) if j != i]
+        # ai is the product's scratch array until it holds A_i.
+        eval_root_product(roots, scale, sph.gram, out=interp, scratch=ai)
+        interp.ravel()[:: n + 1] -= ki
+        interp -= sph.distance_class(i, out=ai)
+        resid = float(np.max(np.abs(interp, out=interp)))
         if sph.algebra is None or i == 1:
             mult = eigen_clusters(ai, tol, max_dense=None).multiplicity_of(-ki)
         if sph.algebra is not None:
@@ -336,12 +357,6 @@ def verify_sphere_theorem(
                     f"class 1 has eigenvalue {-ki!r} with multiplicity {read} by P "
                     f"but {mult} by its dense spectrum")
             mult = read
-        # prod_{j >= 1, j != i} (v_i - v_j) = L_i / (v_i - 1).
-        scale = (sph.values[i] - 1.0) / (sign[i] * math.exp(log[i]))
-        roots = [sph.values[j] for j in range(1, d + 1) if j != i]
-        interp = eval_matrix_poly(poly_from_roots(roots, scale), sph.gram)
-        target = ki * np.eye(n) + ai
-        resid = float(np.max(np.abs(interp - target)))
         checks.append({
             "class": i,
             "k_star": ki,

@@ -4,6 +4,7 @@ Objects are built once per session and cached; tests must not mutate them.
 """
 
 import functools
+import math
 from collections import deque, namedtuple
 
 import numpy as np
@@ -17,13 +18,7 @@ from polyscheme.errors import (
     ToleranceAmbiguityError,
 )
 from polyscheme.generators import FamilySpec, build_graph, build_scheme
-from polyscheme.numerics import (
-    DEFAULT_TOL,
-    cluster_values,
-    eval_matrix_poly,
-    poly_from_roots,
-    rank_tol,
-)
+from polyscheme.numerics import DEFAULT_TOL, cluster_values, rank_tol
 from polyscheme.schemes import DEFAULT_SEEDS, eigenmatrices, idempotents, validate_scheme
 from polyscheme.spherical import SCHUR_SEEDS, from_idempotent
 
@@ -176,18 +171,44 @@ def cluster_values_reference(raw, tol):
     return values, counts, labels
 
 
+def poly_from_roots(roots, scale: float = 1.0) -> list[float]:
+    """Coefficients, constant term first, of scale * prod (x - r)."""
+    coeffs = [1.0]
+    for r in roots:
+        nxt = [0.0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] -= r * c
+            nxt[i + 1] += c
+        coeffs = nxt
+    return [scale * c for c in coeffs]
+
+
+def eval_matrix_poly_reference(coeffs, m):
+    """Oracle for numerics.eval_matrix_poly: Horner's rule with a new array
+    per step."""
+    cs = [float(c) for c in coeffs]
+    acc = np.zeros(np.shape(m))
+    for c in reversed(cs):
+        acc = acc * m + c
+    return acc
+
+
 def schur_diameter_reference(sph, seeds=SCHUR_SEEDS):
     """The dense Schur-diameter search from degree 0: every trial of every
-    degree t <= s is one eigensolve of its entrywise polynomial, with ranks
-    at the set's tolerance."""
+    degree t <= s is one eigensolve of its entrywise polynomial, expanded
+    into monomial coefficients, with ranks at the set's tolerance.  The
+    degree-s trial is the normalized annihilator prod (x - v)/(1 - v) of
+    the off-diagonal values v."""
     for t in range(sph.s + 1):
         trials = []
         for seed in seeds:
             coeffs = np.random.default_rng([seed, t]).standard_normal(t + 1)
             trials.append(coeffs / np.linalg.norm(coeffs))
         if t == sph.s:
-            trials.append(poly_from_roots(sph.values[1:]))
-        if any(rank_tol(eval_matrix_poly(c, sph.gram), sph.tolerance) == sph.n for c in trials):
+            roots = sph.values[1:]
+            trials.append(poly_from_roots(roots, 1.0 / math.prod(1.0 - v for v in roots)))
+        if any(rank_tol(eval_matrix_poly_reference(c, sph.gram), sph.tolerance) == sph.n
+               for c in trials):
             return t
     return None
 

@@ -309,6 +309,20 @@ class TestAnalyzeScheme:
         reports, _ = reports_from_json(out)
         assert all(r.ok for r in reports)
 
+    def test_cycle_101_explicit_verdicts_match_the_parametric_route(self, tmp_path, capsys):
+        # Its degree-50 annihilator reaches full rank only once normalized.
+        statuses = {}
+        for form, flags in (("scheme", ()), ("tensor", ("--parametric",))):
+            path = tmp_path / f"c101.{form}"
+            assert main(["gen", "cycle", "101", "--as", form, "-o", str(path)]) == 0
+            capsys.readouterr()
+            code, out, _ = run(capsys, "analyze-scheme", *flags, "--json", str(path))
+            assert code == 0
+            statuses[form] = [(v["kind"], v["base_index"], v["status"])
+                              for v in json.loads(out)["verdicts"]]
+        assert len(statuses["scheme"]) == 300
+        assert statuses["scheme"] == statuses["tensor"]
+
     def test_each_quantity_computed_once(self, petersen_rel, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "polyprops.p_polynomial_ordering", "graphs.distance_data",
                             "graphs.adjacency_distances", "schemes.validate_scheme",

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import catalog_graph, cluster_values_reference, max_abs_diff
+from conftest import (
+    catalog_graph,
+    cluster_values_reference,
+    eval_matrix_poly_reference,
+    max_abs_diff,
+    poly_from_roots,
+)
 from polyscheme.errors import DenseLimitError, ToleranceAmbiguityError
 from polyscheme.numerics import (
     EigenClusters,
@@ -16,9 +22,9 @@ from polyscheme.numerics import (
     cluster_values,
     eigen_clusters,
     eval_matrix_poly,
+    eval_root_product,
     k_factors,
     lagrange_denominators,
-    poly_from_roots,
     rank_tol,
     snap_to_int,
 )
@@ -102,6 +108,18 @@ def stepped_values(draw):
     return draw(st.permutations(raw)), tol
 
 
+def tied_clusters(seed, jitter):
+    """A few hundred values in random order: five clusters, each with 40
+    exact ties and 20 values jittered by up to jitter, +0.0 beside -0.0 in
+    the cluster at 0, and three NaNs."""
+    rng = np.random.default_rng(seed)
+    raw = []
+    for centre in (3.0, 1.0, 0.0, -0.5, -2.0):
+        raw += [centre] * 40 + (centre + rng.uniform(-jitter, jitter, 20)).tolist()
+    raw += [-0.0] * 30 + [NAN] * 3
+    return rng.permutation(raw).tolist()
+
+
 def _clustering(fn, raw, tol):
     try:
         values, counts, labels = fn(raw, tol)
@@ -117,6 +135,9 @@ def _clustering(fn, raw, tol):
 @example(([0.0, 1.5e-9], 1e-9))
 @example(([0.0, 0.8e-9, 1.6e-9, 5.0, 5.0 + 0.7e-9, 5.0 + 1.4e-9, 5.0 + 2.1e-9], 1e-9))
 @example(([1.0, NAN, 1.0 + 5e-10, NAN, -3.0], 1e-9))
+@example((tied_clusters(1, 0.0), 1e-9))
+@example((tied_clusters(2, 3e-10), 1e-9))
+@example((tied_clusters(3, 3e-10), 1e-6))
 def test_cluster_values_matches_reference(case):
     raw, tol = case
     assert _clustering(cluster_values, raw, tol) == _clustering(cluster_values_reference, raw, tol)
@@ -191,6 +212,32 @@ def test_eval_matrix_poly_hadamard():
     # On an array of another shape it is the polynomial at each entry.
     v = np.array([0.5, -1.0, 2.0])
     assert np.array_equal(eval_matrix_poly(coeffs, v), 2.0 - v + 0.5 * v * v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_eval_matrix_poly_matches_the_allocating_horner(coeffs, seed):
+    # Bit for bit, signed zeros, infinities and NaNs included.
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-3, 4)
+    m.ravel()[rng.permutation(42)[:5]] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    with np.errstate(all="ignore"):
+        got = eval_matrix_poly(coeffs, m)
+        want = eval_matrix_poly_reference(coeffs, m)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_eval_root_product_is_the_scaled_product():
+    m = np.array([[0.5, 2.0], [-1.0, 3.25]])
+    roots, scale = [0.5, -1.5, 4.0], 3.0
+    want = np.full((2, 2), scale)
+    for r in roots:
+        want = want * (m - r)
+    assert np.array_equal(eval_root_product(roots, scale, m), want)
+    out, scratch = np.empty((2, 2)), np.empty((2, 2))
+    assert eval_root_product(roots, scale, m, out=out, scratch=scratch) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(eval_root_product([], 2.0, np.arange(3.0)), [2.0, 2.0, 2.0])
 
 
 def test_eval_matrix_poly_rejects():

@@ -1,6 +1,8 @@
 """Tests for spherical few-distance sets and the forced-eigenvalue check."""
 
 import dataclasses
+import functools
+import itertools
 import math
 import tracemalloc
 
@@ -23,12 +25,18 @@ from polyscheme.errors import (
     MethodsDisagreeError,
     ParseError,
     SchurDisconnectedError,
+    ToleranceAmbiguityError,
     content_lines,
 )
+from polyscheme.generators import FamilySpec, build_scheme
 from polyscheme.numerics import (
     DEFAULT_MAX_DENSE,
+    DEFAULT_TOL,
+    cluster_values,
     eigen_clusters,
     eval_matrix_poly,
+    eval_root_product,
+    interpolation_allowance,
     k_factors,
     lagrange_denominators,
     lookup_allowance,
@@ -36,6 +44,7 @@ from polyscheme.numerics import (
 )
 from polyscheme.polyprops import POLYNOMIAL, q_polynomial_ordering
 from polyscheme.reports import HYPOTHESIS_NOT_MET, PASS
+from polyscheme.schemes import eigenmatrices, idempotents, validate_scheme
 from polyscheme.spherical import (
     absolute_bound,
     format_gram_matrix,
@@ -66,16 +75,34 @@ PENTAGON = gram_of(regular_polygon(5))
 SQUARE = gram_of(regular_polygon(4))
 
 
-def johnson2_sphere(v, seed):
-    """Gram matrix of the 2-subsets of a v-set, each mapped to
-    e_a + e_b minus the centroid and normalized, in a random order."""
-    pairs = np.array([(a, b) for a in range(v) for b in range(a + 1, v)])
-    pairs = pairs[np.random.default_rng(seed).permutation(len(pairs))]
-    vecs = np.full((len(pairs), v), -2.0 / v)
-    vecs[np.arange(len(pairs)), pairs[:, 0]] += 1.0
-    vecs[np.arange(len(pairs)), pairs[:, 1]] += 1.0
+def johnson_sphere(v, k, seed):
+    """Gram matrix of the k-subsets of a v-set, each mapped to the sum of
+    its unit vectors minus the centroid and normalized, in a random order."""
+    subsets = np.array(list(itertools.combinations(range(v), k)))
+    subsets = subsets[np.random.default_rng(seed).permutation(len(subsets))]
+    vecs = np.full((len(subsets), v), -k / v)
+    np.put_along_axis(vecs, subsets, 1.0 - k / v, axis=1)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return gram_of(vecs)
+
+
+def labels_reference(gram, tol):
+    """The int64 labels of both triangles: all n(n - 1) off-diagonal
+    entries clustered at once."""
+    n = len(gram)
+    off = ~np.eye(n, dtype=bool)
+    labels = np.zeros((n, n), dtype=int)
+    labels[off] = cluster_values(gram[off], tol)[2] + 1
+    return labels
+
+
+def assert_small_labels(sph, reference):
+    """sph.labels are symmetric, in the smallest unsigned dtype that holds
+    s, and give the same class masks as the int64 reference."""
+    assert sph.labels.dtype == np.min_scalar_type(sph.s) and sph.labels.dtype.kind == "u"
+    assert np.array_equal(sph.labels, sph.labels.T)
+    for i in range(sph.s + 1):
+        assert np.array_equal(sph.labels == i, reference == i)
 
 
 class TestAbsoluteBound:
@@ -164,9 +191,27 @@ class TestFromGram:
             sph.gram[0, 0] = 5.0
         assert from_gram(np.eye(3)).n == 3
 
+    @pytest.mark.parametrize("v, k", [(20, 2), (28, 2), (12, 3), (14, 3)])
+    def test_labels_of_the_upper_triangle_mirror_both(self, v, k):
+        # The sphere workload's Johnson Grams.
+        sph = from_gram(johnson_sphere(v, k, seed=v))
+        assert sph.s == k
+        assert_small_labels(sph, labels_reference(sph.gram, sph.tolerance))
+
+    def test_single_point_labels(self):
+        sph = from_gram(np.eye(1))
+        assert sph.labels.dtype == np.uint8 and sph.labels.tolist() == [[0]]
+
+    def test_spread_message_counts_the_upper_triangle(self):
+        # Inner products 0, 0.008 and 0.016 chain within tol 0.01 but spread
+        # past it; each pair of points is counted once.
+        g = np.array([[1.0, 0.0, 0.008], [0.0, 1.0, 0.016], [0.008, 0.016, 1.0]])
+        with pytest.raises(ToleranceAmbiguityError, match=r"^cluster of 3 values spreads over"):
+            from_gram(g, tol=0.01)
+
 
     def test_johnson_28_2_at_scale(self):
-        gram = johnson2_sphere(28, seed=5)
+        gram = johnson_sphere(28, 2, seed=5)
         sph = from_gram(gram)
         assert sph.n == 378 and sph.dimension == 27
         assert np.allclose(sph.values, (1.0, 6 / 13, -1 / 13), rtol=0, atol=1e-12)
@@ -227,6 +272,17 @@ class TestFromIdempotent:
         # Eigenspace 2 reads its own block, which is untouched.
         assert from_idempotent(scheme.rel, scheme.params, idems, 2).s == 2
 
+    def test_labels_are_small_and_match_the_gram_clustering(self, scheme_case):
+        rel, params = scheme_case.rel, scheme_case.params
+        for j in range(1, params.d + 1):
+            try:
+                sph = from_idempotent(rel, params, scheme_case.idems, j)
+            except GramError:
+                continue
+            reference = labels_reference(sph.gram, sph.tolerance)
+            assert_small_labels(sph, reference)
+            assert_small_labels(from_gram(sph.gram), reference)
+
     @pytest.mark.parametrize("j", [0, 4])
     def test_rejects_out_of_range_eigenspace(self, j):
         scheme = analyzed_scheme("petersen")
@@ -286,7 +342,7 @@ class TestSchurDiameter:
     def test_floor_skips_degrees_without_an_eigensolve(self, monkeypatch):
         # J(28,2) on the sphere of R^27: N(27, 1) = 28 < 378 <= N(27, 2),
         # so degrees 0 and 1 are never tried.
-        sph = from_gram(johnson2_sphere(28, seed=3))
+        sph = from_gram(johnson_sphere(28, 2, seed=3))
         assert schur_floor(sph) == 2
         tried = []
         monkeypatch.setattr(spherical, "eval_matrix_poly",
@@ -335,7 +391,42 @@ def test_algebra_rank_matches_dense_rank(name):
             continue
         for t in range(sph.s + 1):
             coeffs = rng.standard_normal(t + 1)
-            assert sph.algebra.rank(coeffs, 1e-9) == rank_tol(eval_matrix_poly(coeffs, sph.gram))
+            values = eval_matrix_poly(coeffs, sph.algebra.class_values)
+            assert sph.algebra.rank(values, 1e-9) == rank_tol(eval_matrix_poly(coeffs, sph.gram))
+
+
+@functools.cache
+def cycle_101_spheres():
+    """The 50 eigenspace spheres of the distance scheme of C_101: the
+    regular 101-gon, and its images, in the plane."""
+    rel = build_scheme(FamilySpec("cycle", (101,)))
+    params = eigenmatrices(validate_scheme(rel), rel.n)
+    idems = idempotents(rel, params)
+    return [from_idempotent(rel, params, idems, j) for j in range(1, params.d + 1)]
+
+
+def test_normalized_annihilator_reaches_full_rank_at_degree_50():
+    # prod (x - v) over the 50 values is only about 1e-13 at x = 1, below
+    # the rank tolerance; divided by prod (1 - v) it is the identity.
+    sph = cycle_101_spheres()[0]
+    assert sph.s == 50
+    roots = sph.values[1:]
+    scale = 1.0 / math.prod(1.0 - v for v in roots)
+    values = eval_root_product(roots, scale, sph.algebra.class_values)
+    assert sph.algebra.rank(values, sph.tolerance) == 101
+    assert np.max(np.abs(eval_root_product(roots, scale, sph.gram) - np.eye(101))) < 1e-6
+    assert schur_diameter(sph) == 50
+
+
+def test_product_form_degree_49_identities_hold_on_cycle_101():
+    worst = 0.0
+    for sph in cycle_101_spheres():
+        rep = verify_sphere_theorem(sph)
+        assert rep.status == PASS
+        checks = rep.evidence["checks"]
+        assert len(checks) == 50
+        worst = max(worst, *(c["interp_residual"] for c in checks))
+    assert worst <= interpolation_allowance(DEFAULT_TOL)
 
 
 def test_schur_certificate_disagreement_is_an_error():

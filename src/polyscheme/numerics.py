@@ -38,6 +38,12 @@ modules call it and never scale tol by a literal.
                            their class-1 eigenvalue
   krein_allowance          the rounding of a Krein number q_ij^k whose   1e4 eps scale
                            scale is (1/n) sum_u |P[k,u] Q[u,i] Q[u,j]|
+  rank_allowance           the rounding of a dense eigenvalue of an      n eps max |lam|
+                           n x n matrix whose spectrum lam is read
+                           off P
+  determinant_allowance    log|det| of a matrix against the sum of its   tol sum_k m_k / |lam_k|
+                           eigenvalues' logs, read off P: every lam_k,
+                           of multiplicity m_k, moved by tol
 
 Intersection numbers are integers and are compared exactly.  A set
 clustered at a tolerance is checked at that tolerance: EigenClusters and
@@ -50,7 +56,10 @@ rounds at about that scale and a redraw, one n x n eigensolve per seed,
 seldom clusters.  A Gram's PSD test reads gram_allowance, so the rounding
 of its eigensolve does not blame a good Gram.  A Krein number above tol
 but within krein_allowance may be a rounded zero, and the Q detector
-raises ToleranceAmbiguityError for it.
+raises ToleranceAmbiguityError for it; so does the Schur search for a
+full rank read off P whose least eigenvalue is above tol but within
+tol + rank_allowance, which a dense eigensolve may put on either side of
+tol.
 """
 
 from __future__ import annotations
@@ -120,6 +129,19 @@ def krein_allowance(scale):
     1714 eps scale (J(20,5)) and the nonzero ones are at least 5.8e13 eps
     scale."""
     return 1e4 * np.finfo(float).eps * scale
+
+
+def rank_allowance(values, n: int) -> float:
+    """Rounding of the eigenvalues of an n x n matrix whose spectrum is values."""
+    return float(n * eigensolve_rounding(values))
+
+
+def determinant_allowance(values, multiplicities, tol: float) -> float:
+    """Deviation allowed between log|det| of a matrix and the sum of
+    m_k log|values_k| over its distinct eigenvalues values_k, each of
+    multiplicity m_k: the first-order change of that sum when every
+    eigenvalue moves by tol, the resolution at which a rank is read."""
+    return tol * float(np.sum(np.asarray(multiplicities) / np.abs(values)))
 
 
 def check_dense_limit(n: int, max_dense: int | None = DEFAULT_MAX_DENSE) -> None:

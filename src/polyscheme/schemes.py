@@ -41,6 +41,12 @@ from .numerics import (
 
 # Generic-element seeds, tried in turn until one draw is not degenerate.
 DEFAULT_SEEDS = (20839, 61409, 92821, 15137, 48817, 76091)
+# Axiom 4's Freivalds check: a fixed n x FREIVALDS_COLUMNS matrix of
+# integers below 2^FREIVALDS_BITS, so a violation goes unseen with
+# probability at most 2^-60 per (i, j) (Schwartz-Zippel).
+FREIVALDS_SEED = 51787
+FREIVALDS_BITS = 20
+FREIVALDS_COLUMNS = 3
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,12 @@ def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_
     (x, y) in class k (4).  Violations raise SchemeAxiomError carrying the
     offending pairs.  Partitions above max_dense are refused before any of
     that work.
+
+    p is counted at the first pair of each class, and axiom 4 is checked
+    as A_i A_j = sum_k p_ij^k A_k on a fixed random integer matrix
+    (Freivalds 1977), exactly in float64 for n <= 92681.  The first (i, j)
+    that differs is multiplied out densely for its witnesses; a difference
+    the dense product does not confirm is a MethodsDisagreeError.
     """
     check_dense_limit(rel.n, max_dense)
     lab = rel.labels
@@ -131,30 +143,59 @@ def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_
     k = int(present.argmin())
     if k <= d:
         raise SchemeAxiomError(2, f"class {k} is empty", [])
-    # rep[k]: the first pair of class k in row-major order.
+    # rep[k]: the first pair (x_k, y_k) of class k in row-major order.
+    # p[i, j, k] counts the z with label(x_k, z) = i and label(z, y_k) = j.
     rep = np.array([np.argmax(lab.ravel() == k) for k in range(d + 1)])
-    # Counts are at most n, so float64 products of 0/1 matrices are exact.
-    adj = [rel.adjacency(i) for i in range(d + 1)]
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            counts = adj[i] @ adj[j]
-            p_ij = counts.flat[rep]
-            bad = counts != p_ij[lab]
-            if bad.any():
-                # The first class, in order, whose counts vary: its first
-                # pair and its first pair with another count.
-                k = int(lab[bad].min())
-                x1, y1 = (int(v) for v in np.unravel_index(rep[k], lab.shape))
-                x2, y2 = (int(v) for v in np.argwhere(bad & (lab == k))[0])
-                raise SchemeAxiomError(
-                    4,
-                    f"not a scheme: p_{{{i},{j}}}^{{{k}}} differs between pairs "
-                    f"({x1}, {y1}) and ({x2}, {y2}): {int(p_ij[k])} vs {int(counts[x2, y2])}",
-                    [(x1, y1), (x2, y2)])
-            p[i, j] = p_ij
-            p[j, i] = p_ij
+    xs, ys = np.unravel_index(rep, lab.shape)
+    keys = (np.arange(d + 1)[:, None] * (d + 1) + lab[xs]) * (d + 1) + lab[:, ys].T
+    p = np.bincount(keys.ravel(), minlength=(d + 1) ** 3).reshape(d + 1, d + 1, d + 1)
+    p = np.ascontiguousarray(p.transpose(1, 2, 0))
+    # Axiom 4 holds iff A_i A_j = sum_k p_ij^k A_k for all i <= j; both sides
+    # are compared on R, whose integer entries keep every float64 sum exact.
+    # In descending i, A_i [R, B_{i+1} .. B_d] gives B_i = A_i R and the
+    # left sides for j > i, and A_i B_i the one for j = i.  The pairs are
+    # held in row-major order of the upper triangle.
+    w = FREIVALDS_COLUMNS
+    r = np.random.default_rng(FREIVALDS_SEED).integers(0, 2 ** FREIVALDS_BITS, (n, w)).astype(float)
+    iu, ju = np.triu_indices(d + 1)
+    b = np.empty((d + 1, n, w))
+    lhs = np.empty((len(iu), n, w))
+    for i in range(d, -1, -1):
+        a = rel.adjacency(i)
+        prod = a @ np.hstack([r, *b[i + 1:]])
+        b[i] = prod[:, :w]
+        row = i * (d + 1) - i * (i - 1) // 2
+        lhs[row] = a @ b[i]
+        del a
+        lhs[row + 1:row + d + 1 - i] = prod[:, w:].reshape(n, d - i, w).transpose(1, 0, 2)
+    rhs = p[iu, ju] @ b.reshape(d + 1, n * w)
+    differs = np.flatnonzero((lhs.reshape(len(iu), n * w) != rhs).any(axis=1))
+    if differs.size:
+        _axiom_4_witness(rel, rep, int(iu[differs[0]]), int(ju[differs[0]]))
     return p
+
+
+def _axiom_4_witness(rel: RelationPartition, rep: np.ndarray, i: int, j: int) -> None:
+    """Raise the SchemeAxiomError of the pair (i, j), whose counts vary
+    over some class: the first such class, its first pair and its first
+    pair with another count."""
+    lab = rel.labels
+    # Counts are at most n, so float64 products of 0/1 matrices are exact.
+    counts = rel.adjacency(i) @ rel.adjacency(j)
+    p_ij = counts.flat[rep]
+    bad = counts != p_ij[lab]
+    if not bad.any():
+        raise MethodsDisagreeError(
+            f"the Freivalds check refutes A_{i} A_{j} = sum_k p_{{{i},{j}}}^k A_k, "
+            f"but its dense product agrees")
+    k = int(lab[bad].min())
+    x1, y1 = (int(v) for v in np.unravel_index(rep[k], lab.shape))
+    x2, y2 = (int(v) for v in np.argwhere(bad & (lab == k))[0])
+    raise SchemeAxiomError(
+        4,
+        f"not a scheme: p_{{{i},{j}}}^{{{k}}} differs between pairs "
+        f"({x1}, {y1}) and ({x2}, {y2}): {int(p_ij[k])} vs {int(counts[x2, y2])}",
+        [(x1, y1), (x2, y2)])
 
 
 def _eigenspace_order(P: np.ndarray, mults, tol: float) -> list[int]:

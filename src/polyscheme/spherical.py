@@ -19,6 +19,7 @@ from .errors import (
     MethodsDisagreeError,
     ParseError,
     SchurDisconnectedError,
+    ToleranceAmbiguityError,
     content_lines,
     read_header,
     read_rows,
@@ -28,6 +29,7 @@ from .numerics import (
     DEFAULT_TOL,
     check_dense_limit,
     cluster_values,
+    determinant_allowance,
     eigen_clusters,
     eval_matrix_poly,
     eval_root_product,
@@ -36,6 +38,7 @@ from .numerics import (
     k_factors,
     lagrange_denominators,
     lookup_allowance,
+    rank_allowance,
     rank_tol,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, TheoremReport
@@ -74,9 +77,32 @@ class SchemeAlgebra:
     def rank(self, values, tol: float) -> int:
         """Rank of the entrywise polynomial f(G) whose values at
         class_values are values: it is sum_i f(v_i) A_i, whose eigenvalue
-        on eigenspace k is sum_i f(v_i) P[k, i], counted m_k times."""
+        on eigenspace k is sum_i f(v_i) P[k, i], counted m_k times.  A
+        full rank whose least eigenvalue is above tol but within its
+        rank_allowance of it, where a dense eigensolve may read a rank
+        below n, is a ToleranceAmbiguityError."""
+        lam = np.abs(self.P @ values)
+        least = float(lam.min())
+        allowance = rank_allowance(lam, int(self.multiplicities.sum()))
+        if tol < least <= tol + allowance:
+            raise ToleranceAmbiguityError(
+                f"eigenvalue {least!r} of an entrywise polynomial, read off P, is above tol "
+                f"{tol!r} but within its rounding allowance {allowance!r}; adjust the tolerance")
+        return int(self.multiplicities[lam > tol].sum())
+
+    def certifies(self, values, dense, tol: float) -> bool:
+        """Whether dense, the n x n matrix of the entrywise polynomial whose
+        values at class_values are values, has the determinant P gives,
+        prod_k lam_k^{m_k} with every |lam_k| > tol: the sign exactly, and
+        log|det| within determinant_allowance."""
         lam = self.P @ values
-        return int(self.multiplicities[np.abs(lam) > tol].sum())
+        if not np.all(np.abs(lam) > tol):
+            return False
+        sign, logdet = np.linalg.slogdet(dense)
+        m = self.multiplicities
+        return bool(sign == (-1.0) ** int(m[lam < 0].sum())
+                    and abs(logdet - float(m @ np.log(np.abs(lam))))
+                    <= determinant_allowance(lam, m, tol))
 
     def class_multiplicity(self, c: int, value: float, tol: float) -> int:
         """Multiplicity of value, within tol, in the spectrum of the sphere
@@ -253,9 +279,10 @@ def schur_diameter(sph: SphericalSet, seeds=SCHUR_SEEDS) -> int:
 
     On a standalone Gram each trial's rank is an eigensolve.  On a scheme
     sphere it is read off P (SchemeAlgebra.rank) from the trial's values
-    at the class values, and only the first full-rank trial is solved
-    densely, as the certificate: a dense rank below n is a
-    MethodsDisagreeError.
+    at the class values, and only the first full-rank trial is formed
+    densely, as the certificate: its determinant must be the one P gives
+    (SchemeAlgebra.certifies).  Failing that, its dense eigensolve decides,
+    and a dense rank below n is a MethodsDisagreeError.
     """
     tol, algebra = sph.tolerance, sph.algebra
     for t in range(schur_floor(sph), sph.s + 1):
@@ -268,9 +295,13 @@ def schur_diameter(sph: SphericalSet, seeds=SCHUR_SEEDS) -> int:
             scale = math.exp(-lagrange_denominators(sph.values)[1][0])
             trials.append(functools.partial(eval_root_product, sph.values[1:], scale))
         for poly in trials:
-            if algebra is not None and algebra.rank(poly(algebra.class_values), tol) < sph.n:
+            values = None if algebra is None else poly(algebra.class_values)
+            if values is not None and algebra.rank(values, tol) < sph.n:
                 continue
-            rank = rank_tol(poly(sph.gram), tol)
+            dense = poly(sph.gram)
+            if values is not None and algebra.certifies(values, dense, tol):
+                return t
+            rank = rank_tol(dense, tol)
             if rank == sph.n:
                 return t
             if algebra is not None:

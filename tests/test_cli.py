@@ -365,14 +365,18 @@ class TestAnalyzeScheme:
             return dataclasses.replace(idems, blocks=tuple(u.view(Block) for u in idems.blocks))
 
         patch_everywhere(monkeypatch, counted_idempotents, block_idempotents)
-        solves = {"eigvalsh": 0, "eigvalsh in schur_diameter": 0}
+        solves = {"eigvalsh": 0, "eigvalsh in schur_diameter": 0, "slogdet": 0}
         in_schur = [0]
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh, slogdet = np.linalg.eigvalsh, np.linalg.slogdet
 
         def counted_eigvalsh(*args, **kwargs):
             solves["eigvalsh"] += 1
             solves["eigvalsh in schur_diameter"] += in_schur[0]
             return eigvalsh(*args, **kwargs)
+
+        def counted_slogdet(*args, **kwargs):
+            solves["slogdet"] += 1
+            return slogdet(*args, **kwargs)
 
         schur = spherical.schur_diameter
 
@@ -384,6 +388,7 @@ class TestAnalyzeScheme:
                 in_schur[0] -= 1
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
         patch_everywhere(monkeypatch, schur, staged_schur)
         code, _, _ = run(capsys, "analyze-scheme", str(petersen_rel), "--json")
         assert code == 0
@@ -399,9 +404,10 @@ class TestAnalyzeScheme:
                          "schemes.idempotents": 1, "spherical.from_gram": 0,
                          "spherical.schur_diameter": 2, "numerics.cluster_values": 5}
         # The Schur search reads its ranks off P and certifies only the rank
-        # it returns: one eigensolve for each of the two separated
-        # eigenspaces.  The other two are the class-1 cross-checks.
-        assert solves == {"eigvalsh": 4, "eigvalsh in schur_diameter": 2}
+        # it returns, by one determinant for each of the two separated
+        # eigenspaces and no eigensolve.  The two eigensolves are the
+        # class-1 cross-checks.
+        assert solves == {"eigvalsh": 2, "eigvalsh in schur_diameter": 0, "slogdet": 2}
         # The three class matrices are built once, by validate_scheme, and
         # dropped on its return; P, Q and the Krein numbers come from the
         # intersection numbers it returns.  The idempotents are checked on

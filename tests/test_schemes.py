@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SCHEME_SPECS,
@@ -260,6 +262,51 @@ def test_eigenspace_ties_go_to_the_smaller_multiplicity():
     params = eigenmatrices(validate_scheme(rel), rel.n)
     assert float(np.max(np.abs(params.P[:, 1] - [1.0, 1.0, -1.0, -1.0]))) < 1e-9
     assert params.multiplicities == (1, 3, 1, 3)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_freivalds_intersection_numbers_equal_the_int64_reference(name):
+    rel = oracle_scheme(name)
+    assert np.array_equal(validate_scheme(rel), validate_scheme_axiom_4_reference(rel))
+
+
+SWAP_SCHEMES = ("cube", "cycle6", "hamming33", "johnson83", "petersen")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SWAP_SCHEMES), st.data())
+def test_every_two_pair_label_swap_is_refused_as_the_reference_refuses(name, data):
+    rel = oracle_scheme(name)
+    lab = np.array(rel.labels)
+    point = st.integers(0, rel.n - 1)
+    x1, y1, x2, y2 = data.draw(st.tuples(point, point, point, point))
+    assume(x1 != y1 and x2 != y2 and lab[x1, y1] != lab[x2, y2])
+    a, b = lab[x1, y1], lab[x2, y2]
+    lab[x1, y1] = lab[y1, x1] = b
+    lab[x2, y2] = lab[y2, x2] = a
+    swapped = RelationPartition.from_matrix(lab, d=rel.d)
+    outcome = _axioms_outcome(validate_scheme, swapped)
+    assert outcome == _axioms_outcome(validate_scheme_axiom_4_reference, swapped)
+    assert outcome[0] == 4
+
+
+def test_a_refutation_the_dense_product_does_not_confirm_is_an_error(monkeypatch):
+    # One entry of the first class matrix, and so of the Freivalds check's
+    # products, is off by one; the dense product of the true matrices agrees.
+    rel = oracle_scheme("petersen")
+    build = RelationPartition.adjacency
+    built = []
+
+    def corrupted(self, i):
+        a = build(self, i)
+        if not built:
+            a[0, 1] += 1.0
+        built.append(i)
+        return a
+
+    monkeypatch.setattr(RelationPartition, "adjacency", corrupted)
+    with pytest.raises(MethodsDisagreeError, match="Freivalds check refutes .* dense product agrees"):
+        validate_scheme(rel)
 
 
 def test_validate_scheme_refuses_before_allocating(monkeypatch):

@@ -442,6 +442,26 @@ def test_schur_certificate_disagreement_is_an_error():
         schur_diameter(lying)
 
 
+@pytest.mark.parametrize("forge, solves", [
+    (lambda sign, logdet: (sign, logdet), []),
+    (lambda sign, logdet: (-sign, logdet), [(27, 27)]),
+    (lambda sign, logdet: (sign, logdet + 1.0), [(27, 27)]),
+    (lambda sign, logdet: (sign, logdet - 1e-6), [(27, 27)]),
+], ids=["true", "sign", "log-magnitude", "log-magnitude-1e-6"])
+def test_forged_schur_determinant_falls_through_to_the_eigensolve(monkeypatch, forge, solves):
+    # The degree-3 certificate of H(3,3) eigenspace 1: P's eigenvalues are
+    # at least 0.49 in magnitude, so log|det| may move by at most about
+    # 27 tol / 0.49 = 5.5e-8.
+    scheme = analyzed_scheme("hamming33")
+    sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+    slogdet, eigvalsh = np.linalg.slogdet, np.linalg.eigvalsh
+    seen = []
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: forge(*slogdet(a)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.shape) or eigvalsh(a))
+    assert schur_diameter(sph) == 3
+    assert seen == solves
+
+
 class TestVerifySphereTheorem:
     def test_pentagon_passes(self):
         report = verify_sphere_theorem(from_gram(PENTAGON))

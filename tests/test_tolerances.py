@@ -28,7 +28,7 @@ PENTAGON = np.cos(2 * np.pi * np.subtract.outer(np.arange(5), np.arange(5)) / 5)
 SITES = {
     "cluster_gap": {"cluster_values", "eigenmatrices", "idempotents"},
     "residual_allowance": {"idempotents"},
-    "eigensolve_rounding": {"idempotents"},
+    "eigensolve_rounding": {"idempotents", "rank_allowance"},
     "gram_allowance": {"from_idempotent", "from_gram"},
     "scaled_allowance": {"eigenmatrices", "_product_formula"},
     "integrality_allowance": {"eigenmatrices", "_size_condition", "family_parameters"},
@@ -36,6 +36,8 @@ SITES = {
     "interpolation_allowance": {"verify_sphere_theorem"},
     "order_quantum": {"_eigenspace_order"},
     "krein_allowance": {"q_polynomial_ordering"},
+    "rank_allowance": {"rank"},
+    "determinant_allowance": {"certifies"},
 }
 MODULES = (numerics, schemes, polyprops, spherical, generators)
 
@@ -138,6 +140,20 @@ def _gram_sphere():
     return verify_sphere_theorem(from_gram(PENTAGON)).status == PASS
 
 
+def _scheme_schur():
+    s = analyzed_scheme("johnson83")
+    return spherical.schur_diameter(from_idempotent(s.rel, s.params, s.idems, 1))
+
+
+def _certificate():
+    # The normalized annihilator: the identity, with every eigenvalue 1 by P.
+    sph = _from_idempotent()
+    roots = sph.values[1:]
+    scale = 1.0 / np.prod(np.subtract(1.0, roots))
+    return sph.algebra.certifies(numerics.eval_root_product(roots, scale, sph.algebra.class_values),
+                                 numerics.eval_root_product(roots, scale, sph.gram), sph.tolerance)
+
+
 def _cluster():
     return cluster_values([0.0, 1.5e-9], 1e-9)[1] == [1, 1]
 
@@ -171,6 +187,9 @@ REFUSE_ACCEPT = [
     (numerics, "lookup_allowance", -1.0, 1e-8, _multiplicity, False),
     (spherical, "interpolation_allowance", -1.0, np.inf, _gram_sphere, False),
     (numerics, "cluster_gap", 2e-9, 1e-9, _cluster, ToleranceAmbiguityError),
+    (numerics, "eigensolve_rounding", np.inf, 0.0, _scheme_schur, ToleranceAmbiguityError),
+    (spherical, "rank_allowance", np.inf, 0.0, _scheme_schur, ToleranceAmbiguityError),
+    (spherical, "determinant_allowance", -1.0, np.inf, _certificate, False),
     (schemes, "order_quantum", np.inf, 1e-9, _order, False),
 ]
 
@@ -279,3 +298,16 @@ def test_from_gram_blames_the_tolerance_at_1e_14():
     assert from_gram(gram).dimension == 13
     with pytest.raises(ToleranceAmbiguityError):
         from_gram(gram, 1e-14)
+
+
+@pytest.mark.parametrize("tol", [1e-13, 5e-14, 3e-14, 2e-14])
+def test_cycle_101_schur_rank_at_the_rounding_edge_blames_the_tolerance(tol):
+    # P reads the least eigenvalue of the first degree-50 trial on the
+    # 101-gon as 1.5e-13: above these tols, but within n eps max|lambda|
+    # = 8.7e-13 of them, where the dense eigensolve reads rank 99.
+    rel = build_scheme(FamilySpec("cycle", (101,)))
+    with pytest.raises(ToleranceAmbiguityError,
+                       match=r"^eigenvalue 1\.5\d*e-13 of an entrywise polynomial, read off P, "
+                             r"is above tol .* but within its rounding allowance 8\.6\d*e-13; "
+                             r"adjust the tolerance$"):
+        analyze_scheme(rel, tol)

@@ -2,6 +2,7 @@
 readers of the text formats, whose ParseErrors carry line numbers."""
 
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -108,20 +109,25 @@ def _numbered(lines, after: int):
             yield line_no, tokens
 
 
-def read_header(lines, empty: str, width: int, bad_token: str, bad_width: str):
-    """The line number and width integers, of any size, of the first of
-    lines, an iterator of content_lines; an empty file is ParseError(0, empty)."""
-    line_no, tokens = next(lines, (0, None))
+def line_of(text: str, after: int, index: int) -> int | None:
+    """The line number of the index-th content line (from 0) after line
+    `after`, or None if fewer follow.  Rows are read without their line
+    numbers; a refusal of a row by its index finds its line here."""
+    # No text has more than sys.maxsize lines, the most islice counts.
+    found = next(itertools.islice(content_lines(text, after), min(index, sys.maxsize), None),
+                 None)
+    return None if found is None else found[0]
+
+
+def read_header(text: str, empty: str, width: int, bad_token: str, bad_width: str):
+    """The line number and width integers, of any size, of the first content
+    line of text, and the raw lines after it, not yet read, for read_rows;
+    an empty text is ParseError(0, empty)."""
+    lines = _split_lines(text)
+    line_no, tokens = next(_numbered(lines, 0), (0, None))
     if tokens is None:
         raise ParseError(0, empty)
-    return line_no, _row_values(line_no, tokens, int, width, bad_token, bad_width)
-
-
-def read_int_header(text: str, empty: str, width: int, bad_token: str, bad_width: str):
-    """read_header of the content lines of text, and the raw lines after
-    the header line, not yet read, for read_int_rows."""
-    lines = _split_lines(text)
-    return (*read_header(_numbered(lines, 0), empty, width, bad_token, bad_width), lines)
+    return line_no, _row_values(line_no, tokens, int, width, bad_token, bad_width), lines
 
 
 def _row_values(line_no: int, tokens, convert, width: int, bad_token: str, bad_width: str):
@@ -138,80 +144,72 @@ def _row_values(line_no: int, tokens, convert, width: int, bad_token: str, bad_w
     return values
 
 
-# Tokens per numpy array that the line-by-line readers convert at once.
+# Tokens per block of rows that the row reader converts at once.
 _BLOCK_TOKENS = 1 << 14
 
 
-def read_int_rows(text: str, after: int, width: int, bad_token: str, bad_width: str, lines):
-    """The content lines of text after line `after` as one (count, width)
-    int64 array, each token the value int() reads.  numpy's C row reader
-    parses lines, the raw lines of _split_lines after line `after` not yet
-    read (read_int_header's), so the line breaks are those of content_lines.
-    Whatever it refuses or warns of (numpy 1.24-1.26 reads "1.0" as 1 with
-    only a DeprecationWarning), an empty body and a width other than width
-    are read again line by line from text: the first bad line raises
-    the ParseError of _row_values, or IntRangeError if it holds an integer
-    beyond 64 bits, and tokens that only int() accepts ("1_0") keep their value."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
-        if rows.shape[1] == width:
-            return rows
-    except Exception:
-        pass  # The re-read below accepts or refuses every text numpy does not.
-    lines = content_lines(text, after)
-    blocks = [np.empty((0, max(width, 0)), np.int64)]
-    while block := list(itertools.islice(lines, max(1, _BLOCK_TOKENS // max(width, 1)))):
-        rows = []
-        for line_no, tokens in block:
-            row = _row_values(line_no, tokens, int, width, bad_token, bad_width)
-            if big := [v for v in row if not -2**63 <= v < 2**63]:
-                raise IntRangeError(line_no, row, big[0])
-            rows.append(row)
-        blocks.append(np.array(rows, dtype=np.int64))
-    return np.concatenate(blocks)
+def _int_block(lines, width: int) -> np.ndarray:
+    """The rows of lines, raw lines, as int64 by numpy's C row reader (6-9x
+    faster than int() per token on the Paley(1009) edge list and the J(16,4)
+    relation matrix, numpy 2.4.6, 2 vCPU).  Raises ValueError or a Warning
+    (numpy 1.24-1.26 reads "1.0" as 1 with a DeprecationWarning) on what it
+    refuses, on an empty body and on a width other than width."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
+    if rows.shape[1] != width:
+        raise ValueError(f"rows of {rows.shape[1]} integers")
+    return rows
 
 
-# A block whose first _SAMPLE tokens hold at most one distinct token in
-# _REPEATS converts each distinct token once.  Measured on 16k-token blocks
-# (numpy 2.4, 2 vCPU) against the direct call: a few-distance Gram block (3
-# distinct 17-digit floats) converts 3.2-3.8x faster, and a block of
-# all-distinct floats would take 1.6-1.8x as long.  A computed Gram's first
-# 256 tokens hold about 180 distinct entries, so it keeps the direct call.
-_SAMPLE, _REPEATS = 256, 8
-
-
-def _convert_distinct(tokens: list) -> np.ndarray:
-    """np.array(tokens, float), with each distinct token converted once."""
-    codes = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
+def _float_block(lines, width: int) -> np.ndarray:
+    """The rows of lines, raw lines, as float64 with each distinct token
+    converted once; ValueError for a token numpy refuses and for a width
+    other than width.  The Grams this package reads repeat their entries
+    (an s-distance Gram has s + 1 distinct ones): np.loadtxt parses the
+    sphere Grams of perfbench 1.3-1.7x slower (numpy 2.4.6, 2 vCPU)."""
+    token_rows = [tokens for raw in lines if (tokens := raw.split("#", 1)[0].split())]
+    if any(len(tokens) != width for tokens in token_rows):
+        raise ValueError(f"a row other than {width} tokens")
+    flat = list(itertools.chain.from_iterable(token_rows))
+    codes = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
     values = np.array(list(codes), dtype=float)
-    return values[np.fromiter(map(codes.__getitem__, tokens), np.intp, len(tokens))]
+    picks = np.fromiter(map(codes.__getitem__, flat), np.intp, len(flat))
+    return values[picks].reshape(len(token_rows), width)
 
 
-def read_rows(lines, width: int, bad_token: str, bad_width: str):
-    """The lines left in lines, an iterator of content_lines, as one
-    (count, width) float array and the list of their line numbers.  Tokens
-    convert as float() reads them, in numpy calls over blocks of about
-    _BLOCK_TOKENS; a block whose tokens repeat (see _SAMPLE) converts each
-    distinct token once.  A block that fails is read again line by line:
-    its first bad line raises the ParseError of _row_values."""
-    blocks, numbers = [], []
-    while block := list(itertools.islice(lines, max(1, _BLOCK_TOKENS // max(width, 1)))):
-        block_numbers, token_rows = zip(*block)
-        numbers += block_numbers
+def read_rows(text: str, after: int, lines, width: int, convert, bad_token: str,
+              bad_width: str, max_rows: int = sys.maxsize) -> np.ndarray:
+    """The content lines of lines, the raw lines of text after line `after`
+    not yet read (read_header's), as one (count, width) array of the values
+    convert (int or float) reads: int64 or float64.  Rows go through the
+    kernel of their type (_int_block, _float_block) in blocks of about
+    _BLOCK_TOKENS tokens, integers only once one call over all lines fails.
+    A block the kernel refuses is read again token by token: its first bad
+    line raises the ParseError of _row_values, or IntRangeError for an
+    integer beyond 64 bits, and tokens only convert accepts ("1_0") keep
+    their value.  No block is read once more than max_rows rows are in."""
+    kernel, dtype = (_int_block, np.int64) if convert is int else (_float_block, float)
+    if convert is int:
         try:
-            if set(map(len, token_rows)) == {width}:
-                flat = list(itertools.chain.from_iterable(token_rows))
-                sample = flat[:_SAMPLE]
-                if len(set(sample)) * _REPEATS <= len(sample):
-                    values = _convert_distinct(flat)
-                else:
-                    values = np.array(flat, dtype=float)
-                blocks.append(values.reshape(-1, width))
-                continue
-        except ValueError:
-            pass
-        for line_no, tokens in block:
-            _row_values(line_no, tokens, float, width, bad_token, bad_width)
-    return np.concatenate(blocks) if blocks else np.empty((0, max(width, 0))), numbers
+            return kernel(lines, width)
+        except (ValueError, Warning):
+            lines = itertools.islice(_split_lines(text), after, None)
+    size = max(1, _BLOCK_TOKENS // max(width, 1))
+    blocks, count, line_no = [], 0, after
+    while count <= max_rows and (block := list(itertools.islice(lines, size))):
+        try:
+            rows = kernel(block, width)
+        except (ValueError, Warning):
+            rows = []
+            for row_line, tokens in _numbered(block, line_no):
+                row = _row_values(row_line, tokens, convert, width, bad_token, bad_width)
+                if convert is int and (big := [v for v in row if not -2**63 <= v < 2**63]):
+                    raise IntRangeError(row_line, row, big[0])
+                rows.append(row)
+            rows = np.array(rows, dtype=dtype)
+        if len(rows):
+            blocks.append(rows)
+            count += len(rows)
+        line_no += len(block)
+    return np.concatenate(blocks) if blocks else np.empty((0, max(width, 0)), dtype=dtype)

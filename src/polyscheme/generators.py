@@ -221,7 +221,7 @@ def family_tensor(spec: FamilySpec) -> tuple[np.ndarray, int]:
     if spec.name in ("johnson", "hamming"):
         n = math.comb(*spec.args) if spec.name == "johnson" else spec.args[1] ** spec.args[0]
         return classical_intersection_numbers(*_classical_parameters(spec)), n
-    rel = build_scheme(spec)
+    rel = from_distance_data(distance_data(build_graph(spec)))
     return validate_scheme(rel), rel.n
 
 

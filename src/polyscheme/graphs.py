@@ -17,8 +17,8 @@ from .errors import (
     IntRangeError,
     MethodsDisagreeError,
     ParseError,
-    read_int_header,
-    read_int_rows,
+    read_header,
+    read_rows,
 )
 from .numerics import (
     DEFAULT_MAX_DENSE,
@@ -544,10 +544,10 @@ def parse_edge_list(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> Gra
     """The graph of an edge list: a header "n m", then m lines "u v" of
     0-based vertices.  n above max_dense is refused before any row is read."""
     bad = "expected two integers, got {row!r}"
-    header_line, (n, m), lines = read_int_header(text, "empty edge-list file", 2, bad, bad)
+    header_line, (n, m), lines = read_header(text, "empty edge-list file", 2, bad, bad)
     check_dense_limit(n, max_dense)
     try:
-        edges = read_int_rows(text, header_line, 2, bad, bad, lines)
+        edges = read_rows(text, header_line, lines, 2, int, bad, bad)
     except IntRangeError as exc:
         raise ParseError(0, "edge ({}, {}) out of range for n={}".format(*exc.values, n)) from None
     if len(edges) != m:

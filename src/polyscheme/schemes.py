@@ -10,7 +10,6 @@ eigenmatrix lists the degrees and row 0 of the second the multiplicities.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +20,9 @@ from .errors import (
     ParseError,
     SchemeAxiomError,
     ToleranceAmbiguityError,
-    content_lines,
-    read_int_header,
-    read_int_rows,
+    line_of,
+    read_header,
+    read_rows,
 )
 from .graphs import DistanceData
 from .numerics import (
@@ -413,12 +412,12 @@ def parametric_parameters(
 def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> RelationPartition:
     """The partition of a relation matrix: a header "n d", then n rows of n
     labels.  n above max_dense is refused before any row is read."""
-    header_line, (n, d), lines = read_int_header(
+    header_line, (n, d), lines = read_header(
         text, "empty relation-matrix file", 2, "expected integers, got {row!r}",
         "header must be 'n d'")
     check_dense_limit(n, max_dense)
-    labels = read_int_rows(text, header_line, n, "expected integers, got {row!r}",
-                           f"expected {n} labels, got {{count}}", lines)
+    labels = read_rows(text, header_line, lines, n, int, "expected integers, got {row!r}",
+                       f"expected {n} labels, got {{count}}")
     if len(labels) != n:
         raise ParseError(0, f"header declares {n} rows but {len(labels)} found")
     try:
@@ -436,12 +435,12 @@ def format_relation_matrix(rel: RelationPartition) -> str:
 def parse_intersection_tensor(text: str):
     """(p, n) from an intersection tensor: a header "n d", then one line
     "i j k value" per nonzero p[i, j, k], each triple at most once."""
-    header_line, (n, d), lines = read_int_header(
+    header_line, (n, d), lines = read_header(
         text, "empty tensor file", 2, "expected integers, got {row!r}", "header must be 'n d'")
     if d < 1:
         raise ParseError(header_line, "schemes need at least one class besides the identity")
-    entries = read_int_rows(text, header_line, 4, "expected integers, got {row!r}",
-                            "tensor entries are 'i j k value'", lines)
+    entries = read_rows(text, header_line, lines, 4, int, "expected integers, got {row!r}",
+                        "tensor entries are 'i j k value'")
     ijk = entries[:, :3]
     outside = ((ijk < 0) | (ijk > d)).any(axis=1)
     # A stable sort keeps equal triples in file order: all but the first repeat.
@@ -451,10 +450,9 @@ def parse_intersection_tensor(text: str):
     bad = np.flatnonzero(outside | repeat)
     if bad.size:
         i, j, k = ijk[bad[0]].tolist()
-        # Entry lines are numbered only here, on refusal.
-        line_no, _ = next(itertools.islice(content_lines(text, header_line), bad[0], None))
-        raise ParseError(line_no, f"indices ({i}, {j}, {k}) outside 0..{d}"
-                         if outside[bad[0]] else f"second entry for ({i}, {j}, {k})")
+        raise ParseError(line_of(text, header_line, bad[0]),
+                         f"indices ({i}, {j}, {k}) outside 0..{d}" if outside[bad[0]]
+                         else f"second entry for ({i}, {j}, {k})")
     # sum_i p[i, j, k] = k_j >= 1 for every (j, k) (Bannai-Ito 1984), so a
     # valid tensor has at least (d+1)^2 nonzero entries; fewer lines refuse
     # the header before the (d+1)^3 array is allocated.

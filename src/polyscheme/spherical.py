@@ -7,9 +7,7 @@ matrix reach full rank).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +18,7 @@ from .errors import (
     ParseError,
     SchurDisconnectedError,
     ToleranceAmbiguityError,
-    content_lines,
+    line_of,
     read_header,
     read_rows,
 )
@@ -286,15 +284,15 @@ def schur_diameter(sph: SphericalSet, seeds=SCHUR_SEEDS) -> int:
     """
     tol, algebra = sph.tolerance, sph.algebra
     for t in range(schur_floor(sph), sph.s + 1):
-        trials = []
-        for seed in seeds:
-            coeffs = np.random.default_rng([seed, t]).standard_normal(t + 1)
-            trials.append(functools.partial(eval_matrix_poly, coeffs / np.linalg.norm(coeffs)))
-        if t == sph.s:
-            # 1 / prod (1 - v) = 1 / L_0, positive since every v < 1.
-            scale = math.exp(-lagrange_denominators(sph.values)[1][0])
-            trials.append(functools.partial(eval_root_product, sph.values[1:], scale))
-        for poly in trials:
+        # Each trial is built only once the one before it has failed.
+        for seed in [*seeds, None] if t == sph.s else seeds:
+            if seed is None:
+                # 1 / prod (1 - v) = 1 / L_0, positive since every v < 1.
+                scale = math.exp(-lagrange_denominators(sph.values)[1][0])
+                poly = functools.partial(eval_root_product, sph.values[1:], scale)
+            else:
+                coeffs = np.random.default_rng([seed, t]).standard_normal(t + 1)
+                poly = functools.partial(eval_matrix_poly, coeffs / np.linalg.norm(coeffs))
             values = None if algebra is None else poly(algebra.class_values)
             if values is not None and algebra.rank(values, tol) < sph.n:
                 continue
@@ -416,22 +414,26 @@ def verify_sphere_theorem(
 def parse_gram_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> np.ndarray:
     """A Gram file's matrix as read (from_gram symmetrizes it): a header "n",
     then n rows of n reals.  n above max_dense is refused before any row is read."""
-    lines = content_lines(text)
-    line_no, (n,) = read_header(lines, "empty input", 1, "bad count {row!r}",
-                                "expected a single count, got {row!r}")
+    header_line, (n,), lines = read_header(text, "empty input", 1, "bad count {row!r}",
+                                           "expected a single count, got {row!r}")
     if n < 1:
-        raise ParseError(line_no, f"count must be positive, got {n}")
+        raise ParseError(header_line, f"count must be positive, got {n}")
     check_dense_limit(n, max_dense)
-    # No text has more than sys.maxsize lines, the most islice counts.
-    a, row_lines = read_rows(itertools.islice(lines, min(n, sys.maxsize)), n,
-                             "bad entry in {row!r}", f"expected {n} entries, got {{count}}")
-    if (extra := next(lines, None)) is not None:
-        raise ParseError(extra[0], f"more than {n} rows")
+    try:
+        a = read_rows(text, header_line, lines, n, float, "bad entry in {row!r}",
+                      f"expected {n} entries, got {{count}}", max_rows=n)
+    except ParseError as exc:
+        # A row past the nth is refused as such, before any fault in it.
+        if (extra := line_of(text, header_line, n)) is None or extra > exc.line_no:
+            raise
+        raise ParseError(extra, f"more than {n} rows") from None
+    if len(a) > n:
+        raise ParseError(line_of(text, header_line, n), f"more than {n} rows")
     if len(a) != n:
         raise ParseError(0, f"expected {n} rows, got {len(a)}")
     bad_rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
     if bad_rows.size:
-        raise ParseError(row_lines[bad_rows[0]], "entries must be finite")
+        raise ParseError(line_of(text, header_line, bad_rows[0]), "entries must be finite")
     a.setflags(write=False)
     return a
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import SCHEME_SPECS, analyzed_scheme, catalog_graph, max_abs_diff
+from polyscheme import generators
 from polyscheme.errors import MethodsDisagreeError
 from polyscheme.generators import (
     FamilySpec,
@@ -168,6 +169,18 @@ def test_closed_form_tensor_matches_counting(family, args):
     rel = build_scheme(FamilySpec(family, args))
     assert n == rel.n
     assert np.array_equal(closed, validate_scheme(rel))
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("petersen"), FamilySpec("hoffman-singleton"),
+                                  FamilySpec("paley", (13,))], ids=FamilySpec.label)
+def test_family_tensor_validates_a_non_classical_scheme_once(monkeypatch, spec):
+    calls = []
+    validate = generators.validate_scheme
+    monkeypatch.setattr(generators, "validate_scheme",
+                        lambda rel: calls.append(rel.n) or validate(rel))
+    p, n = family_tensor(spec)
+    assert calls == [n]
+    assert np.array_equal(p, validate(build_scheme(spec)))
 
 
 def test_classical_tensor_matches_the_hand_derived_oracles():

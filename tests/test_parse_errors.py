@@ -1,5 +1,5 @@
 """Every refusal of the four text formats, with its full message and line;
-the row readers against a token-by-token oracle, on mixed and on heavily
+the row reader against a token-by-token oracle, on mixed and on heavily
 repeated tokens; and each integer format's numpy rows against its line
 reader, on hostile text.
 
@@ -198,24 +198,21 @@ TOKENS = ["0", "7", "-3", "+12", "1_0", "x", "1.5", "nan", "-inf", "1e400",
 
 
 def check_read_rows(token_rows, dtype, width, block):
-    """The row reader of dtype against the oracle: errors.read_rows (float)
-    in blocks of about block tokens, or errors.read_int_rows (int64) on a
-    text of the rows with a blank line before each.  The same values bit
-    for bit (so -0.0 is not 0.0), or the same first fault on the same line."""
+    """errors.read_rows, converting by int (int64 rows) or float in blocks
+    of about block tokens, against the oracle on a text of the rows with a
+    blank line before each.  The same values bit for bit (so -0.0 is not
+    0.0), or the same first fault on the same line."""
     rows = [(2 * i + 3, tokens) for i, tokens in enumerate(token_rows)]
     want = read_rows_reference(rows, dtype, width)
     if isinstance(want, list):
         want = np.array(want, dtype=dtype).reshape(-1, width).view(np.int64).tolist()
+    text = "0\n" + "".join(f"\n{' '.join(tokens)}\n" for _, tokens in rows)
     saved, errors._BLOCK_TOKENS = errors._BLOCK_TOKENS, block
     try:
-        if dtype is float:
-            values, numbers = errors.read_rows(iter(rows), width, "token {row!r}",
-                                               "width {count}")
-            assert numbers == [no for no, _ in rows]
-        else:
-            text = "header\n" + "".join(f"\n{' '.join(tokens)}\n" for _, tokens in rows)
-            values = errors.read_int_rows(text, 1, width, "token {row!r}", "width {count}",
-                                          itertools.islice(errors._split_lines(text), 1, None))
+        header_line, _, lines = errors.read_header(text, "empty", 1, "header", "header")
+        values = errors.read_rows(text, header_line, lines, width,
+                                  float if dtype is float else int, "token {row!r}",
+                                  "width {count}")
         assert values.shape == (len(rows), width) and values.dtype == dtype
         got = values.view(np.int64).tolist()
     except IntRangeError as exc:
@@ -235,8 +232,8 @@ def test_read_rows_matches_a_per_token_parse(token_rows, dtype, width, block):
     check_read_rows(token_rows, dtype, width, block)
 
 
-# Small pools of these give blocks whose tokens repeat, which read_rows
-# converts through its distinct-token path; int64 rows go through numpy.
+# Small pools of these give blocks whose tokens repeat, which float rows
+# convert once per distinct token; int64 rows go through numpy.
 REPEATED_TOKENS = {
     float: ["1.0", "0.5", "-0.0", "0.0", "1_0", "inf", "-inf", "nan", "1e-320",
             "0.3999999999999998", "1e400", "x"],
@@ -247,8 +244,9 @@ REPEATED_TOKENS = {
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from([np.int64, float]), st.integers(1, 40),
-       st.sampled_from([16, 64, 1 << 14]))
+       st.sampled_from([1, 16, 64, 200, 1 << 14]))
 def test_read_rows_on_repeated_tokens_matches_a_per_token_parse(data, dtype, width, block):
+    # Blocks of 1 to 200 tokens put a fault in a later block than the first.
     pool = data.draw(st.lists(st.sampled_from(REPEATED_TOKENS[dtype]), min_size=1, max_size=3,
                               unique=True))
     row_length = st.sampled_from([width] * 8 + [max(1, width - 1), width + 1])
@@ -257,24 +255,49 @@ def test_read_rows_on_repeated_tokens_matches_a_per_token_parse(data, dtype, wid
     check_read_rows(token_rows, dtype, width, block)
 
 
-def test_distinct_tokens_take_the_direct_conversion(monkeypatch):
+def test_computed_gram_takes_the_distinct_conversion(monkeypatch):
     # The J(12,2) eigenspace Gram's entries are computed, so its first
-    # tokens are mostly distinct; a two-distance Gram's repeat.
+    # tokens are mostly distinct; every block still converts each distinct
+    # token once, to the value float() gives it.
     rel = build_scheme(FamilySpec("johnson", (12, 2)))
     params = eigenmatrices(validate_scheme(rel), rel.n)
     idems = idempotents(rel, params)
     computed = format_gram_matrix(from_idempotent(rel, params, idems, 1).gram)
-    few_distance = "40\n" + "\n".join(GRAM_40) + "\n"
     calls = []
-    distinct = errors._convert_distinct
-    monkeypatch.setattr(errors, "_convert_distinct",
-                        lambda tokens: calls.append(len(tokens)) or distinct(tokens))
-    direct = parse_gram_matrix(computed)
-    assert calls == []
-    assert np.array_equal(direct, [[float(t) for t in line.split()]
-                                   for line in computed.splitlines()[1:]])
-    assert np.array_equal(parse_gram_matrix(few_distance), 0.5 + 0.5 * np.eye(40))
-    assert calls == [40 * 40]
+    block = errors._float_block
+    monkeypatch.setattr(errors, "_float_block",
+                        lambda lines, width: calls.append(width) or block(lines, width))
+    rereads = []
+    row_values = errors._row_values
+    monkeypatch.setattr(errors, "_row_values",
+                        lambda line_no, *args: rereads.append(line_no) or row_values(line_no, *args))
+    got = parse_gram_matrix(computed)
+    assert calls == [rel.n]  # 66 rows of 66 tokens make one block
+    assert rereads == [1]  # the header only
+    want = np.array([[float(t) for t in line.split()] for line in computed.splitlines()[1:]])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("parse, rows, bad, width, message", [
+    (parse_edge_list, ["500 100001"] + [f"{u} {v}" for u, v in itertools.islice(
+        itertools.combinations(range(500), 2), 100_000)], "0 x", 2,
+     "expected two integers, got '0 x'"),
+    (parse_relation_matrix, ["300 1"] + few_distance_rows(300, ("0", "1"))[:-1],
+     " ".join(["1"] * 299 + ["x"]), 300, "expected integers, got {!r}"),
+])
+def test_a_bad_last_line_rereads_only_its_block(monkeypatch, parse, rows, bad, width, message):
+    # numpy refuses the whole text, then each block; only the last block's
+    # lines, and the header's, are read again token by token.
+    text, line = "\n".join(rows + [bad]) + "\n", len(rows) + 1
+    calls = []
+    row_values = errors._row_values
+    monkeypatch.setattr(errors, "_row_values",
+                        lambda line_no, *args: calls.append(line_no) or row_values(line_no, *args))
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"line {line}: " + message.format(" ".join(bad.split()))
+    assert len(calls) <= 1 + errors._BLOCK_TOKENS // width
+    assert calls[0] == 1 and calls[-1] == line
 
 
 # Hostile pieces of integer rows: signs, "_", ".", "e", Arabic-Indic digits
@@ -360,14 +383,10 @@ def test_integer_rows_match_the_line_reader(fmt, data):
     (parse_intersection_tensor, "3 1\r0 0 0 1\n\n0 1 1 1 #\v1 0 1 1\f1\x1f1 0 2\x851 1 1 1\u2028"),
 ])
 def test_hostile_whitespace_stays_on_numpy_rows(monkeypatch, parse, text):
-    # Rows that numpy reads are never re-read line by line.
-    def no_reread(text, after=0):
-        raise AssertionError("rows were re-read line by line")
-
+    # Rows that numpy reads are never read again: the text is split once.
     want = line_reader_outcome(parse, text)
     assert not isinstance(want[0], str)
-    monkeypatch.setattr(errors, "content_lines", no_reread)
-    assert parse_outcome(parse, text) == want
+    assert split_count(monkeypatch, parse, text) == (want, 1)
 
 
 @pytest.mark.parametrize("parse, text", [
@@ -377,6 +396,13 @@ def test_hostile_whitespace_stays_on_numpy_rows(monkeypatch, parse, text):
 ])
 def test_accepted_integer_text_is_split_once(monkeypatch, parse, text):
     # The header and the rows come from one pass of the line splitter.
+    want = parse_outcome(parse, text)
+    assert not isinstance(want[0], str)
+    assert split_count(monkeypatch, parse, text) == (want, 1)
+
+
+def split_count(monkeypatch, parse, text):
+    """parse_outcome of text, and how many times the text was split into lines."""
     calls = []
     split = errors._split_lines
 
@@ -384,8 +410,5 @@ def test_accepted_integer_text_is_split_once(monkeypatch, parse, text):
         calls.append(text)
         return split(text)
 
-    want = parse_outcome(parse, text)
-    assert not isinstance(want[0], str)
     monkeypatch.setattr(errors, "_split_lines", counted)
-    assert parse_outcome(parse, text) == want
-    assert len(calls) == 1
+    return parse_outcome(parse, text), len(calls)

@@ -46,6 +46,7 @@ from polyscheme.polyprops import POLYNOMIAL, q_polynomial_ordering
 from polyscheme.reports import HYPOTHESIS_NOT_MET, PASS
 from polyscheme.schemes import eigenmatrices, idempotents, validate_scheme
 from polyscheme.spherical import (
+    SCHUR_SEEDS,
     absolute_bound,
     format_gram_matrix,
     from_gram,
@@ -440,6 +441,21 @@ def test_schur_certificate_disagreement_is_an_error():
         sph, algebra=dataclasses.replace(sph.algebra, multiplicities=np.full(4, sph.n)))
     with pytest.raises(MethodsDisagreeError, match="degree-2 .* rank"):
         schur_diameter(lying)
+
+
+def test_schur_trials_stop_at_the_first_certificate(monkeypatch):
+    # H(3,3) eigenspace 1 has floor 2 and Schur-diameter s = 3: every
+    # degree-2 trial is drawn, and the first degree-3 one is certified, so
+    # no later seed is drawn and the annihilator's denominators are never formed.
+    scheme = analyzed_scheme("hamming33")
+    sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+    draws, rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or rng(seed))
+    denominators = []
+    monkeypatch.setattr(spherical, "lagrange_denominators", denominators.append)
+    assert schur_diameter(sph) == sph.s == 3
+    assert draws == [[seed, 2] for seed in SCHUR_SEEDS] + [[SCHUR_SEEDS[0], 3]]
+    assert denominators == []
 
 
 @pytest.mark.parametrize("forge, solves", [

@@ -212,4 +212,6 @@ def read_rows(text: str, after: int, lines, width: int, convert, bad_token: str,
             blocks.append(rows)
             count += len(rows)
         line_no += len(block)
-    return np.concatenate(blocks) if blocks else np.empty((0, max(width, 0)), dtype=dtype)
+    # No rows: the width is clamped to the widest numpy holds, and the caller refuses by count.
+    return np.concatenate(blocks) if blocks else np.empty(
+        (0, min(max(width, 0), sys.maxsize // 8)), dtype=dtype)

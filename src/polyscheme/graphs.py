@@ -105,33 +105,28 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceData:
-    """All-pairs hop distances and geodesic counts, and the girth.
+    """All-pairs hop distances, the girth, and the level loop's last level.
 
-    dist marks disconnected pairs UNREACHABLE.  geodesics[x, y] counts the
-    shortest x-y paths (0 if unreachable), exactly while below 2**53.
-    diameter is the largest finite distance, so every distance class
-    0..diameter is nonempty; girth is None for a forest.
+    dist marks disconnected pairs UNREACHABLE.  diameter is the largest
+    finite distance, so every distance class 0..diameter is nonempty; girth
+    is None for a forest.  far holds the sorted flat indices x*n + y of the
+    pairs at distance diameter, and far_geodesics the number of shortest
+    x-y paths of each, exactly while below 2**53.
     """
 
     dist: np.ndarray
-    geodesics: np.ndarray
     diameter: int
     girth: int | None
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
+    far: np.ndarray
+    far_geodesics: np.ndarray
+    connected: bool
 
     def is_connected(self) -> bool:
-        return not np.any(self.dist == UNREACHABLE)
-
-    def relation(self, t: int) -> np.ndarray:
-        """Boolean mask of the ordered pairs at distance exactly t."""
-        return self.dist == t
+        return self.connected
 
 
 def distance_data(g: Graph, max_dense: int | None = DEFAULT_MAX_DENSE) -> DistanceData:
-    """Distances, geodesic counts and girth of g, which may be disconnected.
+    """Distances, far-pair geodesic counts and girth of g, which may be disconnected.
     Graphs above max_dense are refused before anything n x n is allocated."""
     return adjacency_distances(g.adjacency_matrix(max_dense))
 
@@ -158,10 +153,10 @@ def _gather_limit(n: int) -> int:
 
 def adjacency_distances(adj) -> DistanceData:
     """Distances from every root at once, one level per step, carrying the
-    geodesic counts: level t + 1 is the unreached part of G_t A, where G_t
-    holds the counts of the level-t pairs.  A step is one BLAS product, or a
-    gather over the neighbour table of the frontier when _gather_limit
-    allows.
+    current level's geodesic counts: level t + 1 is the unreached part of
+    G_t A, where G_t holds the counts of the level-t pairs.  A step is one
+    BLAS product, or a gather over the neighbour table of the frontier when
+    _gather_limit allows.  The last level, sorted, is handed over.
 
     The girth comes from the same loop.  A vertex at level t with a
     neighbour at level t closes an odd walk of length 2t + 1, and one with
@@ -173,13 +168,11 @@ def adjacency_distances(adj) -> DistanceData:
     degree = int(adj.sum(axis=1).max())
     table = None
     dist = np.full((n, n), UNREACHABLE)
-    paths = np.zeros((n, n))
-    flat_dist, flat_paths = dist.reshape(-1), paths.reshape(-1)
-    front = np.arange(n) * (n + 1)
+    flat_dist = dist.reshape(-1)
+    front, paths = np.arange(n) * (n + 1), np.ones(n)
     flat_dist[front] = 0
-    flat_paths[front] = 1.0
     gather_limit = _gather_limit(n)
-    t, cycle = 0, None
+    t, cycle, reached = 0, None, n
     while True:
         if front.size * degree < gather_limit:
             if table is None:
@@ -190,11 +183,11 @@ def adjacency_distances(adj) -> DistanceData:
             closes = cycle is None and np.any((seen == t) & ~padding[w])
             onward = seen == UNREACHABLE
             new, slot = np.unique(reach[onward], return_inverse=True)
-            carried = np.broadcast_to(flat_paths[front][:, None], reach.shape)[onward]
+            carried = np.broadcast_to(paths[:, None], reach.shape)[onward]
             counts = np.bincount(slot, weights=carried, minlength=new.size)
         else:
             level = np.zeros(n * n)
-            level[front] = flat_paths[front]
+            level[front] = paths
             step = (level.reshape(n, n) @ adj).reshape(-1)
             closes = cycle is None and np.any(step[front] > 0)
             new = np.flatnonzero((step > 0) & (flat_dist == UNREACHABLE))
@@ -205,13 +198,13 @@ def adjacency_distances(adj) -> DistanceData:
             break
         t += 1
         flat_dist[new] = t
-        flat_paths[new] = counts
+        reached += new.size
         if cycle is None and np.any(counts > 1):
             cycle = 2 * t
-        front = new
-    dist.setflags(write=False)
-    paths.setflags(write=False)
-    return DistanceData(dist, paths, t, cycle)
+        front, paths = new, counts
+    for a in (dist, front, paths):
+        a.setflags(write=False)
+    return DistanceData(dist, t, cycle, front, paths, reached == n * n)
 
 
 def girth(g: Graph | DistanceData) -> int | None:
@@ -345,8 +338,8 @@ def _forced_entry_scan(family: ProjectorFamily, dd: DistanceData, tol: float):
     spectrum = family.spectrum
     n, d = family.n, dd.diameter
     sign, log = lagrange = lagrange_denominators(spectrum.values)
-    far = np.flatnonzero(dd.relation(d))
-    paths = dd.geodesics.reshape(-1)[far] if spectrum.s == d else None
+    far = dd.far
+    paths = dd.far_geodesics if spectrum.s == d else None
     identity = None
     if paths is not None:
         l0 = sign[0] * math.exp(log[0])

@@ -32,7 +32,6 @@ from .numerics import (
 )
 from .reports import HYPOTHESIS_NOT_MET, TheoremReport
 from .schemes import (
-    DEFAULT_SEEDS,
     RelationPartition,
     SchemeParameters,
     eigenmatrices,
@@ -349,7 +348,6 @@ class SchemeAnalysis:
 def analyze_scheme(
     scheme,
     tol: float = DEFAULT_TOL,
-    seeds=DEFAULT_SEEDS,
     max_dense: int | None = DEFAULT_MAX_DENSE,
 ) -> SchemeAnalysis:
     """Run each check on one scheme, computing each quantity once.
@@ -367,11 +365,11 @@ def analyze_scheme(
     if isinstance(scheme, RelationPartition):
         rel = scheme
         check_dense_limit(rel.n, max_dense)
-        params = eigenmatrices(validate_scheme(rel, max_dense), rel.n, tol, seeds)
-        idems = idempotents(rel, params, tol, seeds, max_dense)
+        params = eigenmatrices(validate_scheme(rel, max_dense), rel.n, tol)
+        idems = idempotents(rel, params, tol, max_dense)
     else:
         rel = idems = None
-        params = parametric_parameters(*scheme, tol, seeds)
+        params = parametric_parameters(*scheme, tol)
     verdicts: list[PolyVerdict] = []
     reports: list[TheoremReport] = []
     for j in range(1, params.d + 1):

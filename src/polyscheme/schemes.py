@@ -224,23 +224,22 @@ def idempotents(
     rel: RelationPartition,
     params: SchemeParameters,
     tol: float = DEFAULT_TOL,
-    seeds=DEFAULT_SEEDS,
     max_dense: int | None = DEFAULT_MAX_DENSE,
 ) -> SchemeIdempotents:
     """Primitive idempotents of the adjacency algebra of rel, in the
     eigenspace order of its SchemeParameters params.
 
-    Diagonalizes a random fixed-seed combination sum_i c_i A_i of the class
-    matrices, one gather of c through the labels, whose eigenvalue on
-    eigenspace j is (P c)[j].  A draw whose values P c lie within
-    cluster_gap(tol) of each other, or whose spectrum clusters ambiguously
-    at tol, is degenerate and triggers the next seed; running out of seeds
-    raises DegenerateElementError.  An ambiguous clustering at a tol below
+    Diagonalizes a random combination sum_i c_i A_i of the class matrices,
+    seeded from DEFAULT_SEEDS, one gather of c through the labels, whose
+    eigenvalue on eigenspace j is (P c)[j].  A draw whose values P c lie
+    within cluster_gap(tol) of each other, or whose spectrum clusters
+    ambiguously at tol, is degenerate and triggers the next seed; running
+    out of seeds raises DegenerateElementError.  An ambiguous clustering,
+    or clusters of other sizes than the multiplicities, at a tol below
     eigensolve_rounding of the spectrum raises ToleranceAmbiguityError at
-    once, since each draw rounds at about that scale.  The clusters must
-    have the sizes of the multiplicities and lie within
-    residual_allowance(tol, n) of P c, or the two computations disagree
-    (MethodsDisagreeError).
+    once, since each draw rounds at about that scale.  Otherwise clusters
+    of other sizes, or off P c by more than residual_allowance(tol, n),
+    mean the two computations disagree (MethodsDisagreeError).
     spherical.from_idempotent checks the blocks entrywise against Q.
     """
     check_dense_limit(rel.n, max_dense)
@@ -248,7 +247,7 @@ def idempotents(
     if (params.n, params.d) != (n, d):
         raise ValueError(f"parameters of a scheme with n = {params.n}, d = {params.d} "
                          f"given for one with n = {n}, d = {d}")
-    for seed in seeds:
+    for seed in DEFAULT_SEEDS:
         coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
         expected = params.P @ coeffs
         # rank[c]: the eigenspace of the c-th cluster in decreasing order.
@@ -264,6 +263,11 @@ def idempotents(
             continue
         mults = [params.multiplicities[j] for j in rank]
         if counts != mults:
+            if tol < (rounding := eigensolve_rounding(w)):
+                raise ToleranceAmbiguityError(
+                    f"the generic element's eigenvalue clusters have sizes {counts}, not P's "
+                    f"multiplicities {mults}, at tol {tol!r} below the eigensolve's rounding "
+                    f"{float(rounding)!r}; adjust the tolerance")
             raise MethodsDisagreeError(
                 f"the generic element's eigenvalue clusters have sizes {counts}, but P's "
                 f"eigenspaces, in the same order, have multiplicities {mults}")
@@ -275,7 +279,7 @@ def idempotents(
                 f"by {dev:.3g} > {allowance:.3g}")
         return SchemeIdempotents(tuple(vecs[:, labels == c] for c in np.argsort(rank)))
     raise DegenerateElementError(
-        f"generic element degenerate for every seed in {tuple(seeds)}"
+        f"generic element degenerate for every seed in {tuple(DEFAULT_SEEDS)}"
     )
 
 
@@ -310,7 +314,6 @@ def eigenmatrices(
     p: np.ndarray,
     n: int,
     tol: float = DEFAULT_TOL,
-    seeds=DEFAULT_SEEDS,
 ) -> SchemeParameters:
     """SchemeParameters from the intersection numbers p[i, j, k] of a
     scheme on n points alone, as validate_scheme returns them or
@@ -321,8 +324,8 @@ def eigenmatrices(
     multiplicities come from degree-weighted row norms, the second
     eigenmatrix is n times the inverse of the first, since PQ = nI in every
     commutative scheme, and the Krein numbers follow from the two
-    (Bannai-Ito 1984).  A seed whose combination of the matrices has
-    eigenvalues within cluster_gap(tol) of each other is skipped.
+    (Bannai-Ito 1984).  A seed of DEFAULT_SEEDS whose combination of the
+    matrices has eigenvalues within cluster_gap(tol) of each other is skipped.
     """
     d = p.shape[0] - 1
     degrees = tuple(int(p[i, i, 0]) for i in range(d + 1))
@@ -331,7 +334,7 @@ def eigenmatrices(
         for j in range(i + 1, d + 1):
             if not np.array_equal(p[i] @ p[j], p[j] @ p[i]):
                 raise ValueError(f"intersection matrices {i} and {j} do not commute")
-    for seed in seeds:
+    for seed in DEFAULT_SEEDS:
         coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, d + 1)
         combo = sum(c * b for c, b in zip(coeffs, bt))
         vals, vecs = np.linalg.eig(combo)
@@ -347,7 +350,7 @@ def eigenmatrices(
             break
     else:
         raise DegenerateElementError(
-            f"no seed in {tuple(seeds)} separated the intersection-matrix eigenvalues")
+            f"no seed in {tuple(DEFAULT_SEEDS)} separated the intersection-matrix eigenvalues")
     deg_vec = np.array(degrees, dtype=float)
     if np.abs(rows - deg_vec).max(axis=1).min() > integrality_allowance(deg_vec.max()):
         raise ValueError("no eigenvalue row matches the degree vector")
@@ -400,13 +403,12 @@ def parametric_parameters(
     p,
     n: int,
     tol: float = DEFAULT_TOL,
-    seeds=DEFAULT_SEEDS,
 ) -> SchemeParameters:
     """Eigenmatrices from an intersection tensor alone: its integrity
     checks, then eigenmatrices."""
     p = np.array(p, dtype=np.int64)
     _check_tensor(p, n)
-    return eigenmatrices(p, n, tol, seeds)
+    return eigenmatrices(p, n, tol)
 
 
 def parse_relation_matrix(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> RelationPartition:

@@ -264,13 +264,13 @@ def schur_floor(sph: SphericalSet) -> int:
     return next((t for t in range(sph.s) if absolute_bound(sph.dimension, t) >= sph.n), sph.s)
 
 
-def schur_diameter(sph: SphericalSet, seeds=SCHUR_SEEDS) -> int:
+def schur_diameter(sph: SphericalSet) -> int:
     """Least t such that some degree-t entrywise polynomial of the set's
     Gram matrix has full rank, where degree 0 is the all-ones matrix.
     Ranks count eigenvalues above the set's own tolerance.
 
-    Tries a few fixed-seed random combinations at each degree t from
-    schur_floor(sph) to s.  At t = s it also tries the normalized
+    Tries one random combination per seed of SCHUR_SEEDS at each degree t
+    from schur_floor(sph) to s.  At t = s it also tries the normalized
     annihilator prod (x - v)/(1 - v) of the off-diagonal values v, in
     product form, which on the unit-diagonal Gram matrix is the identity
     (Delsarte-Goethals-Seidel), so no degree above s is searched.
@@ -285,7 +285,7 @@ def schur_diameter(sph: SphericalSet, seeds=SCHUR_SEEDS) -> int:
     tol, algebra = sph.tolerance, sph.algebra
     for t in range(schur_floor(sph), sph.s + 1):
         # Each trial is built only once the one before it has failed.
-        for seed in [*seeds, None] if t == sph.s else seeds:
+        for seed in [*SCHUR_SEEDS, None] if t == sph.s else SCHUR_SEEDS:
             if seed is None:
                 # 1 / prod (1 - v) = 1 / L_0, positive since every v < 1.
                 scale = math.exp(-lagrange_denominators(sph.values)[1][0])

@@ -220,7 +220,7 @@ def test_distance_data_disconnected():
 def test_petersen_class_sizes():
     dd = distance_data(catalog_graph("petersen"))
     assert tuple(int(np.count_nonzero(dd.dist == t)) for t in range(3)) == (10, 30, 60)
-    assert int(dd.relation(2).sum()) == 60
+    assert np.array_equal(dd.far, np.flatnonzero(dd.dist == 2)) and dd.far.size == 60
 
 
 def test_hoffman_singleton_certificate():
@@ -487,12 +487,14 @@ def test_level_loop_matches_oracles(name, level_step):
     dd = distance_data(g)
     for root in range(g.n):
         assert np.array_equal(dd.dist[root], bfs_distances_reference(neighbour_lists(g), root))
-    for x in range(g.n):
-        for y in range(g.n):
-            want = (len(list(nx.all_shortest_paths(h, x, y)))
-                    if dd.dist[x, y] != UNREACHABLE else 0)
-            assert dd.geodesics[x, y] == want, (x, y)
     assert dd.diameter == dd.dist.max()
+    # The last level handed over: the distance-d pairs in order, with their
+    # geodesic counts.
+    far = [x * g.n + y for x in range(g.n) for y in range(g.n) if dd.dist[x, y] == dd.diameter]
+    assert dd.far.tolist() == far
+    assert dd.far_geodesics.tolist() == [
+        len(list(nx.all_shortest_paths(h, *divmod(xy, g.n)))) for xy in far]
+    assert dd.is_connected() == nx.is_connected(h)
     want_girth = girth_reference(g)
     assert dd.girth == girth(g) == want_girth
     assert want_girth == (None if nx.is_forest(h) else nx.girth(h))
@@ -504,8 +506,9 @@ def test_long_cycle_through_the_gather(n, monkeypatch):
     dd = distance_data(cycle(n))
     offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     assert np.array_equal(dd.dist, np.minimum(offset, n - offset))
+    assert np.array_equal(dd.far, np.flatnonzero(dd.dist == n // 2))
     # Only an even cycle has two geodesics, between antipodes.
-    assert np.array_equal(dd.geodesics, np.where(2 * offset == n, 2.0, 1.0))
+    assert np.array_equal(dd.far_geodesics, np.full(dd.far.size, 2.0 - n % 2))
     assert dd.diameter == n // 2 and dd.girth == n
 
 
@@ -544,13 +547,14 @@ def _mutated_distances(monkeypatch, mutate):
 
     def wrong(g, max_dense=None):
         dd = real(g)
-        return dataclasses.replace(dd, geodesics=mutate(g, dd))
+        return dataclasses.replace(dd, far_geodesics=mutate(g, dd))
 
     monkeypatch.setattr(graphs, "distance_data", wrong)
 
 
-def _walks(g, length):
-    return np.linalg.matrix_power(g.adjacency_matrix(), length)
+def _walks(g, length, dd):
+    """The number of walks of the given length at each far pair of dd."""
+    return np.linalg.matrix_power(g.adjacency_matrix(), length).reshape(-1)[dd.far]
 
 
 # On C_5 the 3-walks between vertices at distance 2 happen to number 1, so
@@ -566,9 +570,9 @@ def test_geodesic_count_mutations_raise(name, mutation, monkeypatch):
     rep = verify_projector_entries(g)
     assert rep.status == "pass" and rep.evidence["geodesic_deviation"] <= 1e-9
     mutate = {
-        "doubled": lambda g, dd: 2 * dd.geodesics,
-        "one level short": lambda g, dd: _walks(g, dd.diameter - 1),
-        "one level long": lambda g, dd: _walks(g, dd.diameter + 1),
+        "doubled": lambda g, dd: 2 * dd.far_geodesics,
+        "one level short": lambda g, dd: _walks(g, dd.diameter - 1, dd),
+        "one level long": lambda g, dd: _walks(g, dd.diameter + 1, dd),
     }[mutation]
     _mutated_distances(monkeypatch, mutate)
     with pytest.raises(MethodsDisagreeError, match="geodesics give"):
@@ -588,7 +592,7 @@ def test_geodesic_identity_refusal_names_plain_floats(monkeypatch):
 
     monkeypatch.setattr(graphs, "spectral_projectors", perturbed)
     g = catalog_graph("petersen")
-    y = int(np.flatnonzero(distance_data(g).relation(2)[0])[0])
+    y = int(np.flatnonzero(distance_data(g).dist[0] == 2)[0])
     with pytest.raises(MethodsDisagreeError) as info:
         analyze_graph(g)
     message = str(info.value)
@@ -678,8 +682,7 @@ def test_relabelling_leaves_the_reports_unchanged(name, rnd):
 
 
 def far_pairs(g: Graph) -> np.ndarray:
-    dd = distance_data(g)
-    return np.flatnonzero(dd.relation(dd.diameter))
+    return distance_data(g).far
 
 
 def far_read_matches_oracle(read, family, far) -> bool:
@@ -789,7 +792,7 @@ def test_hoffman_count_of_the_catalog(name):
     assert spectrum.s == dd.diameter
     sign, log = lagrange_denominators(spectrum.values)
     assert round(sign[0] * math.exp(log[0]) / g.n) == HOFFMAN_COUNTS[name]
-    assert set(dd.geodesics[dd.relation(dd.diameter)].tolist()) == {HOFFMAN_COUNTS[name]}
+    assert set(dd.far_geodesics.tolist()) == {HOFFMAN_COUNTS[name]}
     assert analyze_graph(g).reports[0].status == "pass"
 
 
@@ -797,11 +800,11 @@ def test_hoffman_count_of_the_catalog(name):
 def test_one_wrong_geodesic_count_is_refused_by_hoffmans_count(name, monkeypatch):
     g = catalog_graph(name)
     dd = distance_data(g)
-    x, y = np.argwhere(dd.relation(dd.diameter))[-1].tolist()
+    x, y = divmod(int(dd.far[-1]), g.n)
 
     def one_more(g, dd):
-        paths = dd.geodesics.copy()
-        paths[x, y] += 1
+        paths = dd.far_geodesics.copy()
+        paths[-1] += 1
         return paths
 
     _mutated_distances(monkeypatch, one_more)
@@ -840,7 +843,7 @@ def test_identity_refusal_names_the_first_failing_projector(monkeypatch):
     family, far = spectral_projectors(g), far_pairs(g)
     dd = distance_data(g)
     sign, log = lagrange_denominators(family.spectrum.values)
-    rows = dd.geodesics.reshape(-1)[far] / (sign[1:, None] * np.exp(log[1:, None]))
+    rows = dd.far_geodesics / (sign[1:, None] * np.exp(log[1:, None]))
     rows[2, 4] += 1e-3
     rows[4, 2] += 1e-2
     monkeypatch.setattr(graphs, "_far_entries", lambda family, far: iter([(1, rows)]))

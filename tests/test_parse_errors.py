@@ -96,6 +96,9 @@ RELATION_MATRIX = [
     ("# C_3\r\n3 1\r\n0 1 1  # row 0\r\n\r\n1 0\r\n1 1 0\r\n", {}, 5, "expected 3 labels, got 2"),
     ("4 1\n0 1 1 1\n1 0 x 1\n1 1 0 1\n1 1 1 0\n", {"max_dense": 3}, None, DENSE.format(4, 3)),
     ("6000 2\n0 x\n", {}, None, DENSE.format(6000, 5000)),
+    # No row at all, under a width no numpy row holds.
+    ("99999999999999999999 1\n", {"max_dense": None}, 0,
+     "header declares 99999999999999999999 rows but 0 found"),
     ("40 1\n" + "\n".join(RELATION_40[:28] + [RELATION_40_BIG] + RELATION_40[29:]) + "\n", {},
      30, "value 100000000000000000000000 outside the 64-bit integer range"),
 ]
@@ -149,6 +152,7 @@ GRAM_MATRIX = [
      "expected 99999999999999999999 entries, got 1"),
     ("4\n1 0 0 0\n0 1 zz 0\n0 0 1 0\n0 0 0 1\n", {"max_dense": 3}, None, DENSE.format(4, 3)),
     ("6000\n1 zz\n", {}, None, DENSE.format(6000, 5000)),
+    ("99999999999999999999\n", {"max_dense": None}, 0, "expected 99999999999999999999 rows, got 0"),
     ("40\n" + "\n".join(GRAM_40[:28] + [GRAM_40_BAD] + GRAM_40[29:]) + "\n", {},
      30, f"bad entry in {GRAM_40_BAD!r}"),
     ("40\n" + "\n".join(GRAM_40[:28] + [GRAM_40[28] + " 0.5"] + GRAM_40[29:]) + "\n", {},

@@ -461,7 +461,7 @@ def test_detector_diameter_matches_networkx(name):
         dd = adjacency_distances(scheme.rel.labels == j)
         assert dd.is_connected() == (expected is not None)
         for t in range(dd.diameter + 1):
-            assert np.array_equal(dd.relation(t), oracle == t)
+            assert np.array_equal(dd.dist == t, oracle == t)
         assert not np.any(oracle > dd.diameter)
 
 

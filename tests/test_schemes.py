@@ -243,11 +243,12 @@ def oracle_scheme(name):
 # through to: both halves are checked against the reference.
 @pytest.mark.parametrize("seeds", [DEFAULT_SEEDS[:3], DEFAULT_SEEDS[3:]], ids=["default", "alternate"])
 @pytest.mark.parametrize("name", sorted([*ORACLE_SPECS, "cube-antipodal-first"]))
-def test_idempotents_match_dense_reference(name, seeds):
+def test_idempotents_match_dense_reference(name, seeds, monkeypatch):
     rel = oracle_scheme(name)
     ref = idempotents_reference(rel, seeds=seeds)
-    params = eigenmatrices(validate_scheme(rel), rel.n, seeds=seeds)
-    idems = idempotents(rel, params, seeds=seeds)
+    monkeypatch.setattr(schemes, "DEFAULT_SEEDS", seeds)
+    params = eigenmatrices(validate_scheme(rel), rel.n)
+    idems = idempotents(rel, params)
     assert idems.multiplicities == params.multiplicities == tuple(ref.multiplicities)
     # Projector by projector, so the eigenspace order is compared too.
     assert len(idems.blocks) == len(ref.projectors)
@@ -320,10 +321,11 @@ def test_validate_scheme_refuses_before_allocating(monkeypatch):
         validate_scheme(rel, max_dense=5)
 
 
-def test_idempotents_exhaust_seeds():
+def test_idempotents_exhaust_seeds(monkeypatch):
     scheme = analyzed_scheme("cycle5")
+    monkeypatch.setattr(schemes, "DEFAULT_SEEDS", ())
     with pytest.raises(DegenerateElementError):
-        idempotents(scheme.rel, scheme.params, seeds=())
+        idempotents(scheme.rel, scheme.params)
 
 
 def test_idempotents_refuse_swapped_multiplicities():
@@ -473,9 +475,11 @@ def test_parametric_noncommuting_tensor():
         parametric_parameters(q, 5)
 
 
-def test_parametric_exhaust_seeds():
+def test_parametric_exhaust_seeds(monkeypatch):
+    p = analyzed_scheme("cycle5").p
+    monkeypatch.setattr(schemes, "DEFAULT_SEEDS", ())
     with pytest.raises(DegenerateElementError):
-        parametric_parameters(analyzed_scheme("cycle5").p, 5, seeds=())
+        parametric_parameters(p, 5)
 
 
 def test_relation_matrix_round_trip():

@@ -279,6 +279,21 @@ def test_sub_resolution_tol_refused_after_one_eigensolve(monkeypatch):
     assert shapes == [(729, 729)]
 
 
+def test_split_eigenspace_below_the_rounding_blames_the_tolerance():
+    # K_6 at 1e-15: the generic element's spectrum rounds at about 2.2e-15,
+    # eps times its largest eigenvalue, and splits the 5-dimensional
+    # eigenspace into clusters more than 2 tol apart.  No clustering is
+    # ambiguous, but sizes [1, 4, 1] against P's [1, 5] refuse the
+    # tolerance, not the routes.
+    rel = build_scheme(FamilySpec("complete", (6,)))
+    params = schemes.eigenmatrices(schemes.validate_scheme(rel), rel.n)
+    with pytest.raises(ToleranceAmbiguityError,
+                       match=r"^the generic element's eigenvalue clusters have sizes \[1, 4, 1\], "
+                             r"not P's multiplicities \[1, 5\], at tol 1e-15 below the "
+                             r"eigensolve's rounding 2\.1\d*e-15; adjust the tolerance$"):
+        schemes.idempotents(rel, params, 1e-15)
+
+
 def test_ambiguous_draw_above_the_rounding_takes_the_next_seed():
     # H(3,3) at 1e-14: the first seed's spectrum spreads over 1.1e-14, above
     # tol, but eps times its largest eigenvalue is below tol, and the second

@@ -20,14 +20,17 @@ modules call it and never scale tol by a literal.
   residual_allowance       a generic element's eigenvalue clusters on    100 tol max(1, n)
                            the n points against its values P c
   gram_allowance           an n x n Gram's least and zero eigenvalues,   max(tol, 100 n eps)
-                           and an eigenspace's Gram against Q's column
+                           an eigenspace's Gram against Q's column,
+                           and that column against the exact P[j, i]/k_i
   eigensolve_rounding      the tol below which a generic element's       eps max |w|
                            ambiguous spectrum w is refused, not redrawn
   scaled_allowance         a computed value x against an exact one:      tol max(1, |x|)
                            the imaginary parts of the intersection-
                            matrix eigenvalues, the product-formula match
   integrality_allowance    parametric integers and closed forms, fixed   1e-6 max(1, |x|)
-                           whatever tol: multiplicities, the degree
+                           whatever tol: an explicit scheme's P
+                           rounded to its character table,
+                           multiplicities, the degree
                            row, the off-diagonal of the diagonalized
                            intersection matrices, Q's row 0, the
                            closed-form column of P
@@ -101,10 +104,10 @@ def scaled_allowance(tol: float, magnitude: float) -> float:
     return tol * max(1.0, magnitude)
 
 
-def integrality_allowance(magnitude: float) -> float:
+def integrality_allowance(magnitude):
     """Deviation of a parametric integer or closed form from its exact
-    value, fixed whatever tol."""
-    return 1e-6 * max(1.0, magnitude)
+    value, fixed whatever tol; elementwise on an array."""
+    return 1e-6 * np.maximum(1.0, magnitude)
 
 
 def lookup_allowance(tol: float) -> float:
@@ -142,6 +145,15 @@ def determinant_allowance(values, multiplicities, tol: float) -> float:
     multiplicity m_k: the first-order change of that sum when every
     eigenvalue moves by tol, the resolution at which a rank is read."""
     return tol * float(np.sum(np.asarray(multiplicities) / np.abs(values)))
+
+
+def exact_dtype(bound: int):
+    """The cheapest dtype in which integer sums whose terms' magnitudes add
+    up to at most bound are exact: float64 below 2^53 (BLAS products),
+    int64 below 2^63, else Python ints (object)."""
+    if bound < 2 ** 53:
+        return np.float64
+    return np.int64 if bound < 2 ** 63 else object
 
 
 def check_dense_limit(n: int, max_dense: int | None = DEFAULT_MAX_DENSE) -> None:

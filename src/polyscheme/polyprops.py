@@ -34,6 +34,7 @@ from .reports import HYPOTHESIS_NOT_MET, TheoremReport
 from .schemes import (
     RelationPartition,
     SchemeParameters,
+    certify_idempotents,
     eigenmatrices,
     idempotents,
     parametric_parameters,
@@ -355,18 +356,19 @@ def analyze_scheme(
     scheme is a RelationPartition (explicit route: the dense limit is
     checked before any n x n work, then the axioms, the eigenmatrices of
     their intersection numbers, as on the parametric route, and the
-    idempotents; each eigenspace's sphere embedding is built once from its
-    eigenvector block, one at a time, checks it against Q and feeds both
-    the Schur-diameter cross-check and the sphere report) or
-    the (p, n) pair returned by parse_intersection_tensor (parametric
-    route).  The P size condition is confirmed against the explicit
-    detector's verdict, which runs once per class.
+    idempotents, certified exactly when P is integral and from an
+    eigensolve otherwise; each eigenspace's sphere embedding is built once
+    from them, one at a time, checks them against Q and feeds both the
+    Schur-diameter cross-check and the sphere report) or the (p, n) pair
+    returned by parse_intersection_tensor (parametric route).  The P size
+    condition is confirmed against the explicit detector's verdict, which
+    runs once per class.
     """
     if isinstance(scheme, RelationPartition):
         rel = scheme
         check_dense_limit(rel.n, max_dense)
         params = eigenmatrices(validate_scheme(rel, max_dense), rel.n, tol)
-        idems = idempotents(rel, params, tol, max_dense)
+        idems = certify_idempotents(rel, params) or idempotents(rel, params, tol, max_dense)
     else:
         rel = idems = None
         params = parametric_parameters(*scheme, tol)

@@ -40,6 +40,7 @@ from .numerics import (
     rank_tol,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, TheoremReport
+from .schemes import CharacterTable
 
 SCHUR_SEEDS = (4241, 7151, 9343)
 
@@ -65,12 +66,16 @@ class SchemeAlgebra:
     A_i acts on scheme eigenspace k, of multiplicity multiplicities[k], as
     the scalar P[k, i] (Bannai-Ito 1984), so every entrywise polynomial of
     the Gram and every sphere class graph has its spectrum read off P.
+    certified is set when the scheme's idempotents were certified exactly
+    (schemes.certify_idempotents): those spectra are then theorems, and no
+    dense eigensolve or determinant re-tests them.
     """
 
     class_values: np.ndarray
     classes: np.ndarray
     P: np.ndarray
     multiplicities: np.ndarray
+    certified: bool = False
 
     def rank(self, values, tol: float) -> int:
         """Rank of the entrywise polynomial f(G) whose values at
@@ -208,37 +213,48 @@ def from_gram(
 
 def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
     """Unit-sphere embedding carried by eigenspace j of the scheme rel,
-    whose SchemeParameters and SchemeIdempotents are params and idems.
+    whose SchemeParameters are params, and whose idempotents idems are the
+    SchemeIdempotents of an eigensolve or the CharacterTable of
+    schemes.certify_idempotents.
 
-    Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j.  The
-    Gram is formed from the eigenvector block U_j, symmetrized and compared
-    entrywise with v at rel.labels: a deviation above gram_allowance(tol, n)
-    is a MethodsDisagreeError.  This runs first, so every block j >= 1 is
-    checked on all n^2 entries, and E_0 = I - sum_{j>=1} E_j follows from
-    the orthonormal basis.  The values are then Q's column j clustered at
-    tol (d numbers, not n^2), the labels are one gather of that clustering
-    through rel.labels, and the dimension is m_j.  A value within tol of 1
-    (repeated points) is a GramError.  The scheme was admitted with its
-    blocks, so no dense limit is checked.
+    Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j.  With a
+    CharacterTable, v must lie within gram_allowance(tol, n) of the exact
+    P[j, i]/k_i, and the Gram is the gather of v through rel.labels.  With
+    blocks, the Gram is formed from the eigenvector block U_j, symmetrized
+    and compared entrywise with v at rel.labels to the same allowance, so
+    every block j >= 1 is checked on all n^2 entries, and
+    E_0 = I - sum_{j>=1} E_j follows from the orthonormal basis.  A
+    deviation is a MethodsDisagreeError, and both checks come first.  The
+    values are then Q's column j clustered at tol (d numbers, not n^2), the
+    labels are one gather of that clustering through rel.labels, and the
+    dimension is m_j.  A value within tol of 1 (repeated points) is a
+    GramError.  The scheme was admitted with its idempotents, so no dense
+    limit is checked.
     """
     if not 1 <= j <= params.d:
         raise ValueError(f"eigenspace {j} outside 1..{params.d}")
     mj = params.multiplicities[j]
     class_values = params.Q[:, j] / mj
-    u = idems.blocks[j]
-    gram = u @ u.T
-    gram *= params.n / mj
-    gram += gram.T
-    gram /= 2.0
-    dev = class_values[rel.labels]
-    dev -= gram
-    worst = float(np.max(np.abs(dev, out=dev)))
-    del dev
     allowance = gram_allowance(tol, params.n)
+    certified = isinstance(idems, CharacterTable)
+    if certified:
+        worst = float(np.max(np.abs(class_values - idems.P[j] / np.array(params.degrees))))
+        what = f"Q's column {j} over m_{j} deviates from the certified P[{j}, i]/k_i"
+        gram = class_values[rel.labels]
+    else:
+        u = idems.blocks[j]
+        gram = u @ u.T
+        gram *= params.n / mj
+        gram += gram.T
+        gram /= 2.0
+        dev = class_values[rel.labels]
+        dev -= gram
+        worst = float(np.max(np.abs(dev, out=dev)))
+        del dev
+        what = (f"the Gram of eigenspace {j} formed from its eigenvector block deviates from "
+                f"Q's column {j}")
     if not worst <= allowance:
-        raise MethodsDisagreeError(
-            f"the Gram of eigenspace {j} formed from its eigenvector block deviates from "
-            f"Q's column {j} by {worst:.3g} > {allowance:.3g}")
+        raise MethodsDisagreeError(f"{what} by {worst:.3g} > {allowance:.3g}")
     vals, _, lab = cluster_values(class_values[1:], tol)
     if vals[0] >= 1.0 - tol:
         raise GramError(f"repeated points: off-diagonal inner product {vals[0]:.6g}")
@@ -247,7 +263,8 @@ def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> Sph
     gram.setflags(write=False)
     labels = classes[rel.labels]
     labels.setflags(write=False)
-    algebra = SchemeAlgebra(class_values, classes, params.P, np.asarray(params.multiplicities))
+    algebra = SchemeAlgebra(class_values, classes, params.P, np.asarray(params.multiplicities),
+                            certified)
     return SphericalSet(gram, mj, (1.0, *vals), labels, tol, algebra)
 
 
@@ -277,8 +294,9 @@ def schur_diameter(sph: SphericalSet) -> int:
 
     On a standalone Gram each trial's rank is an eigensolve.  On a scheme
     sphere it is read off P (SchemeAlgebra.rank) from the trial's values
-    at the class values, and only the first full-rank trial is formed
-    densely, as the certificate: its determinant must be the one P gives
+    at the class values.  On a certified scheme that rank is final.
+    Otherwise the first full-rank trial is formed densely, as the
+    certificate: its determinant must be the one P gives
     (SchemeAlgebra.certifies).  Failing that, its dense eigensolve decides,
     and a dense rank below n is a MethodsDisagreeError.
     """
@@ -294,8 +312,11 @@ def schur_diameter(sph: SphericalSet) -> int:
                 coeffs = np.random.default_rng([seed, t]).standard_normal(t + 1)
                 poly = functools.partial(eval_matrix_poly, coeffs / np.linalg.norm(coeffs))
             values = None if algebra is None else poly(algebra.class_values)
-            if values is not None and algebra.rank(values, tol) < sph.n:
-                continue
+            if values is not None:
+                if algebra.rank(values, tol) < sph.n:
+                    continue
+                if algebra.certified:
+                    return t
             dense = poly(sph.gram)
             if values is not None and algebra.certifies(values, dense, tol):
                 return t
@@ -326,7 +347,8 @@ def verify_sphere_theorem(
     set's own tolerance.  f*_i(x) = prod_{j >= 1, j != i} (x - v_j)/(v_i - v_j)
     is evaluated in product form into one n x n buffer, from which A_i and
     K*_i I are subtracted in place.  On a scheme sphere each class spectrum
-    is read off P, and class 1's is also solved densely as a cross-check.
+    is read off P, and unless the scheme is certified class 1's is also
+    solved densely as a cross-check.
     A single point (s = 0) has no class to force, so neither route's
     hypothesis holds.
     """
@@ -376,12 +398,13 @@ def verify_sphere_theorem(
         interp.ravel()[:: n + 1] -= ki
         interp -= sph.distance_class(i, out=ai)
         resid = float(np.max(np.abs(interp, out=interp)))
-        if sph.algebra is None or i == 1:
+        dense = sph.algebra is None or (i == 1 and not sph.algebra.certified)
+        if dense:
             mult = eigen_clusters(ai, tol, max_dense=None).multiplicity_of(-ki)
         if sph.algebra is not None:
-            # Read off P; class 1's dense spectrum above is the cross-check.
+            # Read off P; a dense class-1 spectrum above is the cross-check.
             read = sph.algebra.class_multiplicity(i, -ki, lookup_allowance(tol))
-            if i == 1 and read != mult:
+            if dense and read != mult:
                 raise MethodsDisagreeError(
                     f"class 1 has eigenvalue {-ki!r} with multiplicity {read} by P "
                     f"but {mult} by its dense spectrum")

@@ -14,13 +14,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fail_after_header
 from polyscheme import cli, graphs, numerics, schemes, spherical
 from polyscheme.cli import main
+from polyscheme.generators import FamilySpec, build_scheme
 from polyscheme.reports import reports_from_json
 from polyscheme.spherical import format_gram_matrix
 
@@ -323,7 +327,10 @@ class TestAnalyzeScheme:
         assert len(statuses["scheme"]) == 300
         assert statuses["scheme"] == statuses["tensor"]
 
-    def test_each_quantity_computed_once(self, petersen_rel, capsys, monkeypatch):
+    @staticmethod
+    def count_scheme_work(path, capsys, monkeypatch):
+        """Run analyze-scheme --json on path, counting the pipeline's calls,
+        the dense solves and the dense kernels it forms."""
         calls = count_calls(monkeypatch, "polyprops.p_polynomial_ordering", "graphs.distance_data",
                             "graphs.adjacency_distances", "schemes.validate_scheme",
                             "schemes.idempotents", "spherical.from_gram",
@@ -357,7 +364,6 @@ class TestAnalyzeScheme:
         monkeypatch.setattr(schemes.RelationPartition, "adjacency",
                             tally("class matrix", lambda rel, i: build(rel, i).view(ClassMatrix)))
         monkeypatch.setattr(np, "trace", tally("np.trace", np.trace))
-        monkeypatch.setattr(np, "tensordot", tally("np.tensordot", np.tensordot))
         counted_idempotents = schemes.idempotents
 
         def block_idempotents(*args, **kwargs):
@@ -365,18 +371,17 @@ class TestAnalyzeScheme:
             return dataclasses.replace(idems, blocks=tuple(u.view(Block) for u in idems.blocks))
 
         patch_everywhere(monkeypatch, counted_idempotents, block_idempotents)
-        solves = {"eigvalsh": 0, "eigvalsh in schur_diameter": 0, "slogdet": 0}
+        solves = {"eigh": 0, "eigvalsh": 0, "eigvalsh in schur_diameter": 0, "slogdet": 0}
         in_schur = [0]
-        eigvalsh, slogdet = np.linalg.eigvalsh, np.linalg.slogdet
+        eigh, eigvalsh, slogdet = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.slogdet
 
-        def counted_eigvalsh(*args, **kwargs):
-            solves["eigvalsh"] += 1
-            solves["eigvalsh in schur_diameter"] += in_schur[0]
-            return eigvalsh(*args, **kwargs)
-
-        def counted_slogdet(*args, **kwargs):
-            solves["slogdet"] += 1
-            return slogdet(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                solves[name] += 1
+                if name == "eigvalsh":
+                    solves["eigvalsh in schur_diameter"] += in_schur[0]
+                return fn(*args, **kwargs)
+            return wrapper
 
         schur = spherical.schur_diameter
 
@@ -387,37 +392,70 @@ class TestAnalyzeScheme:
             finally:
                 in_schur[0] -= 1
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+        monkeypatch.setattr(np.linalg, "slogdet", counted("slogdet", slogdet))
         patch_everywhere(monkeypatch, schur, staged_schur)
-        code, _, _ = run(capsys, "analyze-scheme", str(petersen_rel), "--json")
+        # Counted only around the run: the certificate's exact sums use it.
+        monkeypatch.setattr(np, "tensordot", tally("np.tensordot", np.tensordot))
+        code, _, _ = run(capsys, "analyze-scheme", str(path), "--json")
         assert code == 0
+        return calls, solves, kernels
+
+    def test_each_quantity_computed_once(self, petersen_rel, capsys, monkeypatch):
+        # The Petersen scheme's P is integral, so its idempotents are
+        # certified exactly (schemes.certify_idempotents) and nothing dense
+        # re-tests them.
+        calls, solves, kernels = self.count_scheme_work(petersen_rel, capsys, monkeypatch)
         # One detector run per class (d = 2); the size condition reuses it,
         # and it reads its levels off p, with no all-pairs level loop.
         # One sphere embedding per eigenspace feeds both its Schur-diameter
         # cross-check and its sphere report, and it is built from P and Q,
-        # not admitted through from_gram.  The clusterings are one spectrum,
-        # the two embeddings' Q columns and the two class-1 spectra that
-        # cross-check the class spectra read off P.
+        # not admitted through from_gram.  No eigensolve gives idempotents,
+        # and the only clusterings are the two embeddings' Q columns.
         assert calls == {"polyprops.p_polynomial_ordering": 2, "graphs.distance_data": 0,
                          "graphs.adjacency_distances": 0, "schemes.validate_scheme": 1,
+                         "schemes.idempotents": 0, "spherical.from_gram": 0,
+                         "spherical.schur_diameter": 2, "numerics.cluster_values": 2}
+        # Ranks and class spectra are read off P alone: no eigensolve and no
+        # determinant.
+        assert solves == {"eigh": 0, "eigvalsh": 0, "eigvalsh in schur_diameter": 0,
+                          "slogdet": 0}
+        # The three class matrices are built by validate_scheme and again by
+        # the certificate, each time multiplied by the Freivalds matrix and
+        # dropped.  The certificate's two exact sums over the classes are its
+        # two tensordots; the Krein numbers come from P and Q, with no trace
+        # inner product, and no dense projector is ever formed.
+        assert kernels == {"class matrix": 6, "np.trace": 0, "np.tensordot": 2,
+                           "A_i @ E_j": 0, "U_j @ U_j^T": 0}
+
+    def test_each_quantity_computed_once_on_the_dense_route(self, tmp_path, capsys, monkeypatch):
+        # C_7's P is irrational: the generic element's eigensolve gives the
+        # idempotents, and the dense checks run.
+        path = tmp_path / "c7.rel"
+        assert main(["gen", "cycle", "7", "--as", "scheme", "-o", str(path)]) == 0
+        capsys.readouterr()
+        calls, solves, kernels = self.count_scheme_work(path, capsys, monkeypatch)
+        # The clusterings are one spectrum, the three embeddings' Q columns
+        # and the three class-1 spectra that cross-check the class spectra
+        # read off P.
+        assert calls == {"polyprops.p_polynomial_ordering": 3, "graphs.distance_data": 0,
+                         "graphs.adjacency_distances": 0, "schemes.validate_scheme": 1,
                          "schemes.idempotents": 1, "spherical.from_gram": 0,
-                         "spherical.schur_diameter": 2, "numerics.cluster_values": 5}
+                         "spherical.schur_diameter": 3, "numerics.cluster_values": 7}
         # The Schur search reads its ranks off P and certifies only the rank
-        # it returns, by one determinant for each of the two separated
-        # eigenspaces and no eigensolve.  The two eigensolves are the
+        # it returns, by one determinant for each of the three separated
+        # eigenspaces and no eigensolve.  The eigvalsh calls are the
         # class-1 cross-checks.
-        assert solves == {"eigvalsh": 2, "eigvalsh in schur_diameter": 0, "slogdet": 2}
-        # The three class matrices are built once, by validate_scheme, and
-        # dropped on its return; P, Q and the Krein numbers come from the
-        # intersection numbers it returns.  The idempotents are checked on
-        # their eigenvector blocks, so no class matrix meets a dense
-        # projector; multiplicities are block widths, not traces; the Krein
-        # numbers come from P and Q, with no trace inner product; the only
-        # dense projectors are the d eigenspace Grams, each formed once from
-        # its block (E_0 never).
-        assert kernels == {"class matrix": 3, "np.trace": 0, "np.tensordot": 0,
-                           "A_i @ E_j": 0, "U_j @ U_j^T": 2}
+        assert solves == {"eigh": 1, "eigvalsh": 3, "eigvalsh in schur_diameter": 0,
+                          "slogdet": 3}
+        # The four class matrices are built once, by validate_scheme.  The
+        # idempotents are checked on their eigenvector blocks, so no class
+        # matrix meets a dense projector; multiplicities are block widths,
+        # not traces; the only dense projectors are the d eigenspace Grams,
+        # each formed once from its block (E_0 never).
+        assert kernels == {"class matrix": 4, "np.trace": 0, "np.tensordot": 0,
+                           "A_i @ E_j": 0, "U_j @ U_j^T": 3}
 
     def test_max_dense_reaches_every_stage(self, petersen_rel, capsys, monkeypatch):
         seen = record_dense_limits(monkeypatch)
@@ -502,6 +540,34 @@ class TestAnalyzeScheme:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, check=True)
         assert done.stdout == "0 False\n"
+
+
+RELABEL_SCHEMES = (FamilySpec("johnson", (6, 2)), FamilySpec("johnson", (7, 3)),
+                   FamilySpec("hamming", (3, 3)), FamilySpec("hamming", (2, 4)))
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(RELABEL_SCHEMES), st.randoms(use_true_random=False))
+def test_relabelled_points_leave_the_json_bytes_unchanged(spec, rnd):
+    # These schemes have integral P, so nothing in the output comes from an
+    # eigensolve of the points: P and Q from the intersection numbers, the
+    # Gram values from Q, and every residual entrywise from those values.
+    rel = build_scheme(spec)
+    perm = list(range(rel.n))
+    rnd.shuffle(perm)
+    inv = np.argsort(perm)
+    moved = schemes.RelationPartition.from_matrix(rel.labels[np.ix_(inv, inv)], rel.d)
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        # One path for both, since the output names its input.
+        path = os.path.join(tmp, "scheme.rel")
+        for scheme in (rel, moved):
+            with open(path, "w") as f:
+                f.write(schemes.format_relation_matrix(scheme))
+            assert main(["analyze-scheme", "--json", "-o", f"{path}.json", path]) == 0
+            with open(f"{path}.json", "rb") as f:
+                outputs.append(f.read())
+    assert outputs[0] == outputs[1]
 
 
 class TestAnalyzeGram:

@@ -38,6 +38,8 @@ from polyscheme.schemes import (
     DEFAULT_SEEDS,
     RelationPartition,
     SchemeParameters,
+    certify_idempotents,
+    character_table,
     eigenmatrices,
     format_intersection_tensor,
     format_relation_matrix,
@@ -335,6 +337,104 @@ def test_idempotents_refuse_swapped_multiplicities():
     swapped = dataclasses.replace(scheme.params, multiplicities=(1, 4, 5))
     with pytest.raises(MethodsDisagreeError, match="multiplicities"):
         idempotents(scheme.rel, swapped)
+
+
+INTEGRAL = ("complete4", "cube", "cycle6", "hamming33", "hoffman-singleton", "johnson83",
+            "petersen")
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
+def test_character_table_is_exact_where_p_is_integral(name):
+    scheme = analyzed_scheme(name)
+    params = scheme.params
+    table = character_table(params)
+    assert (table is not None) == (name in INTEGRAL)
+    if table is None:
+        assert certify_idempotents(scheme.rel, params) is None
+        return
+    assert table.P.dtype == np.int64
+    assert max_abs_diff(table.P, params.P) < 1e-9
+    # columns[j] = L_j Q[:, j] in lowest terms: integers whose gcd with L_j is 1.
+    k = params.degrees
+    for j, (scale, col) in enumerate(zip(table.scales, table.columns)):
+        assert all(isinstance(a, int) for a in col)
+        assert np.gcd.reduce([scale, *col]) == 1
+        assert max_abs_diff(np.array(col) / scale, params.Q[:, j]) < 1e-9
+        assert col == tuple(params.multiplicities[j] * int(table.P[j, i]) * scale // k[i]
+                            for i in range(params.d + 1))
+    assert same_table(certify_idempotents(scheme.rel, params), table)
+
+
+def same_table(a, b) -> bool:
+    return np.array_equal(a.P, b.P) and (a.scales, a.columns) == (b.scales, b.columns)
+
+
+def _valid_table(name):
+    params = analyzed_scheme(name).params
+    return params, np.rint(params.P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(INTEGRAL), st.data())
+def test_character_table_refuses_a_moved_eigenvalue(name, data):
+    params, P = _valid_table(name)
+    j, i = (data.draw(st.integers(0, params.d)) for _ in range(2))
+    P[j, i] += data.draw(st.sampled_from([-1, 1]))
+    with pytest.raises(MethodsDisagreeError):
+        character_table(dataclasses.replace(params, P=P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(INTEGRAL), st.data())
+def test_character_table_refuses_a_moved_intersection_number(name, data):
+    params, _ = _valid_table(name)
+    i, j, k = (data.draw(st.integers(0, params.d)) for _ in range(3))
+    p = params.p.copy()
+    step = data.draw(st.sampled_from([-1, 1]))
+    p[i, j, k] += step
+    if i != j:
+        p[j, i, k] += step
+    with pytest.raises(MethodsDisagreeError):
+        character_table(dataclasses.replace(params, p=p))
+
+
+def test_character_table_refuses_a_wrong_multiplicity():
+    # A P that is a character table, against multiplicities swapped by the
+    # float route, breaks P Q = n I on its diagonal.
+    params = analyzed_scheme("petersen").params
+    swapped = dataclasses.replace(params, multiplicities=(1, 4, 5))
+    with pytest.raises(MethodsDisagreeError, match=r"^eigenspace 1: m_1 sum_i P\[1, i\]\^2 / k_i"):
+        character_table(swapped)
+
+
+def test_certificate_refuses_idempotents_the_points_do_not_carry(monkeypatch):
+    # Columns 1 and 2 of C_6's table swapped: each D_j is then the
+    # idempotent of the other eigenspace, which the generic element does not
+    # scale by theta_j on the points.  Both have multiplicity 2, and the
+    # scales swapped with them keep the traces.
+    scheme = analyzed_scheme("cycle6")
+    table = character_table(scheme.params)
+    swapped = dataclasses.replace(
+        table, scales=(table.scales[0], table.scales[2], table.scales[1], *table.scales[3:]),
+        columns=(table.columns[0], table.columns[2], table.columns[1], *table.columns[3:]))
+    monkeypatch.setattr(schemes, "character_table", lambda params: swapped)
+    with pytest.raises(MethodsDisagreeError,
+                       match=r"^the exact idempotent of eigenspace 1 is not an eigenspace"):
+        certify_idempotents(scheme.rel, scheme.params)
+    # A scale that does not match its column breaks the trace.
+    rescaled = dataclasses.replace(table, scales=(2, *table.scales[1:]))
+    monkeypatch.setattr(schemes, "character_table", lambda params: rescaled)
+    with pytest.raises(MethodsDisagreeError,
+                       match=r"^trace of D_0 = 2 n E_0 on the points is 6, not 2 n m_0 = 12$"):
+        certify_idempotents(scheme.rel, scheme.params)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+def test_certificate_is_the_same_in_every_exact_dtype(monkeypatch, dtype):
+    scheme = analyzed_scheme("johnson83")
+    table = character_table(scheme.params)
+    monkeypatch.setattr(schemes, "exact_dtype", lambda bound: dtype)
+    assert same_table(certify_idempotents(scheme.rel, scheme.params), table)
 
 
 @pytest.mark.parametrize("j", [2, 3])

@@ -31,7 +31,8 @@ SITES = {
     "eigensolve_rounding": {"idempotents", "rank_allowance"},
     "gram_allowance": {"from_idempotent", "from_gram"},
     "scaled_allowance": {"eigenmatrices", "_product_formula"},
-    "integrality_allowance": {"eigenmatrices", "_size_condition", "family_parameters"},
+    "integrality_allowance": {"eigenmatrices", "character_table", "_size_condition",
+                              "family_parameters"},
     "lookup_allowance": {"multiplicity_of", "verify_sphere_theorem"},
     "interpolation_allowance": {"verify_sphere_theorem"},
     "order_quantum": {"_eigenspace_order"},
@@ -65,7 +66,9 @@ def test_every_allowance_is_read_at_its_sites(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recorder(name))
     johnson = FamilySpec("johnson", (6, 2))
+    # J(6,2) takes the exact route, C_7, whose P is irrational, the dense one.
     analyze_scheme(build_scheme(johnson))
+    analyze_scheme(build_scheme(FamilySpec("cycle", (7,))))
     analyze_scheme(family_tensor(johnson))
     _idempotents_at_1e_14()
     family_parameters(johnson)
@@ -101,6 +104,11 @@ def _idempotents_at_1e_14():
 def _from_idempotent():
     s = analyzed_scheme("johnson83")
     return from_idempotent(s.rel, s.params, s.idems, 1)
+
+
+def _from_certified():
+    s = analyzed_scheme("johnson83")
+    return from_idempotent(s.rel, s.params, schemes.certify_idempotents(s.rel, s.params), 1)
 
 
 def _from_gram():
@@ -174,6 +182,7 @@ REFUSE_ACCEPT = [
     (schemes, "eigensolve_rounding", np.inf, 0.0, _idempotents_at_1e_14,
      ToleranceAmbiguityError),
     (spherical, "gram_allowance", -1.0, np.inf, _from_idempotent, MethodsDisagreeError),
+    (spherical, "gram_allowance", -1.0, np.inf, _from_certified, MethodsDisagreeError),
     (spherical, "gram_allowance", -1.0, np.inf, _from_gram, GramError),
     (schemes, "scaled_allowance", -1.0, 1e-9, _parametric, DegenerateElementError),
     (schemes, "cluster_gap", np.inf, 2e-9, _parametric, DegenerateElementError),
@@ -292,6 +301,20 @@ def test_split_eigenspace_below_the_rounding_blames_the_tolerance():
                              r"not P's multiplicities \[1, 5\], at tol 1e-15 below the "
                              r"eigensolve's rounding 2\.1\d*e-15; adjust the tolerance$"):
         schemes.idempotents(rel, params, 1e-15)
+
+
+def test_explicit_routes_at_1e_15():
+    # K_6's P is integral: its idempotents are certified exactly, no
+    # eigensolve splits its 5-dimensional eigenspace, and 1e-15 gives the
+    # default-tol verdicts.  C_11's P is irrational, and its generic
+    # element's rounding splits eigenspaces, which blames the tolerance.
+    k6 = build_scheme(FamilySpec("complete", (6,)))
+    assert verdicts(analyze_scheme(k6, 1e-15)) == verdicts(analyze_scheme(k6))
+    with pytest.raises(ToleranceAmbiguityError,
+                       match=r"^the generic element's eigenvalue clusters have sizes "
+                             r"\[1, 2, 2, 1, 1, 1, 1, 2\], not P's multiplicities "
+                             r"\[1, 2, 2, 2, 2, 2\], at tol 1e-15 below"):
+        analyze_scheme(build_scheme(FamilySpec("cycle", (11,))), 1e-15)
 
 
 def test_ambiguous_draw_above_the_rounding_takes_the_next_seed():

@@ -147,15 +147,6 @@ def determinant_allowance(values, multiplicities, tol: float) -> float:
     return tol * float(np.sum(np.asarray(multiplicities) / np.abs(values)))
 
 
-def exact_dtype(bound: int):
-    """The cheapest dtype in which integer sums whose terms' magnitudes add
-    up to at most bound are exact: float64 below 2^53 (BLAS products),
-    int64 below 2^63, else Python ints (object)."""
-    if bound < 2 ** 53:
-        return np.float64
-    return np.int64 if bound < 2 ** 63 else object
-
-
 def check_dense_limit(n: int, max_dense: int | None = DEFAULT_MAX_DENSE) -> None:
     """Refuse dense O(n^3) work above the cap; pass max_dense=None to lift it."""
     if max_dense is not None and n > max_dense:

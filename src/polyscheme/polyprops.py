@@ -34,7 +34,7 @@ from .reports import HYPOTHESIS_NOT_MET, TheoremReport
 from .schemes import (
     RelationPartition,
     SchemeParameters,
-    certify_idempotents,
+    character_table,
     eigenmatrices,
     idempotents,
     parametric_parameters,
@@ -368,7 +368,7 @@ def analyze_scheme(
         rel = scheme
         check_dense_limit(rel.n, max_dense)
         params = eigenmatrices(validate_scheme(rel, max_dense), rel.n, tol)
-        idems = certify_idempotents(rel, params) or idempotents(rel, params, tol, max_dense)
+        idems = character_table(params) or idempotents(rel, params, tol, max_dense)
     else:
         rel = idems = None
         params = parametric_parameters(*scheme, tol)

@@ -35,7 +35,6 @@ from .numerics import (
     cluster_gap,
     cluster_values,
     eigensolve_rounding,
-    exact_dtype,
     integrality_allowance,
     order_quantum,
     residual_allowance,
@@ -50,9 +49,6 @@ DEFAULT_SEEDS = (20839, 61409, 92821, 15137, 48817, 76091)
 FREIVALDS_SEED = 51787
 FREIVALDS_BITS = 20
 FREIVALDS_COLUMNS = 3
-# The exact idempotent check's generic element: integer coefficients in
-# 1..2^CERTIFICATE_BITS - 1.
-CERTIFICATE_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_
     # left sides for j > i, and A_i B_i the one for j = i.  The pairs are
     # held in row-major order of the upper triangle.
     w = FREIVALDS_COLUMNS
-    r = _freivalds_matrix(n)
+    r = np.random.default_rng(FREIVALDS_SEED).integers(0, 2 ** FREIVALDS_BITS, (n, w)).astype(float)
     iu, ju = np.triu_indices(d + 1)
     b = np.empty((d + 1, n, w))
     lhs = np.empty((len(iu), n, w))
@@ -179,13 +175,6 @@ def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_
     if differs.size:
         _axiom_4_witness(rel, rep, int(iu[differs[0]]), int(ju[differs[0]]))
     return p
-
-
-def _freivalds_matrix(n: int) -> np.ndarray:
-    """The fixed n x FREIVALDS_COLUMNS matrix R of integers below
-    2^FREIVALDS_BITS, as floats, on which the Freivalds checks compare."""
-    rng = np.random.default_rng(FREIVALDS_SEED)
-    return rng.integers(0, 2 ** FREIVALDS_BITS, (n, FREIVALDS_COLUMNS)).astype(float)
 
 
 def _axiom_4_witness(rel: RelationPartition, rep: np.ndarray, i: int, j: int) -> None:
@@ -299,28 +288,31 @@ def idempotents(
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """The first eigenmatrix of a scheme as exact integers P[j, i], with
-    the columns of the second, Q[i, j] = m_j P[j, i] / k_i, scaled to
-    integers: columns[j][i] = scales[j] Q[i, j], scales[j] the least
-    common denominator of column j."""
+    """The first eigenmatrix of a scheme as exact integers P[j, i],
+    certified by character_table."""
 
     P: np.ndarray
-    scales: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
 
 
 def character_table(params: SchemeParameters) -> CharacterTable | None:
     """The first eigenmatrix of params, rounded to integers and checked
-    exactly, or None when some entry is not within integrality_allowance
-    of an integer.
+    exactly against its intersection numbers, or None when some entry is
+    not within integrality_allowance of an integer.
 
-    The rows of an integral P that are characters of p are the whole
-    character table of the Bose-Mesner algebra (Bannai-Ito 1984).  Checked
-    in integers: row 0 is the degrees k; |P[j, i]| <= k_i, so each side of
-    P[j, i] P[j, l] = sum_m p_il^m P[j, m], which must hold for all j, i, l,
-    is an int64 of at most n^2; and P Q = n I with Q[i, j] = m_j P[j, i]/k_i,
-    whose diagonal says n / sum_i P[j, i]^2 / k_i = m_j.  A P that rounds
-    but fails any of these is a MethodsDisagreeError.
+    Checked in integers: row 0 is the degrees k; |P[j, i]| <= k_i, so each
+    side of P[j, i] P[j, l] = sum_m p_il^m P[j, m], which must hold for all
+    j, i, l, is an int64 of at most n^2 (exact below n = 3e9, far beyond any
+    relation matrix); and P Q = n I with Q[i, j] = m_j P[j, i]/k_i, in
+    Python integers whatever the lcm of the degrees, whose diagonal says
+    n / sum_i P[j, i]^2 / k_i = m_j.  A P that rounds but fails any of these
+    is a MethodsDisagreeError.
+
+    The d + 1 rows are then distinct characters of the algebra with
+    structure constants p, so they are its whole character table, and
+    E_j = (1/n) sum_i Q[i, j] A_i are its primitive idempotents, of trace
+    m_j (Bannai-Ito 1984).  On the points that algebra is the span of the
+    A_i exactly when axiom 4 holds, which validate_scheme certifies, so
+    nothing on the points is left to check.
     """
     P = np.rint(params.P)
     if np.any(np.abs(params.P - P) > integrality_allowance(np.abs(params.P))):
@@ -344,79 +336,18 @@ def character_table(params: SchemeParameters) -> CharacterTable | None:
             f"row {j} of the rounded first eigenmatrix is not a character of p: "
             f"P[{j}, {i}] P[{j}, {l}] = {square[j, i, l]} but "
             f"sum_m p_{{{i},{l}}}^m P[{j}, m] = {linear[j, i, l]}")
-    # K P Q = P diag(K / k) P^T diag(m), in integers of at most n^2 K.
+    # K P Q = P diag(K / k) P^T diag(m), with K the lcm of the degrees.
     K = math.lcm(*k)
-    t = exact_dtype(n * n * K)
-    gram = (P.astype(t) * np.array([K // ki for ki in k], dtype=t)) @ P.T.astype(t)
-    bad = np.argwhere(gram * np.array(m, dtype=t) != n * K * np.eye(d + 1, dtype=t))
+    exact = P.astype(object)
+    gram = (exact * np.array([K // ki for ki in k], dtype=object)) @ exact.T
+    bad = np.argwhere(gram * np.array(m, dtype=object) != n * K * np.eye(d + 1, dtype=object))
     if bad.size:
         h, j = bad[0].tolist()
         raise MethodsDisagreeError(
             f"eigenspace {j}: m_{j} sum_i P[{j}, i]^2 / k_i = "
-            f"{Fraction(int(gram[j, j]) * m[j], K)}, not n = {n}" if h == j else
+            f"{Fraction(gram[j, j] * m[j], K)}, not n = {n}" if h == j else
             f"rows {h} and {j} of the rounded first eigenmatrix break P Q = n I")
-    scales, columns = [], []
-    for row, mj in zip(P.tolist(), m):
-        # Q[i, j] = num_i / k_i, whose least denominator is k_i / gcd(num_i, k_i).
-        num = [mj * x for x in row]
-        scale = math.lcm(*(ki // math.gcd(x, ki) for x, ki in zip(num, k)))
-        scales.append(scale)
-        columns.append(tuple(x * scale // ki for x, ki in zip(num, k)))
-    return CharacterTable(P, tuple(scales), tuple(columns))
-
-
-def certify_idempotents(rel: RelationPartition, params: SchemeParameters) -> CharacterTable | None:
-    """The character_table of params, with the primitive idempotents it
-    gives checked exactly on the n points of rel, or None when P is not
-    integral.
-
-    D_j = L_j n E_j = sum_i L_j Q[i, j] A_i is an integer matrix, L_j the
-    scale of column j.  A generic integer element C = sum_i c_i A_i, its
-    c_i below 2^CERTIFICATE_BITS drawn from DEFAULT_SEEDS until its values
-    theta = P c are distinct (DegenerateElementError if none are), must
-    satisfy C D_j R = theta_j D_j R on validate_scheme's Freivalds matrix
-    R, and trace D_j = L_j n m_j, for every j; otherwise the two
-    computations disagree (MethodsDisagreeError).  Each side is a sum over
-    i of L_j Q[i, j] times C A_i R or theta_j A_i R, whose entries are at
-    most y_i = (sum_h c_h k_h) k_i 2^FREIVALDS_BITS: C (A_i R) is one
-    product in exact_dtype(max y_i), and the sums over i are in
-    exact_dtype(max_j sum_i |L_j Q[i, j]| y_i).  O(n^2 d) work.
-    """
-    table = character_table(params)
-    if table is None:
-        return None
-    n, d, k = rel.n, rel.d, params.degrees
-    for seed in DEFAULT_SEEDS:
-        c = np.random.default_rng(seed).integers(1, 2 ** CERTIFICATE_BITS, d + 1)
-        theta = table.P @ c
-        if len(set(theta.tolist())) == d + 1:
-            break
-    else:
-        raise DegenerateElementError(
-            f"no seed in {tuple(DEFAULT_SEEDS)} gave an integer element with distinct values P c")
-    r = _freivalds_matrix(n)
-    b = np.stack([rel.adjacency(i) @ r for i in range(d + 1)], axis=1)
-    reach = int(c @ np.array(k)) * 2 ** FREIVALDS_BITS
-    y = [reach * ki for ki in k]
-    t = exact_dtype(max(y))
-    cb = (c.astype(t)[rel.labels] @ b.reshape(n, -1).astype(t)).reshape(b.shape)
-    t = exact_dtype(max(sum(abs(a) * yi for a, yi in zip(col, y)) for col in table.columns))
-    scaled = np.array(table.columns, dtype=t)
-    lhs = np.tensordot(scaled, cb.astype(t), axes=([1], [1]))
-    rhs = np.tensordot(scaled, b.astype(t), axes=([1], [1])) * theta.astype(t)[:, None, None]
-    diagonal = np.bincount(np.diagonal(rel.labels), minlength=d + 1).tolist()
-    for j in range(d + 1):
-        scale, col = table.scales[j], table.columns[j]
-        trace = sum(count * a for count, a in zip(diagonal, col))
-        if trace != scale * n * params.multiplicities[j]:
-            raise MethodsDisagreeError(
-                f"trace of D_{j} = {scale} n E_{j} on the points is {trace}, "
-                f"not {scale} n m_{j} = {scale * n * params.multiplicities[j]}")
-        if not np.array_equal(lhs[j], rhs[j]):
-            raise MethodsDisagreeError(
-                f"the exact idempotent of eigenspace {j} is not an eigenspace of the generic "
-                f"element on the points: C D_{j} R != {int(theta[j])} D_{j} R")
-    return table
+    return CharacterTable(P)
 
 
 def krein_parameters(P: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:

@@ -67,7 +67,7 @@ class SchemeAlgebra:
     the scalar P[k, i] (Bannai-Ito 1984), so every entrywise polynomial of
     the Gram and every sphere class graph has its spectrum read off P.
     certified is set when the scheme's idempotents were certified exactly
-    (schemes.certify_idempotents): those spectra are then theorems, and no
+    (schemes.character_table): those spectra are then theorems, and no
     dense eigensolve or determinant re-tests them.
     """
 
@@ -215,7 +215,7 @@ def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> Sph
     """Unit-sphere embedding carried by eigenspace j of the scheme rel,
     whose SchemeParameters are params, and whose idempotents idems are the
     SchemeIdempotents of an eigensolve or the CharacterTable of
-    schemes.certify_idempotents.
+    schemes.character_table.
 
     Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j.  With a
     CharacterTable, v must lie within gram_allowance(tol, n) of the exact

@@ -364,6 +364,7 @@ class TestAnalyzeScheme:
         monkeypatch.setattr(schemes.RelationPartition, "adjacency",
                             tally("class matrix", lambda rel, i: build(rel, i).view(ClassMatrix)))
         monkeypatch.setattr(np, "trace", tally("np.trace", np.trace))
+        monkeypatch.setattr(np, "tensordot", tally("np.tensordot", np.tensordot))
         counted_idempotents = schemes.idempotents
 
         def block_idempotents(*args, **kwargs):
@@ -396,15 +397,13 @@ class TestAnalyzeScheme:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
         monkeypatch.setattr(np.linalg, "slogdet", counted("slogdet", slogdet))
         patch_everywhere(monkeypatch, schur, staged_schur)
-        # Counted only around the run: the certificate's exact sums use it.
-        monkeypatch.setattr(np, "tensordot", tally("np.tensordot", np.tensordot))
         code, _, _ = run(capsys, "analyze-scheme", str(path), "--json")
         assert code == 0
         return calls, solves, kernels
 
     def test_each_quantity_computed_once(self, petersen_rel, capsys, monkeypatch):
         # The Petersen scheme's P is integral, so its idempotents are
-        # certified exactly (schemes.certify_idempotents) and nothing dense
+        # certified exactly (schemes.character_table) and nothing dense
         # re-tests them.
         calls, solves, kernels = self.count_scheme_work(petersen_rel, capsys, monkeypatch)
         # One detector run per class (d = 2); the size condition reuses it,
@@ -421,12 +420,11 @@ class TestAnalyzeScheme:
         # determinant.
         assert solves == {"eigh": 0, "eigvalsh": 0, "eigvalsh in schur_diameter": 0,
                           "slogdet": 0}
-        # The three class matrices are built by validate_scheme and again by
-        # the certificate, each time multiplied by the Freivalds matrix and
-        # dropped.  The certificate's two exact sums over the classes are its
-        # two tensordots; the Krein numbers come from P and Q, with no trace
-        # inner product, and no dense projector is ever formed.
-        assert kernels == {"class matrix": 6, "np.trace": 0, "np.tensordot": 2,
+        # The three class matrices are built once, by validate_scheme, and
+        # the character table is certified from p alone.  The Krein numbers
+        # come from P and Q, with no trace inner product or tensordot, and no
+        # dense projector is ever formed.
+        assert kernels == {"class matrix": 3, "np.trace": 0, "np.tensordot": 0,
                            "A_i @ E_j": 0, "U_j @ U_j^T": 0}
 
     def test_each_quantity_computed_once_on_the_dense_route(self, tmp_path, capsys, monkeypatch):

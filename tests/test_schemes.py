@@ -31,14 +31,13 @@ from polyscheme.errors import (
     SchemeAxiomError,
 )
 from polyscheme import schemes
-from polyscheme.generators import FamilySpec, build_scheme
+from polyscheme.generators import FamilySpec, build_scheme, family_tensor
 from polyscheme.graphs import distance_data, spectral_projectors
 from polyscheme.numerics import DEFAULT_MAX_DENSE
 from polyscheme.schemes import (
     DEFAULT_SEEDS,
     RelationPartition,
     SchemeParameters,
-    certify_idempotents,
     character_table,
     eigenmatrices,
     format_intersection_tensor,
@@ -350,23 +349,21 @@ def test_character_table_is_exact_where_p_is_integral(name):
     table = character_table(params)
     assert (table is not None) == (name in INTEGRAL)
     if table is None:
-        assert certify_idempotents(scheme.rel, params) is None
         return
     assert table.P.dtype == np.int64
     assert max_abs_diff(table.P, params.P) < 1e-9
-    # columns[j] = L_j Q[:, j] in lowest terms: integers whose gcd with L_j is 1.
-    k = params.degrees
-    for j, (scale, col) in enumerate(zip(table.scales, table.columns)):
-        assert all(isinstance(a, int) for a in col)
-        assert np.gcd.reduce([scale, *col]) == 1
-        assert max_abs_diff(np.array(col) / scale, params.Q[:, j]) < 1e-9
-        assert col == tuple(params.multiplicities[j] * int(table.P[j, i]) * scale // k[i]
-                            for i in range(params.d + 1))
-    assert same_table(certify_idempotents(scheme.rel, params), table)
 
 
-def same_table(a, b) -> bool:
-    return np.array_equal(a.P, b.P) and (a.scales, a.columns) == (b.scales, b.columns)
+@pytest.mark.parametrize("spec", [FamilySpec("hamming", (12, 5)), FamilySpec("johnson", (24, 8))])
+def test_character_table_is_exact_past_int64(spec):
+    # n^2 times the lcm of the degrees is above 2^66 here, so P Q = n I is
+    # summed in Python integers, and a multiplicity moved by one is refused.
+    params = parametric_parameters(*family_tensor(spec))
+    assert np.array_equal(character_table(params).P, np.rint(params.P))
+    m = list(params.multiplicities)
+    m[1], m[2] = m[1] + 1, m[2] - 1
+    with pytest.raises(MethodsDisagreeError, match=r"^eigenspace 1: m_1 sum_i P\[1, i\]\^2 / k_i"):
+        character_table(dataclasses.replace(params, multiplicities=tuple(m)))
 
 
 def _valid_table(name):
@@ -405,36 +402,6 @@ def test_character_table_refuses_a_wrong_multiplicity():
     swapped = dataclasses.replace(params, multiplicities=(1, 4, 5))
     with pytest.raises(MethodsDisagreeError, match=r"^eigenspace 1: m_1 sum_i P\[1, i\]\^2 / k_i"):
         character_table(swapped)
-
-
-def test_certificate_refuses_idempotents_the_points_do_not_carry(monkeypatch):
-    # Columns 1 and 2 of C_6's table swapped: each D_j is then the
-    # idempotent of the other eigenspace, which the generic element does not
-    # scale by theta_j on the points.  Both have multiplicity 2, and the
-    # scales swapped with them keep the traces.
-    scheme = analyzed_scheme("cycle6")
-    table = character_table(scheme.params)
-    swapped = dataclasses.replace(
-        table, scales=(table.scales[0], table.scales[2], table.scales[1], *table.scales[3:]),
-        columns=(table.columns[0], table.columns[2], table.columns[1], *table.columns[3:]))
-    monkeypatch.setattr(schemes, "character_table", lambda params: swapped)
-    with pytest.raises(MethodsDisagreeError,
-                       match=r"^the exact idempotent of eigenspace 1 is not an eigenspace"):
-        certify_idempotents(scheme.rel, scheme.params)
-    # A scale that does not match its column breaks the trace.
-    rescaled = dataclasses.replace(table, scales=(2, *table.scales[1:]))
-    monkeypatch.setattr(schemes, "character_table", lambda params: rescaled)
-    with pytest.raises(MethodsDisagreeError,
-                       match=r"^trace of D_0 = 2 n E_0 on the points is 6, not 2 n m_0 = 12$"):
-        certify_idempotents(scheme.rel, scheme.params)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
-def test_certificate_is_the_same_in_every_exact_dtype(monkeypatch, dtype):
-    scheme = analyzed_scheme("johnson83")
-    table = character_table(scheme.params)
-    monkeypatch.setattr(schemes, "exact_dtype", lambda bound: dtype)
-    assert same_table(certify_idempotents(scheme.rel, scheme.params), table)
 
 
 @pytest.mark.parametrize("j", [2, 3])

@@ -108,7 +108,7 @@ def _from_idempotent():
 
 def _from_certified():
     s = analyzed_scheme("johnson83")
-    return from_idempotent(s.rel, s.params, schemes.certify_idempotents(s.rel, s.params), 1)
+    return from_idempotent(s.rel, s.params, schemes.character_table(s.params), 1)
 
 
 def _from_gram():

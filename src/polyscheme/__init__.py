@@ -37,11 +37,9 @@ from .graphs import (
     format_edge_list,
     girth,
     k_factor_fraction,
-    large_graph_report,
     moore_bound,
     parse_edge_list,
     spectral_projectors,
-    verify_projector_entries,
 )
 from .numerics import (
     DEFAULT_MAX_DENSE,
@@ -114,11 +112,9 @@ __all__ = [
     "format_edge_list",
     "girth",
     "k_factor_fraction",
-    "large_graph_report",
     "moore_bound",
     "parse_edge_list",
     "spectral_projectors",
-    "verify_projector_entries",
     "DEFAULT_MAX_DENSE",
     "DEFAULT_TOL",
     "EigenClusters",

@@ -423,12 +423,15 @@ def analyze_graph(
     scan = _forced_entry_scan(family, dd, tol)
     subject = f"graph(n={g.n}, k={k})"
     return GraphAnalysis(family.spectrum, dd, gi, (
-        _projector_entries_report(subject, family.spectrum, dd, scan, tol),
-        _large_graph_report(subject, g, k, family.spectrum, dd, scan, tol),
+        verify_projector_entries(subject, family.spectrum, dd, scan, tol),
+        large_graph_report(subject, g, k, family.spectrum, dd, scan, tol),
     ))
 
 
-def _projector_entries_report(subject, spectrum, dd, scan, tol) -> TheoremReport:
+def verify_projector_entries(subject, spectrum, dd, scan, tol) -> TheoremReport:
+    """Report on the forced projector entries of a connected regular graph:
+    with one more distinct eigenvalue than its diameter d, every pair at
+    distance d carries the entry -K_i/n in the i-th eigenprojector."""
     theorem = "projector-entries"
     s, d = spectrum.s, dd.diameter
     if s != d:
@@ -459,7 +462,10 @@ def _projector_entries_report(subject, spectrum, dd, scan, tol) -> TheoremReport
     return TheoremReport(subject, theorem, FAIL, tol, evidence)
 
 
-def _large_graph_report(subject, g, k, spectrum, dd, scan, tol) -> TheoremReport:
+def large_graph_report(subject, g, k, spectrum, dd, scan, tol) -> TheoremReport:
+    """Report on the size test n > M(k, d-1) for the k-regular graph g with
+    d+1 distinct eigenvalues: it forces diameter d, the projector entries
+    at distance d, and n - M(k, d-1) forced entries in every row."""
     theorem = "large-graph"
     s = spectrum.s
     if s == 0:
@@ -501,36 +507,6 @@ def _large_graph_report(subject, g, k, spectrum, dd, scan, tol) -> TheoremReport
         f"min forced per row {min_rows} >= {g.n - bound}"
     )
     return TheoremReport(subject, theorem, PASS, tol, evidence)
-
-
-def verify_projector_entries(
-    g: Graph,
-    tol: float = DEFAULT_TOL,
-    max_dense: int | None = DEFAULT_MAX_DENSE,
-) -> TheoremReport:
-    """Check the forced projector entries at maximal distance.
-
-    For a connected k-regular graph whose distinct-eigenvalue count is one
-    more than its diameter d, every pair at distance d must carry the entry
-    -K_i/n in the i-th eigenprojector.  Hypothesis failures are report
-    outcomes, not exceptions.
-    """
-    return analyze_graph(g, tol, max_dense).reports[0]
-
-
-def large_graph_report(
-    g: Graph,
-    tol: float = DEFAULT_TOL,
-    max_dense: int | None = DEFAULT_MAX_DENSE,
-) -> TheoremReport:
-    """Size test n > M(k, d-1) and its four consequences.
-
-    With d+1 distinct eigenvalues and n beyond the degree/diameter bound for
-    diameter d-1, the graph must have diameter exactly d, the forced
-    projector entries at distance d, and at least n - M(k, d-1) forced
-    entries in every projector row.
-    """
-    return analyze_graph(g, tol, max_dense).reports[1]
 
 
 def parse_edge_list(text: str, max_dense: int | None = DEFAULT_MAX_DENSE) -> Graph:

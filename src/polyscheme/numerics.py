@@ -35,7 +35,7 @@ modules call it and never scale tol by a literal.
                            intersection matrices, Q's row 0, the
                            closed-form column of P
   lookup_allowance         a forced eigenvalue looked up in a clustered  10 tol
-                           spectrum or read off P
+                           spectrum, dense or read off P
   interpolation_allowance  the entrywise interpolation identity          100 tol
   order_quantum            the grid on which eigenspaces are sorted by   max(tol, 1e-12)
                            their class-1 eigenvalue
@@ -62,7 +62,8 @@ but within krein_allowance may be a rounded zero, and the Q detector
 raises ToleranceAmbiguityError for it; so does the Schur search for a
 full rank read off P whose least eigenvalue is above tol but within
 tol + rank_allowance, which a dense eigensolve may put on either side of
-tol.
+tol, and lookup_multiplicity for a forced eigenvalue within
+lookup_allowance of two clusters.
 """
 
 from __future__ import annotations
@@ -247,13 +248,23 @@ class EigenClusters:
         return len(self.values) - 1
 
     def multiplicity_of(self, value: float) -> int:
-        """Multiplicity of the cluster within lookup_allowance(tolerance) of
-        value, 0 if none."""
-        t = lookup_allowance(self.tolerance)
-        for v, m in zip(self.values, self.multiplicities):
-            if abs(v - value) <= t:
-                return m
-        return 0
+        """Multiplicity of value in this spectrum (see lookup_multiplicity)."""
+        return lookup_multiplicity(self.values, self.multiplicities, value, self.tolerance)
+
+
+def lookup_multiplicity(values, multiplicities, value: float, tol: float) -> int:
+    """Multiplicity of value in the spectrum values, each of multiplicity
+    multiplicities[k], clustered at tol: that of the one cluster within
+    lookup_allowance(tol) of value, 0 if none.  Two or more is a
+    ToleranceAmbiguityError."""
+    means, _, labels = cluster_values(values, tol)
+    window = lookup_allowance(tol)
+    near = np.flatnonzero(np.abs(np.subtract(means, value)) <= window)
+    if near.size > 1:
+        raise ToleranceAmbiguityError(
+            f"{near.size} eigenvalue clusters lie within {window!r} of {value!r}; "
+            f"adjust the tolerance")
+    return int(np.asarray(multiplicities)[labels == near[0]].sum()) if near.size else 0
 
 
 def eigen_clusters(

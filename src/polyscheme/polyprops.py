@@ -355,10 +355,11 @@ def analyze_scheme(
 
     scheme is a RelationPartition (explicit route: the dense limit is
     checked before any n x n work, then the axioms, the eigenmatrices of
-    their intersection numbers, as on the parametric route, and the
-    idempotents, certified exactly when P is integral and from an
-    eigensolve otherwise; each eigenspace's sphere embedding is built once
-    from them, one at a time, checks them against Q and feeds both the
+    their intersection numbers, as on the parametric route, then P
+    certified exactly as a character table when it is integral, and the
+    idempotents of an eigensolve checked against Q otherwise; each
+    eigenspace's sphere embedding, the gather of Q's column through the
+    labels, is built once, one at a time, and feeds both the
     Schur-diameter cross-check and the sphere report) or the (p, n) pair
     returned by parse_intersection_tensor (parametric route).  The P size
     condition is confirmed against the explicit detector's verdict, which
@@ -368,17 +369,19 @@ def analyze_scheme(
         rel = scheme
         check_dense_limit(rel.n, max_dense)
         params = eigenmatrices(validate_scheme(rel, max_dense), rel.n, tol)
-        idems = character_table(params) or idempotents(rel, params, tol, max_dense)
+        table = character_table(params)
+        if table is None:
+            idempotents(rel, params, tol, max_dense)
     else:
-        rel = idems = None
+        rel = table = None
         params = parametric_parameters(*scheme, tol)
     verdicts: list[PolyVerdict] = []
     reports: list[TheoremReport] = []
     for j in range(1, params.d + 1):
         sph = None
-        if idems is not None:
+        if rel is not None:
             try:
-                sph = from_idempotent(rel, params, idems, j, tol)
+                sph = from_idempotent(rel, params, table, j, tol)
             except GramError as exc:
                 reports.append(TheoremReport(
                     f"sphere(eigenspace={j})", "sphere-eigenvalue", HYPOTHESIS_NOT_MET, tol,

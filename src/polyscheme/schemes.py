@@ -35,6 +35,7 @@ from .numerics import (
     cluster_gap,
     cluster_values,
     eigensolve_rounding,
+    gram_allowance,
     integrality_allowance,
     order_quantum,
     residual_allowance,
@@ -211,25 +212,14 @@ def _eigenspace_order(P: np.ndarray, mults, tol: float) -> list[int]:
                          key=lambda j: (-round(P[j, 1] / quantum), mults[j]))
 
 
-@dataclass(frozen=True)
-class SchemeIdempotents:
-    """The primitive idempotents E_j = U_j U_j^T of a scheme, held as their
-    orthonormal eigenvector blocks U_j (n x m_j) in canonical order."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(u.shape[1] for u in self.blocks)
-
-
 def idempotents(
     rel: RelationPartition,
     params: SchemeParameters,
     tol: float = DEFAULT_TOL,
     max_dense: int | None = DEFAULT_MAX_DENSE,
-) -> SchemeIdempotents:
-    """Primitive idempotents of the adjacency algebra of rel, in the
+) -> tuple[np.ndarray, ...]:
+    """Primitive idempotents E_j = U_j U_j^T of the adjacency algebra of
+    rel, as their orthonormal eigenvector blocks U_j (n x m_j), in the
     eigenspace order of its SchemeParameters params.
 
     Diagonalizes a random combination sum_i c_i A_i of the class matrices,
@@ -243,7 +233,11 @@ def idempotents(
     once, since each draw rounds at about that scale.  Otherwise clusters
     of other sizes, or off P c by more than residual_allowance(tol, n),
     mean the two computations disagree (MethodsDisagreeError).
-    spherical.from_idempotent checks the blocks entrywise against Q.
+
+    Each block j >= 1 is then checked on all n^2 entries: (n/m_j) U_j U_j^T,
+    symmetrized, must lie within gram_allowance(tol, n) of the Gram that
+    spherical.from_idempotent gathers from Q's column j, or the two
+    computations disagree.  E_0 = I - sum_{j>=1} E_j follows.
     """
     check_dense_limit(rel.n, max_dense)
     n, d = rel.n, rel.d
@@ -280,22 +274,28 @@ def idempotents(
             raise MethodsDisagreeError(
                 f"the generic element's eigenvalue clusters deviate from P's values "
                 f"by {dev:.3g} > {allowance:.3g}")
-        return SchemeIdempotents(tuple(vecs[:, labels == c] for c in np.argsort(rank)))
+        blocks = tuple(vecs[:, labels == c] for c in np.argsort(rank))
+        del vecs
+        allowance = gram_allowance(tol, n)
+        for j, u in enumerate(blocks[1:], 1):
+            gram = u @ u.T
+            gram *= n / u.shape[1]
+            gram += gram.T
+            gram /= 2.0
+            gram -= (params.Q[:, j] / u.shape[1])[rel.labels]
+            worst = float(np.max(np.abs(gram, out=gram)))
+            if not worst <= allowance:
+                raise MethodsDisagreeError(
+                    f"the Gram of eigenspace {j} formed from its eigenvector block deviates "
+                    f"from Q's column {j} by {worst:.3g} > {allowance:.3g}")
+        return blocks
     raise DegenerateElementError(
         f"generic element degenerate for every seed in {tuple(DEFAULT_SEEDS)}"
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
-    """The first eigenmatrix of a scheme as exact integers P[j, i],
-    certified by character_table."""
-
-    P: np.ndarray
-
-
-def character_table(params: SchemeParameters) -> CharacterTable | None:
-    """The first eigenmatrix of params, rounded to integers and checked
+def character_table(params: SchemeParameters) -> np.ndarray | None:
+    """The first eigenmatrix of params as int64 P[j, i], rounded and checked
     exactly against its intersection numbers, or None when some entry is
     not within integrality_allowance of an integer.
 
@@ -347,7 +347,7 @@ def character_table(params: SchemeParameters) -> CharacterTable | None:
             f"eigenspace {j}: m_{j} sum_i P[{j}, i]^2 / k_i = "
             f"{Fraction(gram[j, j] * m[j], K)}, not n = {n}" if h == j else
             f"rows {h} and {j} of the rounded first eigenmatrix break P Q = n I")
-    return CharacterTable(P)
+    return P
 
 
 def krein_parameters(P: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:

@@ -35,12 +35,11 @@ from .numerics import (
     interpolation_allowance,
     k_factors,
     lagrange_denominators,
-    lookup_allowance,
+    lookup_multiplicity,
     rank_allowance,
     rank_tol,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, TheoremReport
-from .schemes import CharacterTable
 
 SCHUR_SEEDS = (4241, 7151, 9343)
 
@@ -66,9 +65,9 @@ class SchemeAlgebra:
     A_i acts on scheme eigenspace k, of multiplicity multiplicities[k], as
     the scalar P[k, i] (Bannai-Ito 1984), so every entrywise polynomial of
     the Gram and every sphere class graph has its spectrum read off P.
-    certified is set when the scheme's idempotents were certified exactly
-    (schemes.character_table): those spectra are then theorems, and no
-    dense eigensolve or determinant re-tests them.
+    certified is set when P is certified exactly (schemes.character_table):
+    those spectra are then theorems, and no dense eigensolve or determinant
+    re-tests them.
     """
 
     class_values: np.ndarray
@@ -108,10 +107,10 @@ class SchemeAlgebra:
                     <= determinant_allowance(lam, m, tol))
 
     def class_multiplicity(self, c: int, value: float, tol: float) -> int:
-        """Multiplicity of value, within tol, in the spectrum of the sphere
-        class-c graph, the sum of the scheme classes in it."""
+        """Multiplicity of value (numerics.lookup_multiplicity) in the
+        spectrum of the sphere class-c graph, the sum of its scheme classes."""
         lam = self.P[:, self.classes == c].sum(axis=1)
-        return int(self.multiplicities[np.abs(lam - value) <= tol].sum())
+        return lookup_multiplicity(lam, self.multiplicities, value, tol)
 
 
 @dataclass(frozen=True)
@@ -211,60 +210,43 @@ def from_gram(
     )
 
 
-def from_idempotent(rel, params, idems, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
-    """Unit-sphere embedding carried by eigenspace j of the scheme rel,
-    whose SchemeParameters are params, and whose idempotents idems are the
-    SchemeIdempotents of an eigensolve or the CharacterTable of
-    schemes.character_table.
+def from_idempotent(rel, params, table, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
+    """Unit-sphere embedding carried by eigenspace j of the scheme rel, whose
+    SchemeParameters are params; table is its integral P as certified by
+    schemes.character_table, or None.
 
-    Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j.  With a
-    CharacterTable, v must lie within gram_allowance(tol, n) of the exact
-    P[j, i]/k_i, and the Gram is the gather of v through rel.labels.  With
-    blocks, the Gram is formed from the eigenvector block U_j, symmetrized
-    and compared entrywise with v at rel.labels to the same allowance, so
-    every block j >= 1 is checked on all n^2 entries, and
-    E_0 = I - sum_{j>=1} E_j follows from the orthonormal basis.  A
-    deviation is a MethodsDisagreeError, and both checks come first.  The
-    values are then Q's column j clustered at tol (d numbers, not n^2), the
-    labels are one gather of that clustering through rel.labels, and the
-    dimension is m_j.  A value within tol of 1 (repeated points) is a
-    GramError.  The scheme was admitted with its idempotents, so no dense
-    limit is checked.
+    Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j, the
+    gather of v through rel.labels with the diagonal set to 1.  With a
+    table, v must lie within gram_allowance(tol, n) of the exact
+    P[j, i]/k_i (else MethodsDisagreeError); without one,
+    schemes.idempotents has checked the eigensolve against this Gram.  The
+    values are v clustered at tol (d numbers, not n^2), the labels one
+    gather of that clustering, and the dimension m_j.  A value within tol
+    of 1 (repeated points) is a GramError.  The scheme was admitted, so no
+    dense limit is checked.
     """
     if not 1 <= j <= params.d:
         raise ValueError(f"eigenspace {j} outside 1..{params.d}")
     mj = params.multiplicities[j]
     class_values = params.Q[:, j] / mj
-    allowance = gram_allowance(tol, params.n)
-    certified = isinstance(idems, CharacterTable)
-    if certified:
-        worst = float(np.max(np.abs(class_values - idems.P[j] / np.array(params.degrees))))
-        what = f"Q's column {j} over m_{j} deviates from the certified P[{j}, i]/k_i"
-        gram = class_values[rel.labels]
-    else:
-        u = idems.blocks[j]
-        gram = u @ u.T
-        gram *= params.n / mj
-        gram += gram.T
-        gram /= 2.0
-        dev = class_values[rel.labels]
-        dev -= gram
-        worst = float(np.max(np.abs(dev, out=dev)))
-        del dev
-        what = (f"the Gram of eigenspace {j} formed from its eigenvector block deviates from "
-                f"Q's column {j}")
-    if not worst <= allowance:
-        raise MethodsDisagreeError(f"{what} by {worst:.3g} > {allowance:.3g}")
+    if table is not None:
+        allowance = gram_allowance(tol, params.n)
+        worst = float(np.max(np.abs(class_values - table[j] / np.array(params.degrees))))
+        if not worst <= allowance:
+            raise MethodsDisagreeError(
+                f"Q's column {j} over m_{j} deviates from the certified P[{j}, i]/k_i "
+                f"by {worst:.3g} > {allowance:.3g}")
     vals, _, lab = cluster_values(class_values[1:], tol)
     if vals[0] >= 1.0 - tol:
         raise GramError(f"repeated points: off-diagonal inner product {vals[0]:.6g}")
     classes = np.concatenate(([0], lab + 1)).astype(np.min_scalar_type(len(vals)))
+    gram = class_values[rel.labels]
     np.fill_diagonal(gram, 1.0)
     gram.setflags(write=False)
     labels = classes[rel.labels]
     labels.setflags(write=False)
     algebra = SchemeAlgebra(class_values, classes, params.P, np.asarray(params.multiplicities),
-                            certified)
+                            table is not None)
     return SphericalSet(gram, mj, (1.0, *vals), labels, tol, algebra)
 
 
@@ -345,10 +327,12 @@ def verify_sphere_theorem(
     lookup_allowance, and the interpolating entrywise polynomial identity
     f*_i(M) = K*_i I + A_i holds to interpolation_allowance, both of the
     set's own tolerance.  f*_i(x) = prod_{j >= 1, j != i} (x - v_j)/(v_i - v_j)
-    is evaluated in product form into one n x n buffer, from which A_i and
-    K*_i I are subtracted in place.  On a scheme sphere each class spectrum
-    is read off P, and unless the scheme is certified class 1's is also
-    solved densely as a cross-check.
+    is evaluated in product form, on a standalone Gram into one n x n
+    buffer, from which A_i and K*_i I are subtracted in place.  A scheme
+    sphere's Gram gathers the scheme's class values, so the same float
+    operations run on those values alone, and each class spectrum is read
+    off P; unless the scheme is certified, class 1's is also solved densely
+    as a cross-check.
     A single point (s = 0) has no class to force, so neither route's
     hypothesis holds.
     """
@@ -388,27 +372,39 @@ def verify_sphere_theorem(
     checks = []
     failures = []
     sign, log = lagrange = lagrange_denominators(sph.values)
-    interp, ai = np.empty((n, n)), np.empty((n, n))
+    algebra = sph.algebra
+    if algebra is None:
+        interp, ai = np.empty((n, n)), np.empty((n, n))
+    else:
+        # The Gram's entries are the scheme's class values: 1 on the
+        # diagonal (class 0), class_values[c] at the pairs of class c.
+        at = algebra.class_values.copy()
+        at[0] = 1.0
     for i, ki in enumerate(k_factors(lagrange), 1):
         # prod_{j >= 1, j != i} (v_i - v_j) = L_i / (v_i - 1).
         scale = (sph.values[i] - 1.0) / (sign[i] * math.exp(log[i]))
         roots = [sph.values[j] for j in range(1, d + 1) if j != i]
-        # ai is the product's scratch array until it holds A_i.
-        eval_root_product(roots, scale, sph.gram, out=interp, scratch=ai)
-        interp.ravel()[:: n + 1] -= ki
-        interp -= sph.distance_class(i, out=ai)
-        resid = float(np.max(np.abs(interp, out=interp)))
-        dense = sph.algebra is None or (i == 1 and not sph.algebra.certified)
-        if dense:
+        if algebra is None:
+            # ai is the product's scratch array until it holds A_i.
+            eval_root_product(roots, scale, sph.gram, out=interp, scratch=ai)
+            interp.ravel()[:: n + 1] -= ki
+            interp -= sph.distance_class(i, out=ai)
+            resid = float(np.max(np.abs(interp, out=interp)))
             mult = eigen_clusters(ai, tol, max_dense=None).multiplicity_of(-ki)
-        if sph.algebra is not None:
-            # Read off P; a dense class-1 spectrum above is the cross-check.
-            read = sph.algebra.class_multiplicity(i, -ki, lookup_allowance(tol))
-            if dense and read != mult:
-                raise MethodsDisagreeError(
-                    f"class 1 has eigenvalue {-ki!r} with multiplicity {read} by P "
-                    f"but {mult} by its dense spectrum")
-            mult = read
+        else:
+            # The same float operations as on the n^2 entries, once per value.
+            interp = eval_root_product(roots, scale, at)
+            interp[0] -= ki
+            interp -= algebra.classes == i
+            resid = float(np.max(np.abs(interp)))
+            mult = algebra.class_multiplicity(i, -ki, tol)
+            if i == 1 and not algebra.certified:
+                # The class-1 spectrum read off P, cross-checked densely.
+                dense = eigen_clusters(sph.distance_class(1), tol, max_dense=None)
+                if (dense_mult := dense.multiplicity_of(-ki)) != mult:
+                    raise MethodsDisagreeError(
+                        f"class 1 has eigenvalue {-ki!r} with multiplicity {mult} by P "
+                        f"but {dense_mult} by its dense spectrum")
         checks.append({
             "class": i,
             "k_star": ki,

@@ -19,7 +19,13 @@ from polyscheme.errors import (
 )
 from polyscheme.generators import FamilySpec, build_graph, build_scheme
 from polyscheme.numerics import DEFAULT_TOL, cluster_values, rank_tol
-from polyscheme.schemes import DEFAULT_SEEDS, eigenmatrices, idempotents, validate_scheme
+from polyscheme.schemes import (
+    DEFAULT_SEEDS,
+    character_table,
+    eigenmatrices,
+    idempotents,
+    validate_scheme,
+)
 from polyscheme.spherical import SCHUR_SEEDS, from_idempotent
 
 GRAPH_SPECS = {
@@ -45,7 +51,7 @@ SCHEME_SPECS = {
     "petersen": FamilySpec("petersen"),
 }
 
-AnalyzedScheme = namedtuple("AnalyzedScheme", "name rel p idems params")
+AnalyzedScheme = namedtuple("AnalyzedScheme", "name rel p blocks params table")
 
 
 def max_abs_diff(x, y) -> float:
@@ -69,9 +75,29 @@ def fail_after_header(monkeypatch):
     monkeypatch.setattr(errors, "_split_lines", header_only)
 
 
-def projectors(idems):
-    """The dense idempotents E_j = U_j U_j^T of a SchemeIdempotents."""
-    return [u @ u.T for u in idems.blocks]
+def projectors(blocks):
+    """The dense idempotents E_j = U_j U_j^T of the eigenvector blocks that
+    schemes.idempotents returns."""
+    return [u @ u.T for u in blocks]
+
+
+def corrupt_eigenspace(monkeypatch, scheme, j, corrupt):
+    """Make np.linalg.eigh hand schemes.idempotents, on scheme, the columns
+    of eigenspace j as corrupt(columns) returns them.  The generic element
+    gathers its coefficients c through the labels, so c is read at one
+    pair of each class, and eigenspace j's columns are those whose
+    eigenvalue is (P c)[j]."""
+    eigh = np.linalg.eigh
+    pairs = [np.argwhere(scheme.rel.labels == i)[0] for i in range(scheme.rel.d + 1)]
+
+    def corrupted(a):
+        w, vecs = eigh(a)
+        coeffs = np.array([a[x, y] for x, y in pairs])
+        cols = np.abs(w - scheme.params.P[j] @ coeffs) <= 1e-6
+        vecs[:, cols] = corrupt(vecs[:, cols])
+        return w, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
 
 
 def same_evidence(a, b, key=""):
@@ -363,15 +389,14 @@ def analyzed_scheme(name):
     rel = build_scheme(SCHEME_SPECS[name])
     p = validate_scheme(rel)
     params = eigenmatrices(p, rel.n)
-    idems = idempotents(rel, params)
-    return AnalyzedScheme(name, rel, p, idems, params)
+    return AnalyzedScheme(name, rel, p, idempotents(rel, params), params, character_table(params))
 
 
 def sphere_of(scheme, j):
     """The eigenspace-j embedding that analyze_scheme hands to
     q_polynomial_ordering, or None when it is degenerate."""
     try:
-        return from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
+        return from_idempotent(scheme.rel, scheme.params, scheme.table, j)
     except GramError:
         return None
 

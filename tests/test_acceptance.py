@@ -20,7 +20,7 @@ from conftest import (
 )
 from polyscheme.errors import SchemeAxiomError
 from polyscheme.generators import FamilySpec, family_parameters
-from polyscheme.graphs import distance_data, large_graph_report, moore_bound, spectral_projectors
+from polyscheme.graphs import analyze_graph, distance_data, moore_bound, spectral_projectors
 from polyscheme.polyprops import (
     POLYNOMIAL,
     check_p_large,
@@ -77,7 +77,7 @@ def test_criterion_2_large_graph_reports():
     with criterion(2, "large-graph report on five catalog graphs"):
         for name in names:
             graph = catalog_graph(name)
-            report = large_graph_report(graph)
+            report = analyze_graph(graph).reports[1]
             assert report.status == PASS, name
             ev = report.evidence
             floor = ev["n"] - moore_bound(ev["k"], ev["d"] - 1)
@@ -179,7 +179,7 @@ def test_criterion_6_forced_sphere_eigenvalues():
         assert check["floor"] == 5 - absolute_bound(2, 1)
 
         scheme = analyzed_scheme("petersen")
-        embedded = verify_sphere_theorem(from_idempotent(scheme.rel, scheme.params, scheme.idems, 1))
+        embedded = verify_sphere_theorem(from_idempotent(scheme.rel, scheme.params, None, 1))
         assert embedded.status == PASS
         check = embedded.evidence["checks"][0]
         assert abs(check["eigenvalue"] - (-2.0)) <= 1e-9
@@ -194,8 +194,8 @@ def test_criterion_7_schur_diameter():
     with criterion(7, "Schur-diameter values and detector equivalence"):
         assert schur_diameter(from_gram(pentagon_gram())) == 2
         scheme = analyzed_scheme("petersen")
-        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
-        assert np.allclose(sph.gram, 2 * projectors(scheme.idems)[1], atol=1e-12)
+        sph = from_idempotent(scheme.rel, scheme.params, None, 1)
+        assert np.allclose(sph.gram, 2 * projectors(scheme.blocks)[1], atol=1e-12)
         assert schur_diameter(sph) == 2
         assert schur_diameter(from_gram(np.eye(6))) == 1
 
@@ -205,7 +205,7 @@ def test_criterion_7_schur_diameter():
             col = other.params.Q[:, 1]
             if np.min(np.diff(np.sort(col))) <= 1e-9:
                 continue
-            embedded = from_idempotent(other.rel, other.params, other.idems, 1)
+            embedded = from_idempotent(other.rel, other.params, None, 1)
             sd = schur_diameter(embedded)
             verdict = q_polynomial_ordering(other.params, 1)
             assert (sd == other.params.d) == (verdict.status == POLYNOMIAL), name

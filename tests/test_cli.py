@@ -5,7 +5,6 @@ stdout/stderr can be asserted without spawning interpreters; only the
 check of what a fresh process imports starts one.
 """
 
-import dataclasses
 import functools
 import importlib
 import io
@@ -352,8 +351,8 @@ class TestAnalyzeScheme:
                 return np.asarray(self) @ np.asarray(other)
 
         class Block(np.ndarray):
-            """An eigenvector block that counts the dense projectors formed
-            from it."""
+            """Eigenvectors that count the dense projectors formed from
+            their blocks."""
 
             def __matmul__(self, other):
                 product = np.asarray(self) @ np.asarray(other)
@@ -365,13 +364,6 @@ class TestAnalyzeScheme:
                             tally("class matrix", lambda rel, i: build(rel, i).view(ClassMatrix)))
         monkeypatch.setattr(np, "trace", tally("np.trace", np.trace))
         monkeypatch.setattr(np, "tensordot", tally("np.tensordot", np.tensordot))
-        counted_idempotents = schemes.idempotents
-
-        def block_idempotents(*args, **kwargs):
-            idems = counted_idempotents(*args, **kwargs)
-            return dataclasses.replace(idems, blocks=tuple(u.view(Block) for u in idems.blocks))
-
-        patch_everywhere(monkeypatch, counted_idempotents, block_idempotents)
         solves = {"eigh": 0, "eigvalsh": 0, "eigvalsh in schur_diameter": 0, "slogdet": 0}
         in_schur = [0]
         eigh, eigvalsh, slogdet = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.slogdet
@@ -393,13 +385,26 @@ class TestAnalyzeScheme:
             finally:
                 in_schur[0] -= 1
 
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", lambda a: (
+            lambda w, vecs: (w, vecs.view(Block)))(*eigh(a))))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
         monkeypatch.setattr(np.linalg, "slogdet", counted("slogdet", slogdet))
         patch_everywhere(monkeypatch, schur, staged_schur)
         code, _, _ = run(capsys, "analyze-scheme", str(path), "--json")
         assert code == 0
         return calls, solves, kernels
+
+    def test_cycle_61_at_1e_12_has_no_false_fail(self, tmp_path, capsys):
+        # Each eigenspace Gram is the gather of Q's column, so the degree-29
+        # interpolation products are evaluated on exact class values, not
+        # on the rounding of an eigensolve's U_j U_j^T.
+        path = tmp_path / "c61.rel"
+        assert main(["gen", "cycle", "61", "--as", "scheme", "-o", str(path)]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "analyze-scheme", "--tol", "1e-12", "--json", str(path))
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 30 and {r["status"] for r in reports} == {"pass"}
 
     def test_each_quantity_computed_once(self, petersen_rel, capsys, monkeypatch):
         # The Petersen scheme's P is integral, so its idempotents are
@@ -411,11 +416,13 @@ class TestAnalyzeScheme:
         # One sphere embedding per eigenspace feeds both its Schur-diameter
         # cross-check and its sphere report, and it is built from P and Q,
         # not admitted through from_gram.  No eigensolve gives idempotents,
-        # and the only clusterings are the two embeddings' Q columns.
+        # and the only clusterings are the two embeddings' Q columns and the
+        # four class spectra read off P, in which the forced eigenvalues
+        # are looked up.
         assert calls == {"polyprops.p_polynomial_ordering": 2, "graphs.distance_data": 0,
                          "graphs.adjacency_distances": 0, "schemes.validate_scheme": 1,
                          "schemes.idempotents": 0, "spherical.from_gram": 0,
-                         "spherical.schur_diameter": 2, "numerics.cluster_values": 2}
+                         "spherical.schur_diameter": 2, "numerics.cluster_values": 6}
         # Ranks and class spectra are read off P alone: no eigensolve and no
         # determinant.
         assert solves == {"eigh": 0, "eigvalsh": 0, "eigvalsh in schur_diameter": 0,
@@ -434,13 +441,14 @@ class TestAnalyzeScheme:
         assert main(["gen", "cycle", "7", "--as", "scheme", "-o", str(path)]) == 0
         capsys.readouterr()
         calls, solves, kernels = self.count_scheme_work(path, capsys, monkeypatch)
-        # The clusterings are one spectrum, the three embeddings' Q columns
-        # and the three class-1 spectra that cross-check the class spectra
-        # read off P.
+        # The clusterings are one spectrum, the three embeddings' Q columns,
+        # the nine class spectra read off P, and the three dense class-1
+        # spectra that cross-check them, each clustered again by the lookup
+        # of its forced eigenvalue.
         assert calls == {"polyprops.p_polynomial_ordering": 3, "graphs.distance_data": 0,
                          "graphs.adjacency_distances": 0, "schemes.validate_scheme": 1,
                          "schemes.idempotents": 1, "spherical.from_gram": 0,
-                         "spherical.schur_diameter": 3, "numerics.cluster_values": 7}
+                         "spherical.schur_diameter": 3, "numerics.cluster_values": 19}
         # The Schur search reads its ranks off P and certifies only the rank
         # it returns, by one determinant for each of the three separated
         # eigenspaces and no eigensolve.  The eigvalsh calls are the
@@ -450,8 +458,9 @@ class TestAnalyzeScheme:
         # The four class matrices are built once, by validate_scheme.  The
         # idempotents are checked on their eigenvector blocks, so no class
         # matrix meets a dense projector; multiplicities are block widths,
-        # not traces; the only dense projectors are the d eigenspace Grams,
-        # each formed once from its block (E_0 never).
+        # not traces; the only dense projectors are the d eigenspace Grams
+        # that idempotents forms once from each block (E_0 never), to check
+        # them against the gather of Q's column.
         assert kernels == {"class matrix": 4, "np.trace": 0, "np.tensordot": 0,
                            "A_i @ E_j": 0, "U_j @ U_j^T": 3}
 

@@ -38,11 +38,9 @@ from polyscheme.graphs import (
     format_edge_list,
     girth,
     k_factor_fraction,
-    large_graph_report,
     moore_bound,
     parse_edge_list,
     spectral_projectors,
-    verify_projector_entries,
 )
 from polyscheme.numerics import k_factors, lagrange_denominators
 
@@ -311,7 +309,7 @@ def test_k_factor_fraction_irrational_spectrum():
 
 
 def test_projector_entries_petersen():
-    rep = verify_projector_entries(catalog_graph("petersen"))
+    rep = analyze_graph(catalog_graph("petersen")).reports[0]
     assert rep.status == "pass"
     expected = rep.evidence["expected_entries"]
     assert [e["exact"] for e in expected] == ["-1/6", "1/15"]
@@ -321,7 +319,7 @@ def test_projector_entries_petersen():
 
 
 def test_projector_entries_cube():
-    rep = verify_projector_entries(catalog_graph("cube"))
+    rep = analyze_graph(catalog_graph("cube")).reports[0]
     assert rep.status == "pass"
     assert [e["exact"] for e in rep.evidence["expected_entries"]] == [
         "-3/8", "3/8", "-1/8"]
@@ -329,13 +327,13 @@ def test_projector_entries_cube():
 
 def test_projector_entries_hypothesis_failures():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    rep = verify_projector_entries(path)
+    rep = analyze_graph(path).reports[0]
     assert rep.status == "hypothesis-not-met"
     assert rep.evidence["summary"] == "not regular"
 
     two_triangles = Graph.from_edges(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    rep = verify_projector_entries(two_triangles)
+    rep = analyze_graph(two_triangles).reports[0]
     assert rep.status == "hypothesis-not-met"
     assert rep.evidence["summary"] == "not connected"
 
@@ -343,7 +341,7 @@ def test_projector_entries_hypothesis_failures():
     prism = Graph.from_edges(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
             (0, 3), (1, 4), (2, 5)])
-    rep = verify_projector_entries(prism)
+    rep = analyze_graph(prism).reports[0]
     assert rep.status == "hypothesis-not-met"
     assert rep.evidence["distinct_eigenvalues"] == 4
     assert rep.evidence["diameter"] == 2
@@ -363,7 +361,7 @@ LARGE_GRAPH_FLOORS = {
 @pytest.mark.parametrize("name", sorted(LARGE_GRAPH_FLOORS))
 def test_large_graph_report_passes(name):
     g = catalog_graph(name)
-    rep = large_graph_report(g)
+    rep = analyze_graph(g).reports[1]
     assert rep.status == "pass"
     assert rep.evidence["row_floor"] == LARGE_GRAPH_FLOORS[name]
     assert rep.evidence["min_forced_per_row"] >= LARGE_GRAPH_FLOORS[name]
@@ -385,7 +383,7 @@ def test_min_forced_per_row_counts_the_distance_d_pairs():
 
 def test_large_graph_report_small_cube():
     # 8 vertices is within M(3, 2) = 10, so the size hypothesis fails.
-    rep = large_graph_report(catalog_graph("cube"))
+    rep = analyze_graph(catalog_graph("cube")).reports[1]
     assert rep.status == "hypothesis-not-met"
     assert rep.evidence["moore_bound"] == 10
 
@@ -567,7 +565,7 @@ def _walks(g, length, dd):
 ])
 def test_geodesic_count_mutations_raise(name, mutation, monkeypatch):
     g = catalog_graph(name)
-    rep = verify_projector_entries(g)
+    rep = analyze_graph(g).reports[0]
     assert rep.status == "pass" and rep.evidence["geodesic_deviation"] <= 1e-9
     mutate = {
         "doubled": lambda g, dd: 2 * dd.far_geodesics,

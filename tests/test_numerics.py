@@ -25,6 +25,7 @@ from polyscheme.numerics import (
     eval_root_product,
     k_factors,
     lagrange_denominators,
+    lookup_multiplicity,
     rank_tol,
     snap_to_int,
 )
@@ -164,6 +165,22 @@ def test_eigen_clusters_properties():
     assert spec.multiplicity_of(1.0 + 9e-9) == 5
     assert spec.multiplicity_of(1.0 + 11e-9) == 0
     assert EigenClusters((3.0, 1.0, -2.0), (1, 5, 4), 0.005).multiplicity_of(0.99) == 5
+
+
+def test_one_lookup_rule_for_dense_and_p_read_spectra():
+    # A spectrum read off P lists one eigenvalue per eigenspace, so equal
+    # ones are clustered and their multiplicities add up; a dense spectrum
+    # is clustered already.  Both find the one cluster within 10 tol.
+    assert lookup_multiplicity([1.0 + 4e-10, 5.0, 1.0 - 4e-10], [2, 1, 3], 1.0, 1e-9) == 5
+    assert lookup_multiplicity([1.0 + 4e-10, 5.0, 1.0 - 4e-10], [2, 1, 3], 0.5, 1e-9) == 0
+    assert EigenClusters((5.0, 1.0), (1, 5), 1e-9).multiplicity_of(1.0 + 9e-9) == 5
+    # Two clusters within 10 tol of the value: the tolerance is refused,
+    # whichever side the spectrum comes from.
+    message = r"^2 eigenvalue clusters lie within 1e-08 of 1\.0; adjust the tolerance$"
+    with pytest.raises(ToleranceAmbiguityError, match=message):
+        lookup_multiplicity([1.0 + 4e-9, 5.0, 1.0 - 4e-9, 1.0 + 4e-9], [2, 1, 3, 5], 1.0, 1e-9)
+    with pytest.raises(ToleranceAmbiguityError, match=message):
+        EigenClusters((5.0, 1.0 + 4e-9, 1.0 - 4e-9), (1, 7, 3), 1e-9).multiplicity_of(1.0)
 
 
 def test_eigen_clusters_cycle6_trig_oracle():

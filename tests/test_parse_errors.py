@@ -27,7 +27,7 @@ from polyscheme.schemes import (
     parse_relation_matrix,
     validate_scheme,
 )
-from polyscheme.spherical import format_gram_matrix, from_idempotent, parse_gram_matrix
+from polyscheme.spherical import format_gram_matrix, parse_gram_matrix
 
 DENSE = "dense computation refused for n={} > limit {}; raise the limit explicitly to proceed"
 
@@ -260,13 +260,14 @@ def test_read_rows_on_repeated_tokens_matches_a_per_token_parse(data, dtype, wid
 
 
 def test_computed_gram_takes_the_distinct_conversion(monkeypatch):
-    # The J(12,2) eigenspace Gram's entries are computed, so its first
-    # tokens are mostly distinct; every block still converts each distinct
-    # token once, to the value float() gives it.
+    # The J(12,2) eigenspace Gram (n/m_1) U_1 U_1^T of the eigensolve's
+    # block has computed entries, so its first tokens are mostly distinct;
+    # every block still converts each distinct token once, to the value
+    # float() gives it.
     rel = build_scheme(FamilySpec("johnson", (12, 2)))
     params = eigenmatrices(validate_scheme(rel), rel.n)
-    idems = idempotents(rel, params)
-    computed = format_gram_matrix(from_idempotent(rel, params, idems, 1).gram)
+    u = idempotents(rel, params)[1]
+    computed = format_gram_matrix(rel.n / params.multiplicities[1] * (u @ u.T))
     calls = []
     block = errors._float_block
     monkeypatch.setattr(errors, "_float_block",

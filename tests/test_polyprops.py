@@ -553,7 +553,7 @@ def test_check_p_large_rejects_a_verdict_for_another_class():
 
 def test_analyze_scheme_explicit_matches_the_single_checks():
     scheme = analyzed_scheme("cube")
-    params, rel, idems = scheme.params, scheme.rel, scheme.idems
+    params, rel = scheme.params, scheme.rel
     analysis = analyze_scheme(rel)
     assert np.array_equal(analysis.params.P, params.P)
     expected = []
@@ -608,31 +608,31 @@ def test_johnson_12_4_routes_agree_at_scale():
     assert [(v.kind, v.base_index, v.status, v.ordering) for v in explicit.verdicts] == \
         [(v.kind, v.base_index, v.status, v.ordering) for v in parametric.verdicts]
     assert explicit.verdicts[3].ordering == (0, 1, 2, 3, 4)
-    idems = idempotents(rel, ex)
-    trace_route = krein_trace_reference(projectors(idems), idems.multiplicities)
+    blocks = idempotents(rel, ex)
+    trace_route = krein_trace_reference(projectors(blocks), [u.shape[1] for u in blocks])
     assert float(np.max(np.abs(ex.krein - trace_route))) <= 1e-7
 
 
 def test_pair_read_error_does_not_reach_the_verdicts(monkeypatch):
     """Paley(61), whose P is irrational, so its idempotents come from the
     eigensolve, with the pair-read second eigenmatrix off by about 1.8e-9,
-    above the default tol: row 0 of every eigenvector block is scaled by
+    above the default tol: row 0 of the eigensolve's vectors is scaled by
     1 + 4e-10, within the Gram check's allowance.  P and Q come from the
     intersection numbers, not the blocks, so Q, the Krein numbers and every
     verdict still equal the parametric route's."""
     spec = FamilySpec("paley", (61,))
     rel = build_scheme(spec)
     parametric = analyze_scheme(family_tensor(spec))
+    eigh = np.linalg.eigh
+
+    def skewed(a):
+        w, vecs = eigh(a)
+        vecs[0] *= 1 + 4e-10
+        return w, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
     blocks = []
-
-    def skewed(*args, **kwargs):
-        idems = idempotents(*args, **kwargs)
-        for u in idems.blocks:
-            blocks.append(u.copy())
-            blocks[-1][0] *= 1 + 4e-10
-        return dataclasses.replace(idems, blocks=tuple(blocks))
-
-    monkeypatch.setattr(polyprops, "idempotents", skewed)
+    monkeypatch.setattr(polyprops, "idempotents", lambda *args: blocks.extend(idempotents(*args)))
     explicit = analyze_scheme(rel)
     ex, par = explicit.params, parametric.params
     # Every row contains every class, so each class's first pair is (0, y).

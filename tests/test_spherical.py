@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     SCHEME_SPECS,
     analyzed_scheme,
+    corrupt_eigenspace,
     fail_after_header,
     same_evidence,
     schur_diameter_reference,
@@ -39,7 +40,6 @@ from polyscheme.numerics import (
     interpolation_allowance,
     k_factors,
     lagrange_denominators,
-    lookup_allowance,
     rank_tol,
 )
 from polyscheme.polyprops import POLYNOMIAL, q_polynomial_ordering
@@ -224,7 +224,7 @@ class TestFromGram:
 class TestFromIdempotent:
     def test_petersen_embedding(self):
         scheme = analyzed_scheme("petersen")
-        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+        sph = from_idempotent(scheme.rel, scheme.params, None, 1)
         assert sph.n == 10
         assert sph.dimension == 5
         assert np.allclose(sph.values, (1.0, 1 / 3, -1 / 3))
@@ -236,7 +236,7 @@ class TestFromIdempotent:
         for j in range(1, params.d + 1):
             col = params.Q[:, j] / params.multiplicities[j]
             try:
-                sph = from_idempotent(scheme_case.rel, params, scheme_case.idems, j)
+                sph = from_idempotent(scheme_case.rel, params, None, j)
             except GramError:
                 # collapsed embeddings (repeated rows of E_j) are rejected
                 assert len(set(np.round(col, 9))) < params.d + 1
@@ -245,39 +245,45 @@ class TestFromIdempotent:
 
     def test_read_from_the_algebra(self, scheme_case):
         # Values from Q's column, labels gathered through the scheme's
-        # labels, dimension m_j; the Gram is the dense (n/m_j) E_j.
+        # labels, dimension m_j; the Gram, gathered from Q's column, is the
+        # eigensolve's (n/m_j) U_j U_j^T to rounding.
         rel, params = scheme_case.rel, scheme_case.params
         for j in range(1, params.d + 1):
             try:
-                sph = from_idempotent(rel, params, scheme_case.idems, j)
+                sph = from_idempotent(rel, params, None, j)
             except GramError:
                 continue
             mj = params.multiplicities[j]
             assert sph.dimension == mj
             assert np.array_equal(sph.labels, sph.algebra.classes[rel.labels])
             assert np.array_equal(sph.algebra.class_values, params.Q[:, j] / mj)
-            u = scheme_case.idems.blocks[j]
+            u = scheme_case.blocks[j]
             assert np.max(np.abs(sph.gram - params.n / mj * (u @ u.T))) <= 1e-12
             assert np.array_equal(sph.gram, sph.gram.T)
             assert np.all(np.diagonal(sph.gram) == 1.0)
             assert not sph.gram.flags.writeable and not sph.labels.flags.writeable
 
-    def test_block_that_disagrees_with_q_is_an_error(self):
+    def test_block_that_disagrees_with_q_is_an_error(self, monkeypatch):
+        # The eigensolve's vectors of eigenspace j, moved by 1e-6 at one
+        # entry, are refused by the check of that block against Q.
         scheme = analyzed_scheme("petersen")
-        blocks = list(scheme.idems.blocks)
-        blocks[1] = blocks[1].copy()
-        blocks[1][3, 0] += 1e-6
-        idems = dataclasses.replace(scheme.idems, blocks=tuple(blocks))
-        with pytest.raises(MethodsDisagreeError, match="eigenspace 1 formed from its eigenvector"):
-            from_idempotent(scheme.rel, scheme.params, idems, 1)
-        # Eigenspace 2 reads its own block, which is untouched.
-        assert from_idempotent(scheme.rel, scheme.params, idems, 2).s == 2
+
+        def nudge(u):
+            u[3, 0] += 1e-6
+            return u
+
+        for j in (1, 2):
+            with monkeypatch.context() as patch:
+                corrupt_eigenspace(patch, scheme, j, nudge)
+                with pytest.raises(MethodsDisagreeError,
+                                   match=f"^the Gram of eigenspace {j} formed from its eigenvector"):
+                    idempotents(scheme.rel, scheme.params)
 
     def test_labels_are_small_and_match_the_gram_clustering(self, scheme_case):
         rel, params = scheme_case.rel, scheme_case.params
         for j in range(1, params.d + 1):
             try:
-                sph = from_idempotent(rel, params, scheme_case.idems, j)
+                sph = from_idempotent(rel, params, None, j)
             except GramError:
                 continue
             reference = labels_reference(sph.gram, sph.tolerance)
@@ -288,7 +294,7 @@ class TestFromIdempotent:
     def test_rejects_out_of_range_eigenspace(self, j):
         scheme = analyzed_scheme("petersen")
         with pytest.raises(ValueError, match="outside 1..2"):
-            from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
+            from_idempotent(scheme.rel, scheme.params, None, j)
 
 
 def k_stars(values):
@@ -303,7 +309,7 @@ class TestKStar:
 
     def test_petersen_embedding(self):
         scheme = analyzed_scheme("petersen")
-        values = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1).values
+        values = from_idempotent(scheme.rel, scheme.params, None, 1).values
         assert k_stars(values) == pytest.approx([2.0, -1.0], abs=1e-9)
 
     def test_square(self):
@@ -322,7 +328,7 @@ class TestSchurDiameter:
 
     def test_petersen_embedding(self):
         scheme = analyzed_scheme("petersen")
-        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+        sph = from_idempotent(scheme.rel, scheme.params, None, 1)
         assert schur_diameter(sph) == 2
 
     def test_tolerance_above_every_trial_disconnected(self):
@@ -368,7 +374,7 @@ def test_algebra_schur_diameter_matches_dense_search(name):
     compared = 0
     for j in range(1, scheme.params.d + 1):
         try:
-            sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
+            sph = from_idempotent(scheme.rel, scheme.params, None, j)
         except GramError:
             continue
         dense = schur_diameter_reference(sph)
@@ -387,7 +393,7 @@ def test_algebra_rank_matches_dense_rank(name):
     rng = np.random.default_rng(11)
     for j in range(1, scheme.params.d + 1):
         try:
-            sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, j)
+            sph = from_idempotent(scheme.rel, scheme.params, None, j)
         except GramError:
             continue
         for t in range(sph.s + 1):
@@ -402,8 +408,7 @@ def cycle_101_spheres():
     regular 101-gon, and its images, in the plane."""
     rel = build_scheme(FamilySpec("cycle", (101,)))
     params = eigenmatrices(validate_scheme(rel), rel.n)
-    idems = idempotents(rel, params)
-    return [from_idempotent(rel, params, idems, j) for j in range(1, params.d + 1)]
+    return [from_idempotent(rel, params, None, j) for j in range(1, params.d + 1)]
 
 
 def test_normalized_annihilator_reaches_full_rank_at_degree_50():
@@ -417,6 +422,40 @@ def test_normalized_annihilator_reaches_full_rank_at_degree_50():
     assert sph.algebra.rank(values, sph.tolerance) == 101
     assert np.max(np.abs(eval_root_product(roots, scale, sph.gram) - np.eye(101))) < 1e-6
     assert schur_diameter(sph) == 50
+
+
+def interpolation_residual_reference(sph, i):
+    """The product form of f*_i evaluated on all n^2 entries of the Gram,
+    with K*_i I and A_i subtracted, as on a standalone Gram."""
+    sign, log = lagrange = lagrange_denominators(sph.values)
+    ki = k_factors(lagrange)[i - 1]
+    scale = (sph.values[i] - 1.0) / (sign[i] * math.exp(log[i]))
+    roots = [v for j, v in enumerate(sph.values[1:], 1) if j != i]
+    f = eval_root_product(roots, scale, sph.gram)
+    f[np.diag_indices(sph.n)] -= ki
+    f -= sph.distance_class(i)
+    return float(np.max(np.abs(f)))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
+def test_scheme_interpolation_residual_is_the_n2_evaluation(name):
+    """A scheme sphere's Gram is the gather of its class values, so the
+    residual read at those values is, float for float, the one of all n^2
+    entries, with a certified table and without."""
+    scheme = analyzed_scheme(name)
+    compared = 0
+    for table in {id(t): t for t in (None, scheme.table)}.values():
+        for j in range(1, scheme.params.d + 1):
+            try:
+                sph = from_idempotent(scheme.rel, scheme.params, table, j)
+            except GramError:
+                continue
+            for route in ("size", "schur"):
+                for check in verify_sphere_theorem(sph, route=route).evidence.get("checks", []):
+                    assert check["interp_residual"] == \
+                        interpolation_residual_reference(sph, check["class"])
+                    compared += 1
+    assert compared >= 1
 
 
 def test_product_form_degree_49_identities_hold_on_cycle_101():
@@ -435,7 +474,7 @@ def test_schur_certificate_disagreement_is_an_error():
     # degree 2, where the dense certificate of H(3,3) eigenspace 1 has
     # rank below 27.
     scheme = analyzed_scheme("hamming33")
-    sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+    sph = from_idempotent(scheme.rel, scheme.params, None, 1)
     assert (schur_floor(sph), schur_diameter(sph)) == (2, 3)
     lying = dataclasses.replace(
         sph, algebra=dataclasses.replace(sph.algebra, multiplicities=np.full(4, sph.n)))
@@ -448,7 +487,7 @@ def test_schur_trials_stop_at_the_first_certificate(monkeypatch):
     # degree-2 trial is drawn, and the first degree-3 one is certified, so
     # no later seed is drawn and the annihilator's denominators are never formed.
     scheme = analyzed_scheme("hamming33")
-    sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+    sph = from_idempotent(scheme.rel, scheme.params, None, 1)
     draws, rng = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or rng(seed))
     denominators = []
@@ -469,7 +508,7 @@ def test_forged_schur_determinant_falls_through_to_the_eigensolve(monkeypatch, f
     # at least 0.49 in magnitude, so log|det| may move by at most about
     # 27 tol / 0.49 = 5.5e-8.
     scheme = analyzed_scheme("hamming33")
-    sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+    sph = from_idempotent(scheme.rel, scheme.params, None, 1)
     slogdet, eigvalsh = np.linalg.slogdet, np.linalg.eigvalsh
     seen = []
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: forge(*slogdet(a)))
@@ -502,7 +541,7 @@ class TestVerifySphereTheorem:
 
     def test_petersen_embedding_passes(self):
         scheme = analyzed_scheme("petersen")
-        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+        sph = from_idempotent(scheme.rel, scheme.params, None, 1)
         report = verify_sphere_theorem(sph)
         assert report.status == PASS
         # n = 10 against N(5, 1) = 6 leaves a floor of 4, attained exactly
@@ -516,7 +555,7 @@ class TestVerifySphereTheorem:
 
     def test_simplex_passes(self):
         scheme = analyzed_scheme("complete4")
-        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+        sph = from_idempotent(scheme.rel, scheme.params, None, 1)
         report = verify_sphere_theorem(sph)
         assert report.status == PASS
         check = report.evidence["checks"][0]
@@ -539,7 +578,7 @@ class TestVerifySphereTheorem:
 
     def test_schur_route_mismatch(self):
         scheme = analyzed_scheme("hamming33")
-        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 2)
+        sph = from_idempotent(scheme.rel, scheme.params, None, 2)
         report = verify_sphere_theorem(sph, route="schur")
         assert report.status == HYPOTHESIS_NOT_MET
         assert report.evidence["summary"] == "Schur-diameter 2 != distance count 3"
@@ -550,17 +589,17 @@ class TestVerifySphereTheorem:
         rel, params = scheme_case.rel, scheme_case.params
         for j in range(1, params.d + 1):
             try:
-                sph = from_idempotent(rel, params, scheme_case.idems, j)
+                sph = from_idempotent(rel, params, None, j)
             except GramError:
                 continue
             for i, ki in enumerate(k_stars(sph.values), 1):
                 dense = eigen_clusters(sph.distance_class(i), max_dense=None)
-                assert sph.algebra.class_multiplicity(i, -ki, lookup_allowance(sph.tolerance)) == \
+                assert sph.algebra.class_multiplicity(i, -ki, sph.tolerance) == \
                     dense.multiplicity_of(-ki)
 
     def test_class_spectrum_cross_check_disagreement_is_an_error(self):
         scheme = analyzed_scheme("petersen")
-        sph = from_idempotent(scheme.rel, scheme.params, scheme.idems, 1)
+        sph = from_idempotent(scheme.rel, scheme.params, None, 1)
         assert verify_sphere_theorem(sph).status == PASS
         tampered = sph.algebra.P.copy()
         tampered[2, 1] += 0.5
@@ -622,7 +661,7 @@ def test_schur_diameter_matches_krein_route(name):
         col = params.Q[:, j]
         if np.min(np.diff(np.sort(col))) <= 1e-9:
             continue
-        sph = from_idempotent(scheme.rel, params, scheme.idems, j)
+        sph = from_idempotent(scheme.rel, params, None, j)
         sd = schur_diameter(sph)
         verdict = q_polynomial_ordering(params, j)
         assert (sd == params.d) == (verdict.status == POLYNOMIAL)
@@ -635,7 +674,7 @@ def test_schur_diameter_matches_krein_route(name):
 
 def _embedding(name, j):
     scheme = analyzed_scheme(name)
-    return from_idempotent(scheme.rel, scheme.params, scheme.idems, j).gram
+    return from_idempotent(scheme.rel, scheme.params, None, j).gram
 
 
 # Both routes pass on the pentagon and on J(8,3) eigenspace 1.  H(3,3)

@@ -29,11 +29,11 @@ SITES = {
     "cluster_gap": {"cluster_values", "eigenmatrices", "idempotents"},
     "residual_allowance": {"idempotents"},
     "eigensolve_rounding": {"idempotents", "rank_allowance"},
-    "gram_allowance": {"from_idempotent", "from_gram"},
+    "gram_allowance": {"idempotents", "from_idempotent", "from_gram"},
     "scaled_allowance": {"eigenmatrices", "_product_formula"},
     "integrality_allowance": {"eigenmatrices", "character_table", "_size_condition",
                               "family_parameters"},
-    "lookup_allowance": {"multiplicity_of", "verify_sphere_theorem"},
+    "lookup_allowance": {"lookup_multiplicity"},
     "interpolation_allowance": {"verify_sphere_theorem"},
     "order_quantum": {"_eigenspace_order"},
     "krein_allowance": {"q_polynomial_ordering"},
@@ -103,7 +103,7 @@ def _idempotents_at_1e_14():
 
 def _from_idempotent():
     s = analyzed_scheme("johnson83")
-    return from_idempotent(s.rel, s.params, s.idems, 1)
+    return from_idempotent(s.rel, s.params, None, 1)
 
 
 def _from_certified():
@@ -141,7 +141,7 @@ def _family():
 
 def _scheme_sphere():
     s = analyzed_scheme("johnson83")
-    return verify_sphere_theorem(from_idempotent(s.rel, s.params, s.idems, 1)).status == PASS
+    return verify_sphere_theorem(from_idempotent(s.rel, s.params, None, 1)).status == PASS
 
 
 def _gram_sphere():
@@ -150,7 +150,7 @@ def _gram_sphere():
 
 def _scheme_schur():
     s = analyzed_scheme("johnson83")
-    return spherical.schur_diameter(from_idempotent(s.rel, s.params, s.idems, 1))
+    return spherical.schur_diameter(from_idempotent(s.rel, s.params, None, 1))
 
 
 def _certificate():
@@ -181,7 +181,7 @@ REFUSE_ACCEPT = [
     (schemes, "cluster_gap", np.inf, 2e-9, _idempotents, DegenerateElementError),
     (schemes, "eigensolve_rounding", np.inf, 0.0, _idempotents_at_1e_14,
      ToleranceAmbiguityError),
-    (spherical, "gram_allowance", -1.0, np.inf, _from_idempotent, MethodsDisagreeError),
+    (schemes, "gram_allowance", -1.0, np.inf, _idempotents, MethodsDisagreeError),
     (spherical, "gram_allowance", -1.0, np.inf, _from_certified, MethodsDisagreeError),
     (spherical, "gram_allowance", -1.0, np.inf, _from_gram, GramError),
     (schemes, "scaled_allowance", -1.0, 1e-9, _parametric, DegenerateElementError),
@@ -191,7 +191,7 @@ REFUSE_ACCEPT = [
     (polyprops, "integrality_allowance", -1.0, np.inf, _q_large, ValueError),
     (polyprops, "krein_allowance", np.full((3, 3), np.inf), 0.0, _krein, ToleranceAmbiguityError),
     (generators, "integrality_allowance", -1.0, np.inf, _family, MethodsDisagreeError),
-    (spherical, "lookup_allowance", -1.0, 1e-8, _scheme_sphere, MethodsDisagreeError),
+    (numerics, "lookup_allowance", -1.0, 1e-8, _scheme_sphere, False),
     (numerics, "lookup_allowance", -1.0, 1e-8, _gram_sphere, False),
     (numerics, "lookup_allowance", -1.0, 1e-8, _multiplicity, False),
     (spherical, "interpolation_allowance", -1.0, np.inf, _gram_sphere, False),
@@ -326,16 +326,32 @@ def test_ambiguous_draw_above_the_rounding_takes_the_next_seed():
 
 
 def test_from_gram_blames_the_tolerance_at_1e_14():
-    # The J(14,3) first-eigenspace Gram is positive semidefinite, but its
-    # eigensolve rounds the least eigenvalue to about -1.6e-14: below -tol,
-    # within gram_allowance.  The clustering then refuses the tolerance.
+    # The J(14,3) first-eigenspace Gram (n/m_1) U_1 U_1^T, formed from the
+    # eigensolve's block, symmetrized and with a unit diagonal, is positive
+    # semidefinite, but its eigensolve rounds the least eigenvalue to about
+    # -1.6e-14: below -tol, within gram_allowance.  The clustering then
+    # refuses the tolerance.
     rel = build_scheme(FamilySpec("johnson", (14, 3)))
     params = schemes.eigenmatrices(schemes.validate_scheme(rel), rel.n)
-    idems = schemes.idempotents(rel, params)
-    gram = from_idempotent(rel, params, idems, 1).gram
+    u = schemes.idempotents(rel, params)[1]
+    gram = rel.n / params.multiplicities[1] * (u @ u.T)
+    gram = (gram + gram.T) / 2.0
+    np.fill_diagonal(gram, 1.0)
     assert from_gram(gram).dimension == 13
     with pytest.raises(ToleranceAmbiguityError):
         from_gram(gram, 1e-14)
+
+
+def test_cycle_101_forced_eigenvalue_between_two_clusters_blames_the_tolerance():
+    # At 1e-3 the class-1 eigenvalues 2 cos(2 pi k/101) nearest -K*_1 of
+    # eigenspace 1 are two clusters within lookup_allowance = 0.01 of it.
+    # The spectrum read off P and the dense one both hold the two, and one
+    # lookup rule refuses the tolerance for both.
+    rel = build_scheme(FamilySpec("cycle", (101,)))
+    with pytest.raises(ToleranceAmbiguityError,
+                       match=r"^2 eigenvalue clusters lie within 0\.01 of -1\.99\d*; "
+                             r"adjust the tolerance$"):
+        analyze_scheme(rel, 1e-3)
 
 
 @pytest.mark.parametrize("tol", [1e-13, 5e-14, 3e-14, 2e-14])

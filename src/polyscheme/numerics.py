@@ -18,7 +18,9 @@ modules call it and never scale tol by a literal.
                            eigenvalues on the intersection matrices
                            and between its values P c on the scheme
   residual_allowance       a generic element's eigenvalue clusters on    100 tol max(1, n)
-                           the n points against its values P c
+                           the n points against its values P c, and
+                           each class's block residual on the points,
+                           |A_i y_j - P[j, i] y_j| relative to |y_j|
   gram_allowance           an n x n Gram's least and zero eigenvalues,   max(tol, 100 n eps)
                            an eigenspace's Gram against Q's column,
                            and that column against the exact P[j, i]/k_i
@@ -44,9 +46,6 @@ modules call it and never scale tol by a literal.
   rank_allowance           the rounding of a dense eigenvalue of an      n eps max |lam|
                            n x n matrix whose spectrum lam is read
                            off P
-  determinant_allowance    log|det| of a matrix against the sum of its   tol sum_k m_k / |lam_k|
-                           eigenvalues' logs, read off P: every lam_k,
-                           of multiplicity m_k, moved by tol
 
 Intersection numbers are integers and are compared exactly.  A set
 clustered at a tolerance is checked at that tolerance: EigenClusters and
@@ -138,14 +137,6 @@ def krein_allowance(scale):
 def rank_allowance(values, n: int) -> float:
     """Rounding of the eigenvalues of an n x n matrix whose spectrum is values."""
     return float(n * eigensolve_rounding(values))
-
-
-def determinant_allowance(values, multiplicities, tol: float) -> float:
-    """Deviation allowed between log|det| of a matrix and the sum of
-    m_k log|values_k| over its distinct eigenvalues values_k, each of
-    multiplicity m_k: the first-order change of that sum when every
-    eigenvalue moves by tol, the resolution at which a rank is read."""
-    return tol * float(np.sum(np.asarray(multiplicities) / np.abs(values)))
 
 
 def check_dense_limit(n: int, max_dense: int | None = DEFAULT_MAX_DENSE) -> None:

@@ -357,9 +357,9 @@ def analyze_scheme(
     checked before any n x n work, then the axioms, the eigenmatrices of
     their intersection numbers, as on the parametric route, then P
     certified exactly as a character table when it is integral, and the
-    idempotents of an eigensolve checked against Q otherwise; each
-    eigenspace's sphere embedding, the gather of Q's column through the
-    labels, is built once, one at a time, and feeds both the
+    idempotents of an eigensolve checked against Q and P otherwise; each
+    eigenspace's sphere embedding, Q's column read as the class values of
+    its Gram, is built once, one at a time, and feeds both the
     Schur-diameter cross-check and the sphere report) or the (p, n) pair
     returned by parse_intersection_tensor (parametric route).  The P size
     condition is confirmed against the explicit detector's verdict, which
@@ -381,7 +381,7 @@ def analyze_scheme(
         sph = None
         if rel is not None:
             try:
-                sph = from_idempotent(rel, params, table, j, tol)
+                sph = from_idempotent(params, table, j, tol)
             except GramError as exc:
                 reports.append(TheoremReport(
                     f"sphere(eigenspace={j})", "sphere-eigenvalue", HYPOTHESIS_NOT_MET, tol,

@@ -50,6 +50,8 @@ DEFAULT_SEEDS = (20839, 61409, 92821, 15137, 48817, 76091)
 FREIVALDS_SEED = 51787
 FREIVALDS_BITS = 20
 FREIVALDS_COLUMNS = 3
+# The eigenvector blocks' check against P: one fixed standard normal vector.
+BLOCK_RESIDUAL_SEED = 33119
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,12 @@ class RelationPartition:
         arr.setflags(write=False)
         return RelationPartition(arr, d)
 
-    def adjacency(self, i: int) -> np.ndarray:
-        """0/1 float indicator matrix of class i, built afresh."""
+    def adjacency(self, i: int, out=None) -> np.ndarray:
+        """0/1 float indicator matrix of class i, written into out when
+        given, else built afresh."""
         if not 0 <= i <= self.d:
             raise ValueError(f"class {i} outside 0..{self.d}")
-        return (self.labels == i).astype(float)
+        return np.equal(self.labels, i, out=np.empty(self.labels.shape) if out is None else out)
 
 
 def from_distance_data(dd: DistanceData) -> RelationPartition:
@@ -146,9 +149,18 @@ def validate_scheme(rel: RelationPartition, max_dense: int | None = DEFAULT_MAX_
     k = int(present.argmin())
     if k <= d:
         raise SchemeAxiomError(2, f"class {k} is empty", [])
-    # rep[k]: the first pair (x_k, y_k) of class k in row-major order.
-    # p[i, j, k] counts the z with label(x_k, z) = i and label(z, y_k) = j.
-    rep = np.array([np.argmax(lab.ravel() == k) for k in range(d + 1)])
+    # rep[k]: the first pair (x_k, y_k) of class k in row-major order, as a
+    # flat index.  Rows are read in blocks of doubling height until every
+    # class has a pair; a scheme's row 0 holds every class, so there one
+    # row is read.  p[i, j, k] counts the z with label(x_k, z) = i and
+    # label(z, y_k) = j.
+    rep = np.full(d + 1, -1)
+    start, height = 0, 1
+    while rep.min() < 0:
+        found, first = np.unique(lab[start:start + height], return_index=True)
+        new = rep[found] < 0
+        rep[found[new]] = start * n + first[new]
+        start, height = start + height, 2 * height
     xs, ys = np.unravel_index(rep, lab.shape)
     keys = (np.arange(d + 1)[:, None] * (d + 1) + lab[xs]) * (d + 1) + lab[:, ys].T
     p = np.bincount(keys.ravel(), minlength=(d + 1) ** 3).reshape(d + 1, d + 1, d + 1)
@@ -235,9 +247,11 @@ def idempotents(
     mean the two computations disagree (MethodsDisagreeError).
 
     Each block j >= 1 is then checked on all n^2 entries: (n/m_j) U_j U_j^T,
-    symmetrized, must lie within gram_allowance(tol, n) of the Gram that
-    spherical.from_idempotent gathers from Q's column j, or the two
-    computations disagree.  E_0 = I - sum_{j>=1} E_j follows.
+    symmetrized, must lie within gram_allowance(tol, n) of the gather of
+    Q's column j over m_j through the labels, or the two computations
+    disagree.  E_0 = I - sum_{j>=1} E_j follows.  Last, every class must
+    act on every block as its entry of P (_check_block_residuals): this
+    backs each spectrum and rank that the sphere checks read off P.
     """
     check_dense_limit(rel.n, max_dense)
     n, d = rel.n, rel.d
@@ -288,10 +302,34 @@ def idempotents(
                 raise MethodsDisagreeError(
                     f"the Gram of eigenspace {j} formed from its eigenvector block deviates "
                     f"from Q's column {j} by {worst:.3g} > {allowance:.3g}")
+        del gram
+        _check_block_residuals(rel, params.P, blocks, tol)
         return blocks
     raise DegenerateElementError(
         f"generic element degenerate for every seed in {tuple(DEFAULT_SEEDS)}"
     )
+
+
+def _check_block_residuals(rel: RelationPartition, P: np.ndarray, blocks, tol: float) -> None:
+    """Check A_i E_j = P[j, i] E_j (Bannai-Ito 1984) for every class i and
+    eigenspace j on one vector per eigenspace, y_j = U_j U_j^T r, with r a
+    standard normal vector drawn from BLOCK_RESIDUAL_SEED:
+    |A_i y_j - P[j, i] y_j| must lie within residual_allowance(tol, n)
+    |y_j|, or the blocks and P disagree (MethodsDisagreeError).  The class
+    matrices are built one at a time into one n x n buffer."""
+    n = rel.n
+    r = np.random.default_rng(BLOCK_RESIDUAL_SEED).standard_normal(n)
+    y = np.column_stack([u @ (u.T @ r) for u in blocks])
+    bound = residual_allowance(tol, n) * np.linalg.norm(y, axis=0)
+    a = np.empty((n, n))
+    for i in range(rel.d + 1):
+        resid = np.linalg.norm(rel.adjacency(i, out=a) @ y - y * P[:, i], axis=0)
+        bad = np.flatnonzero(~(resid <= bound))
+        if bad.size:
+            j = int(bad[0])
+            raise MethodsDisagreeError(
+                f"class {i} does not act on the eigenvector block of eigenspace {j} as "
+                f"P[{j}, {i}] = {float(P[j, i])!r}: residual {resid[j]:.3g} > {bound[j]:.3g}")
 
 
 def character_table(params: SchemeParameters) -> np.ndarray | None:

@@ -27,7 +27,6 @@ from .numerics import (
     DEFAULT_TOL,
     check_dense_limit,
     cluster_values,
-    determinant_allowance,
     eigen_clusters,
     eval_matrix_poly,
     eval_root_product,
@@ -64,25 +63,24 @@ class SchemeAlgebra:
     classes i = 0..d, and scheme class i lies in sphere class classes[i].
     A_i acts on scheme eigenspace k, of multiplicity multiplicities[k], as
     the scalar P[k, i] (Bannai-Ito 1984), so every entrywise polynomial of
-    the Gram and every sphere class graph has its spectrum read off P.
-    certified is set when P is certified exactly (schemes.character_table):
-    those spectra are then theorems, and no dense eigensolve or determinant
-    re-tests them.
+    the Gram and every sphere class graph has its spectrum read off P.  That
+    P is backed on the points before any sphere is built: exactly by
+    schemes.character_table when it is integral, else by the block residual
+    of every class in schemes.idempotents.  No dense eigensolve re-tests it.
     """
 
     class_values: np.ndarray
     classes: np.ndarray
     P: np.ndarray
     multiplicities: np.ndarray
-    certified: bool = False
 
     def rank(self, values, tol: float) -> int:
         """Rank of the entrywise polynomial f(G) whose values at
         class_values are values: it is sum_i f(v_i) A_i, whose eigenvalue
         on eigenspace k is sum_i f(v_i) P[k, i], counted m_k times.  A
         full rank whose least eigenvalue is above tol but within its
-        rank_allowance of it, where a dense eigensolve may read a rank
-        below n, is a ToleranceAmbiguityError."""
+        rank_allowance of it, where a dense eigensolve of the same matrix
+        may read a rank below n, is a ToleranceAmbiguityError."""
         lam = np.abs(self.P @ values)
         least = float(lam.min())
         allowance = rank_allowance(lam, int(self.multiplicities.sum()))
@@ -91,20 +89,6 @@ class SchemeAlgebra:
                 f"eigenvalue {least!r} of an entrywise polynomial, read off P, is above tol "
                 f"{tol!r} but within its rounding allowance {allowance!r}; adjust the tolerance")
         return int(self.multiplicities[lam > tol].sum())
-
-    def certifies(self, values, dense, tol: float) -> bool:
-        """Whether dense, the n x n matrix of the entrywise polynomial whose
-        values at class_values are values, has the determinant P gives,
-        prod_k lam_k^{m_k} with every |lam_k| > tol: the sign exactly, and
-        log|det| within determinant_allowance."""
-        lam = self.P @ values
-        if not np.all(np.abs(lam) > tol):
-            return False
-        sign, logdet = np.linalg.slogdet(dense)
-        m = self.multiplicities
-        return bool(sign == (-1.0) ** int(m[lam < 0].sum())
-                    and abs(logdet - float(m @ np.log(np.abs(lam))))
-                    <= determinant_allowance(lam, m, tol))
 
     def class_multiplicity(self, c: int, value: float, tol: float) -> int:
         """Multiplicity of value (numerics.lookup_multiplicity) in the
@@ -119,22 +103,26 @@ class SphericalSet:
 
     values[0] is the diagonal 1; values[1:] are the clustered distinct
     off-diagonal inner products in decreasing order, all below 1.
-    labels[x, y] indexes values, with 0 exactly on the diagonal, in the
-    smallest unsigned dtype that holds s.  gram and labels are read-only
-    and exactly symmetric.  algebra is set on a sphere built from a scheme
-    eigenspace, and None on a standalone Gram.
+
+    A standalone Gram (from_gram) holds the matrix as gram, and labels, in
+    which labels[x, y] indexes values, with 0 exactly on the diagonal, in
+    the smallest unsigned dtype that holds s; both are read-only and
+    exactly symmetric, and algebra is None.  A sphere built from a scheme
+    eigenspace (from_idempotent) holds no n x n array: gram and labels are
+    None, and algebra carries the class values from which the checks read
+    everything, its number of points too.
     """
 
-    gram: np.ndarray
+    gram: np.ndarray | None
     dimension: int
     values: tuple[float, ...]
-    labels: np.ndarray
+    labels: np.ndarray | None
     tolerance: float
     algebra: SchemeAlgebra | None = None
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
-        return len(self.gram)
+        return len(self.gram) if self.algebra is None else int(self.algebra.multiplicities.sum())
 
     @property
     def s(self) -> int:
@@ -210,20 +198,20 @@ def from_gram(
     )
 
 
-def from_idempotent(rel, params, table, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
-    """Unit-sphere embedding carried by eigenspace j of the scheme rel, whose
+def from_idempotent(params, table, j: int, tol: float = DEFAULT_TOL) -> SphericalSet:
+    """Unit-sphere embedding carried by eigenspace j of the scheme whose
     SchemeParameters are params; table is its integral P as certified by
     schemes.character_table, or None.
 
-    Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j, the
-    gather of v through rel.labels with the diagonal set to 1.  With a
-    table, v must lie within gram_allowance(tol, n) of the exact
-    P[j, i]/k_i (else MethodsDisagreeError); without one,
-    schemes.idempotents has checked the eigensolve against this Gram.  The
-    values are v clustered at tol (d numbers, not n^2), the labels one
-    gather of that clustering, and the dimension m_j.  A value within tol
-    of 1 (repeated points) is a GramError.  The scheme was admitted, so no
-    dense limit is checked.
+    Its Gram is (n/m_j) E_j = sum_i v_i A_i with v_i = Q[i, j]/m_j
+    (Bannai-Ito 1984), so it is held as v alone, in a SchemeAlgebra, and
+    no n x n array is formed.  With a table, v must lie within
+    gram_allowance(tol, n) of the exact P[j, i]/k_i (else
+    MethodsDisagreeError); without one, schemes.idempotents has checked
+    the eigensolve against the gather of v.  The values are v clustered at
+    tol (d numbers, not n^2), and the dimension is m_j.  A value within
+    tol of 1 (repeated points) is a GramError.  The scheme was admitted,
+    so no dense limit is checked.
     """
     if not 1 <= j <= params.d:
         raise ValueError(f"eigenspace {j} outside 1..{params.d}")
@@ -240,14 +228,8 @@ def from_idempotent(rel, params, table, j: int, tol: float = DEFAULT_TOL) -> Sph
     if vals[0] >= 1.0 - tol:
         raise GramError(f"repeated points: off-diagonal inner product {vals[0]:.6g}")
     classes = np.concatenate(([0], lab + 1)).astype(np.min_scalar_type(len(vals)))
-    gram = class_values[rel.labels]
-    np.fill_diagonal(gram, 1.0)
-    gram.setflags(write=False)
-    labels = classes[rel.labels]
-    labels.setflags(write=False)
-    algebra = SchemeAlgebra(class_values, classes, params.P, np.asarray(params.multiplicities),
-                            table is not None)
-    return SphericalSet(gram, mj, (1.0, *vals), labels, tol, algebra)
+    algebra = SchemeAlgebra(class_values, classes, params.P, np.asarray(params.multiplicities))
+    return SphericalSet(None, mj, (1.0, *vals), None, tol, algebra)
 
 
 def schur_floor(sph: SphericalSet) -> int:
@@ -276,11 +258,8 @@ def schur_diameter(sph: SphericalSet) -> int:
 
     On a standalone Gram each trial's rank is an eigensolve.  On a scheme
     sphere it is read off P (SchemeAlgebra.rank) from the trial's values
-    at the class values.  On a certified scheme that rank is final.
-    Otherwise the first full-rank trial is formed densely, as the
-    certificate: its determinant must be the one P gives
-    (SchemeAlgebra.certifies).  Failing that, its dense eigensolve decides,
-    and a dense rank below n is a MethodsDisagreeError.
+    at the class values, and that rank is final: the scheme route has
+    backed P on the points before the sphere was built.
     """
     tol, algebra = sph.tolerance, sph.algebra
     for t in range(schur_floor(sph), sph.s + 1):
@@ -293,22 +272,12 @@ def schur_diameter(sph: SphericalSet) -> int:
             else:
                 coeffs = np.random.default_rng([seed, t]).standard_normal(t + 1)
                 poly = functools.partial(eval_matrix_poly, coeffs / np.linalg.norm(coeffs))
-            values = None if algebra is None else poly(algebra.class_values)
-            if values is not None:
-                if algebra.rank(values, tol) < sph.n:
-                    continue
-                if algebra.certified:
-                    return t
-            dense = poly(sph.gram)
-            if values is not None and algebra.certifies(values, dense, tol):
-                return t
-            rank = rank_tol(dense, tol)
+            if algebra is None:
+                rank = rank_tol(poly(sph.gram), tol)
+            else:
+                rank = algebra.rank(poly(algebra.class_values), tol)
             if rank == sph.n:
                 return t
-            if algebra is not None:
-                raise MethodsDisagreeError(
-                    f"P gives a degree-{t} entrywise polynomial full rank {sph.n}, "
-                    f"but its dense eigensolve gives rank {rank}")
     raise SchurDisconnectedError(sph.s)
 
 
@@ -329,10 +298,9 @@ def verify_sphere_theorem(
     set's own tolerance.  f*_i(x) = prod_{j >= 1, j != i} (x - v_j)/(v_i - v_j)
     is evaluated in product form, on a standalone Gram into one n x n
     buffer, from which A_i and K*_i I are subtracted in place.  A scheme
-    sphere's Gram gathers the scheme's class values, so the same float
-    operations run on those values alone, and each class spectrum is read
-    off P; unless the scheme is certified, class 1's is also solved densely
-    as a cross-check.
+    sphere's Gram is the gather of the scheme's class values, so the same
+    float operations run on those values alone, and each class spectrum is
+    read off P, which the scheme route has backed on the points.
     A single point (s = 0) has no class to force, so neither route's
     hypothesis holds.
     """
@@ -398,13 +366,6 @@ def verify_sphere_theorem(
             interp -= algebra.classes == i
             resid = float(np.max(np.abs(interp)))
             mult = algebra.class_multiplicity(i, -ki, tol)
-            if i == 1 and not algebra.certified:
-                # The class-1 spectrum read off P, cross-checked densely.
-                dense = eigen_clusters(sph.distance_class(1), tol, max_dense=None)
-                if (dense_mult := dense.multiplicity_of(-ki)) != mult:
-                    raise MethodsDisagreeError(
-                        f"class 1 has eigenvalue {-ki!r} with multiplicity {mult} by P "
-                        f"but {dense_mult} by its dense spectrum")
         checks.append({
             "class": i,
             "k_star": ki,

@@ -3,6 +3,7 @@
 Objects are built once per session and cached; tests must not mutate them.
 """
 
+import dataclasses
 import functools
 import math
 from collections import deque, namedtuple
@@ -392,11 +393,24 @@ def analyzed_scheme(name):
     return AnalyzedScheme(name, rel, p, idempotents(rel, params), params, character_table(params))
 
 
+def dense_sphere(rel, sph):
+    """The scheme sphere sph of the partition rel with its Gram and labels
+    gathered through rel's labels, as a standalone Gram holds them: the
+    dense oracle of the checks that read the sphere off its algebra."""
+    algebra = sph.algebra
+    gram = algebra.class_values[rel.labels]
+    np.fill_diagonal(gram, 1.0)
+    labels = algebra.classes[rel.labels]
+    for a in (gram, labels):
+        a.setflags(write=False)
+    return dataclasses.replace(sph, gram=gram, labels=labels)
+
+
 def sphere_of(scheme, j):
     """The eigenspace-j embedding that analyze_scheme hands to
     q_polynomial_ordering, or None when it is degenerate."""
     try:
-        return from_idempotent(scheme.rel, scheme.params, scheme.table, j)
+        return from_idempotent(scheme.params, scheme.table, j)
     except GramError:
         return None
 

@@ -15,6 +15,7 @@ from conftest import (
     SCHEME_SPECS,
     analyzed_scheme,
     catalog_graph,
+    dense_sphere,
     projectors,
     sphere_of,
 )
@@ -179,7 +180,7 @@ def test_criterion_6_forced_sphere_eigenvalues():
         assert check["floor"] == 5 - absolute_bound(2, 1)
 
         scheme = analyzed_scheme("petersen")
-        embedded = verify_sphere_theorem(from_idempotent(scheme.rel, scheme.params, None, 1))
+        embedded = verify_sphere_theorem(from_idempotent(scheme.params, None, 1))
         assert embedded.status == PASS
         check = embedded.evidence["checks"][0]
         assert abs(check["eigenvalue"] - (-2.0)) <= 1e-9
@@ -194,8 +195,9 @@ def test_criterion_7_schur_diameter():
     with criterion(7, "Schur-diameter values and detector equivalence"):
         assert schur_diameter(from_gram(pentagon_gram())) == 2
         scheme = analyzed_scheme("petersen")
-        sph = from_idempotent(scheme.rel, scheme.params, None, 1)
-        assert np.allclose(sph.gram, 2 * projectors(scheme.blocks)[1], atol=1e-12)
+        sph = from_idempotent(scheme.params, None, 1)
+        assert np.allclose(dense_sphere(scheme.rel, sph).gram, 2 * projectors(scheme.blocks)[1],
+                           atol=1e-12)
         assert schur_diameter(sph) == 2
         assert schur_diameter(from_gram(np.eye(6))) == 1
 
@@ -205,7 +207,7 @@ def test_criterion_7_schur_diameter():
             col = other.params.Q[:, 1]
             if np.min(np.diff(np.sort(col))) <= 1e-9:
                 continue
-            embedded = from_idempotent(other.rel, other.params, None, 1)
+            embedded = from_idempotent(other.params, None, 1)
             sd = schur_diameter(embedded)
             verdict = q_polynomial_ordering(other.params, 1)
             assert (sd == other.params.d) == (verdict.status == POLYNOMIAL), name

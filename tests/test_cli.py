@@ -361,7 +361,8 @@ class TestAnalyzeScheme:
 
         build = schemes.RelationPartition.adjacency
         monkeypatch.setattr(schemes.RelationPartition, "adjacency",
-                            tally("class matrix", lambda rel, i: build(rel, i).view(ClassMatrix)))
+                            tally("class matrix",
+                                  lambda rel, i, out=None: build(rel, i, out).view(ClassMatrix)))
         monkeypatch.setattr(np, "trace", tally("np.trace", np.trace))
         monkeypatch.setattr(np, "tensordot", tally("np.tensordot", np.tensordot))
         solves = {"eigh": 0, "eigvalsh": 0, "eigvalsh in schur_diameter": 0, "slogdet": 0}
@@ -436,33 +437,39 @@ class TestAnalyzeScheme:
 
     def test_each_quantity_computed_once_on_the_dense_route(self, tmp_path, capsys, monkeypatch):
         # C_7's P is irrational: the generic element's eigensolve gives the
-        # idempotents, and the dense checks run.
+        # idempotents, and its blocks are checked against Q and P.
         path = tmp_path / "c7.rel"
         assert main(["gen", "cycle", "7", "--as", "scheme", "-o", str(path)]) == 0
         capsys.readouterr()
+        spheres = []
+        build = spherical.from_idempotent
+        patch_everywhere(monkeypatch, build,
+                         lambda *args: spheres.append(build(*args)) or spheres[-1])
         calls, solves, kernels = self.count_scheme_work(path, capsys, monkeypatch)
-        # The clusterings are one spectrum, the three embeddings' Q columns,
-        # the nine class spectra read off P, and the three dense class-1
-        # spectra that cross-check them, each clustered again by the lookup
-        # of its forced eigenvalue.
+        # The clusterings are one spectrum, the three embeddings' Q columns
+        # and the nine class spectra read off P, as on the exact route; no
+        # class spectrum is solved densely.
         assert calls == {"polyprops.p_polynomial_ordering": 3, "graphs.distance_data": 0,
                          "graphs.adjacency_distances": 0, "schemes.validate_scheme": 1,
                          "schemes.idempotents": 1, "spherical.from_gram": 0,
-                         "spherical.schur_diameter": 3, "numerics.cluster_values": 19}
-        # The Schur search reads its ranks off P and certifies only the rank
-        # it returns, by one determinant for each of the three separated
-        # eigenspaces and no eigensolve.  The eigvalsh calls are the
-        # class-1 cross-checks.
-        assert solves == {"eigh": 1, "eigvalsh": 3, "eigvalsh in schur_diameter": 0,
-                          "slogdet": 3}
-        # The four class matrices are built once, by validate_scheme.  The
-        # idempotents are checked on their eigenvector blocks, so no class
-        # matrix meets a dense projector; multiplicities are block widths,
-        # not traces; the only dense projectors are the d eigenspace Grams
-        # that idempotents forms once from each block (E_0 never), to check
-        # them against the gather of Q's column.
-        assert kernels == {"class matrix": 4, "np.trace": 0, "np.tensordot": 0,
+                         "spherical.schur_diameter": 3, "numerics.cluster_values": 13}
+        # One eigensolve gives the idempotents.  The Schur search and the
+        # class spectra read P, which the block residual has checked on the
+        # points: no eigvalsh and no determinant.
+        assert solves == {"eigh": 1, "eigvalsh": 0, "eigvalsh in schur_diameter": 0,
+                          "slogdet": 0}
+        # The four class matrices are built once by validate_scheme, and
+        # once more, into one buffer, by the block residual, which meets
+        # them with the n x (d+1) array of projected vectors, not a dense
+        # projector.  Multiplicities are block widths, not traces; the only
+        # dense projectors are the d eigenspace Grams that idempotents forms
+        # once from each block (E_0 never), to check them against the
+        # gather of Q's column.
+        assert kernels == {"class matrix": 8, "np.trace": 0, "np.tensordot": 0,
                            "A_i @ E_j": 0, "U_j @ U_j^T": 3}
+        # Each sphere is read off its algebra and holds no n x n array.
+        assert len(spheres) == 3
+        assert all(sph.gram is None and sph.labels is None and sph.n == 7 for sph in spheres)
 
     def test_max_dense_reaches_every_stage(self, petersen_rel, capsys, monkeypatch):
         seen = record_dense_limits(monkeypatch)

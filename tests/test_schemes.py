@@ -31,10 +31,10 @@ from polyscheme.errors import (
     ParseError,
     SchemeAxiomError,
 )
-from polyscheme import schemes
+from polyscheme import numerics, schemes
 from polyscheme.generators import FamilySpec, build_scheme, family_tensor
 from polyscheme.graphs import distance_data, spectral_projectors
-from polyscheme.numerics import DEFAULT_MAX_DENSE
+from polyscheme.numerics import DEFAULT_MAX_DENSE, DEFAULT_TOL
 from polyscheme.schemes import (
     DEFAULT_SEEDS,
     RelationPartition,
@@ -211,6 +211,23 @@ def test_axiom_four_path_partition():
     assert err.value.witnesses == [(0, 0), (1, 1)]
 
 
+@pytest.mark.parametrize("lab, message", [
+    # Class 2 first appears at (1, 2), in the second block of rows, and
+    # the witness names that pair.
+    ([[0, 1, 3, 1, 3, 3], [1, 0, 2, 2, 3, 1], [3, 2, 0, 2, 1, 1],
+      [1, 2, 2, 0, 1, 2], [3, 3, 1, 1, 0, 2], [3, 1, 1, 2, 2, 0]],
+     "axiom 4: not a scheme: p_{1,1}^{2} differs between pairs (1, 2) and (3, 5): 1 vs 0"),
+    # Class 2 is the pair (5, 6) alone, past the blocks of rows 0, 1..2 and 3..4.
+    ([[0 if x == y else 2 if {x, y} == {5, 6} else 1 for y in range(8)] for x in range(8)],
+     "axiom 4: not a scheme: p_{1,1}^{0} differs between pairs (0, 0) and (5, 5): 7 vs 6"),
+], ids=["row-1", "row-5"])
+def test_axiom_four_with_a_class_missing_from_row_0(lab, message):
+    rel = RelationPartition.from_matrix(lab)
+    outcome = _axioms_outcome(validate_scheme, rel)
+    assert outcome == _axioms_outcome(validate_scheme_axiom_4_reference, rel)
+    assert outcome[0] == 4 and outcome[2] == message
+
+
 def test_idempotents_match_graph_projectors():
     scheme = analyzed_scheme("petersen")
     family = spectral_projectors(catalog_graph("petersen"))
@@ -339,6 +356,33 @@ def test_idempotents_refuse_swapped_multiplicities():
         idempotents(scheme.rel, swapped)
 
 
+@pytest.mark.parametrize("spec, j", [(spec, j) for spec, d in ((FamilySpec("cycle", (7,)), 3),
+                                                                 (FamilySpec("paley", (13,)), 2))
+                                     for j in range(1, d + 1)],
+                         ids=lambda v: v.label() if isinstance(v, FamilySpec) else None)
+def test_forged_p_entries_are_refused_by_the_block_residual(spec, j, monkeypatch):
+    # Two entries of row j of an irrational P move by 1e-3 orthogonally to
+    # the generic element's coefficients c, so that P c, and with it the
+    # cluster check, is unchanged; Q is untouched, so the Gram check passes.
+    # Class 1 then acts on eigenspace j other than P says.
+    rel = build_scheme(spec)
+    params = eigenmatrices(validate_scheme(rel), rel.n)
+    draws, rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or rng(seed))
+    idempotents(rel, params)
+    assert draws[:2] == [DEFAULT_SEEDS[0], schemes.BLOCK_RESIDUAL_SEED]
+    c = rng(DEFAULT_SEEDS[0]).uniform(1.0, 2.0, rel.d + 1)
+    forged = params.P.copy()
+    forged[j, 1] += 1e-3 * c[2]
+    forged[j, 2] -= 1e-3 * c[1]
+    assert np.max(np.abs(forged @ c - params.P @ c)) <= 1e-15
+    assert 1e-3 > numerics.residual_allowance(DEFAULT_TOL, rel.n)
+    with pytest.raises(MethodsDisagreeError,
+                       match=rf"^class 1 does not act on the eigenvector block of eigenspace {j} "
+                             rf"as P\[{j}, 1\]"):
+        idempotents(rel, dataclasses.replace(params, P=forged))
+
+
 INTEGRAL = ("complete4", "cube", "cycle6", "hamming33", "hoffman-singleton", "johnson83",
             "petersen")
 
@@ -412,7 +456,7 @@ def test_corrupted_block_of_a_degenerate_embedding_is_refused(j, monkeypatch):
     # Q on every entry.  A zeroed row is no automorphism of the points.
     scheme = analyzed_scheme("cube")
     with pytest.raises(GramError):
-        from_idempotent(scheme.rel, scheme.params, None, j)
+        from_idempotent(scheme.params, None, j)
 
     def zero_row(u):
         u[0] = 0.0

@@ -27,7 +27,7 @@ PENTAGON = np.cos(2 * np.pi * np.subtract.outer(np.arange(5), np.arange(5)) / 5)
 # Each allowance and the functions that read it.
 SITES = {
     "cluster_gap": {"cluster_values", "eigenmatrices", "idempotents"},
-    "residual_allowance": {"idempotents"},
+    "residual_allowance": {"idempotents", "_check_block_residuals"},
     "eigensolve_rounding": {"idempotents", "rank_allowance"},
     "gram_allowance": {"idempotents", "from_idempotent", "from_gram"},
     "scaled_allowance": {"eigenmatrices", "_product_formula"},
@@ -38,7 +38,6 @@ SITES = {
     "order_quantum": {"_eigenspace_order"},
     "krein_allowance": {"q_polynomial_ordering"},
     "rank_allowance": {"rank"},
-    "determinant_allowance": {"certifies"},
 }
 MODULES = (numerics, schemes, polyprops, spherical, generators)
 
@@ -101,14 +100,9 @@ def _idempotents_at_1e_14():
     return schemes.idempotents(s.rel, s.params, 1e-14)
 
 
-def _from_idempotent():
-    s = analyzed_scheme("johnson83")
-    return from_idempotent(s.rel, s.params, None, 1)
-
-
 def _from_certified():
     s = analyzed_scheme("johnson83")
-    return from_idempotent(s.rel, s.params, schemes.character_table(s.params), 1)
+    return from_idempotent(s.params, schemes.character_table(s.params), 1)
 
 
 def _from_gram():
@@ -141,7 +135,7 @@ def _family():
 
 def _scheme_sphere():
     s = analyzed_scheme("johnson83")
-    return verify_sphere_theorem(from_idempotent(s.rel, s.params, None, 1)).status == PASS
+    return verify_sphere_theorem(from_idempotent(s.params, None, 1)).status == PASS
 
 
 def _gram_sphere():
@@ -150,16 +144,7 @@ def _gram_sphere():
 
 def _scheme_schur():
     s = analyzed_scheme("johnson83")
-    return spherical.schur_diameter(from_idempotent(s.rel, s.params, None, 1))
-
-
-def _certificate():
-    # The normalized annihilator: the identity, with every eigenvalue 1 by P.
-    sph = _from_idempotent()
-    roots = sph.values[1:]
-    scale = 1.0 / np.prod(np.subtract(1.0, roots))
-    return sph.algebra.certifies(numerics.eval_root_product(roots, scale, sph.algebra.class_values),
-                                 numerics.eval_root_product(roots, scale, sph.gram), sph.tolerance)
+    return spherical.schur_diameter(from_idempotent(s.params, None, 1))
 
 
 def _cluster():
@@ -198,7 +183,6 @@ REFUSE_ACCEPT = [
     (numerics, "cluster_gap", 2e-9, 1e-9, _cluster, ToleranceAmbiguityError),
     (numerics, "eigensolve_rounding", np.inf, 0.0, _scheme_schur, ToleranceAmbiguityError),
     (spherical, "rank_allowance", np.inf, 0.0, _scheme_schur, ToleranceAmbiguityError),
-    (spherical, "determinant_allowance", -1.0, np.inf, _certificate, False),
     (schemes, "order_quantum", np.inf, 1e-9, _order, False),
 ]
 
